@@ -101,8 +101,9 @@ class EngineOptions:
     # picks fluid when requests x replica ceiling crosses
     # AUTO_FLUID_WORK_ITEMS. Decoupled runs ignore this knob.
     fidelity: str = "event"
-    # Vectorized decode bookkeeping (numpy slot arrays). The scalar path
-    # is kept for traced runs and as the bit-exactness oracle.
+    # Vectorized decode bookkeeping (numpy slot arrays), for plain decode
+    # iterations and the decode half of chunked-prefill mixed ones. The
+    # scalar path is kept for traced runs and as the bit-exactness oracle.
     vectorize: bool = True
     # Record per-dispatch queue-depth tuples into the telemetry event
     # stream (O(requests x replicas) memory — bounded by the hub's
@@ -755,28 +756,14 @@ class BaseEngine(abc.ABC):
         now: float,
         phase: str = "decode",
     ) -> float:
-        """Advance every running sequence one token; returns the new time.
-
-        Handles KV growth with preemption: when the cache cannot grow, the
-        youngest running sequence is evicted via :meth:`preempt` (subclass
-        hook — recompute for static engines, swap-out for Seesaw).
-        """
+        """One decode iteration over the running batch; returns the new
+        time (cost via :meth:`decode_context`, step via
+        :meth:`advance_running`)."""
         if not state.running:
             raise ConfigurationError("decode_step with no running sequences")
         num_seqs = len(state.running)
-        slots = state.slots
-        if (
-            slots is None
-            and _np is not None
-            and num_seqs >= VECTORIZE_MIN_SEQS
-            and self.options.vectorize
-            and not self.options.trace
-        ):
-            slots = state.slots = DecodeSlots(state)
-        if slots is not None:
-            bd = costs.decode_iteration_time(num_seqs, slots.ctx_sum)
-        else:
-            bd = costs.decode_iteration_time(num_seqs, state.decode_context_tokens)
+        bd = costs.decode_iteration_time(num_seqs, self.decode_context(state))
+        if state.slots is None:
             # The vectorized path never runs under tracing, so skipping
             # record_event there drops no events.
             self.record_event(
@@ -791,12 +778,50 @@ class BaseEngine(abc.ABC):
         now += elapsed
         metrics.add_phase(phase, elapsed, bd)
         metrics.iterations += 1
+        self.advance_running(state, now, metrics)
+        state.finish_ready(now)
+        return now
 
+    def decode_context(self, state: ReplicaState) -> int:
+        """Cached tokens one decode advance of ``state.running`` attends
+        over — the cost-model input of every decode half-iteration.
+
+        Builds the vectorized slot arrays first when the batch qualifies
+        (``EngineOptions.vectorize``, numpy present, no phase trace, at
+        least ``VECTORIZE_MIN_SEQS`` running) and then reads their exact
+        running sum instead of walking the batch.
+        """
+        slots = state.slots
+        if (
+            slots is None
+            and _np is not None
+            and len(state.running) >= VECTORIZE_MIN_SEQS
+            and self.options.vectorize
+            and not self.options.trace
+        ):
+            slots = state.slots = DecodeSlots(state)
+        if slots is None:
+            return state.decode_context_tokens
+        return slots.ctx_sum
+
+    def advance_running(
+        self, state: ReplicaState, now: float, metrics: RunMetrics
+    ) -> None:
+        """Advance every running sequence one token (the decode half of an
+        iteration, plain or mixed with a prefill chunk).
+
+        Handles KV growth with preemption: when the cache cannot grow, the
+        youngest running sequence is evicted via :meth:`preempt` (subclass
+        hook — recompute for static engines, swap-out for Seesaw). Live
+        slot arrays take the whole step as scalar arithmetic unless this
+        iteration's block crossings outrun the free pool. Retirement is
+        left to the caller's ``finish_ready``.
+        """
+        slots = state.slots
         if slots is not None:
             if slots.try_advance(state.kv):
-                state.decode_backlog -= num_seqs
-                state.finish_ready(now)
-                return now
+                state.decode_backlog -= len(state.running)
+                return
             # Aggregate KV headroom cannot cover this iteration's block
             # crossings: fall back to the scalar grow/preempt path so the
             # eviction order stays bit-exact with the object path.
@@ -818,8 +843,6 @@ class BaseEngine(abc.ABC):
                     if victim is None:
                         raise
                     self.preempt(state, victim, now, metrics)
-        state.finish_ready(now)
-        return now
 
     def _pick_victim(
         self, state: ReplicaState, exclude: Sequence

@@ -1,6 +1,9 @@
 """Vectorized decode-slot arrays for the steady-state decode loop.
 
-A decode iteration advances every running sequence by one token, grows its
+The arrays drive every decode step, whether it is a plain decode iteration
+or the decode half of a chunked-prefill mixed iteration: both go through
+:meth:`~repro.engines.base.BaseEngine.advance_running`. A decode iteration
+advances every running sequence by one token, grows its
 KV allocation when the context crosses a block boundary, and retires
 sequences that produced their last token. The object path does all of that
 with per-sequence attribute access — the dominant cost of large coupled

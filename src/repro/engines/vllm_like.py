@@ -119,9 +119,15 @@ class VllmLikeEngine(BaseEngine):
         pp = self.replica_config.pp
         if pp <= 1 or not state.running or not state.waiting:
             return True
-        remaining = sum(s.remaining_prefill for s in state.waiting)
-        target = min(remaining, pp * self.options.max_batched_tokens)
-        return state.kv.free_tokens >= target
+        # The decision only needs min(queued prefill, cap), so the scan
+        # stops once the running total reaches the cap.
+        cap = pp * self.options.max_batched_tokens
+        remaining = 0
+        for s in state.waiting:
+            remaining += s.remaining_prefill
+            if remaining >= cap:
+                break
+        return state.kv.free_tokens >= min(remaining, cap)
 
     def _admit_prefills(self, state: ReplicaState) -> list[Sequence]:
         """Admit waiting prompts while KV space and the per-iteration token
@@ -130,7 +136,7 @@ class VllmLikeEngine(BaseEngine):
         starving resident decodes for long; with nothing decoding there is
         no one to starve, so the wave may grow to KV capacity and amortize
         the pipeline fill bubble."""
-        budget = self.options.max_batched_tokens * costs_pp(self)
+        budget = self.options.max_batched_tokens * self.replica_config.pp
         if not state.running:
             budget = max(budget, state.kv.capacity_tokens)
         if (
@@ -247,7 +253,7 @@ class VllmLikeEngine(BaseEngine):
         decode_seqs = len(state.running)
         eff_ctx = int(chunk_ctx_weighted / chunk_tokens) if chunk_tokens else 0
         bd = costs.mixed_iteration_time(
-            chunk_tokens, eff_ctx, decode_seqs, state.decode_context_tokens
+            chunk_tokens, eff_ctx, decode_seqs, self.decode_context(state)
         )
         elapsed = bd.total + ITERATION_OVERHEAD
         phase = "mixed" if (chunk_tokens and decode_seqs) else (
@@ -266,21 +272,7 @@ class VllmLikeEngine(BaseEngine):
         metrics.iterations += 1
 
         if decode_seqs:
-            for s in state.running:
-                s.advance_decode()
-            state.decode_backlog -= decode_seqs
-            for s in list(state.running):
-                if s not in state.running:
-                    continue
-                while True:
-                    try:
-                        state.kv.grow(s.seq_id, s.context_len)
-                        break
-                    except CapacityError:
-                        victim = self._pick_victim(state, exclude=s)
-                        if victim is None:
-                            raise
-                        self.preempt(state, victim, now, metrics)
+            self.advance_running(state, now, metrics)
         for seq in completing:
             seq.state = SequenceState.RUNNING
             seq.prefill_end_time = now
@@ -307,8 +299,3 @@ class VllmLikeEngine(BaseEngine):
             return True
         except CapacityError:
             return False
-
-
-def costs_pp(engine: VllmLikeEngine) -> int:
-    """Pipeline depth of the engine's replica config (micro-batch fan-out)."""
-    return engine.replica_config.pp

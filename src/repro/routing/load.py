@@ -20,12 +20,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.errors import ConfigurationError
 from repro.runtime.request import Request
 
 # Admission epsilon shared with the engines' arrival gating.
 _EPS = 1e-12
+
+# Builtin ``sum`` over floats is a plain left fold before Python 3.12 and
+# Neumaier-compensated from 3.12 on. The incremental queued-prefill fold
+# mirrors whichever this interpreter does, so it returns the very float
+# ``sum`` would.
+_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) != 0.0
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,14 @@ def _duration(tokens: int, rate: float | None) -> float:
     return tokens / rate
 
 
+def _tail(records: deque, start: int) -> Iterator[DispatchRecord]:
+    """``records[start:]``, indexed from the right end of the deque (an
+    extension by a few freshly appended records costs O(1), not O(n))."""
+    if start == 0:
+        return iter(records)
+    return (records[j] for j in range(start - len(records), 0))
+
+
 def _remaining(tokens: int, start: float, end: float, now: float) -> float:
     """Tokens of a [start, end] processing window still ahead of ``now``,
     prorated linearly (the whole amount while the window has not opened,
@@ -122,6 +137,16 @@ class ReplicaLoad:
         self.peak_queued_prefill_tokens = 0.0
         self.predicted_preemptions = 0  # total over the run (stats)
         self.storm_preemptions = 0  # since the last rebalance (trigger)
+        self._reset_fold()
+
+    def _reset_fold(self) -> None:
+        """Drop the queued-prefill memo: the fold of the first
+        ``_fold_len`` records at instant ``_fold_now`` (running sum plus
+        its compensation term)."""
+        self._fold_now: float | None = None
+        self._fold_len = 0
+        self._fold_sum: float = 0  # int 0 like ``sum``'s start: empty -> 0
+        self._fold_comp = 0.0
 
     # ------------------------------------------------------------------ #
     # Clock and load views
@@ -140,8 +165,10 @@ class ReplicaLoad:
         if now < self.clock:
             now = self.clock  # simultaneous arrivals never rewind the clock
         self.clock = now
-        while self.records and self.records[0].finished_by(now):
-            self.records.popleft()
+        if self.records and self.records[0].finished_by(now):
+            self._reset_fold()
+            while self.records and self.records[0].finished_by(now):
+                self.records.popleft()
         if not self.records:
             self.busy_until = min(self.busy_until, now)
 
@@ -149,12 +176,38 @@ class ReplicaLoad:
         """Prompt tokens dispatched here but not yet prefilled (JSQ's
         queue-length metric). ``_remaining`` bounds each record's share to
         ``[0, tokens]``, so the depth is clamped to live dispatched work
-        by construction."""
+        by construction.
+
+        Memoized per instant: records only ever join at the tail, so a
+        call at the same ``now`` extends the previous left fold by the new
+        records' terms — the same float as ``sum`` over the whole ledger,
+        in the same order. Offline dispatch (every arrival at one
+        instant, nothing retiring) thus costs O(1) instead of O(n). The
+        memo is rebuilt when ``now`` differs and dropped on retirement
+        or steal.
+        """
         now = self.clock if now is None else now
-        return sum(
-            _remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
-            for rec in self.records
-        )
+        if now != self._fold_now:
+            self._reset_fold()
+            self._fold_now = now
+        records = self.records
+        total, comp = self._fold_sum, self._fold_comp
+        for rec in _tail(records, self._fold_len):
+            x = _remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
+            if _COMPENSATED_SUM:
+                t = total + x
+                if abs(total) >= abs(x):
+                    comp += (total - t) + x
+                else:
+                    comp += (x - t) + total
+                total = t
+            else:
+                total += x
+        self._fold_len = len(records)
+        self._fold_sum, self._fold_comp = total, comp
+        if comp and math.isfinite(comp):
+            return total + comp
+        return total
 
     def outstanding_tokens(self, now: float | None = None) -> float:
         """Unprefilled prompt tokens plus predicted undecoded tokens (the
@@ -171,13 +224,20 @@ class ReplicaLoad:
     def resident_kv_tokens(self, now: float | None = None) -> int:
         """Predicted KV tokens resident on the replica: the final context
         length of every request in service (reservation-style accounting,
-        matching how admission pressure builds in the engines)."""
+        matching how admission pressure builds in the engines).
+
+        Predicted starts are non-decreasing along the FIFO (each dispatch
+        starts at or after its predecessor's finish), so the scan stops at
+        the first unstarted record.
+        """
         now = self.clock if now is None else now
-        return sum(
-            rec.request.total_tokens
-            for rec in self.records
-            if rec.started_by(now) and not rec.finished_by(now)
-        )
+        total = 0
+        for rec in self.records:
+            if not rec.started_by(now):
+                break
+            if not rec.finished_by(now):
+                total += rec.request.total_tokens
+        return total
 
     def work_seconds(self, now: float | None = None) -> float:
         """Predicted seconds until this replica drains its queue."""
@@ -245,6 +305,7 @@ class ReplicaLoad:
         if not stolen:
             return []
         self.records = deque(kept)
+        self._reset_fold()
         self.busy_until = kept[-1].finish if kept else now
         for rec in stolen:
             self.num_dispatched -= 1

@@ -9,7 +9,8 @@ Contracts:
    heap is pure dispatch mechanics, never policy.
 2. **Vector == scalar** — the numpy decode-slot path
    (``EngineOptions.vectorize``) is bit-identical to the object path on
-   online coupled cells, including preemption-heavy ones.
+   online coupled cells, including preemption-heavy ones, and on
+   chunked-prefill mixed iterations (offline, online and coupled).
 3. **Fluid calibration** — the mean-field fast path tracks the event
    path on the calibration cells: p99 TTFT within 10%, makespan within
    10% on the fixed fleet; on the autoscaled cell the scale decisions
@@ -27,6 +28,7 @@ from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.engines.base import EngineOptions
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
+from repro.engines.slots import DecodeSlots
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
@@ -247,6 +249,65 @@ class TestScalarVectorEquivalence:
             EngineOptions(vectorize=vec),
         )
         assert_bit_identical(mk(False).run(wl), mk(True).run(wl))
+
+
+class TestChunkedScalarVectorEquivalence:
+    """Chunked-prefill mixed iterations advance their decode half on the
+    slot arrays too, and never change a single result."""
+
+    def run_pair(self, make_engine, workload, monkeypatch, **opts):
+        advances = []
+        try_advance = DecodeSlots.try_advance
+
+        def counted(slots, kv):
+            advances.append(len(slots))
+            return try_advance(slots, kv)
+
+        monkeypatch.setattr(DecodeSlots, "try_advance", counted)
+        scalar = make_engine(
+            EngineOptions(chunked_prefill=True, vectorize=False, **opts)
+        ).run(workload)
+        assert not advances
+        vector = make_engine(
+            EngineOptions(chunked_prefill=True, vectorize=True, **opts)
+        ).run(workload)
+        assert advances  # the slot arrays really drove decode steps
+        assert_bit_identical(scalar, vector)
+        assert scalar.latency.records == vector.latency.records
+        return scalar, vector
+
+    def test_offline_pp_kv_tight(self, monkeypatch):
+        # Two A10s under P2 leave little KV for a 15b model: chunked
+        # batches hit the grow/preempt fallback, and the slot path must
+        # hand over and return without drifting a counter.
+        model, cluster = get_model("15b"), make_cluster("A10", 2)
+        scalar, _ = self.run_pair(
+            lambda o: VllmLikeEngine(model, cluster, parse_config("P2"), o),
+            sharegpt_workload(150, seed=11),
+            monkeypatch,
+            chunk_size=512,
+        )
+        assert scalar.latency.total_preemptions > 0
+
+    def test_online_poisson(self, tiny_model, cluster_a10_4, monkeypatch):
+        wl = poisson_arrivals(sharegpt_workload(150, seed=7), 8.0, seed=7)
+        self.run_pair(
+            lambda o: VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("D2T2"), o),
+            wl,
+            monkeypatch,
+            router="jsq",
+            chunk_size=512,
+        )
+
+    def test_coupled_jsq(self, tiny_model, cluster_a10_4, monkeypatch):
+        wl = bursty_arrivals(sharegpt_workload(120, seed=5), 8.0, burstiness=6.0, seed=5)
+        self.run_pair(
+            lambda o: VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("D2T2"), o),
+            wl,
+            monkeypatch,
+            router="jsq",
+            coupled=True,
+        )
 
 
 class TestFluidCalibration:

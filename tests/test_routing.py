@@ -32,6 +32,7 @@ from repro.routing import (
     StaticRouter,
     make_router,
 )
+from repro.routing.load import _remaining
 from repro.runtime.request import Request
 from repro.workloads.arrivals import bursty_arrivals, poisson_arrivals
 from repro.workloads.synthetic import bimodal_workload, constant_workload
@@ -417,3 +418,106 @@ class TestDrainClamp:
                 assert load.work_seconds(now) >= 0.0
                 if not load.records:
                     assert load.work_seconds(now) == 0.0
+
+
+class TestLedgerFold:
+    """The per-instant memo of ``queued_prefill_tokens`` and the early-exit
+    ``resident_kv_tokens`` scan equal the plain whole-ledger generator
+    sums with ``==`` (not approx), on randomized online ledgers with
+    simultaneous arrivals, storm steals and retirement."""
+
+    @staticmethod
+    def plain_queued(load, now):
+        return sum(
+            _remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
+            for rec in load.records
+        )
+
+    @staticmethod
+    def plain_resident(load, now):
+        return sum(
+            rec.request.total_tokens
+            for rec in load.records
+            if rec.started_by(now) and not rec.finished_by(now)
+        )
+
+    def check(self, load, now):
+        starts = [rec.start for rec in load.records]
+        assert starts == sorted(starts)
+        # Twice: the second call is answered from the memo.
+        for _ in range(2):
+            assert load.queued_prefill_tokens(now) == self.plain_queued(load, now)
+        assert load.resident_kv_tokens(now) == self.plain_resident(load, now)
+
+    def test_randomized_ledgers(self):
+        import random
+
+        rng = random.Random(12)
+        for _ in range(150):
+            load = ReplicaLoad(
+                0, ctx(prefill=rng.uniform(50, 500), decode=rng.uniform(20, 200), kv=3000)
+            )
+            now, rid = 0.0, 0
+            retired = stolen = 0
+            for _step in range(40):
+                op = rng.random()
+                if op < 0.25:
+                    now += rng.expovariate(2.0)  # the clock moves
+                before = len(load.records)
+                load.advance(now)
+                retired += before - len(load.records)
+                self.check(load, now)
+                if op < 0.85:
+                    # A burst of simultaneous arrivals at this instant.
+                    for _ in range(rng.randint(1, 4)):
+                        req = Request(rid, rng.randint(1, 600), rng.randint(1, 60))
+                        load.dispatch(rid, req, now)
+                        rid += 1
+                        self.check(load, now)
+                else:
+                    stolen += len(load.steal_queued(now))
+                    self.check(load, now)
+            assert rid > 0
+        assert retired and stolen
+
+    def test_same_instant_retirement_drops_the_memo(self):
+        """A record predicted to finish within the retirement epsilon
+        leaves the ledger at the very instant it was folded in."""
+        load = ReplicaLoad(0, ctx(prefill=1e15, decode=1e15))
+        load.advance(1.0)
+        for rid in range(3):
+            load.dispatch(rid, Request(rid, 50, 2), 1.0)
+            self.check(load, 1.0)
+        load.advance(1.0)
+        assert not load.records
+        self.check(load, 1.0)
+        load.dispatch(3, Request(3, 50, 2), 1.0)
+        self.check(load, 1.0)
+
+    def test_routed_storms_keep_ledgers_exact(self, monkeypatch):
+        """Every dispatch and steal inside ``Router.route`` — including the
+        storm rebalancer's steal/re-dispatch pass — leaves every ledger's
+        folds equal to the plain sums and its starts non-decreasing."""
+        seen = {"dispatch": 0, "steal": 0}
+        dispatch, steal = ReplicaLoad.dispatch, ReplicaLoad.steal_queued
+
+        def checked_dispatch(load, index, request, now):
+            rec = dispatch(load, index, request, now)
+            seen["dispatch"] += 1
+            self.check(load, now)
+            return rec
+
+        def checked_steal(load, now):
+            out = steal(load, now)
+            seen["steal"] += len(out)
+            self.check(load, now)
+            return out
+
+        monkeypatch.setattr(ReplicaLoad, "dispatch", checked_dispatch)
+        monkeypatch.setattr(ReplicaLoad, "steal_queued", checked_steal)
+        arrivals = [0.0] * 12 + [0.5 + 0.05 * (i // 3) for i in range(36)]
+        reqs = requests_at(arrivals, prompt_len=200, output_len=4)
+        plan = JSQRouter(3, context=ctx(prefill=150.0, decode=400.0, kv=350)).route(reqs)
+        assert plan.stats.rebalanced_requests > 0
+        assert seen["dispatch"] == len(reqs) + plan.stats.rebalanced_requests
+        assert seen["steal"] == plan.stats.rebalanced_requests
