@@ -49,6 +49,11 @@ class Request:
             raise ConfigurationError(f"request {self.request_id}: prompt_len must be >= 1")
         if self.output_len < 1:
             raise ConfigurationError(f"request {self.request_id}: output_len must be >= 1")
+        if not math.isfinite(self.arrival_time):
+            raise ConfigurationError(
+                f"request {self.request_id}: arrival_time must be finite, "
+                f"got {self.arrival_time!r}"
+            )
         if self.arrival_time < 0:
             raise ConfigurationError(f"request {self.request_id}: arrival_time must be >= 0")
 

@@ -16,6 +16,11 @@ stamping arrival times from a configurable process:
   top of the Poisson/bursty stampers (:func:`diurnal_arrivals`): the
   instantaneous rate follows ``rate * (1 + amplitude * sin(2*pi*t /
   period))`` while short-range burstiness comes from the base process.
+  The inverse time-warp runs as one lockstep numpy bisection over every
+  arrival, bit-identical to bisecting each arrival alone with
+  ``math.cos``; that scalar bisection is kept only in
+  ``tests/test_arrivals.py``, as the oracle the fast path is checked
+  against.
 - ``trace:<path>`` — replay recorded timestamps from a JSON or CSV log
   (:func:`trace_arrivals`): production traffic without a parametric
   model. A target ``rate_rps`` rescales the replay to a chosen offered
@@ -31,13 +36,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runtime.request import Request
 from repro.utils.rng import make_rng
 from repro.workloads.spec import WorkloadSpec
 
@@ -50,27 +55,52 @@ DIURNAL_PREFIX = "diurnal:"
 def stamp_arrivals(
     base: WorkloadSpec, arrivals: Sequence[float], name: str | None = None
 ) -> WorkloadSpec:
-    """Return ``base`` with the given arrival times stamped on in order."""
+    """Return ``base`` with the given arrival times stamped on in order.
+
+    Each request is rebuilt through the :class:`Request` constructor, so
+    its validation (a finite, non-negative ``arrival_time``) runs per
+    request, and every stamped time is a Python ``float``.
+    """
     if len(arrivals) != len(base.requests):
         raise ConfigurationError(
             f"{len(arrivals)} arrival times for {len(base.requests)} requests"
         )
+    times = np.asarray(arrivals, dtype=float).tolist()
     reqs = tuple(
-        replace(r, arrival_time=float(t)) for r, t in zip(base.requests, arrivals, strict=True)
+        Request(r.request_id, r.prompt_len, r.output_len, t)
+        for r, t in zip(base.requests, times, strict=True)
     )
     return WorkloadSpec(name=name or base.name, requests=reqs)
+
+
+def _require_positive(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
+
+
+def _stationary_times(
+    n: int, rate_rps: float, burstiness: float | None, seed: int | None
+) -> np.ndarray:
+    """Cumulative arrival times of the stationary process at ``rate_rps``:
+    exponential gaps when ``burstiness`` is None, else Gamma gaps with
+    squared coefficient of variation ``burstiness``."""
+    rng = make_rng(seed)
+    if burstiness is None:
+        gaps = rng.exponential(1.0 / rate_rps, size=n)
+    else:
+        gaps = rng.gamma(1.0 / burstiness, burstiness / rate_rps, size=n)
+    return np.cumsum(gaps)
 
 
 def poisson_arrivals(
     base: WorkloadSpec, rate_rps: float, seed: int | None = None
 ) -> WorkloadSpec:
     """Stamp Poisson arrivals at ``rate_rps`` requests per second."""
-    if rate_rps <= 0:
-        raise ConfigurationError("arrival rate must be positive")
-    rng = make_rng(seed)
-    gaps = rng.exponential(1.0 / rate_rps, size=len(base.requests))
+    _require_positive(rate_rps, "arrival rate")
     return stamp_arrivals(
-        base, np.cumsum(gaps), name=f"{base.name}+poisson({rate_rps:g}rps)"
+        base,
+        _stationary_times(len(base.requests), rate_rps, None, seed),
+        name=f"{base.name}+poisson({rate_rps:g}rps)",
     )
 
 
@@ -87,19 +117,51 @@ def bursty_arrivals(
     ``burstiness/rate_rps``). Larger values clump arrivals harder at the
     same mean rate; ``burstiness=1`` is exactly Poisson.
     """
-    if rate_rps <= 0:
-        raise ConfigurationError("arrival rate must be positive")
-    if burstiness <= 0:
-        raise ConfigurationError("burstiness must be positive")
-    rng = make_rng(seed)
-    shape = 1.0 / burstiness
-    scale = burstiness / rate_rps
-    gaps = rng.gamma(shape, scale, size=len(base.requests))
+    _require_positive(rate_rps, "arrival rate")
+    _require_positive(burstiness, "burstiness")
     return stamp_arrivals(
         base,
-        np.cumsum(gaps),
+        _stationary_times(len(base.requests), rate_rps, burstiness, seed),
         name=f"{base.name}+bursty({rate_rps:g}rps,cv2={burstiness:g})",
     )
+
+
+def _inverse_warp(
+    target: np.ndarray, rate_rps: float, period_s: float, amplitude: float
+) -> np.ndarray:
+    """Invert the cumulative intensity ``Lambda`` at every ``target`` at once.
+
+    Lockstep bisection: each element runs exactly the float operations of
+    a scalar bisection of its own target (bracket ``[0, target/rate +
+    period]``, 80 halvings, midpoint of the last bracket), so the result
+    is bit-identical to inverting the targets one by one.
+    """
+    omega = 2.0 * math.pi / period_s
+
+    def cumulative(t: np.ndarray) -> np.ndarray:
+        # Integral of lambda(t): rate * (t + amp/omega * (1 - cos(omega t))).
+        return rate_rps * (t + amplitude / omega * (1.0 - np.cos(omega * t)))
+
+    lo = np.zeros_like(target)
+    hi = target / rate_rps + period_s
+    # Lambda(t) >= rate * t, so hi brackets its target unless adding
+    # period_s could not move it past target / rate (a period below the
+    # float spacing of the times), and then stepping hi by period_s never
+    # moves it either. An overflowing omega * t makes cumulative() NaN.
+    # Both fail here rather than loop forever or stamp NaN.
+    with np.errstate(all="ignore"):
+        bracketed = bool(np.all(cumulative(hi) >= target))
+    if not bracketed:
+        raise ConfigurationError(
+            f"diurnal period {period_s:g}s is too short to warp arrivals up "
+            f"to {float(target.max()) / rate_rps:g}s in float64"
+        )
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        below = cumulative(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return (lo + hi) / 2.0
 
 
 def diurnal_arrivals(
@@ -122,46 +184,27 @@ def diurnal_arrivals(
     survives while the day curve shapes the long run. ``amplitude`` must
     be in ``[0, 1)`` so the intensity stays positive (0 recovers the base
     process up to the warp's identity).
+
+    The warp bisects all arrivals in lockstep as whole numpy arrays. Each
+    arrival is bit-identical to a scalar bisection of its own target with
+    ``math.cos``; that scalar oracle lives in ``tests/test_arrivals.py``,
+    which checks the two agree bit for bit, and that ``np.cos`` matches
+    ``math.cos`` on the platform.
     """
-    if rate_rps <= 0:
-        raise ConfigurationError("arrival rate must be positive")
-    if period_s <= 0:
-        raise ConfigurationError("diurnal period must be positive")
+    _require_positive(rate_rps, "arrival rate")
+    _require_positive(period_s, "diurnal period")
     if not 0 <= amplitude < 1:
         raise ConfigurationError("diurnal amplitude must be in [0, 1)")
-    if burstiness <= 0:
-        raise ConfigurationError("burstiness must be positive")
-    if burstiness == 1.0:
-        stationary = poisson_arrivals(base, rate_rps, seed=seed)
-    else:
-        stationary = bursty_arrivals(
-            base, rate_rps, burstiness=burstiness, seed=seed
-        )
-    omega = 2.0 * math.pi / period_s
-
-    def cumulative(t: float) -> float:
-        # Integral of lambda(t): rate * (t + amp/omega * (1 - cos(omega t))).
-        return rate_rps * (t + amplitude / omega * (1.0 - math.cos(omega * t)))
-
-    def invert(target: float) -> float:
-        # Lambda is strictly increasing (amplitude < 1); bisect it.
-        lo, hi = 0.0, target / rate_rps + period_s
-        while cumulative(hi) < target:
-            hi += period_s
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if cumulative(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2.0
-
-    warped = [invert(cumulative_units)
-              for cumulative_units in
-              (rate_rps * r.arrival_time for r in stationary.requests)]
+    _require_positive(burstiness, "burstiness")
+    times = _stationary_times(
+        len(base.requests),
+        rate_rps,
+        None if burstiness == 1.0 else burstiness,
+        seed,
+    )
     return stamp_arrivals(
         base,
-        warped,
+        _inverse_warp(rate_rps * times, rate_rps, period_s, amplitude),
         name=(
             f"{base.name}+diurnal({rate_rps:g}rps,T={period_s:g}s,"
             f"a={amplitude:g})"
@@ -259,8 +302,7 @@ def trace_arrivals(
     shifted = [t - origin for t in stamps]
     label = f"{base.name}+trace({Path(path).name})"
     if rate_rps is not None:
-        if rate_rps <= 0:
-            raise ConfigurationError("trace rescale rate must be positive")
+        _require_positive(rate_rps, "trace rescale rate")
         span = shifted[-1]
         if span <= 0:
             raise ConfigurationError(

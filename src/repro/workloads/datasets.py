@@ -42,6 +42,14 @@ def _lognormal_lengths(
     return np.clip(np.round(raw), lo, hi).astype(int)
 
 
+def _requests(inputs: np.ndarray, outputs: np.ndarray) -> tuple[Request, ...]:
+    """One request per (prompt, output) length pair, with ids in order."""
+    return tuple(
+        Request(i, p, o)
+        for i, (p, o) in enumerate(zip(inputs.tolist(), outputs.tolist(), strict=True))
+    )
+
+
 def sharegpt_workload(
     num_requests: int = 2000, seed: int | None = None
 ) -> WorkloadSpec:
@@ -61,11 +69,7 @@ def sharegpt_workload(
     latent = rng.normal(size=num_requests)
     out_raw = np.exp(np.log(200) + 0.85 * (0.3 * latent + 0.7 * rng.normal(size=num_requests)))
     outputs = np.clip(np.round(out_raw), 4, 2048).astype(int)
-    reqs = tuple(
-        Request(request_id=i, prompt_len=int(p), output_len=int(o))
-        for i, (p, o) in enumerate(zip(inputs, outputs, strict=True))
-    )
-    return WorkloadSpec(name="sharegpt", requests=reqs)
+    return WorkloadSpec(name="sharegpt", requests=_requests(inputs, outputs))
 
 
 def arxiv_workload(num_requests: int = 500, seed: int | None = None) -> WorkloadSpec:
@@ -83,11 +87,9 @@ def arxiv_workload(num_requests: int = 500, seed: int | None = None) -> Workload
     outputs = _lognormal_lengths(
         rng, num_requests, median=180, sigma=0.45, lo=32, hi=640
     )
-    reqs = tuple(
-        Request(request_id=i, prompt_len=int(p), output_len=int(o))
-        for i, (p, o) in enumerate(zip(inputs, outputs, strict=True))
+    return WorkloadSpec(
+        name="arxiv-summarization", requests=_requests(inputs, outputs)
     )
-    return WorkloadSpec(name="arxiv-summarization", requests=reqs)
 
 
 DATASET_SAMPLERS: dict[str, Callable[..., WorkloadSpec]] = {

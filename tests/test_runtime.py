@@ -19,6 +19,11 @@ class TestRequest:
         with pytest.raises(ConfigurationError):
             Request(request_id=0, prompt_len=1, output_len=0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_arrival_rejected(self, t):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Request(0, 1, 1, t)
+
     def test_total_tokens(self):
         assert Request(request_id=0, prompt_len=10, output_len=5).total_tokens == 15
 
