@@ -26,6 +26,12 @@ mean-field model and processes one *arrival* per event instead of one
   duck-typed fleet view; scale-ups pay the cost model's provisioning
   latency, scale-downs drain their fluid backlog before stopping.
 
+The offered rate that drives the decode operating point is precomputed
+for every arrival in one numpy pass over the sorted arrival times
+(:func:`_offered_rates`), and the per-request stamps go to
+:meth:`~repro.runtime.latency.LatencyStats.from_columns` as columns, so
+the per-arrival loop builds no window and no per-request record.
+
 What the model deliberately drops: KV-pressure preemptions (and with
 them storm re-dispatch), per-iteration scheduling detail, and tracing.
 The calibration tests pin the residual error — fluid p99 TTFT and billed
@@ -53,7 +59,7 @@ from repro.costmodel.breakdown import Breakdown
 from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.errors import ConfigurationError, SimulationError
 from repro.routing.stats import FleetEvent, FleetStats, RouterStats
-from repro.runtime.latency import LatencyStats, RequestLatency
+from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult
 from repro.runtime.request import Request
 from repro.utils.rng import make_rng
@@ -68,6 +74,24 @@ AUTO_FLUID_WORK_ITEMS = 500_000
 # Recent arrivals used to estimate the offered rate that drives the
 # decode operating point (mirrors the predictive autoscaler's window).
 _RATE_WINDOW = 64
+
+
+def _offered_rates(times: np.ndarray) -> np.ndarray:
+    """Offered rate seen at each of the sorted arrival ``times``.
+
+    At arrival ``j`` the window holds the last :data:`_RATE_WINDOW`
+    arrivals up to and including it, ``times[lo..j]`` with
+    ``lo = max(0, j - _RATE_WINDOW + 1)``; the rate is ``(j - lo) /
+    (times[j] - times[lo])``, and 0 while the window spans no time (the
+    first arrival, or simultaneous arrivals).
+    """
+    j = np.arange(times.shape[0])
+    lo = np.maximum(j - (_RATE_WINDOW - 1), 0)
+    span = times - times[lo]
+    rates = np.zeros_like(times)
+    np.divide(j - lo, span, out=rates, where=span > 0.0)
+    return rates
+
 
 # Per-replica telemetry series are only sampled for fleets up to this
 # size; larger fleets are covered by the cluster.* aggregates (a
@@ -218,7 +242,6 @@ class FluidSimulator:
         # Fixed-point (tpot, drain-tpot) cache, keyed by the bucketed
         # per-replica rate.
         self._tpot_cache: dict[int, tuple[float, float]] = {}
-        self._arrival_window: list[float] = []
 
         min_dp = options.min_dp if options.min_dp is not None else 1
         max_dp = options.max_dp
@@ -385,16 +408,6 @@ class FluidSimulator:
     # Decode operating point
     # ------------------------------------------------------------------ #
 
-    def _offered_rate(self, now: float) -> float:
-        window = self._arrival_window
-        window.append(now)
-        if len(window) > _RATE_WINDOW:
-            del window[0 : len(window) - _RATE_WINDOW]
-        span = window[-1] - window[0]
-        if len(window) < 2 or span <= 0:
-            return 0.0
-        return (len(window) - 1) / span
-
     def _iter_time(self, n: int) -> float:
         """One decode iteration of an ``n``-resident batch at the
         residency-weighted mean context."""
@@ -482,7 +495,11 @@ class FluidSimulator:
 
     def run(self) -> EngineResult:
         reqs = self.requests
-        order = sorted(range(len(reqs)), key=lambda i: (reqs[i].arrival_time, i))
+        arrivals = np.array([r.arrival_time for r in reqs], dtype=np.float64)
+        # Stable, so simultaneous arrivals dispatch in request order.
+        order_arr = np.argsort(arrivals, kind="stable")
+        rates = _offered_rates(arrivals[order_arr]).tolist()
+        order = order_arr.tolist()
         pf_rate = self.prefill_rate
         active = self.active
         ready_arr = self._ready
@@ -508,7 +525,7 @@ class FluidSimulator:
             from repro.obs.telemetry import MAX_WINDOWS
 
             sample_step = max(tel.interval_s, arrivals_end / MAX_WINDOWS)
-        for i in order:
+        for pos, i in enumerate(order):
             req = reqs[i]
             now = req.arrival_time
             if self.provisioning:
@@ -522,17 +539,12 @@ class FluidSimulator:
                     self._resize(target, now, reason=autoscaler.last_reason)
                     active = self.active
                     ready_arr = self._ready
-                lam = self._offered_rate(now)
+            # The operating point follows every arrival under an autoscaler,
+            # and is refreshed periodically on a fixed fleet.
+            if autoscaler is not None or (i & 0x3F) == 0:
                 tpot, tpot_drain = self._tpot_now = self._tpot(
-                    lam / max(1, len(active))
+                    rates[pos] / max(1, len(active))
                 )
-            elif (i & 0x3F) == 0:  # refresh the operating point periodically
-                lam = self._offered_rate(now)
-                tpot, tpot_drain = self._tpot_now = self._tpot(
-                    lam / max(1, len(active))
-                )
-            else:
-                self._offered_rate(now)
             if not active:
                 raise SimulationError("fluid fleet has no dispatchable replica")
             if tel is not None:
@@ -658,16 +670,13 @@ class FluidSimulator:
                 now=makespan,
             )
 
-        records = tuple(
-            RequestLatency(
-                request_id=reqs[i].request_id,
-                arrival_time=arrival_t[i],
-                first_schedule_time=sched_t[i],
-                first_token_time=first_t[i],
-                finish_time=finish_t[i],
-                output_len=reqs[i].output_len,
-            )
-            for i in range(len(reqs))
+        latency = LatencyStats.from_columns(
+            request_id=[r.request_id for r in reqs],
+            arrival=arrival_t,
+            first_schedule=sched_t,
+            first_token=first_t,
+            finish=finish_t,
+            output_len=[r.output_len for r in reqs],
         )
         input_tokens = sum(r.prompt_len for r in reqs)
         output_tokens = sum(r.output_len for r in reqs)
@@ -690,7 +699,7 @@ class FluidSimulator:
             breakdown=Breakdown(),
             iterations=0,
             transitions=0,
-            latency=LatencyStats(records=records),
+            latency=latency,
             router=self._stats(makespan),
         )
 

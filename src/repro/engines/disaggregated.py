@@ -25,7 +25,7 @@ from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig
 from repro.parallel.memory import fits, kv_capacity_tokens
 from repro.routing import RouterContext, RoutingPlan, make_router
-from repro.runtime.latency import LatencyStats, RequestLatency
+from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult, RunMetrics
 from repro.runtime.request import Request, SequenceState
 from repro.workloads.spec import WorkloadSpec
@@ -317,19 +317,23 @@ class DisaggregatedEngine:
         )
         decode_result = self.decode_pool_result(gated)
         assert decode_result.latency is not None
-        finish = {r.request_id: r.finish_time for r in decode_result.latency.records}
-        records = tuple(
-            RequestLatency(
-                request_id=r.request_id,
-                arrival_time=r.arrival_time,
-                first_schedule_time=schedule[r.request_id][0],
-                first_token_time=schedule[r.request_id][1],
-                finish_time=max(finish[r.request_id], schedule[r.request_id][1]),
-                output_len=r.output_len,
-            )
-            for r in workload.requests
+        decoded = decode_result.latency
+        finish = dict(
+            zip(decoded.request_id.tolist(), decoded.finish.tolist(), strict=True)
         )
-        return LatencyStats(records=records), decode_result, prefill_busy
+        reqs = workload.requests
+        done = [schedule[r.request_id][1] for r in reqs]
+        latency = LatencyStats.from_columns(
+            request_id=[r.request_id for r in reqs],
+            arrival=[r.arrival_time for r in reqs],
+            first_schedule=[schedule[r.request_id][0] for r in reqs],
+            first_token=done,
+            finish=[
+                max(finish[r.request_id], d) for r, d in zip(reqs, done, strict=True)
+            ],
+            output_len=[r.output_len for r in reqs],
+        )
+        return latency, decode_result, prefill_busy
 
     def run(self, workload: WorkloadSpec) -> EngineResult:
         """End-to-end run: the two pools overlap as a two-stage pipeline.
@@ -357,7 +361,7 @@ class DisaggregatedEngine:
                 num_requests=workload.num_requests,
                 total_time=max(
                     gated_decode.total_time,
-                    max(r.finish_time for r in latency.records),
+                    float(latency.finish.max()),
                 ),
                 input_tokens=workload.total_input_tokens,
                 output_tokens=workload.total_output_tokens,
@@ -421,16 +425,23 @@ class DisaggregatedEngine:
             for r in part:
                 prefill_replica[r.request_id] = i
         decode_sched: dict[int, float] = {}
-        if gated_decode.latency is not None:
-            decode_sched = {
-                r.request_id: r.first_schedule_time
-                for r in gated_decode.latency.records
-            }
-        for rec in latency.records:
-            rid = rec.request_id
+        gated = gated_decode.latency
+        if gated is not None:
+            decode_sched = dict(
+                zip(
+                    gated.request_id.tolist(),
+                    gated.first_schedule.tolist(),
+                    strict=True,
+                )
+            )
+        for rid, arrival, done in zip(
+            latency.request_id.tolist(),
+            latency.arrival.tolist(),
+            latency.first_token.tolist(),
+            strict=True,
+        ):
             src = prefill_replica.get(rid, 0)
-            tr.note_dispatch(rec.arrival_time, rid, src)
-            done = rec.first_token_time
+            tr.note_dispatch(arrival, rid, src)
             tr.note_handoff(done, rid, src, dp_p, until=decode_sched.get(rid))
 
     def _fold_telemetry(self, result: EngineResult) -> EngineResult:

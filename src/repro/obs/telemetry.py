@@ -393,7 +393,7 @@ class Telemetry:
                 if tpots:
                     for q, v in zip((50, 90, 99), percentiles(tpots), strict=True):
                         tpot_pts[q].append((t_end, v))
-                attainment = LatencyStats(records=tuple(sub)).slo_attainment(
+                attainment = LatencyStats.from_records(sub).slo_attainment(
                     ttft_slo=ttft_slo, tpot_slo=tpot_slo
                 )
             else:

@@ -278,7 +278,7 @@ class TestPartialLifetimeAccounting:
             finish_time=0.3,
             output_len=4,
         )
-        part = LatencyStats(records=(rec,))
+        part = LatencyStats.from_records((rec,))
         with pytest.raises(SimulationError):
             LatencyStats.merged([part, part])
 

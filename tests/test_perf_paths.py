@@ -19,10 +19,18 @@ Contracts:
    work-volume threshold (small cells keep full fidelity).
 5. **Bench harness** — the perf cells run scaled-down and the
    regression check normalizes by the calibration spin.
+6. **Fluid offered rates** — the rates the fluid tier precomputes in one
+   numpy pass equal, bit for bit, the 64-arrival list window it used to
+   keep per arrival (the scalar replay below), and swapping the replay in
+   leaves every fluid result unchanged.
 """
+
+import numpy as np
+import pytest
 
 from repro.bench import CELLS, check_measurement, run_cell
 from repro.cluster import ClusterSimulator
+from repro.cluster import fluid
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
@@ -353,6 +361,77 @@ class TestFluidCalibration:
         auto = self._run("auto", reqs)
         assert auto.iterations == event.iterations
         assert auto.latency.records == event.latency.records
+
+
+def scalar_offered_rates(times) -> list[float]:
+    """The fluid tier's former per-arrival rate estimate: a list window of
+    the last 64 arrival times, appended to and trimmed at every arrival."""
+    window: list[float] = []
+    rates = []
+    for now in times:
+        window.append(now)
+        if len(window) > 64:
+            del window[0 : len(window) - 64]
+        span = window[-1] - window[0]
+        if len(window) < 2 or span <= 0:
+            rates.append(0.0)
+        else:
+            rates.append((len(window) - 1) / span)
+    return rates
+
+
+class TestFluidOfferedRates:
+    def assert_rates_match(self, times) -> None:
+        got = fluid._offered_rates(np.array(times, dtype=np.float64)).tolist()
+        want = scalar_offered_rates(times)
+        assert [r.hex() for r in got] == [r.hex() for r in want]
+
+    def test_diurnal_workload(self):
+        wl = diurnal_arrivals(
+            sharegpt_workload(3000, seed=11), rate_rps=6.0, period_s=240.0, seed=11
+        )
+        self.assert_rates_match(sorted(r.arrival_time for r in wl.requests))
+
+    def test_simultaneous_arrivals(self):
+        # Zero-span windows (a burst at one instant, the whole window on
+        # one instant later on) rate 0, mixed windows count the burst.
+        times = [0.0] * 10 + [1.0] * 100 + [1.5, 2.0] + [2.0] * 70 + [9.0]
+        self.assert_rates_match(times)
+        assert fluid._offered_rates(np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
+
+    def test_first_two_arrivals(self):
+        self.assert_rates_match([3.0])
+        self.assert_rates_match([3.0, 3.25])
+        assert fluid._offered_rates(np.array([3.0, 3.25])).tolist() == [0.0, 4.0]
+
+    @pytest.mark.parametrize("autoscaler, dp", [("none", 4), ("threshold", 1)])
+    def test_fluid_result_unchanged_by_scalar_replay(self, autoscaler, dp, monkeypatch):
+        reqs = diurnal_arrivals(
+            sharegpt_workload(1500, seed=11), rate_rps=6.0, period_s=240.0, seed=11
+        )
+        kw = {} if autoscaler == "none" else dict(min_dp=1, max_dp=4)
+
+        def run():
+            return VllmLikeEngine(
+                get_model("15b"),
+                make_cluster("A10", 8),
+                ParallelConfig(dp=dp, tp=2, pp=1),
+                EngineOptions(
+                    router="jsq", coupled=True, fidelity="fluid",
+                    autoscaler=autoscaler, **kw,
+                ),
+            ).run(reqs)
+
+        vector = run()
+        monkeypatch.setattr(
+            fluid,
+            "_offered_rates",
+            lambda times: np.array(scalar_offered_rates(times.tolist())),
+        )
+        scalar = run()
+        if autoscaler == "threshold":
+            assert vector.router.fleet.scale_ups > 0
+        assert_bit_identical(vector, scalar)
 
 
 class TestBenchHarness:

@@ -489,7 +489,7 @@ class TestStormSpans:
             breakdown=None,
             iterations=1,
             transitions=0,
-            latency=LatencyStats(records=(rec,)),
+            latency=LatencyStats.from_records((rec,)),
         )
         traces = tr.finalize(result)
         assert len(traces) == 1
