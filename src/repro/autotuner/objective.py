@@ -127,8 +127,10 @@ class ServingObjective:
         if self.request_rate < 0:
             raise ConfigurationError("request_rate must be >= 0")
         for name, slo in (("ttft_slo", self.ttft_slo), ("tpot_slo", self.tpot_slo)):
-            if slo is not None and slo <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if slo is not None and not 0.0 < slo < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite (got {slo!r})"
+                )
 
     @property
     def arrival_rate_hint(self) -> float | None:

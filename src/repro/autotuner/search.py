@@ -173,39 +173,27 @@ def best_static_config(
     ``slo`` objective the simulated score is measured SLO attainment
     (throughput breaking ties), not raw throughput.
 
-    ``executor`` fans the top-k validation runs across worker processes
-    (and through the result cache when one is attached); ``None`` keeps
-    the exact serial loop. Both paths score identical results, so the
-    pick is identical."""
+    ``executor`` (inline by default) fans the top-k validation runs
+    across worker processes, and through the result cache when one is
+    attached; the pick is identical at any ``--jobs``."""
     objective = objective or ServingObjective()
     ranked = rank_static_configs(
         model, cluster, workload, allow_dp=allow_dp, objective=objective
     )
     if simulate_top <= 1:
         return ranked[0].config
+    from repro.exec import CellExecutor, CellSpec
+
     sample = workload.subset(min(sample_requests, workload.num_requests))
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        specs = [
-            CellSpec(
-                engine="vllm",
-                model=model,
-                cluster=cluster,
-                config=cand.config.label(),
-                options=options if options is not None else EngineOptions(),
-                workload=sample,
-            )
-            for cand in ranked[:simulate_top]
-        ]
-        runs = executor.run(specs)
-    else:
-        from repro.engines.vllm_like import VllmLikeEngine
-
-        runs = [
-            VllmLikeEngine(model, cluster, cand.config, options).run(sample)
-            for cand in ranked[:simulate_top]
-        ]
+    runs = (executor or CellExecutor()).run(
+        CellSpec(
+            engine="vllm", model=model, cluster=cluster,
+            config=cand.config.label(),
+            options=options if options is not None else EngineOptions(),
+            workload=sample,
+        )
+        for cand in ranked[:simulate_top]
+    )
     best_cfg, best_key = None, None
     for cand, result in zip(ranked[:simulate_top], runs, strict=True):
         key = objective.result_key(result)
@@ -233,9 +221,9 @@ def best_seesaw_pair(
     for that validation (previously the simulated re-ranking silently
     ignored arrival/router engine options). Under an ``slo`` objective the
     engine is also told the predicted arrival rate so its phase loop can
-    weigh waiting against re-sharding. ``executor`` parallelizes (and,
-    with a cache, memoizes) the validation runs; the pick is identical
-    either way.
+    weigh waiting against re-sharding. ``executor`` (inline by default)
+    parallelizes (and, with a cache, memoizes) the validation runs; the
+    pick is identical at any ``--jobs``.
     """
     objective = objective or ServingObjective()
     ranked = rank_seesaw_pairs(
@@ -245,6 +233,7 @@ def best_seesaw_pair(
         top = ranked[0]
         return top.prefill_config, top.decode_config
     from repro.core.options import SeesawOptions
+    from repro.exec import CellExecutor, CellSpec
 
     if options is None:
         options = SeesawOptions()
@@ -254,30 +243,13 @@ def best_seesaw_pair(
     if options.arrival_rate is None and objective.arrival_rate_hint is not None:
         options = replace(options, arrival_rate=objective.arrival_rate_hint)
     sample = workload.subset(min(sample_requests, workload.num_requests))
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        specs = [
-            CellSpec(
-                engine="seesaw",
-                model=model,
-                cluster=cluster,
-                config=cand.label(),
-                options=options,
-                workload=sample,
-            )
-            for cand in ranked[:simulate_top]
-        ]
-        runs = executor.run(specs)
-    else:
-        from repro.core.engine import SeesawEngine
-
-        runs = [
-            SeesawEngine(
-                model, cluster, cand.prefill_config, cand.decode_config, options
-            ).run(sample)
-            for cand in ranked[:simulate_top]
-        ]
+    runs = (executor or CellExecutor()).run(
+        CellSpec(
+            engine="seesaw", model=model, cluster=cluster,
+            config=cand.label(), options=options, workload=sample,
+        )
+        for cand in ranked[:simulate_top]
+    )
     best, best_key = None, None
     for cand, result in zip(ranked[:simulate_top], runs, strict=True):
         key = objective.result_key(result)
@@ -301,39 +273,23 @@ def tune_chunk_size(
 
     The paper tunes vLLM's chunk size per workload ('otherwise suboptimal
     chunk sizes would cause severe throughput degradation'); this helper is
-    that tuning loop. ``executor`` fans the candidate runs out in
-    parallel; the pick is identical either way.
+    that tuning loop. ``executor`` (inline by default) fans the candidate
+    runs out in parallel; the pick is identical at any ``--jobs``.
     """
     if not candidates:
         raise ConfigurationError("need at least one chunk-size candidate")
+    from repro.exec import CellExecutor, CellSpec
+
     sample = workload.subset(min(sample_requests, workload.num_requests))
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        specs = [
-            CellSpec(
-                engine="vllm",
-                model=model,
-                cluster=cluster,
-                config=config.label(),
-                options=EngineOptions(chunked_prefill=True, chunk_size=size),
-                workload=sample,
-            )
-            for size in candidates
-        ]
-        runs = executor.run(specs)
-    else:
-        from repro.engines.vllm_like import VllmLikeEngine
-
-        runs = [
-            VllmLikeEngine(
-                model,
-                cluster,
-                config,
-                EngineOptions(chunked_prefill=True, chunk_size=size),
-            ).run(sample)
-            for size in candidates
-        ]
+    runs = (executor or CellExecutor()).run(
+        CellSpec(
+            engine="vllm", model=model, cluster=cluster,
+            config=config.label(),
+            options=EngineOptions(chunked_prefill=True, chunk_size=size),
+            workload=sample,
+        )
+        for size in candidates
+    )
     best_size, best_rps = candidates[0], -1.0
     for size, result in zip(candidates, runs, strict=True):
         rps = result.throughput_rps

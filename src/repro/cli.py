@@ -274,14 +274,11 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_executor(args: argparse.Namespace):
-    """The :class:`~repro.exec.CellExecutor` the exec flags describe, or
-    ``None`` when they ask for the plain in-process path (``--jobs 1``,
-    no cache) — callers keep their exact legacy loops in that case."""
+    """The :class:`~repro.exec.CellExecutor` the exec flags describe
+    (inline and uncached at ``--jobs 1`` without ``--cache``)."""
     jobs = getattr(args, "jobs", 1)
     want_cache = getattr(args, "cache", False) or getattr(args, "cache_dir", None)
-    if jobs == 1 and not want_cache:
-        return None
-    if getattr(args, "sanitize", False):
+    if getattr(args, "sanitize", False) and (jobs > 1 or want_cache):
         raise ConfigurationError(
             "--sanitize is incompatible with --jobs > 1 / --cache: the "
             "sanitizer is a process-local hook whose checks cannot cross "
@@ -299,9 +296,9 @@ def _make_executor(args: argparse.Namespace):
 def _report_cache(executor) -> None:
     """One stderr line of cache effectiveness (stderr keeps stdout
     byte-identical with and without a cache)."""
-    if executor is None or executor.cache is None:
-        return
     cache = executor.cache
+    if cache is None:
+        return
     print(
         f"cache: {cache.hits} hit(s), {cache.misses} miss(es) under "
         f"{cache.root}",
@@ -712,6 +709,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     objective = _serving_objective(args, workload)
     executor = _make_executor(args)
     from repro.core.options import SeesawOptions
+    from repro.exec import CellSpec
 
     slo_opts = {"ttft_slo": args.ttft_slo, "tpot_slo": args.tpot_slo}
     router_opts = {
@@ -751,39 +749,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
         objective=objective,
         executor=executor,
     )
-    if executor is not None:
-        # The three headline runs are independent cells: batch them into
-        # one fan-out (results come back in submission order).
-        from repro.exec import CellSpec
-
-        vllm, vllm_plain, seesaw = executor.run(
-            [
-                CellSpec(
-                    engine="vllm", model=model, cluster=cluster,
-                    config=static_cfg.label(), options=chunked_opts,
-                    workload=workload, seed=args.seed,
-                ),
-                CellSpec(
-                    engine="vllm", model=model, cluster=cluster,
-                    config=static_cfg.label(), options=plain_opts,
-                    workload=workload, seed=args.seed,
-                ),
-                CellSpec(
-                    engine="seesaw", model=model, cluster=cluster,
-                    config=f"{cp.label()}->{cd.label()}",
-                    options=seesaw_run_opts, workload=workload,
-                    seed=args.seed,
-                ),
-            ]
-        )
-    else:
-        vllm = VllmLikeEngine(model, cluster, static_cfg, chunked_opts).run(
-            workload
-        )
-        vllm_plain = VllmLikeEngine(model, cluster, static_cfg, plain_opts).run(
-            workload
-        )
-        seesaw = SeesawEngine(model, cluster, cp, cd, seesaw_run_opts).run(workload)
+    # The three headline runs are independent cells: batch them into one
+    # fan-out (results come back in submission order).
+    vllm, vllm_plain, seesaw = executor.run(
+        [
+            CellSpec(
+                engine="vllm", model=model, cluster=cluster,
+                config=static_cfg.label(), options=chunked_opts,
+                workload=workload, seed=args.seed,
+            ),
+            CellSpec(
+                engine="vllm", model=model, cluster=cluster,
+                config=static_cfg.label(), options=plain_opts,
+                workload=workload, seed=args.seed,
+            ),
+            CellSpec(
+                engine="seesaw", model=model, cluster=cluster,
+                config=f"{cp.label()}->{cd.label()}",
+                options=seesaw_run_opts, workload=workload, seed=args.seed,
+            ),
+        ]
+    )
     # The chunked-vs-plain pick honors the objective too: under slo, a
     # faster run that misses the SLOs must not displace a compliant one.
     if objective.result_key(vllm_plain) > objective.result_key(vllm):
@@ -827,6 +813,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     objective = _serving_objective(args, workload)
     executor = _make_executor(args)
     from repro.core.options import SeesawOptions
+    from repro.exec import CellSpec
 
     results: dict[str, EngineResult] = {}
     slo_opts = {"ttft_slo": args.ttft_slo, "tpot_slo": args.tpot_slo}
@@ -842,28 +829,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         **fleet_opts,
         **slo_opts,
     )
-    ranked_configs = rank_static_configs(
-        model, cluster, workload, objective=objective
+    labels = [
+        ranked.config.label()
+        for ranked in rank_static_configs(
+            model, cluster, workload, objective=objective
+        )
+    ]
+    static_runs = executor.run(
+        CellSpec(
+            engine="vllm", model=model, cluster=cluster, config=label,
+            options=opts, workload=workload, seed=args.seed,
+        )
+        for label in labels
     )
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        static_specs = [
-            CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=ranked.config.label(), options=opts,
-                workload=workload, seed=args.seed,
-            )
-            for ranked in ranked_configs
-        ]
-        for ranked, run in zip(
-            ranked_configs, executor.run(static_specs), strict=True
-        ):
-            results[ranked.config.label()] = run
-    else:
-        for ranked in ranked_configs:
-            engine = VllmLikeEngine(model, cluster, ranked.config, opts)
-            results[ranked.config.label()] = engine.run(workload)
+    results.update(zip(labels, static_runs, strict=True))
     seesaw_opts = SeesawOptions(
         router=args.router,
         router_seed=args.seed,
@@ -878,20 +857,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         model, cluster, workload, simulate_top=3,
         options=seesaw_opts, objective=objective, executor=executor,
     )
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        (seesaw,) = executor.run(
-            [
-                CellSpec(
-                    engine="seesaw", model=model, cluster=cluster,
-                    config=f"{cp.label()}->{cd.label()}", options=seesaw_opts,
-                    workload=workload, seed=args.seed,
-                )
-            ]
-        )
-    else:
-        seesaw = SeesawEngine(model, cluster, cp, cd, seesaw_opts).run(workload)
+    (seesaw,) = executor.run(
+        [
+            CellSpec(
+                engine="seesaw", model=model, cluster=cluster,
+                config=f"{cp.label()}->{cd.label()}", options=seesaw_opts,
+                workload=workload, seed=args.seed,
+            )
+        ]
+    )
     results[f"seesaw {seesaw.label}"] = seesaw
     # The baseline pick honors the objective: under slo, normalizing
     # against a 0%-attainment config would misstate every speedup.

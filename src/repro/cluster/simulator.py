@@ -37,7 +37,6 @@ from typing import Sequence as TypingSequence, TYPE_CHECKING
 
 import heapq
 import math
-import warnings
 
 from repro.cluster.autoscaler import make_autoscaler
 from repro.cluster.fleet import ReplicaFleet
@@ -122,46 +121,12 @@ class ClusterSimulator:
         self._heap: list[tuple[float, int, int]] = []
         self._serial: dict[int, int] = {}
         # Telemetry hub: dispatch/storm events and the cluster-wide
-        # fixed-interval sampler land here. debug_dispatch_log additionally
-        # records the observed queued-prefill tuple per dispatch —
-        # O(requests x replicas), bounded by the hub's max_events cap; a
-        # debug_dispatch_log run without an explicit hub gets a private
-        # one so the deprecated dispatch_log alias keeps working.
-        self.debug_dispatch_log = options.debug_dispatch_log
-        tel = options.telemetry
-        if tel is None and options.debug_dispatch_log:
-            from repro.obs.telemetry import Telemetry
-
-            tel = Telemetry()
-        self.telemetry = tel
+        # fixed-interval sampler land here.
+        self.telemetry = options.telemetry
         # Per-request tracer (repro.obs.Tracer); None keeps the dispatch
         # loop on its exact untraced instruction path (same contract as
         # telemetry).
         self.tracing = options.tracing
-        self._dispatch_log_warned = False
-
-    @property
-    def dispatch_log(self) -> list[tuple[int, int, tuple[float, ...]]]:
-        """Deprecated alias over the telemetry event stream: the
-        ``(request_id, replica, per-replica queued prefill tokens)``
-        tuples of every dispatch that recorded queue depths (i.e. runs
-        with ``EngineOptions.debug_dispatch_log``). New consumers should
-        read ``telemetry.events_of("dispatch")`` directly."""
-        if not self._dispatch_log_warned:
-            self._dispatch_log_warned = True
-            warnings.warn(
-                "ClusterSimulator.dispatch_log is deprecated; read "
-                'telemetry.events_of("dispatch") instead',
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if self.telemetry is None:
-            return []
-        return [
-            (e["request_id"], e["replica"], tuple(e["queues"]))
-            for e in self.telemetry.events
-            if e["event"] == "dispatch" and "queues" in e
-        ]
 
     @property
     def sims(self) -> list[ReplicaSim]:
@@ -285,11 +250,6 @@ class ClusterSimulator:
             if not loads:
                 raise SimulationError("fleet has no dispatchable replica")
             self.policy.loads = loads
-            queues = (
-                tuple(load.queued_prefill_tokens(now) for load in loads)
-                if self.debug_dispatch_log
-                else None
-            )
             rid = self.policy.select(req, i, now)
             handle = fleet.handle(rid)
             if not handle.dispatchable or handle.sim is None:
@@ -313,13 +273,7 @@ class ClusterSimulator:
             if use_heap:
                 self._push(sim)
             if tel is not None:
-                if queues is not None:
-                    tel.event(
-                        now, "dispatch",
-                        request_id=req.request_id, replica=rid, queues=queues,
-                    )
-                else:
-                    tel.event(now, "dispatch", request_id=req.request_id, replica=rid)
+                tel.event(now, "dispatch", request_id=req.request_id, replica=rid)
             if self.policy.rebalance_on_storm and len(loads) > 1:
                 moved = self._redispatch_storms(now)
                 if moved:

@@ -10,6 +10,7 @@ preemption, and sequence bookkeeping.
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence as TypingSequence
@@ -105,11 +106,6 @@ class EngineOptions:
     # iterations and the decode half of chunked-prefill mixed ones. The
     # scalar path is kept for traced runs and as the bit-exactness oracle.
     vectorize: bool = True
-    # Record per-dispatch queue-depth tuples into the telemetry event
-    # stream (O(requests x replicas) memory — bounded by the hub's
-    # max_events cap). Off by default; tests that consume the deprecated
-    # ClusterSimulator.dispatch_log alias opt in.
-    debug_dispatch_log: bool = False
     # Telemetry hub (repro.obs.Telemetry) recording fixed-interval
     # time-series and lifecycle events on the virtual clock. None (the
     # default) keeps every loop on its exact pre-telemetry instruction
@@ -156,8 +152,10 @@ class EngineOptions:
                 f"unknown router policy {self.router!r}; one of {ROUTER_POLICIES}"
             )
         for name, slo in (("ttft_slo", self.ttft_slo), ("tpot_slo", self.tpot_slo)):
-            if slo is not None and slo <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if slo is not None and not 0.0 < slo < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite (got {slo!r})"
+                )
         if self.autoscaler not in AUTOSCALER_POLICIES:
             raise ConfigurationError(
                 f"unknown autoscaler policy {self.autoscaler!r}; one of "

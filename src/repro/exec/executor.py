@@ -4,21 +4,30 @@
 and returns their :class:`~repro.runtime.metrics.EngineResult` in
 **submission order**, regardless of worker count:
 
-- ``jobs=1`` executes inline, sequentially, in this process — the exact
-  code path a bare ``engine.run(workload)`` loop takes, with no pool, no
-  pickling, and no serialization overhead (the zero-overhead contract);
+- ``jobs=1`` (the default) executes inline, sequentially, in this
+  process: each cell builds its engine and runs it, with no pool, no
+  pickling and no serialization overhead. This is the one path every
+  multi-cell caller (sweeps, autotuner, goldens, ``compare``/``sweep``)
+  takes when no ``--jobs``/``--cache`` is asked for;
 - ``jobs=N`` fans the cells over a ``ProcessPoolExecutor`` and collects
-  results positionally. Each cell is a pure function of its spec (the
-  spec layer rejects process-local hooks and derives any child seeds via
-  ``spawn_rng`` from the cell's own identity), so the merged output is
-  bit-identical to the serial run.
+  results positionally. Each cell is a pure function of its spec (any
+  child seeds are derived via ``spawn_rng`` from the cell's own
+  identity), so the merged output is bit-identical to the serial run.
 
 A cache (:class:`~repro.exec.cache.ResultCache`) short-circuits cells
 before any fan-out; only misses are simulated, and fresh results are
-written back. Exceptions inside a worker are serialized as (type name,
-message, traceback text) — engine exceptions can hold unpicklable state
-— and re-raised here as :class:`CellExecutionError` with the failing
-spec attached.
+written back.
+
+Hooked cells (a spec whose options carry a schedule trace, telemetry
+hub, tracer or sanitizer) run only inline and uncached: a hook observes
+this process's run, so its observations cannot come back from a worker
+or a cache entry. Pooling or caching a hooked spec raises
+:class:`~repro.errors.ConfigurationError` before any cell runs.
+
+Exceptions inside a worker are serialized as (type name, message,
+traceback text) — engine exceptions can hold unpicklable state — and
+re-raised here as :class:`CellExecutionError` with the failing spec
+attached.
 """
 
 from __future__ import annotations
@@ -103,6 +112,14 @@ class CellExecutor:
 
     def run_outcomes(self, specs: Iterable[CellSpec]) -> list[CellOutcome]:
         specs = list(specs)
+        if self.jobs > 1 or self.cache is not None:
+            for spec in specs:
+                if spec.hooks:
+                    raise ConfigurationError(
+                        f"cell {spec.describe()} carries process-local "
+                        f"hook(s) {', '.join(spec.hooks)}: hooked cells run "
+                        "inline only (jobs=1, no result cache)"
+                    )
         outcomes: list[CellOutcome | None] = [None] * len(specs)
         misses: list[int] = []
         for i, spec in enumerate(specs):

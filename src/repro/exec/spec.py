@@ -8,11 +8,15 @@ a worker process and serialize canonically into a cache key.
 
 Two constraints shape the design:
 
-- **Purity.** A spec must be a pure value: the process-local hooks an
-  :class:`~repro.engines.base.EngineOptions` can carry (telemetry hub,
-  tracer, sanitizer, schedule trace) are rejected at construction — they
-  observe one process's run and cannot be merged back from a worker, let
-  alone replayed from a cache entry.
+- **Purity.** A cell's result is a pure function of its spec. The
+  process-local hooks an :class:`~repro.engines.base.EngineOptions` can
+  carry (schedule trace, telemetry hub, tracer, sanitizer; see
+  :data:`HOOK_FIELDS`) observe a run without changing its result, so a
+  spec accepts them but leaves them out of its identity: a hooked cell
+  and its unhooked twin share one ``cell_key``. A hook observes one
+  process's run and cannot be merged back from a worker or replayed from
+  a cache entry, so :class:`~repro.exec.executor.CellExecutor` runs
+  hooked cells inline and refuses them when pooling or caching.
 - **Canonical form.** ``canonical_json()`` walks the nested frozen
   dataclasses into sorted-key JSON with enums by name and arrival times
   in ``float.hex()`` (decimal round-tripping would alias distinct
@@ -39,6 +43,11 @@ from repro.workloads.spec import WorkloadSpec
 
 #: Engine kinds a spec can name, mapped from the engines' ``name`` attrs.
 ENGINE_KINDS = ("vllm", "decode-prio", "seesaw", "disagg")
+
+#: Options fields holding process-local hooks. They never change a
+#: result (the pinned off/on contract), so they are not part of a cell's
+#: canonical form.
+HOOK_FIELDS = ("trace", "telemetry", "tracing", "sanitize")
 
 
 def _canonical_value(value: object) -> object:
@@ -95,8 +104,8 @@ class CellSpec:
         config: Parallelism label — a static label (``"T4P2"``) for
             vllm/decode-prio, a transition (``"P8->T4P2"``) for seesaw,
             or ``"<prefill>|<decode>"`` (``"T2|T2"``) for disagg.
-        options: Scheduler options. Must carry no process-local hooks
-            (telemetry/tracing/sanitize/trace); seesaw cells must pass a
+        options: Scheduler options, hooks included (see
+            :attr:`hooks`); seesaw cells must pass a
             :class:`~repro.core.options.SeesawOptions`.
         workload: Inline workload (arrival stamps included).
         seed: Cell seed. Feeds :func:`~repro.utils.rng.spawn_rng` child
@@ -117,19 +126,6 @@ class CellSpec:
         if self.engine not in ENGINE_KINDS:
             raise ConfigurationError(
                 f"unknown engine kind {self.engine!r}; one of {ENGINE_KINDS}"
-            )
-        for hook in ("telemetry", "tracing", "sanitize"):
-            if getattr(self.options, hook) is not None:
-                raise ConfigurationError(
-                    f"cell specs must be pure values: options.{hook} is a "
-                    "process-local hook that cannot cross a worker boundary "
-                    "or be replayed from a cache entry — run hooked cells "
-                    "inline (--jobs 1, no --cache)"
-                )
-        if self.options.trace:
-            raise ConfigurationError(
-                "cell specs must be pure values: options.trace records a "
-                "process-local schedule timeline — run traced cells inline"
             )
         if self.engine == "seesaw":
             if "->" not in self.config:
@@ -156,6 +152,17 @@ class CellSpec:
                 f"{self.config!r}"
             )
 
+    @property
+    def hooks(self) -> tuple[str, ...]:
+        """The :data:`HOOK_FIELDS` this cell's options set (``trace`` is
+        a flag; the others are hook objects, ``None`` when off)."""
+        opts = self.options
+        return tuple(
+            name
+            for name in HOOK_FIELDS
+            if (opts.trace if name == "trace" else getattr(opts, name) is not None)
+        )
+
     # ------------------------------------------------------------------ #
     # Canonical serialization
     # ------------------------------------------------------------------ #
@@ -171,7 +178,11 @@ class CellSpec:
                 # Class name disambiguates EngineOptions vs SeesawOptions
                 # (a SeesawOptions carries extra transition knobs).
                 "class": type(self.options).__name__,
-                **_canonical_value(self.options),
+                **{
+                    f.name: _canonical_value(getattr(self.options, f.name))
+                    for f in fields(self.options)
+                    if f.name not in HOOK_FIELDS
+                },
             },
             "workload": _workload_digest(self.workload),
             "seed": self.seed,

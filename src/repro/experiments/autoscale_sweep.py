@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 from repro.engines.base import EngineOptions
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
@@ -131,9 +130,13 @@ def run_autoscale_sweep(
     the fleet — the regime where elasticity pays. ``num_requests``
     defaults to whatever spans ``periods`` day-curve cycles; the period
     is derived, keeping run length stable across models. ``executor``
-    fans the capacity probe and the fleet runs over worker processes and
-    the result cache; results are bit-identical either way.
+    (inline by default) fans the capacity probe and the fleet runs over
+    worker processes and the result cache; results are bit-identical at
+    any ``--jobs``.
     """
+    from repro.exec import CellExecutor, CellSpec
+
+    executor = executor or CellExecutor()
     model = model or get_model("15b")
     cluster = cluster or make_cluster("A10", 8)
     replica_config = replica_config or parse_config("T2")
@@ -147,26 +150,15 @@ def run_autoscale_sweep(
             f"cluster has {cluster.num_gpus}"
         )
 
+    def cell(cfg, opts: EngineOptions, wl) -> CellSpec:
+        return CellSpec(
+            engine="vllm", model=model, cluster=cluster,
+            config=cfg.label(), options=opts, workload=wl, seed=seed,
+        )
+
     probe = constant_workload(24, prompt_len, output_len)
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        def cell(cfg, opts: EngineOptions, wl) -> CellSpec:
-            return CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=cfg.label(), options=opts, workload=wl, seed=seed,
-            )
-
-        (probe_res,) = executor.run(
-            [cell(replica_config, EngineOptions(), probe)]
-        )
-        capacity = probe_res.throughput_rps
-    else:
-        capacity = (
-            VllmLikeEngine(model, cluster, replica_config)
-            .run(probe)
-            .throughput_rps
-        )
+    (probe_res,) = executor.run([cell(replica_config, EngineOptions(), probe)])
+    capacity = probe_res.throughput_rps
     mean_rate = load_fraction * max_dp * capacity
     if num_requests is None:
         num_requests = max(48, int(periods * 120))
@@ -187,42 +179,14 @@ def run_autoscale_sweep(
         )
         for policy in autoscalers
     ]
-    if executor is not None:
-        fleet_results = executor.run(
-            [cell(peak_config, peak_opts, workload)]
-            + [cell(replica_config, opts, workload) for opts in elastic_opts]
-        )
-        points = [
-            AutoscalePoint(autoscaler=name, result=result)
-            for name, result in zip(
-                ("none", *autoscalers), fleet_results, strict=True
-            )
-        ]
-        return AutoscaleSweepResult(
-            capacity_rps_per_replica=capacity,
-            mean_rate_rps=mean_rate,
-            period_s=period_s,
-            ttft_slo=ttft_slo,
-            max_dp=max_dp,
-            points=tuple(points),
-        )
+    fleet_results = executor.run(
+        [cell(peak_config, peak_opts, workload)]
+        + [cell(replica_config, opts, workload) for opts in elastic_opts]
+    )
     points = [
-        AutoscalePoint(
-            autoscaler="none",
-            result=VllmLikeEngine(
-                model, cluster, peak_config, peak_opts
-            ).run(workload),
-        )
+        AutoscalePoint(autoscaler=name, result=result)
+        for name, result in zip(("none", *autoscalers), fleet_results, strict=True)
     ]
-    for policy, options in zip(autoscalers, elastic_opts, strict=True):
-        points.append(
-            AutoscalePoint(
-                autoscaler=policy,
-                result=VllmLikeEngine(
-                    model, cluster, replica_config, options
-                ).run(workload),
-            )
-        )
     return AutoscaleSweepResult(
         capacity_rps_per_replica=capacity,
         mean_rate_rps=mean_rate,

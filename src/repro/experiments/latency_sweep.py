@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.autotuner.search import best_seesaw_pair, best_static_config
-from repro.core.engine import SeesawEngine
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
@@ -70,9 +68,14 @@ def run_latency_sweep(
     seed: int = 0,
     executor=None,
 ) -> LatencySweepResult:
-    """``executor`` (a :class:`~repro.exec.CellExecutor`) fans the
-    (rate, system) cells over worker processes and the result cache;
-    ``None`` keeps the exact serial loop. Results are bit-identical."""
+    """``executor`` (a :class:`~repro.exec.CellExecutor`, inline by
+    default) fans the (rate, system) cells over worker processes and the
+    result cache. Results are bit-identical at any ``--jobs``."""
+    from repro.core.options import SeesawOptions
+    from repro.engines.base import EngineOptions
+    from repro.exec import CellExecutor, CellSpec
+
+    executor = executor or CellExecutor()
     model = model or get_model("34b")
     cluster = cluster or make_cluster("A10", 8)
     workload = workload or sharegpt_workload(num_requests, seed=seed)
@@ -82,46 +85,32 @@ def run_latency_sweep(
     static_cfg = best_static_config(model, cluster, workload, executor=executor)
     cp, cd = best_seesaw_pair(model, cluster, workload, executor=executor)
 
-    onlines = [
-        make_arrivals(workload, arrival, rate, burstiness=burstiness, seed=seed)
-        for rate in rates
-    ]
-    if executor is not None:
-        from repro.core.options import SeesawOptions
-        from repro.engines.base import EngineOptions
-        from repro.exec import CellSpec
-
-        specs = []
-        for online in onlines:
-            specs.append(
-                CellSpec(
-                    engine="vllm", model=model, cluster=cluster,
-                    config=static_cfg.label(), options=EngineOptions(),
-                    workload=online, seed=seed,
-                )
-            )
-            specs.append(
-                CellSpec(
-                    engine="seesaw", model=model, cluster=cluster,
-                    config=f"{cp.label()}->{cd.label()}",
-                    options=SeesawOptions(), workload=online, seed=seed,
-                )
-            )
-        results = executor.run(specs)
-        points = [
-            LatencySweepPoint(
-                rate_rps=rate, static=results[2 * i], seesaw=results[2 * i + 1]
-            )
-            for i, rate in enumerate(rates)
-        ]
-        return LatencySweepResult(points=tuple(points))
-    points = []
-    for rate, online in zip(rates, onlines, strict=True):
-        static = VllmLikeEngine(model, cluster, static_cfg).run(online)
-        seesaw = SeesawEngine(model, cluster, cp, cd).run(online)
-        points.append(
-            LatencySweepPoint(rate_rps=rate, static=static, seesaw=seesaw)
+    specs = []
+    for rate in rates:
+        online = make_arrivals(
+            workload, arrival, rate, burstiness=burstiness, seed=seed
         )
+        specs.append(
+            CellSpec(
+                engine="vllm", model=model, cluster=cluster,
+                config=static_cfg.label(), options=EngineOptions(),
+                workload=online, seed=seed,
+            )
+        )
+        specs.append(
+            CellSpec(
+                engine="seesaw", model=model, cluster=cluster,
+                config=f"{cp.label()}->{cd.label()}",
+                options=SeesawOptions(), workload=online, seed=seed,
+            )
+        )
+    results = executor.run(specs)
+    points = [
+        LatencySweepPoint(
+            rate_rps=rate, static=results[2 * i], seesaw=results[2 * i + 1]
+        )
+        for i, rate in enumerate(rates)
+    ]
     return LatencySweepResult(points=tuple(points))
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from repro.autotuner.objective import ServingObjective
 from repro.autotuner.search import best_static_config
 from repro.engines.base import EngineOptions
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
@@ -93,36 +92,33 @@ def run_slo_sweep(
 
     ``load_fractions`` are multiples of the throughput-tuned pick's own
     measured offline throughput, so the sweep brackets its saturation knee
-    regardless of model/cluster scale. ``executor`` fans the capacity
-    probe and the per-load serving runs over worker processes and the
-    result cache; results are bit-identical either way.
+    regardless of model/cluster scale. ``executor`` (inline by default)
+    fans the capacity probe and the per-load serving runs over worker
+    processes and the result cache; results are bit-identical at any
+    ``--jobs``.
     """
+    from repro.exec import CellExecutor, CellSpec
+
+    executor = executor or CellExecutor()
     model = model or get_model("34b")
     cluster = cluster or make_cluster("A10", 8)
     workload = workload or arxiv_workload(num_requests, seed=seed)
 
+    def cell(cfg, opts: EngineOptions, wl) -> CellSpec:
+        return CellSpec(
+            engine="vllm", model=model, cluster=cluster,
+            config=cfg.label(), options=opts, workload=wl, seed=seed,
+        )
+
     throughput_cfg = best_static_config(
         model, cluster, workload, objective=ServingObjective(), executor=executor
     )
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        def cell(cfg, opts: EngineOptions, wl) -> CellSpec:
-            return CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=cfg.label(), options=opts, workload=wl, seed=seed,
-            )
-
-        (offline,) = executor.run(
-            [cell(throughput_cfg, EngineOptions(), workload)]
-        )
-    else:
-        offline = VllmLikeEngine(model, cluster, throughput_cfg).run(workload)
+    (offline,) = executor.run([cell(throughput_cfg, EngineOptions(), workload)])
     capacity = offline.throughput_rps
 
     opts = EngineOptions(ttft_slo=ttft_slo, tpot_slo=tpot_slo)
     # The per-load picks and predictions are analytic (cheap, in-process);
-    # only the serving runs are fanned out.
+    # only the serving runs go through the executor.
     prepared = []
     for frac in load_fractions:
         rate = frac * capacity
@@ -135,41 +131,16 @@ def run_slo_sweep(
         )
         predicted = _predicted_attainment(model, cluster, slo_cfg, workload, objective)
         prepared.append((rate, online, slo_cfg, predicted))
-    if executor is not None:
-        specs = []
-        for rate, online, slo_cfg, _ in prepared:
-            specs.append(cell(throughput_cfg, opts, online))
-            if slo_cfg != throughput_cfg:
-                specs.append(cell(slo_cfg, opts, online))
-        results = iter(executor.run(specs))
-        points = []
-        for rate, online, slo_cfg, predicted in prepared:
-            thr_res = next(results)
-            slo_res = thr_res if slo_cfg == throughput_cfg else next(results)
-            points.append(
-                SLOSweepPoint(
-                    rate_rps=rate,
-                    throughput_result=thr_res,
-                    slo_result=slo_res,
-                    throughput_attainment=_attainment(thr_res, ttft_slo, tpot_slo),
-                    slo_attainment=_attainment(slo_res, ttft_slo, tpot_slo),
-                    predicted_attainment=predicted,
-                )
-            )
-        return SLOSweepResult(
-            ttft_slo=ttft_slo,
-            tpot_slo=tpot_slo,
-            capacity_rps=capacity,
-            points=tuple(points),
-        )
+    specs = []
+    for _, online, slo_cfg, _ in prepared:
+        specs.append(cell(throughput_cfg, opts, online))
+        if slo_cfg != throughput_cfg:
+            specs.append(cell(slo_cfg, opts, online))
+    results = iter(executor.run(specs))
     points = []
-    for rate, online, slo_cfg, predicted in prepared:
-        thr_res = VllmLikeEngine(model, cluster, throughput_cfg, opts).run(online)
-        slo_res = (
-            thr_res
-            if slo_cfg == throughput_cfg
-            else VllmLikeEngine(model, cluster, slo_cfg, opts).run(online)
-        )
+    for rate, _, slo_cfg, predicted in prepared:
+        thr_res = next(results)
+        slo_res = thr_res if slo_cfg == throughput_cfg else next(results)
         points.append(
             SLOSweepPoint(
                 rate_rps=rate,

@@ -49,9 +49,8 @@ from repro.errors import ConfigurationError
 DEFAULT_INTERVAL_S = 1.0
 
 # Hard cap on the retained event log. Dispatch events grow O(requests),
-# so an unbounded log is exactly the memory hazard the old
-# ``debug_dispatch_log`` had; past the cap new events are counted in
-# :attr:`Telemetry.dropped_events` instead of stored.
+# so an unbounded log would grow with the run; past the cap new events
+# are counted in :attr:`Telemetry.dropped_events` instead of stored.
 DEFAULT_MAX_EVENTS = 100_000
 
 # Error budget: the fraction of requests per window allowed to miss the

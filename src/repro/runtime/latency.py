@@ -428,8 +428,10 @@ class LatencyStats:
         trivially meeting it). An all-excluded population is vacuously 1.0.
         """
         for name, slo in (("ttft", ttft_slo), ("tpot", tpot_slo), ("e2e", e2e_slo)):
-            if slo is not None and slo <= 0:
-                raise SimulationError(f"{name} SLO must be positive")
+            if slo is not None and not 0.0 < slo < math.inf:
+                raise SimulationError(
+                    f"{name} SLO must be positive and finite (got {slo!r})"
+                )
         has_decode, tpot = self._tpot_values()
         if ttft_slo is None and e2e_slo is None and tpot_slo is not None:
             judged = has_decode

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import textwrap
-import warnings
 
 import pytest
 
@@ -488,21 +487,3 @@ class TestFluidSanitizedRuns:
         san.check_fluid_conservation(
             **{**good, "served_prompt_tokens": 5120.0 + 1e-7 * 5120}
         )
-
-
-class TestDispatchLogDeprecation:
-    def test_warns_exactly_once_per_simulator(self, tiny_model, cluster_a10_4):
-        engine = VllmLikeEngine(
-            tiny_model, cluster_a10_4, parse_config("D2T2"),
-            EngineOptions(coupled=True, debug_dispatch_log=True),
-        )
-        sim = ClusterSimulator(
-            engine, [Request(0, 128, 4, arrival_time=0.0)]
-        )
-        sim.run()
-        with pytest.warns(DeprecationWarning, match="dispatch_log"):
-            first = sim.dispatch_log
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            again = sim.dispatch_log
-        assert first == again

@@ -1,8 +1,35 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def test_import_keeps_the_executor_off_the_cli_path():
+    """``repro.exec`` and the process pool it pulls in load only when a
+    command runs cells; importing them eagerly would add their import
+    time to every CLI start-up."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.autotuner, repro.experiments\n"
+        "print([m for m in ('repro.exec', 'concurrent.futures.process')"
+        " if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParser:
@@ -135,6 +162,19 @@ class TestCommands:
 
 
 class TestOnlineFlags:
+    def test_nan_slo_is_an_error_not_full_attainment(self, capsys):
+        rc = main(
+            [
+                "run", "--model", "13b", "--num-gpus", "4", "--config", "T4",
+                "--num-requests", "20", "--request-rate", "2",
+                "--ttft-slo", "nan",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "ttft_slo must be positive and finite" in captured.err
+        assert "slo 100%" not in captured.out
+
     def test_run_with_request_rate_prints_latency(self, capsys):
         rc = main(
             [

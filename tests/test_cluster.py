@@ -34,7 +34,7 @@ from repro.engines.vllm_like import VllmLikeEngine
 from repro.experiments.coupled_sweep import run_coupled_sweep
 from repro.models.registry import get_model
 from repro.parallel.config import parse_config, parse_transition
-from repro.routing.policies import DEFAULT_STORM_PREEMPTIONS
+from repro.routing.policies import DEFAULT_STORM_PREEMPTIONS, JSQRouter
 from repro.runtime.request import Request
 from repro.workloads.arrivals import bursty_arrivals, poisson_arrivals
 from repro.workloads.datasets import sharegpt_workload
@@ -130,23 +130,40 @@ class TestGoldenEquivalence:
         assert_identical(dec, cpl)
 
 
+def record_jsq_decisions(monkeypatch) -> list[tuple[dict[int, float], int]]:
+    """Wrap ``JSQRouter.select`` to record, per decision, the observed
+    queued-prefill depth of every candidate replica and the pick."""
+    decisions: list[tuple[dict[int, float], int]] = []
+    select = JSQRouter.select
+
+    def recording_select(self, request, index, now):
+        depths = {load.replica_id: load.queued_prefill_tokens(now) for load in self.loads}
+        rid = select(self, request, index, now)
+        decisions.append((depths, rid))
+        return rid
+
+    monkeypatch.setattr(JSQRouter, "select", recording_select)
+    return decisions
+
+
 class TestObservedJSQ:
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # uses the alias on purpose
-    def test_never_picks_a_strictly_longer_queue(self, tiny_model, cluster_a10_4):
+    def test_never_picks_a_strictly_longer_queue(
+        self, tiny_model, cluster_a10_4, monkeypatch
+    ):
         """Property: every coupled-jsq dispatch goes to a replica whose
         observed queued-prefill depth is minimal at that instant."""
+        decisions = record_jsq_decisions(monkeypatch)
         wl = bursty_arrivals(bimodal_workload(48), 10.0, burstiness=8.0, seed=3)
         engine = VllmLikeEngine(
             tiny_model,
             cluster_a10_4,
             parse_config("D2T2"),
-            EngineOptions(coupled=True, router="jsq", debug_dispatch_log=True),
+            EngineOptions(coupled=True, router="jsq"),
         )
-        sim = ClusterSimulator(engine, list(wl.requests))
-        sim.run()
-        assert sim.dispatch_log  # one entry per dispatch
-        for _req_id, rid, queues in sim.dispatch_log:
-            assert queues[rid] <= min(queues) + 1e-9
+        ClusterSimulator(engine, list(wl.requests)).run()
+        assert len(decisions) == wl.num_requests  # one per dispatch
+        for depths, rid in decisions:
+            assert depths[rid] <= min(depths.values()) + 1e-9
 
     def test_jsq_flattens_token_imbalance_vs_static(self, tiny_model, cluster_a10_4):
         """On the round-robin-adversarial bimodal workload the observed

@@ -19,6 +19,7 @@ from repro.exec import (
     ResultCache,
     code_salt,
 )
+from repro.obs import Telemetry, Tracer
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.synthetic import constant_workload
 
@@ -37,27 +38,7 @@ def _spec(tiny_model, cluster_a10_4, **overrides) -> CellSpec:
     return CellSpec(**base)
 
 
-class _FakeHub:
-    probe = None
-
-
-class _FakeTracer:
-    def finalize(self):  # pragma: no cover - never called
-        return None
-
-
 class TestCellSpec:
-    def test_rejects_process_local_hooks(self, tiny_model, cluster_a10_4):
-        hooked = [
-            EngineOptions(telemetry=_FakeHub()),
-            EngineOptions(tracing=_FakeTracer()),
-            EngineOptions(sanitize=Sanitizer(), coupled=True),
-            EngineOptions(trace=True),
-        ]
-        for options in hooked:
-            with pytest.raises(ConfigurationError, match="pure values"):
-                _spec(tiny_model, cluster_a10_4, options=options)
-
     def test_rejects_unknown_engine(self, tiny_model, cluster_a10_4):
         with pytest.raises(ConfigurationError, match="unknown engine kind"):
             _spec(tiny_model, cluster_a10_4, engine="bogus")
@@ -215,14 +196,88 @@ class TestCellExecutor:
     def test_inline_failure_raises_raw_exception(
         self, tiny_model, cluster_a10_4
     ):
-        # --jobs 1 keeps the exact legacy code path, including the
-        # original exception type.
+        # Inline cells run in this process, so the original exception
+        # type propagates unwrapped.
         doomed = _spec(
             tiny_model, cluster_a10_4,
             workload=constant_workload(1, 5_000_000, 1),
         )
         with pytest.raises(CapacityError):
             CellExecutor(jobs=1).run([doomed])
+
+
+def _hooked_cells(tiny_model, cluster_a10_4):
+    """(hook name, hooked spec, "did the hook observe a run?") for each
+    process-local hook, on a coupled JSQ cell every hook instruments."""
+    online = poisson_arrivals(constant_workload(16, 256, 16), 4.0, seed=3)
+    san, tel, tracer = Sanitizer(), Telemetry(), Tracer("all")
+
+    def cell(**hook) -> CellSpec:
+        return _spec(
+            tiny_model, cluster_a10_4,
+            config="D2T2",
+            options=EngineOptions(router="jsq", coupled=True, **hook),
+            workload=online,
+        )
+
+    return [
+        ("sanitize", cell(sanitize=san), lambda: sum(san.checks.values()) > 0),
+        ("telemetry", cell(telemetry=tel), lambda: len(tel.events) > 0),
+        ("tracing", cell(tracing=tracer), lambda: len(tracer.traces) > 0),
+    ]
+
+
+class TestHookedCells:
+    """Hooked cells run inline through the executor; pooling or caching
+    one is refused before any cell runs."""
+
+    def test_hooks_observe_inline_runs(self, tiny_model, cluster_a10_4):
+        for name, spec, observed in _hooked_cells(tiny_model, cluster_a10_4):
+            assert spec.hooks == (name,)
+            assert not observed()
+            (result,) = CellExecutor().run([spec])
+            assert observed(), name
+            assert result.num_requests == spec.workload.num_requests
+
+    def test_trace_flag_is_a_hook(self, tiny_model, cluster_a10_4):
+        spec = _spec(tiny_model, cluster_a10_4, options=EngineOptions(trace=True))
+        assert spec.hooks == ("trace",)
+        with pytest.raises(ConfigurationError, match="hook"):
+            CellExecutor(jobs=2).run([spec])
+
+    def test_pool_refuses_before_running(self, tiny_model, cluster_a10_4):
+        plain = _spec(tiny_model, cluster_a10_4)
+        for name, spec, observed in _hooked_cells(tiny_model, cluster_a10_4):
+            with pytest.raises(ConfigurationError, match=name) as excinfo:
+                CellExecutor(jobs=2).run([plain, spec])
+            assert spec.describe() in str(excinfo.value)
+            assert not observed(), name
+
+    def test_cache_refuses_before_running(
+        self, tmp_path, tiny_model, cluster_a10_4
+    ):
+        plain = _spec(tiny_model, cluster_a10_4)
+        cache = ResultCache(root=tmp_path)
+        for name, spec, observed in _hooked_cells(tiny_model, cluster_a10_4):
+            with pytest.raises(ConfigurationError, match=name):
+                CellExecutor(jobs=1, cache=cache).run([plain, spec])
+            assert not observed(), name
+        assert cache.stats().entries == 0
+        assert cache.hits == 0 and cache.misses == 0
+
+    def test_hooks_are_not_part_of_the_identity(
+        self, tiny_model, cluster_a10_4
+    ):
+        for _, spec, _ in _hooked_cells(tiny_model, cluster_a10_4):
+            twin = CellSpec(
+                engine=spec.engine, model=spec.model, cluster=spec.cluster,
+                config=spec.config,
+                options=EngineOptions(router="jsq", coupled=True),
+                workload=spec.workload, seed=spec.seed,
+            )
+            assert twin.hooks == ()
+            assert spec.cell_key == twin.cell_key
+            assert spec.canonical_json() == twin.canonical_json()
 
 
 class TestResultCache:

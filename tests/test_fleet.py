@@ -44,6 +44,7 @@ from repro.experiments.autoscale_sweep import run_autoscale_sweep
 from repro.models.registry import get_model
 from repro.parallel.config import parse_config, parse_transition
 from repro.routing.load import RouterContext
+from repro.routing.policies import JSQRouter
 from repro.runtime.latency import LatencyStats, RequestLatency
 from repro.runtime.request import Request
 from repro.workloads.arrivals import bursty_arrivals, diurnal_arrivals
@@ -535,21 +536,32 @@ class TestFleetReport:
 
 
 class TestSimulatorFleetIntegration:
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # uses the alias on purpose
-    def test_dispatch_log_tracks_membership_size(self, tiny_model, cluster_a10_4):
-        """Queue snapshots in the dispatch log match the dispatchable
-        membership at each decision, which may grow over the run."""
+    def test_dispatch_log_tracks_membership_size(
+        self, tiny_model, cluster_a10_4, monkeypatch
+    ):
+        """The queue depths the router sees at each decision cover the
+        dispatchable membership, which may grow over the run."""
+        depth_log: list[tuple[float, ...]] = []
+        select = JSQRouter.select
+
+        def recording_select(self, request, index, now):
+            depth_log.append(
+                tuple(load.queued_prefill_tokens(now) for load in self.loads)
+            )
+            return select(self, request, index, now)
+
+        monkeypatch.setattr(JSQRouter, "select", recording_select)
         wl = diurnal_arrivals(constant_workload(40, 256, 8), 8.0, 10.0, seed=1)
         engine = VllmLikeEngine(
             tiny_model,
             cluster_a10_4,
             parse_config("T2"),
             EngineOptions(coupled=True, router="jsq", autoscaler="threshold",
-                          min_dp=1, max_dp=2, debug_dispatch_log=True),
+                          min_dp=1, max_dp=2),
         )
-        sim = ClusterSimulator(engine, list(wl.requests))
-        sim.run()
-        sizes = {len(q) for _, _, q in sim.dispatch_log}
+        ClusterSimulator(engine, list(wl.requests)).run()
+        assert len(depth_log) == wl.num_requests
+        sizes = {len(depths) for depths in depth_log}
         assert 1 in sizes  # started at min_dp
         assert all(1 <= s <= 2 for s in sizes)
 

@@ -131,6 +131,14 @@ class TestLatencyStats:
         with pytest.raises(SimulationError):
             s.slo_attainment(ttft_slo=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bound", ["ttft_slo", "tpot_slo", "e2e_slo"])
+    def test_non_finite_slo_rejected(self, bound, bad):
+        """A NaN bound compares false against every latency, so it
+        would score 100% attainment; it must be refused like a negative."""
+        with pytest.raises(SimulationError, match="finite"):
+            self.stats().slo_attainment(**{bound: bad})
+
     def test_single_token_requests_do_not_inflate_tpot_attainment(self):
         """Regression: a no-decode-phase record must not count as meeting
         a TPOT SLO it was never subject to."""

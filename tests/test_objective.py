@@ -56,6 +56,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ServingObjective(ttft_slo=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["ttft_slo", "tpot_slo"])
+    def test_non_finite_slo_rejected(self, field, bad):
+        # NaN passes a bare ``slo <= 0`` check; None is "no bound".
+        with pytest.raises(ConfigurationError, match=field):
+            ServingObjective(kind="slo", request_rate=1.0, **{field: bad})
+
     def test_objectives_tuple(self):
         assert OBJECTIVES == ("throughput", "slo")
 

@@ -16,8 +16,6 @@ Contracts pinned by this PR:
    reconstructs series, events, meta and counters.
 5. **Reasons** — every autoscaler scale action carries a human-readable
    ``reason``, surfaced in ``fleet_table`` and the dashboard.
-6. **Deprecated alias** — ``ClusterSimulator.dispatch_log`` still yields
-   ``(request_id, replica, queues)`` tuples, now fed by the event log.
 """
 
 import json
@@ -26,7 +24,6 @@ import math
 import pytest
 
 from repro.analysis.report import fleet_table, telemetry_table
-from repro.cluster import ClusterSimulator
 from repro.engines.base import EngineOptions
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.vllm_like import VllmLikeEngine
@@ -403,7 +400,7 @@ class TestDashboard:
 
 
 # --------------------------------------------------------------------- #
-# Fleet-event reasons and the dispatch_log alias
+# Fleet-event reasons
 # --------------------------------------------------------------------- #
 
 
@@ -442,33 +439,6 @@ class TestReasonsAndAliases:
         text = telemetry_table(tel)
         assert "cluster.active_dp" in text
         assert "events:" in text
-
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # uses the alias on purpose
-    def test_dispatch_log_alias_shape(self, tiny_model, cluster_a10_4):
-        wl = poisson_arrivals(constant_workload(12, 256, 16), 4.0, seed=1)
-        engine = VllmLikeEngine(
-            tiny_model,
-            cluster_a10_4,
-            parse_config("D2T2"),
-            EngineOptions(coupled=True, router="jsq", debug_dispatch_log=True),
-        )
-        sim = ClusterSimulator(engine, list(wl.requests))
-        sim.run()
-        assert len(sim.dispatch_log) == 12
-        for req_id, rid, queues in sim.dispatch_log:
-            assert isinstance(req_id, int) and isinstance(rid, int)
-            assert isinstance(queues, tuple) and len(queues) == 2
-        # The alias is fed by the event log; without the debug flag (and
-        # with no hub attached) it stays empty.
-        engine2 = VllmLikeEngine(
-            tiny_model,
-            cluster_a10_4,
-            parse_config("D2T2"),
-            EngineOptions(coupled=True, router="jsq"),
-        )
-        sim2 = ClusterSimulator(engine2, list(wl.requests))
-        sim2.run()
-        assert sim2.dispatch_log == []
 
 
 # --------------------------------------------------------------------- #

@@ -70,6 +70,12 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="unknown router policy"):
             EngineOptions(router="fastest")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["ttft_slo", "tpot_slo"])
+    def test_engine_options_reject_non_finite_slo(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            EngineOptions(**{field: bad})
+
     def test_needs_a_replica(self):
         with pytest.raises(ConfigurationError):
             StaticRouter(0)
