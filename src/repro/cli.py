@@ -225,7 +225,7 @@ def _add_tracing_flags(parser: argparse.ArgumentParser) -> None:
         help="record per-request span trees with critical-path latency "
         "attribution on the virtual clock; MODE selects which requests "
         "keep a trace: all | slo_miss (only SLO violators; needs "
-        "--ttft-slo and/or --tpot-slo) | p99_exemplars (the worst 1% by "
+        "--ttft-slo and/or --tpot-slo) | p99_exemplars (the worst 1%% by "
         "e2e) | rate:<f> (deterministic f-fraction sample). Off by "
         "default — the instrumented loops stay bit-exact without it",
     )

@@ -44,7 +44,7 @@ being interactive.
 from __future__ import annotations
 
 import math
-from typing import Sequence as TypingSequence, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult
 from repro.runtime.request import Request
 from repro.utils.rng import make_rng
+from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import BaseEngine
@@ -196,13 +197,11 @@ class _FluidFleetView:
 class FluidSimulator:
     """Mean-field co-simulation of a replica fleet, one event per arrival."""
 
-    def __init__(self, engine: "BaseEngine", requests: TypingSequence[Request]) -> None:
+    def __init__(self, engine: "BaseEngine", workload: WorkloadSpec) -> None:
         self.engine = engine
-        self.requests = list(requests)
-        if not self.requests:
-            raise ConfigurationError("cannot simulate an empty workload")
+        self.workload = workload
         options = engine.options
-        context = engine.router_context(self.requests)
+        context = engine.router_context(workload)
         if not context.prefill_tokens_per_s or not context.decode_tokens_per_s:
             raise ConfigurationError(
                 "the fluid path needs finite analytic service rates"
@@ -214,7 +213,7 @@ class FluidSimulator:
         self.rng = (
             make_rng(options.router_seed) if options.router == "po2" else None
         )
-        avg_in, avg_out = _workload_averages(self.requests)
+        avg_in, avg_out = _workload_averages(workload)
         self.avg_ctx = avg_in + avg_out / 2.0
         self.avg_in = avg_in
         self.avg_out = avg_out
@@ -223,12 +222,13 @@ class FluidSimulator:
         # carries is biased toward long-output requests (heavy-tailed
         # workloads bias it a lot) — using the per-arrival mean here would
         # underestimate every iteration time.
-        w_num = 0.0
-        w_den = 0.0
-        for r in self.requests:
-            weight = max(0, r.output_len - 1)
-            w_num += weight * (r.prompt_len + r.output_len / 2.0)
-            w_den += weight
+        # The weighted sum accumulates left to right (``cumsum``, not the
+        # pairwise ``np.sum``), the order a per-request loop adds in.
+        prompts = workload.prompt_len.astype(np.float64)
+        outputs = workload.output_len.astype(np.float64)
+        weights = np.maximum(workload.output_len - 1, 0)
+        w_num = float(np.cumsum(weights * (prompts + outputs / 2.0))[-1])
+        w_den = float(weights.sum())
         self.resident_ctx = w_num / w_den if w_den > 0 else self.avg_ctx
         self.costs = engine.make_costs()
         capacity = context.kv_capacity_tokens or 0
@@ -494,12 +494,22 @@ class FluidSimulator:
     # ------------------------------------------------------------------ #
 
     def run(self) -> EngineResult:
-        reqs = self.requests
-        arrivals = np.array([r.arrival_time for r in reqs], dtype=np.float64)
-        # Stable, so simultaneous arrivals dispatch in request order.
-        order_arr = np.argsort(arrivals, kind="stable")
-        rates = _offered_rates(arrivals[order_arr]).tolist()
-        order = order_arr.tolist()
+        workload = self.workload
+        n = workload.num_requests
+        arrivals = workload.arrival_time
+        prompts = workload.prompt_len.tolist()
+        outputs = workload.output_len.tolist()
+        times = arrivals.tolist()
+        # Dispatch in arrival order; a stable sort, so simultaneous
+        # arrivals dispatch in request order (stamped workloads arrive
+        # sorted already, and then the order is the identity).
+        if bool((arrivals[1:] >= arrivals[:-1]).all()):
+            order = range(n)
+            rates = _offered_rates(arrivals).tolist()
+        else:
+            order_arr = np.argsort(arrivals, kind="stable")
+            rates = _offered_rates(arrivals[order_arr]).tolist()
+            order = order_arr.tolist()
         pf_rate = self.prefill_rate
         active = self.active
         ready_arr = self._ready
@@ -507,17 +517,20 @@ class FluidSimulator:
         decode_tail = 1.0 / self.decode_rate
         budget_tokens = float(self.engine.options.max_batched_tokens)
 
-        arrival_t = [0.0] * len(reqs)
-        sched_t = [0.0] * len(reqs)
-        first_t = [0.0] * len(reqs)
-        finish_t = [0.0] * len(reqs)
-        assigned = [0] * len(reqs)
+        sched_t = [0.0] * n
+        first_t = [0.0] * n
+        finish_t = [0.0] * n
 
-        arrivals_end = reqs[order[-1]].arrival_time if order else 0.0
+        arrivals_end = times[order[-1]]
         tpot, tpot_drain = self._tpot_now = self._tpot(0.0)
         tel = self.telemetry
         trc = self.engine.options.tracing
         san = self.sanitizer
+        ids = (
+            workload.request_id.tolist()
+            if trc is not None or san is not None
+            else None
+        )
         sample_step = 0.0
         if tel is not None:
             # Widened sample grid: a full day of arrivals still exports at
@@ -526,8 +539,7 @@ class FluidSimulator:
 
             sample_step = max(tel.interval_s, arrivals_end / MAX_WINDOWS)
         for pos, i in enumerate(order):
-            req = reqs[i]
-            now = req.arrival_time
+            now = times[i]
             if self.provisioning:
                 self._poll(now)
                 active = self.active
@@ -553,10 +565,14 @@ class FluidSimulator:
             k = self._select(i, now)
             replica = active[k]
             if trc is not None:
-                trc.note_dispatch(now, req.request_id, replica.replica_id)
+                trc.note_dispatch(now, ids[i], replica.replica_id)
             if san is not None:
                 san.note_cluster_clock(now)
-                san.note_dispatch(req, replica.replica_id, now)
+                san.note_dispatch(
+                    Request(ids[i], prompts[i], outputs[i], now),
+                    replica.replica_id,
+                    now,
+                )
             ready = replica.ready
             if ready < now:
                 # Idle only once the decode tail has drained too — a
@@ -570,7 +586,8 @@ class FluidSimulator:
             # Half an iteration of boundary quantization: a real engine
             # admits the arrival only when the in-flight pass finishes.
             sched = ready + 0.5 * tpot
-            prefill_s = req.prompt_len / pf_rate
+            prompt_len = prompts[i]
+            prefill_s = prompt_len / pf_rate
             # Pass quantization: a prompt admitted into a busy prefill
             # wave gets its first token at the end of the *whole* pass,
             # which also carries prompts queued behind it up to the token
@@ -578,7 +595,7 @@ class FluidSimulator:
             # empty queue.
             carry = 0.5 * min(queued_before, budget_tokens) / pf_rate
             first = sched + prefill_s + carry
-            decode_tokens = req.output_len - 1
+            decode_tokens = outputs[i] - 1
             finish = first + decode_tokens * tpot
             if finish > arrivals_end and tpot_drain < tpot:
                 # Decode that outlives the arrival stream runs with no
@@ -598,20 +615,18 @@ class FluidSimulator:
             replica.prefill_busy += prefill_s
             replica.decode_tokens_total += decode_tokens
             replica.num_requests += 1
-            replica.total_tokens += req.total_tokens
+            replica.total_tokens += prompt_len + outputs[i]
             queued = (replica.ready - now) * pf_rate
             if queued > replica.peak_queued:
                 replica.peak_queued = queued
             if self._decode_secs.shape[0] > k:
                 self._decode_secs[k] += decode_tokens * decode_tail
-            arrival_t[i] = now
             sched_t[i] = sched
             first_t[i] = first
             finish_t[i] = finish
-            assigned[i] = replica.replica_id
             if san is not None:
                 san.note_fluid_request(
-                    req.request_id,
+                    ids[i],
                     replica.replica_id,
                     arrival=now,
                     sched=sched,
@@ -619,8 +634,7 @@ class FluidSimulator:
                     finish=finish,
                 )
 
-        last_arrival = max(arrival_t) if arrival_t else 0.0
-        self._reap(last_arrival)
+        self._reap(arrivals_end)
         for r in self.draining:
             r.stopped_at = max(r.ready, r.decode_done, r.active_at)
             self.events.append(
@@ -654,32 +668,28 @@ class FluidSimulator:
 
         if san is not None:
             san.check_fluid_conservation(
-                num_requests=len(reqs),
+                num_requests=n,
                 dispatched=sum(r.num_requests for r in self.replicas),
-                prompt_tokens=sum(r.prompt_len for r in reqs),
+                prompt_tokens=sum(prompts),
                 served_prompt_tokens=sum(
                     r.prefill_busy for r in self.replicas
                 )
                 * pf_rate,
                 decode_tokens=sum(r.decode_tokens_total for r in self.replicas),
-                expected_decode_tokens=sum(
-                    max(0, r.output_len - 1) for r in reqs
-                ),
+                expected_decode_tokens=sum(max(0, o - 1) for o in outputs),
                 total_tokens=sum(r.total_tokens for r in self.replicas),
-                expected_total_tokens=sum(r.total_tokens for r in reqs),
+                expected_total_tokens=sum(prompts) + sum(outputs),
                 now=makespan,
             )
 
         latency = LatencyStats.from_columns(
-            request_id=[r.request_id for r in reqs],
-            arrival=arrival_t,
+            request_id=workload.request_id,
+            arrival=arrivals,
             first_schedule=sched_t,
             first_token=first_t,
             finish=finish_t,
-            output_len=[r.output_len for r in reqs],
+            output_len=workload.output_len,
         )
-        input_tokens = sum(r.prompt_len for r in reqs)
-        output_tokens = sum(r.output_len for r in reqs)
         phase_time = {
             "prefill": max((r.prefill_busy for r in self.replicas), default=0.0),
             "decode": max(
@@ -691,10 +701,10 @@ class FluidSimulator:
         return EngineResult(
             engine=self.engine.name,
             label=f"{self.engine.label()}+fluid",
-            num_requests=len(reqs),
+            num_requests=n,
             total_time=makespan,
-            input_tokens=input_tokens,
-            output_tokens=output_tokens,
+            input_tokens=workload.total_input_tokens,
+            output_tokens=workload.total_output_tokens,
             phase_time=phase_time,
             breakdown=Breakdown(),
             iterations=0,

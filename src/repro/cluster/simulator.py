@@ -48,6 +48,7 @@ from repro.routing.stats import RouterStats
 from repro.runtime.metrics import EngineResult, merge_dp_results
 from repro.runtime.request import Request
 from repro.runtime.trace import Trace
+from repro.workloads.spec import WorkloadSpec, request_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import BaseEngine
@@ -448,14 +449,12 @@ class ClusterSimulator:
         )
 
 
-def _workload_averages(requests: list[Request]) -> tuple[float, float]:
-    in_tokens = 0
-    out_tokens = 0
-    for r in requests:
-        in_tokens += r.prompt_len
-        out_tokens += r.output_len
-    n = len(requests)
-    return in_tokens / n, out_tokens / n
+def _workload_averages(
+    requests: WorkloadSpec | TypingSequence[Request],
+) -> tuple[float, float]:
+    prompts, outputs = request_lengths(requests)
+    n = len(prompts)
+    return sum(prompts) / n, sum(outputs) / n
 
 
 def _capacity_rps_from(context, avg_in: float, avg_out: float) -> float:

@@ -33,7 +33,7 @@ from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult, RunMetrics, merge_dp_results
 from repro.runtime.request import Request, Sequence
 from repro.runtime.trace import DECODE, IDLE, NullTrace, Trace
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import WorkloadSpec, request_lengths
 
 
 @dataclass(frozen=True)
@@ -448,14 +448,17 @@ class BaseEngine(abc.ABC):
         independently; with ``options.coupled`` all replicas co-simulate
         on one shared clock and each arrival is dispatched against the
         replicas' *observed* state at that instant.
+
+        A plain sequence of requests is wrapped with
+        :meth:`WorkloadSpec.from_requests` first, so it is validated the
+        same way (request ids must be unique). The fluid tier reads the
+        workload's columns; the event tier walks its ``requests`` view.
         """
-        requests = (
-            list(workload.requests)
-            if isinstance(workload, WorkloadSpec)
-            else list(workload)
-        )
-        if not requests:
-            raise ConfigurationError("cannot run an empty workload")
+        if not isinstance(workload, WorkloadSpec):
+            requests = list(workload)
+            if not requests:
+                raise ConfigurationError("cannot run an empty workload")
+            workload = WorkloadSpec.from_requests("requests", requests)
         if self.options.coupled:
             fidelity = self.options.fidelity
             if fidelity == "auto":
@@ -464,19 +467,20 @@ class BaseEngine(abc.ABC):
                 cap = self.options.max_dp or self.config.dp
                 fidelity = (
                     "fluid"
-                    if len(requests) * cap >= AUTO_FLUID_WORK_ITEMS
+                    if workload.num_requests * cap >= AUTO_FLUID_WORK_ITEMS
                     else "event"
                 )
             if fidelity == "fluid":
                 from repro.cluster.fluid import FluidSimulator
 
-                result = FluidSimulator(self, requests).run()
+                result = FluidSimulator(self, workload).run()
             else:
                 from repro.cluster.simulator import ClusterSimulator
 
-                result = ClusterSimulator(self, requests).run()
+                result = ClusterSimulator(self, workload.requests).run()
             return self._fold_telemetry(result)
-        plan = self.make_router(requests).route(requests)
+        requests = list(workload.requests)
+        plan = self.make_router(workload).route(requests)
         parts = [list(p) for p in plan.partitions]
         tr = self.options.tracing
         if tr is not None:
@@ -604,7 +608,9 @@ class BaseEngine(abc.ABC):
         if trace is not None:
             trace.record(kind, start, duration, **kw)
 
-    def make_router(self, requests: TypingSequence[Request]) -> Router:
+    def make_router(
+        self, requests: WorkloadSpec | TypingSequence[Request]
+    ) -> Router:
         """Router for this run, fed with per-replica rate estimates."""
         return make_router(
             self.options.router,
@@ -613,7 +619,9 @@ class BaseEngine(abc.ABC):
             seed=self.options.router_seed,
         )
 
-    def router_context(self, requests: TypingSequence[Request]) -> RouterContext:
+    def router_context(
+        self, requests: WorkloadSpec | TypingSequence[Request]
+    ) -> RouterContext:
         """Per-replica service-rate estimates for the router's load model.
 
         The prefill rate is one budget-sized micro-batch per stage period;
@@ -624,9 +632,10 @@ class BaseEngine(abc.ABC):
         costs = self.make_costs()
         budget = self.options.max_batched_tokens
         prefill_rate = budget / costs.prefill_stage_time([budget]).total
-        avg_ctx = sum(r.prompt_len + r.output_len / 2.0 for r in requests) / len(
-            requests
-        )
+        prompts, outputs = request_lengths(requests)
+        avg_ctx = sum(
+            p + o / 2.0 for p, o in zip(prompts, outputs, strict=True)
+        ) / len(prompts)
         capacity = kv_capacity_tokens(self.model, self.cluster, self.replica_config)
         batch = max(
             1, min(int(capacity / avg_ctx), self.options.max_num_seqs)

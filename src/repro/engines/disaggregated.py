@@ -28,6 +28,7 @@ from repro.routing import RouterContext, RoutingPlan, make_router
 from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult, RunMetrics
 from repro.runtime.request import Request, SequenceState
+from repro.workloads.arrivals import stamp_arrivals
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -308,30 +309,22 @@ class DisaggregatedEngine:
         and the prefill pool's busy time.
         """
         schedule, prefill_busy = self._prefill_pool_schedule(workload, pool_plan)
-        gated = WorkloadSpec(
-            name=f"{workload.name}+prefilled",
-            requests=tuple(
-                replace(r, arrival_time=schedule[r.request_id][1])
-                for r in workload.requests
-            ),
-        )
+        ids = workload.request_id.tolist()
+        done = [schedule[i][1] for i in ids]
+        gated = stamp_arrivals(workload, done, name=f"{workload.name}+prefilled")
         decode_result = self.decode_pool_result(gated)
         assert decode_result.latency is not None
         decoded = decode_result.latency
         finish = dict(
             zip(decoded.request_id.tolist(), decoded.finish.tolist(), strict=True)
         )
-        reqs = workload.requests
-        done = [schedule[r.request_id][1] for r in reqs]
         latency = LatencyStats.from_columns(
-            request_id=[r.request_id for r in reqs],
-            arrival=[r.arrival_time for r in reqs],
-            first_schedule=[schedule[r.request_id][0] for r in reqs],
+            request_id=workload.request_id,
+            arrival=workload.arrival_time,
+            first_schedule=[schedule[i][0] for i in ids],
             first_token=done,
-            finish=[
-                max(finish[r.request_id], d) for r, d in zip(reqs, done, strict=True)
-            ],
-            output_len=[r.output_len for r in reqs],
+            finish=[max(finish[i], d) for i, d in zip(ids, done, strict=True)],
+            output_len=workload.output_len,
         )
         return latency, decode_result, prefill_busy
 
@@ -351,7 +344,7 @@ class DisaggregatedEngine:
         tr = self.options.tracing
         if tr is not None:
             self._note_trace_marks(tr, pool_plan, latency, gated_decode)
-        online = any(r.arrival_time > 0 for r in workload.requests)
+        online = bool((workload.arrival_time > 0).any())
         if online:
             phase = dict(gated_decode.phase_time)
             phase["prefill"] = prefill_busy
@@ -379,13 +372,12 @@ class DisaggregatedEngine:
         # still needs the unshifted decode time, simulated once here.
         prefill_time = self.prefill_pool_time(workload, pool_plan)
         decode_result = self.decode_pool_result(workload)
-        first = workload.requests[0]
         costs = StepCostModel(
             self.model,
             self._prefill_cluster,
             replace(self.plan.prefill_config, dp=1),
         )
-        fill = costs.prefill_pass_time([first.prompt_len]).total
+        fill = costs.prefill_pass_time([int(workload.prompt_len[0])]).total
         total = max(prefill_time, decode_result.total_time) + fill
         return self._fold_telemetry(EngineResult(
             engine=self.name,

@@ -76,14 +76,12 @@ def _canonical_value(value: object) -> object:
 
 
 def _workload_digest(workload: WorkloadSpec) -> dict:
-    """The workload's canonical form: name, count, and a sha256 over the
-    packed request lines (arrival times in hex — bit-exact)."""
-    h = hashlib.sha256()
-    for r in workload.requests:
-        h.update(
-            f"{r.request_id}:{r.prompt_len}:{r.output_len}:"
-            f"{r.arrival_time.hex()}\n".encode()
-        )
+    """The workload's canonical form: name, count, and a sha256 over both
+    and the little-endian bytes of the four request columns (arrival
+    times as IEEE doubles — bit-exact)."""
+    h = hashlib.sha256(f"{workload.name}\n{workload.num_requests}\n".encode())
+    for col in workload.columns:
+        h.update(col.astype(col.dtype.newbyteorder("<"), copy=False).tobytes())
     return {
         "name": workload.name,
         "num_requests": workload.num_requests,

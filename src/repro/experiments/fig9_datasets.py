@@ -39,11 +39,9 @@ def run_fig9(
     histograms: dict[str, dict[str, np.ndarray]] = {}
     for name, wl in workloads.items():
         stats[name] = workload_stats(wl)
-        ins = np.array([r.prompt_len for r in wl.requests])
-        outs = np.array([r.output_len for r in wl.requests])
         histograms[name] = {
-            "input": np.histogram(ins, bins=edges, density=True)[0],
-            "output": np.histogram(outs, bins=edges, density=True)[0],
+            "input": np.histogram(wl.prompt_len, bins=edges, density=True)[0],
+            "output": np.histogram(wl.output_len, bins=edges, density=True)[0],
         }
     return Fig9Result(stats=stats, histograms=histograms, bin_edges=edges)
 

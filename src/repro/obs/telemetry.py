@@ -42,6 +42,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 # Default sample interval of the fixed-interval recorders (virtual
@@ -351,8 +353,6 @@ class Telemetry:
         with no SLOs configured every window attains trivially (1.0), the
         same convention as :meth:`LatencyStats.slo_attainment`.
         """
-        from repro.runtime.latency import LatencyStats
-
         total = float(result.total_time)
         window = self.window_s(total)
         self.meta.update(
@@ -367,36 +367,59 @@ class Telemetry:
                 "slo_budget": self.slo_budget,
             }
         )
-        records = result.latency.records if result.latency is not None else ()
         n_windows = max(1, int(math.ceil(total / window - _EPS)))
-
-        arrivals = [0] * n_windows
-        finished: list[list] = [[] for _ in range(n_windows)]
-        for r in records:
-            arrivals[min(int(r.arrival_time / window), n_windows - 1)] += 1
-            finished[min(int(r.finish_time / window), n_windows - 1)].append(r)
 
         rate_pts = []
         ttft_pts: dict[float, list[tuple[float, float]]] = {50: [], 90: [], 99: []}
         tpot_pts: dict[float, list[tuple[float, float]]] = {50: [], 90: [], 99: []}
         att_pts = []
         burn_pts = []
+        lat = result.latency
+        if lat is None:
+            arrivals = [0] * n_windows
+            ends = [0] * n_windows
+        else:
+
+            def window_of(stamp):
+                # int() truncation per request, as a column.
+                return np.minimum((stamp / window).astype(np.int64), n_windows - 1)
+
+            arrivals = np.bincount(
+                window_of(lat.arrival), minlength=n_windows
+            ).tolist()
+            # Finished requests grouped by window, in request order.
+            done_in = window_of(lat.finish)
+            order = np.argsort(done_in, kind="stable")
+            ends = np.cumsum(np.bincount(done_in, minlength=n_windows)).tolist()
+            ttft = lat.ttft_values()[order].tolist()
+            has_decode, tpot = lat.tpot_values()
+            has_decode = has_decode[order].tolist()
+            tpot = tpot[order].tolist()
+            judged, met = lat.slo_met(ttft_slo=ttft_slo, tpot_slo=tpot_slo)
+            num_judged = np.bincount(done_in[judged], minlength=n_windows).tolist()
+            num_met = np.bincount(done_in[met], minlength=n_windows).tolist()
+        start = 0
         for i in range(n_windows):
             t_end = (i + 1) * window
             rate_pts.append((t_end, arrivals[i] / window))
-            sub = finished[i]
-            if sub:
-                for q, v in zip((50, 90, 99), percentiles([r.ttft for r in sub]), strict=True):
+            end = ends[i]
+            if end > start:
+                for q, v in zip((50, 90, 99), percentiles(ttft[start:end]), strict=True):
                     ttft_pts[q].append((t_end, v))
-                tpots = [r.tpot for r in sub if r.tpot is not None]
+                tpots = [
+                    v
+                    for v, d in zip(tpot[start:end], has_decode[start:end], strict=True)
+                    if d
+                ]
                 if tpots:
                     for q, v in zip((50, 90, 99), percentiles(tpots), strict=True):
                         tpot_pts[q].append((t_end, v))
-                attainment = LatencyStats.from_records(sub).slo_attainment(
-                    ttft_slo=ttft_slo, tpot_slo=tpot_slo
+                attainment = (
+                    num_met[i] / num_judged[i] if num_judged[i] else 1.0
                 )
             else:
                 attainment = 1.0
+            start = end
             att_pts.append((t_end, attainment))
             burn_pts.append((t_end, (1.0 - attainment) / self.slo_budget))
 

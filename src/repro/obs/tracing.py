@@ -42,6 +42,8 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence as TypingSequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.critical_path import (
     DECODE,
@@ -59,7 +61,7 @@ from repro.obs.critical_path import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.latency import RequestLatency
+    from repro.runtime.latency import LatencyStats, RequestLatency
     from repro.runtime.metrics import EngineResult
 
 TRACE_SCHEMA = "repro-trace-v1"
@@ -264,9 +266,11 @@ class Tracer:
         if result is None or result.latency is None:
             self.traces = ()
             return self.traces
-        records = result.latency.records
-        self.num_requests = len(records)
-        selected = self._select(records, ttft_slo=ttft_slo, tpot_slo=tpot_slo)
+        latency = result.latency
+        self.num_requests = latency.num_requests
+        selected = latency.records_at(
+            self._select(latency, ttft_slo=ttft_slo, tpot_slo=tpot_slo)
+        )
         traces = []
         for rec in selected:
             trace = self._build(rec)
@@ -277,31 +281,32 @@ class Tracer:
 
     def _select(
         self,
-        records: TypingSequence["RequestLatency"],
+        latency: "LatencyStats",
         *,
         ttft_slo: float | None,
         tpot_slo: float | None,
-    ) -> list["RequestLatency"]:
+    ) -> np.ndarray:
+        """Rows of ``latency`` to trace, in tracing order."""
+        ids = latency.request_id
         if self._mode == "all":
-            return list(records)
+            return np.arange(ids.shape[0])
         if self._mode == "rate":
-            return [r for r in records if _hash_keep(r.request_id, self._rate)]
+            return np.flatnonzero(
+                [_hash_keep(i, self._rate) for i in ids.tolist()]
+            )
         if self._mode == "slo_miss":
-            misses = []
-            for r in records:
-                if ttft_slo is not None and r.ttft > ttft_slo:
-                    misses.append(r)
-                elif (
-                    tpot_slo is not None
-                    and r.tpot is not None
-                    and r.tpot > tpot_slo
-                ):
-                    misses.append(r)
-            return misses
-        # p99_exemplars: worst fraction by e2e, at least one request.
-        count = max(1, int(len(records) * _EXEMPLAR_FRACTION))
-        ranked = sorted(records, key=lambda r: (-r.e2e, r.request_id))
-        return sorted(ranked[:count], key=lambda r: r.request_id)
+            miss = np.zeros(ids.shape[0], dtype=bool)
+            if ttft_slo is not None:
+                miss |= latency.ttft_values() > ttft_slo
+            if tpot_slo is not None:
+                has_decode, tpot = latency.tpot_values()
+                miss |= has_decode & (tpot > tpot_slo)
+            return np.flatnonzero(miss)
+        # p99_exemplars: worst fraction by e2e (ties to the lower request
+        # id), at least one request, traced in request-id order.
+        count = max(1, int(ids.shape[0] * _EXEMPLAR_FRACTION))
+        worst = np.lexsort((ids, -latency.e2e_values()))[:count]
+        return worst[np.argsort(ids[worst], kind="stable")]
 
     def _build(self, rec: "RequestLatency") -> RequestTrace:
         arrival, finish = rec.arrival_time, rec.finish_time

@@ -26,7 +26,11 @@ its columns only, and ``==`` compares the columns bit for bit.
 
 **Records view.** :attr:`LatencyStats.records` is a tuple of
 :class:`RequestLatency` derived lazily from the columns, for consumers that
-walk requests one by one (tracing, windowed telemetry, tests).
+walk requests one by one (tests, ad-hoc analysis). Tracing and the
+windowed telemetry fold read the per-request latency columns
+(:meth:`~LatencyStats.ttft_values`, :meth:`~LatencyStats.tpot_values`,
+:meth:`~LatencyStats.slo_met`) and build records only for the rows they
+select (:meth:`~LatencyStats.records_at`).
 
 **Clamp rule.** Every aggregate is bit-identical to the per-record
 derivation on :class:`RequestLatency`, which clamps each latency with
@@ -363,20 +367,29 @@ class LatencyStats:
     def records(self) -> tuple[RequestLatency, ...]:
         """The rows as :class:`RequestLatency` records, built on first use."""
         if self._records is None:
-            self._records = tuple(
-                RequestLatency(*row)
-                for row in zip(*(c.tolist() for c in self._cols), strict=True)
-            )
+            self._records = self.records_at(slice(None))
         return self._records
 
+    def records_at(self, rows: np.ndarray | slice) -> tuple[RequestLatency, ...]:
+        """The selected rows (an index array or a slice) as records, in
+        selection order, without building the full :attr:`records` view."""
+        return tuple(
+            RequestLatency(*row)
+            for row in zip(*(c[rows].tolist() for c in self._cols), strict=True)
+        )
+
     # ------------------------------------------------------------------ #
-    # Per-metric summaries (mean / p50 / p90 / p99 via utils.stats)
+    # Per-request latency columns (each equal, bit for bit, to the same
+    # property of the row's RequestLatency record)
     # ------------------------------------------------------------------ #
 
-    def _since_arrival(self, stamp: np.ndarray) -> np.ndarray:
-        return _clamp(stamp - self.arrival)
+    def ttft_values(self) -> np.ndarray:
+        return _clamp(self.first_token - self.arrival)
 
-    def _tpot_values(self) -> tuple[np.ndarray, np.ndarray]:
+    def e2e_values(self) -> np.ndarray:
+        return _clamp(self.finish - self.arrival)
+
+    def tpot_values(self) -> tuple[np.ndarray, np.ndarray]:
         """``(has_decode, tpot)``: the decode-phase mask, and each row's
         TPOT (meaningful only where the mask is set)."""
         out = self.output_len
@@ -384,27 +397,31 @@ class LatencyStats:
         steps = np.where(has_decode, out - 1, 1)
         return has_decode, _clamp((self.finish - self.first_token) / steps)
 
+    # ------------------------------------------------------------------ #
+    # Per-metric summaries (mean / p50 / p90 / p99 via utils.stats)
+    # ------------------------------------------------------------------ #
+
     @property
     def ttft(self) -> Summary:
-        return summarize(self._since_arrival(self.first_token))
+        return summarize(self.ttft_values())
 
     @property
     def tpot(self) -> Summary:
         """Summary over requests that have a decode phase (single-token
         requests have no TPOT and would drag every percentile toward 0).
         All-prefill runs yield an empty (all-zero, count=0) summary."""
-        has_decode, tpot = self._tpot_values()
+        has_decode, tpot = self.tpot_values()
         if not has_decode.any():
             return _EMPTY_SUMMARY
         return summarize(tpot[has_decode])
 
     @property
     def e2e(self) -> Summary:
-        return summarize(self._since_arrival(self.finish))
+        return summarize(self.e2e_values())
 
     @property
     def queue_delay(self) -> Summary:
-        return summarize(self._since_arrival(self.first_schedule))
+        return summarize(_clamp(self.first_schedule - self.arrival))
 
     @property
     def total_preemptions(self) -> int:
@@ -427,12 +444,26 @@ class LatencyStats:
         when the TPOT bound is the only one given (rather than counted as
         trivially meeting it). An all-excluded population is vacuously 1.0.
         """
+        judged, met = self.slo_met(ttft_slo, tpot_slo, e2e_slo)
+        num_judged = int(judged.sum())
+        if num_judged == 0:
+            return 1.0
+        return int(met.sum()) / num_judged
+
+    def slo_met(
+        self,
+        ttft_slo: float | None = None,
+        tpot_slo: float | None = None,
+        e2e_slo: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(judged, met)`` row masks behind :meth:`slo_attainment`: which
+        requests the bounds judge, and which of those meet every bound."""
         for name, slo in (("ttft", ttft_slo), ("tpot", tpot_slo), ("e2e", e2e_slo)):
             if slo is not None and not 0.0 < slo < math.inf:
                 raise SimulationError(
                     f"{name} SLO must be positive and finite (got {slo!r})"
                 )
-        has_decode, tpot = self._tpot_values()
+        has_decode, tpot = self.tpot_values()
         if ttft_slo is None and e2e_slo is None and tpot_slo is not None:
             judged = has_decode
         else:
@@ -440,15 +471,12 @@ class LatencyStats:
         # A request misses a bound when its latency is strictly above it.
         met = judged.copy()
         if ttft_slo is not None:
-            met &= ~(self._since_arrival(self.first_token) > ttft_slo)
+            met &= ~(self.ttft_values() > ttft_slo)
         if tpot_slo is not None:
             met &= ~(has_decode & (tpot > tpot_slo))
         if e2e_slo is not None:
-            met &= ~(self._since_arrival(self.finish) > e2e_slo)
-        num_judged = int(judged.sum())
-        if num_judged == 0:
-            return 1.0
-        return int(met.sum()) / num_judged
+            met &= ~(self.e2e_values() > e2e_slo)
+        return judged, met
 
     # ------------------------------------------------------------------ #
     # Value semantics: equality, hashing and pickling see the columns only

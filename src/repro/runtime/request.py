@@ -35,6 +35,29 @@ class SequenceState(enum.Enum):
     FINISHED = "finished"
 
 
+def request_violation(
+    request_id: int, prompt_len: int, output_len: int, arrival_time: float
+) -> str | None:
+    """Why one request is invalid, or ``None`` if it is valid.
+
+    The one statement of the request invariants: :class:`Request` raises
+    with it, and :class:`~repro.workloads.spec.WorkloadSpec` uses it to
+    word the error for the first row its array masks reject.
+    """
+    if prompt_len < 1:
+        return f"request {request_id}: prompt_len must be >= 1"
+    if output_len < 1:
+        return f"request {request_id}: output_len must be >= 1"
+    if not math.isfinite(arrival_time):
+        return (
+            f"request {request_id}: arrival_time must be finite, "
+            f"got {arrival_time!r}"
+        )
+    if arrival_time < 0:
+        return f"request {request_id}: arrival_time must be >= 0"
+    return None
+
+
 @dataclass(frozen=True)
 class Request:
     """One offline inference request."""
@@ -45,17 +68,11 @@ class Request:
     arrival_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.prompt_len < 1:
-            raise ConfigurationError(f"request {self.request_id}: prompt_len must be >= 1")
-        if self.output_len < 1:
-            raise ConfigurationError(f"request {self.request_id}: output_len must be >= 1")
-        if not math.isfinite(self.arrival_time):
-            raise ConfigurationError(
-                f"request {self.request_id}: arrival_time must be finite, "
-                f"got {self.arrival_time!r}"
-            )
-        if self.arrival_time < 0:
-            raise ConfigurationError(f"request {self.request_id}: arrival_time must be >= 0")
+        reason = request_violation(
+            self.request_id, self.prompt_len, self.output_len, self.arrival_time
+        )
+        if reason is not None:
+            raise ConfigurationError(reason)
 
     @property
     def total_tokens(self) -> int:

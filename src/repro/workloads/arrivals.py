@@ -42,7 +42,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.runtime.request import Request
 from repro.utils.rng import make_rng
 from repro.workloads.spec import WorkloadSpec
 
@@ -57,20 +56,22 @@ def stamp_arrivals(
 ) -> WorkloadSpec:
     """Return ``base`` with the given arrival times stamped on in order.
 
-    Each request is rebuilt through the :class:`Request` constructor, so
-    its validation (a finite, non-negative ``arrival_time``) runs per
-    request, and every stamped time is a Python ``float``.
+    The arrival column is validated like every workload column (a finite,
+    non-negative time per request, reported for the first offending
+    request), and the other three columns are carried over unchanged.
     """
-    if len(arrivals) != len(base.requests):
+    times = np.asarray(arrivals, dtype=np.float64)
+    if times.shape != (base.num_requests,):
         raise ConfigurationError(
-            f"{len(arrivals)} arrival times for {len(base.requests)} requests"
+            f"{times.size} arrival times for {base.num_requests} requests"
         )
-    times = np.asarray(arrivals, dtype=float).tolist()
-    reqs = tuple(
-        Request(r.request_id, r.prompt_len, r.output_len, t)
-        for r, t in zip(base.requests, times, strict=True)
+    return WorkloadSpec(
+        name or base.name,
+        request_id=base.request_id,
+        prompt_len=base.prompt_len,
+        output_len=base.output_len,
+        arrival_time=times,
     )
-    return WorkloadSpec(name=name or base.name, requests=reqs)
 
 
 def _require_positive(value: float, what: str) -> None:
@@ -99,7 +100,7 @@ def poisson_arrivals(
     _require_positive(rate_rps, "arrival rate")
     return stamp_arrivals(
         base,
-        _stationary_times(len(base.requests), rate_rps, None, seed),
+        _stationary_times(base.num_requests, rate_rps, None, seed),
         name=f"{base.name}+poisson({rate_rps:g}rps)",
     )
 
@@ -121,7 +122,7 @@ def bursty_arrivals(
     _require_positive(burstiness, "burstiness")
     return stamp_arrivals(
         base,
-        _stationary_times(len(base.requests), rate_rps, burstiness, seed),
+        _stationary_times(base.num_requests, rate_rps, burstiness, seed),
         name=f"{base.name}+bursty({rate_rps:g}rps,cv2={burstiness:g})",
     )
 
@@ -134,7 +135,9 @@ def _inverse_warp(
     Lockstep bisection: each element runs exactly the float operations of
     a scalar bisection of its own target (bracket ``[0, target/rate +
     period]``, 80 halvings, midpoint of the last bracket), so the result
-    is bit-identical to inverting the targets one by one.
+    is bit-identical to inverting the targets one by one. Elements whose
+    bracket stopped moving leave the lockstep early; their remaining
+    halvings would not change them.
     """
     omega = 2.0 * math.pi / period_s
 
@@ -156,12 +159,25 @@ def _inverse_warp(
             f"diurnal period {period_s:g}s is too short to warp arrivals up "
             f"to {float(target.max()) / rate_rps:g}s in float64"
         )
+    # Active set: a step that leaves an element's (lo, hi) unchanged
+    # leaves the next step the same midpoint and the same comparison, so
+    # the element is settled for good and drops out of the bisection.
+    out = np.empty_like(target)
+    active = np.arange(target.shape[0])
+    goal = target
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        below = cumulative(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return (lo + hi) / 2.0
+        below = cumulative(mid) < goal
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        moved = (new_lo != lo) | (new_hi != hi)
+        lo, hi = new_lo, new_hi
+        if not moved.all():
+            settled = ~moved
+            out[active[settled]] = (lo[settled] + hi[settled]) / 2.0
+            active, lo, hi, goal = active[moved], lo[moved], hi[moved], goal[moved]
+    out[active] = (lo + hi) / 2.0
+    return out
 
 
 def diurnal_arrivals(
@@ -197,7 +213,7 @@ def diurnal_arrivals(
         raise ConfigurationError("diurnal amplitude must be in [0, 1)")
     _require_positive(burstiness, "burstiness")
     times = _stationary_times(
-        len(base.requests),
+        base.num_requests,
         rate_rps,
         None if burstiness == 1.0 else burstiness,
         seed,
@@ -363,12 +379,12 @@ def make_arrivals(
 
 def offered_rate(workload: WorkloadSpec) -> float:
     """Empirical request rate of a stamped workload (requests / span)."""
-    arrivals = [r.arrival_time for r in workload.requests]
-    if not arrivals:
+    arrivals = workload.arrival_time
+    if arrivals.size == 0:
         raise ConfigurationError(
             "cannot compute the offered rate of an empty workload"
         )
-    span = max(arrivals)
+    span = float(arrivals.max())
     if span <= 0:
         raise ConfigurationError("workload has no arrival span (offline?)")
-    return len(arrivals) / span
+    return arrivals.size / span

@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.runtime.request import Request
 from repro.utils.rng import make_rng
 from repro.workloads.spec import WorkloadSpec
 
@@ -40,14 +39,6 @@ def _lognormal_lengths(
     mu = np.log(median)
     raw = rng.lognormal(mean=mu, sigma=sigma, size=n)
     return np.clip(np.round(raw), lo, hi).astype(int)
-
-
-def _requests(inputs: np.ndarray, outputs: np.ndarray) -> tuple[Request, ...]:
-    """One request per (prompt, output) length pair, with ids in order."""
-    return tuple(
-        Request(i, p, o)
-        for i, (p, o) in enumerate(zip(inputs.tolist(), outputs.tolist(), strict=True))
-    )
 
 
 def sharegpt_workload(
@@ -69,7 +60,7 @@ def sharegpt_workload(
     latent = rng.normal(size=num_requests)
     out_raw = np.exp(np.log(200) + 0.85 * (0.3 * latent + 0.7 * rng.normal(size=num_requests)))
     outputs = np.clip(np.round(out_raw), 4, 2048).astype(int)
-    return WorkloadSpec(name="sharegpt", requests=_requests(inputs, outputs))
+    return WorkloadSpec("sharegpt", prompt_len=inputs, output_len=outputs)
 
 
 def arxiv_workload(num_requests: int = 500, seed: int | None = None) -> WorkloadSpec:
@@ -88,7 +79,7 @@ def arxiv_workload(num_requests: int = 500, seed: int | None = None) -> Workload
         rng, num_requests, median=180, sigma=0.45, lo=32, hi=640
     )
     return WorkloadSpec(
-        name="arxiv-summarization", requests=_requests(inputs, outputs)
+        "arxiv-summarization", prompt_len=inputs, output_len=outputs
     )
 
 

@@ -8,8 +8,9 @@ building blocks used throughout the tests.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.runtime.request import Request
 from repro.utils.rng import make_rng
 from repro.workloads.spec import WorkloadSpec
 
@@ -23,12 +24,10 @@ def constant_workload(
     """All requests identical — the paper's 'constant-length' workloads."""
     if num_requests < 1:
         raise ConfigurationError("num_requests must be >= 1")
-    reqs = tuple(
-        Request(request_id=i, prompt_len=prompt_len, output_len=output_len)
-        for i in range(num_requests)
-    )
     return WorkloadSpec(
-        name=name or f"const(p={prompt_len},d={output_len})", requests=reqs
+        name or f"const(p={prompt_len},d={output_len})",
+        prompt_len=np.full(num_requests, prompt_len),
+        output_len=np.full(num_requests, output_len),
     )
 
 
@@ -49,11 +48,7 @@ def uniform_workload(
     rng = make_rng(seed)
     prompts = rng.integers(lo_p, hi_p + 1, size=num_requests)
     outputs = rng.integers(lo_o, hi_o + 1, size=num_requests)
-    reqs = tuple(
-        Request(request_id=i, prompt_len=int(p), output_len=int(o))
-        for i, (p, o) in enumerate(zip(prompts, outputs, strict=True))
-    )
-    return WorkloadSpec(name=name or "uniform", requests=reqs)
+    return WorkloadSpec(name or "uniform", prompt_len=prompts, output_len=outputs)
 
 
 def bimodal_workload(
@@ -78,17 +73,12 @@ def bimodal_workload(
         raise ConfigurationError("period must be >= 1")
     if long_prompt < 1 or short_prompt < 1 or output_len < 1:
         raise ConfigurationError("lengths must be >= 1")
-    reqs = tuple(
-        Request(
-            request_id=i,
-            prompt_len=long_prompt if i % period == 0 else short_prompt,
-            output_len=output_len,
-        )
-        for i in range(num_requests)
-    )
     return WorkloadSpec(
-        name=name or f"bimodal(p={long_prompt}|{short_prompt},d={output_len})",
-        requests=reqs,
+        name or f"bimodal(p={long_prompt}|{short_prompt},d={output_len})",
+        prompt_len=np.where(
+            np.arange(num_requests) % period == 0, long_prompt, short_prompt
+        ),
+        output_len=np.full(num_requests, output_len),
     )
 
 
@@ -114,17 +104,3 @@ def ratio_workload(
         name=name or f"ratio(D:P={dp_ratio:g})",
     )
 
-
-def poisson_arrival_workload(
-    base: WorkloadSpec,
-    rate_rps: float,
-    seed: int | None = None,
-) -> WorkloadSpec:
-    """Attach Poisson arrival times to an existing workload.
-
-    Kept as an alias of :func:`repro.workloads.arrivals.poisson_arrivals`
-    for callers that predate the arrivals module.
-    """
-    from repro.workloads.arrivals import poisson_arrivals
-
-    return poisson_arrivals(base, rate_rps, seed=seed)

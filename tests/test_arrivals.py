@@ -24,7 +24,7 @@ from repro.workloads.arrivals import (
     stamp_arrivals,
     trace_arrivals,
 )
-from repro.workloads.synthetic import constant_workload, poisson_arrival_workload
+from repro.workloads.synthetic import constant_workload
 
 
 def base(n=400):
@@ -61,8 +61,8 @@ def _scalar_diurnal(
     else:
         stationary = bursty_arrivals(base, rate_rps, burstiness=burstiness, seed=seed)
     return [
-        _scalar_invert(rate_rps * r.arrival_time, rate_rps, period_s, amplitude)
-        for r in stationary.requests[::step]
+        _scalar_invert(rate_rps * t, rate_rps, period_s, amplitude)
+        for t in stationary.arrival_time[::step].tolist()
     ]
 
 
@@ -127,13 +127,6 @@ class TestPoisson:
             poisson_arrivals(base(), 0.0)
         with pytest.raises(ConfigurationError):
             poisson_arrivals(base(), -3.0)
-
-    def test_legacy_alias_matches(self):
-        via_alias = poisson_arrival_workload(base(), 5.0, seed=9)
-        direct = poisson_arrivals(base(), 5.0, seed=9)
-        assert [r.arrival_time for r in via_alias.requests] == [
-            r.arrival_time for r in direct.requests
-        ]
 
 
 class TestBursty:
@@ -243,7 +236,7 @@ class TestDispatch:
         ValueError ``max()`` raises on an empty sequence."""
         from types import SimpleNamespace
 
-        empty = SimpleNamespace(requests=())
+        empty = SimpleNamespace(arrival_time=np.zeros(0))
         with pytest.raises(ConfigurationError, match="empty workload"):
             offered_rate(empty)
 

@@ -42,6 +42,16 @@ class TestParser:
         assert args.model == "34b"
         assert args.config == "T4P2"
 
+    def test_every_command_help_renders(self, capsys):
+        """A bare ``%`` in a help string crashes argparse's formatter."""
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        for name in commands:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, "--help"])
+            assert exc.value.code == 0, name
+        assert "worst 1% by" in capsys.readouterr().out
+
 
 class TestCommands:
     def test_run_static(self, capsys):

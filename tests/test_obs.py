@@ -296,6 +296,67 @@ class TestSampledSeries:
         assert tel.series == before_series
         assert len(tel.events_of("scale")) == before_scale
 
+    @pytest.mark.parametrize("slos", [(None, None), (0.4, None), (None, 0.3), (0.4, 0.3)])
+    def test_fold_matches_per_record_oracle(self, slos):
+        """The fold reads the latency columns; the per-record walk it
+        replaced is the oracle, on rows out of request-id order, with
+        single-token requests (no TPOT) and an empty window."""
+        from types import SimpleNamespace
+
+        from repro.obs.telemetry import percentiles
+        from repro.runtime.latency import LatencyStats
+
+        n = 240
+        arrival = [0.05 * i for i in range(n)]
+        first = [a + 0.1 * (i % 9) for i, a in enumerate(arrival)]
+        finish = [f + 0.4 * (i % 4) + (30.0 if i % 50 == 0 else 0.0)
+                  for i, f in enumerate(first)]
+        lat = LatencyStats.from_columns(
+            request_id=list(range(n, 0, -1)),
+            arrival=arrival,
+            first_schedule=arrival,
+            first_token=first,
+            finish=finish,
+            output_len=[1 + (i % 3) for i in range(n)],
+        )
+        total = max(finish)
+        tel = Telemetry()
+        ttft_slo, tpot_slo = slos
+        tel.fold_result(
+            SimpleNamespace(engine="e", label="l", num_requests=n, total_time=total,
+                            latency=lat, router=None),
+            ttft_slo=ttft_slo, tpot_slo=tpot_slo,
+        )
+        window = tel.window_s(total)
+        n_windows = max(1, math.ceil(total / window - 1e-9))
+        arrivals = [0] * n_windows
+        finished = [[] for _ in range(n_windows)]
+        for r in lat.records:
+            arrivals[min(int(r.arrival_time / window), n_windows - 1)] += 1
+            finished[min(int(r.finish_time / window), n_windows - 1)].append(r)
+        want = {"cluster.arrival_rate": [], "slo.attainment": []}
+        for q in (50, 90, 99):
+            want[f"ttft.p{q}"] = []
+            want[f"tpot.p{q}"] = []
+        for i, sub in enumerate(finished):
+            t_end = (i + 1) * window
+            want["cluster.arrival_rate"].append((t_end, arrivals[i] / window))
+            att = 1.0
+            if sub:
+                for q, v in zip((50, 90, 99), percentiles([r.ttft for r in sub])):
+                    want[f"ttft.p{q}"].append((t_end, v))
+                tpots = [r.tpot for r in sub if r.tpot is not None]
+                if tpots:
+                    for q, v in zip((50, 90, 99), percentiles(tpots)):
+                        want[f"tpot.p{q}"].append((t_end, v))
+                att = LatencyStats.from_records(sub).slo_attainment(
+                    ttft_slo=ttft_slo, tpot_slo=tpot_slo
+                )
+            want["slo.attainment"].append((t_end, att))
+        assert any(not sub for sub in finished)
+        for name, points in want.items():
+            assert tel.series[name] == points, name
+
 
 # --------------------------------------------------------------------- #
 # Artifact export / import

@@ -35,7 +35,7 @@ def workloads(draw):
                 output_len=draw(st.integers(min_value=1, max_value=512)),
             )
         )
-    return WorkloadSpec(name="prop", requests=tuple(reqs))
+    return WorkloadSpec.from_requests("prop", reqs)
 
 
 class TestEngineInvariants:
@@ -64,9 +64,9 @@ class TestEngineInvariants:
     def test_more_work_takes_longer(self, wl):
         engine = VllmLikeEngine(TINY, CLUSTER, parse_config("T2P2"))
         base = engine.run(wl).total_time
-        bigger = WorkloadSpec(
-            name="prop2",
-            requests=wl.requests
+        bigger = WorkloadSpec.from_requests(
+            "prop2",
+            wl.requests
             + tuple(
                 Request(request_id=1000 + i, prompt_len=512, output_len=64)
                 for i in range(8)

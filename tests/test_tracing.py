@@ -270,6 +270,46 @@ class TestSampling:
         worst_e2e = max(r.e2e for r in result.latency.records)
         assert max(t.e2e for t in tr.traces) == pytest.approx(worst_e2e)
 
+    @pytest.mark.parametrize("sampling", ["all", "rate:0.3", "slo_miss", "p99_exemplars"])
+    def test_selection_matches_per_record_rule(self, sampling):
+        """Selection reads the latency columns; the per-record rule it
+        replaced is the oracle. Rows are out of request-id order and e2e
+        has ties, so both orderings (row and id) are exercised."""
+        from types import SimpleNamespace
+
+        from repro.obs.tracing import _hash_keep
+        from repro.runtime.latency import LatencyStats
+
+        n = 300
+        arrival = [0.01 * i for i in range(n)]
+        first = [a + 0.05 * (i % 7) for i, a in enumerate(arrival)]
+        finish = [f + 0.5 * (i % 5) for i, f in enumerate(first)]
+        lat = LatencyStats.from_columns(
+            request_id=list(range(n, 0, -1)),
+            arrival=arrival,
+            first_schedule=arrival,
+            first_token=first,
+            finish=finish,
+            output_len=[1 + (i % 3) for i in range(n)],
+        )
+        tr = Tracer(sampling)
+        tr.finalize(SimpleNamespace(latency=lat), ttft_slo=0.2, tpot_slo=0.3)
+        recs = lat.records
+        if sampling == "all":
+            want = recs
+        elif sampling == "rate:0.3":
+            want = [r for r in recs if _hash_keep(r.request_id, 0.3)]
+        elif sampling == "slo_miss":
+            want = [
+                r for r in recs
+                if r.ttft > 0.2 or (r.tpot is not None and r.tpot > 0.3)
+            ]
+        else:
+            worst = sorted(recs, key=lambda r: (-r.e2e, r.request_id))[:3]
+            want = sorted(worst, key=lambda r: r.request_id)
+        assert [t.request_id for t in tr.traces] == [r.request_id for r in want]
+        assert 0 < len(want) < n or sampling == "all"
+
     def test_slo_miss_keeps_only_violators(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(constant_workload(40, 512, 16), 12.0, seed=11)
         tr = Tracer("slo_miss")

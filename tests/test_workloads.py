@@ -3,11 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.datasets import arxiv_workload, sample_dataset, sharegpt_workload
 from repro.workloads.spec import WorkloadSpec, workload_stats
 from repro.workloads.synthetic import (
     constant_workload,
-    poisson_arrival_workload,
     ratio_workload,
     uniform_workload,
 )
@@ -16,7 +16,7 @@ from repro.workloads.synthetic import (
 class TestSpec:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            WorkloadSpec(name="x", requests=())
+            WorkloadSpec.from_requests("x", ())
 
     def test_totals(self):
         wl = constant_workload(10, 100, 20)
@@ -65,9 +65,9 @@ class TestSpec:
 
         base = constant_workload(8, 100, 20)
         stamps = [0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 4.0]
-        wl = WorkloadSpec(
-            name="burst",
-            requests=tuple(
+        wl = WorkloadSpec.from_requests(
+            "burst",
+            tuple(
                 replace(r, arrival_time=t)
                 for r, t in zip(base.requests, stamps)
             ),
@@ -116,7 +116,7 @@ class TestSynthetic:
 
     def test_poisson_arrivals_increase(self):
         base = constant_workload(20, 100, 10)
-        wl = poisson_arrival_workload(base, rate_rps=2.0, seed=1)
+        wl = poisson_arrivals(base, rate_rps=2.0, seed=1)
         times = [r.arrival_time for r in wl.requests]
         assert times == sorted(times)
         assert times[0] > 0
