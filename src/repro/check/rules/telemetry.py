@@ -10,7 +10,8 @@ enclosing guard protects.
 
 A receiver that is a *parameter* of the enclosing function is treated as
 guaranteed-non-None by its callers (the idiom used by helpers like
-``_sample_cluster(self, tel, t)`` that are only invoked under a guard).
+``ReplicaFleet.sample_cluster(self, tel, t)`` that are only invoked
+under a guard).
 """
 
 from __future__ import annotations

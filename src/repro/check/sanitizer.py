@@ -19,7 +19,9 @@ the simulator's correctness rests on:
 - **S5 request-identity** — request ids stay unique across dispatch and
   storm re-dispatch (an id is owned by exactly one replica at a time).
 - **S6 fleet-lifecycle** — replica lifecycle transitions only move along
-  provisioning -> warming -> active -> draining -> stopped.
+  provisioning -> warming -> active -> draining -> stopped, and never at
+  an earlier virtual time than the same replica's previous transition
+  (a drained replica cannot stop before the order that drained it).
 
 Violations raise :class:`SanitizerError` carrying the rule id, the
 virtual timestamp, and the replica id. ``sanitize=None`` (the default)
@@ -98,6 +100,7 @@ class Sanitizer:
         self.checks: dict[str, int] = {rule: 0 for rule in RULES}
         self._owner: dict[int, int] = {}  # request_id -> owning replica
         self._cluster_clock = -math.inf
+        self._transition_at: dict[int, float] = {}  # replica -> last S6 stamp
 
     def begin_run(self) -> None:
         """Reset per-run state (request ownership, the cluster-clock
@@ -106,6 +109,7 @@ class Sanitizer:
         check counters keep accumulating across runs."""
         self._owner.clear()
         self._cluster_clock = -math.inf
+        self._transition_at.clear()
 
     # ------------------------------------------------------------------ #
     # S1 — clock monotonicity
@@ -296,6 +300,16 @@ class Sanitizer:
                 time=now,
                 replica=replica,
             )
+        last = self._transition_at.get(replica, -math.inf)
+        if now < last - _TOL:
+            raise SanitizerError(
+                "S6",
+                f"lifecycle transition {old} -> {new} at {now:.9f} is stamped "
+                f"before the replica's previous transition at {last:.9f}",
+                time=now,
+                replica=replica,
+            )
+        self._transition_at[replica] = now
 
     # ------------------------------------------------------------------ #
     # S3 + S4 — drain-time conservation

@@ -23,7 +23,8 @@ system model:
   membership (``provisioning -> warming -> active -> draining ->
   stopped``) with cost-model scale-up latency (weight load + KV warmup);
   the dispatch policies rank whatever membership is active at each
-  decision instant.
+  decision instant. The fluid tier (:mod:`repro.cluster.fluid`) runs its
+  mean-field replicas through the same fleet.
 - :mod:`repro.cluster.autoscaler` — pluggable scaling policies on the
   shared clock (``none`` / ``threshold`` / ``predictive`` Erlang-C
   right-sizing / ``threshold:burn_rate`` SLO burn-rate fast path),

@@ -245,9 +245,9 @@ class BurnRateThresholdAutoscaler(ThresholdAutoscaler):
         slack = self.ttft_slo - self.prefill_latency_s
         for h in fleet.active_handles():
             sim = h.sim
-            # The fluid fleet models no per-request queues (its replicas
-            # answer for themselves and carry only drain horizons); the
-            # burn-rate signal degrades to the plain threshold rules.
+            # Fluid-tier replicas model no per-request queues (they carry
+            # only drain horizons); the burn-rate signal degrades to the
+            # plain threshold rules.
             run = getattr(sim, "run", None)
             if run is None:
                 continue

@@ -1,9 +1,7 @@
-"""Lifecycle-managed elastic replica fleet for the coupled simulator.
+"""Lifecycle-managed elastic replica fleet, shared by both fidelity tiers.
 
-Every layer below PR 4 assumed a replica set fixed at t=0. This module
-removes that assumption: a :class:`ReplicaFleet` owns one
-:class:`ReplicaHandle` per replica that *ever* existed, each moving
-through the lifecycle
+A :class:`ReplicaFleet` owns one :class:`ReplicaHandle` per replica that
+*ever* existed, each moving through the lifecycle
 
     provisioning -> warming -> active -> draining -> stopped
 
@@ -15,7 +13,17 @@ and then warms its KV region (one streaming pass over the KV pool at
 attainable HBM bandwidth: allocation plus page-touch). Only then does it
 become *active* and enter the dispatch membership. Scale-down drains: a
 draining replica accepts no new dispatches but finishes everything
-already dispatched to it, then stops.
+already dispatched to it, then stops at the later of its drain order and
+its last work.
+
+The fleet serves the event tier
+(:class:`~repro.cluster.simulator.ClusterSimulator`, whose replicas are
+engine :class:`~repro.cluster.replica.ReplicaSim` generators) and the
+fluid tier (:class:`~repro.cluster.fluid.FluidSimulator`, whose replicas
+are mean-field queues) alike: the tier only supplies the factory that
+starts a replica at activation. Membership, the autoscaler's view,
+lifecycle transitions and every accounting rule below are therefore one
+definition at both fidelity levels.
 
 Membership changes are first-class events: activations and stops are
 timestamped, logged (:class:`~repro.routing.stats.FleetEvent`) and folded
@@ -29,17 +37,27 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from repro.cluster.replica import ObservedLoad, ReplicaSim
+from repro.cluster.autoscaler import Autoscaler, make_autoscaler
+from repro.cluster.replica import ObservedLoad
 from repro.costmodel.transfer import TransferModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.parallel.memory import kv_capacity_bytes_per_gpu, weight_bytes_per_gpu
-from repro.routing.load import RouterContext
+from repro.routing.load import RouterContext, _duration
 from repro.routing.stats import FleetEvent, FleetStats
+from repro.workloads.spec import WorkloadSpec, request_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import BaseEngine
+    from repro.runtime.request import Request
+
+#: Starts one replica at activation: ``(replica_id, start_time) -> (sim,
+#: load)``. ``sim`` answers ``clock``, ``idle_time()``,
+#: ``queued_prefill_tokens(now)``, ``outstanding_tokens(now)`` (the drain
+#: cost scale-down ranks victims by) and ``drained_by(now)``; ``load`` is
+#: the view the routing policies and the autoscaler rank.
+ReplicaStarter = Callable[[int, float], tuple[Any, Any]]
 
 _EPS = 1e-12
 
@@ -87,8 +105,9 @@ class ReplicaHandle:
         self.weights_ready_at = weights_ready_at
         self.active_at = active_at
         self.state = ReplicaLifecycle.PROVISIONING
-        self.sim: ReplicaSim | None = None
-        self.load: ObservedLoad | None = None
+        # The tier's replica model and load view, set at activation.
+        self.sim: Any = None
+        self.load: Any = None
         self.drain_started_at: float | None = None
         self.stopped_at: float | None = None
 
@@ -124,6 +143,7 @@ class ReplicaFleet:
         min_dp: int = 1,
         max_dp: int | None = None,
         autoscaler_name: str = "none",
+        start: ReplicaStarter | None = None,
     ) -> None:
         if initial_dp < 1:
             raise ConfigurationError("fleet needs at least one initial replica")
@@ -148,6 +168,7 @@ class ReplicaFleet:
             )
         self.engine = engine
         self.context = context
+        self._start = start if start is not None else self._start_engine_replica
         self.min_dp = min_dp
         self.max_dp = max_dp
         self.autoscaler_name = autoscaler_name
@@ -158,8 +179,9 @@ class ReplicaFleet:
         self.handles: list[ReplicaHandle] = []
         # Lifecycle worklists so the per-event poll/reap sweeps touch only
         # replicas that can actually transition (id-ordered, like the
-        # full-handle scans they replace).
-        self._pending: list[ReplicaHandle] = []
+        # full-handle scans they replace). ``pending`` is public so a
+        # per-arrival loop can skip the poll call while it is empty.
+        self.pending: list[ReplicaHandle] = []
         self._draining: list[ReplicaHandle] = []
         self.events: list[FleetEvent] = []
         self.scale_ups = 0
@@ -185,13 +207,13 @@ class ReplicaFleet:
         """The membership view the routing policies rank right now."""
         return [h.load for h in self.handles if h.dispatchable and h.load]
 
-    def live_sims(self) -> Iterator[ReplicaSim]:
+    def live_sims(self) -> Iterator[Any]:
         """Simulations that still execute events (active + draining)."""
         for h in self.handles:
             if h.live and h.sim is not None:
                 yield h.sim
 
-    def sims(self) -> Iterator[ReplicaSim]:
+    def sims(self) -> Iterator[Any]:
         """Every simulation that ever ran (any lifecycle state)."""
         for h in self.handles:
             if h.sim is not None:
@@ -236,7 +258,7 @@ class ReplicaFleet:
             handle = ReplicaHandle(rid, now, ready, ready + self.kv_warmup_s)
         self.handles.append(handle)
         if not prewarmed:
-            self._pending.append(handle)
+            self.pending.append(handle)
         return handle
 
     def _transition(
@@ -250,21 +272,24 @@ class ReplicaFleet:
             )
         handle.state = new_state
 
+    def _start_engine_replica(self, replica_id: int, start_time: float):
+        """The event tier's replica: the engine's steppable simulation,
+        ranked through its observed load."""
+        sim = self.engine.start_replica(replica_id, start_time=start_time)
+        return sim, ObservedLoad(sim, self.context)
+
     def _activate(self, handle: ReplicaHandle) -> None:
         self._transition(handle, ReplicaLifecycle.ACTIVE, handle.active_at)
-        handle.sim = self.engine.start_replica(
-            handle.replica_id, start_time=handle.active_at
-        )
-        handle.load = ObservedLoad(handle.sim, self.context)
+        handle.sim, handle.load = self._start(handle.replica_id, handle.active_at)
 
     def poll(self, now: float) -> list[ReplicaHandle]:
         """Commit every lifecycle transition due by ``now`` (the
         membership events of the shared clock); returns the handles that
         became active so the caller can schedule their first events."""
-        if not self._pending:
+        if not self.pending:
             return []
         activated: list[ReplicaHandle] = []
-        for h in self._pending:
+        for h in self.pending:
             if (
                 h.state is ReplicaLifecycle.PROVISIONING
                 and h.weights_ready_at <= now + _EPS
@@ -286,19 +311,22 @@ class ReplicaFleet:
                 )
                 activated.append(h)
         if activated:
-            self._pending = [h for h in self._pending if h.state is not ReplicaLifecycle.ACTIVE]
+            self.pending = [
+                h for h in self.pending if h.state is not ReplicaLifecycle.ACTIVE
+            ]
         return activated
 
-    def reap_drained(self) -> None:
-        """Stop draining replicas whose in-flight work has completed."""
+    def reap_drained(self, now: float = math.inf) -> None:
+        """Stop draining replicas whose in-flight work has completed by
+        ``now`` (by default, at all: the end-of-run sweep)."""
         if not self._draining:
             return
         reaped = False
         for h in sorted(self._draining, key=lambda h: h.replica_id):
             if h.state is not ReplicaLifecycle.DRAINING or h.sim is None:
                 continue
-            if math.isinf(h.sim.next_event_time()):
-                # The drain completes when the last in-flight event did,
+            if h.sim.drained_by(now):
+                # The drain completes when the last in-flight work did,
                 # or at the drain order itself if the replica was already
                 # idle when it was told to go.
                 assert h.drain_started_at is not None
@@ -368,7 +396,7 @@ class ReplicaFleet:
                 )
             )
         if drained:
-            self.reap_drained()
+            self.reap_drained(now)
         return drained
 
     def resize_to(self, target: int, now: float, reason: str = "") -> None:
@@ -385,6 +413,29 @@ class ReplicaFleet:
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
+
+    def close(self, makespan: float) -> None:
+        """Commit the end-of-run lifecycle before anything is summarised:
+        stop every drained replica, and activate every scale-up that
+        finished warming by ``makespan``. The tiers poll only at
+        arrivals, so a replica due between the last arrival and the
+        makespan would otherwise be billed but never counted active."""
+        self.reap_drained()
+        self.poll(makespan)
+
+    def sample_cluster(self, tel, t: float) -> None:
+        """One cluster-wide telemetry sample at boundary ``t`` (sample
+        and hold of the membership and queue state at the instant the
+        boundary was crossed — the tiers run only at arrivals, so no
+        finer-grained truth exists)."""
+        queued = 0.0
+        for h in self.handles:
+            if h.dispatchable and h.sim is not None:
+                queued += h.sim.queued_prefill_tokens(t)
+        tel.point("cluster.active_dp", t, float(self.active_count))
+        tel.point("cluster.provisioning", t, float(self.provisioning_count))
+        tel.point("cluster.draining", t, float(self.draining_count))
+        tel.point("cluster.queued_prefill_tokens", t, queued)
 
     def makespan(self) -> float:
         """Latest instant any replica's simulation reached."""
@@ -462,3 +513,66 @@ class ReplicaFleet:
             scale_downs=self.scale_downs,
             events=tuple(self.events),
         )
+
+
+def workload_averages(
+    requests: WorkloadSpec | Sequence["Request"],
+) -> tuple[float, float]:
+    """Mean prompt and output length of a non-empty workload."""
+    prompts, outputs = request_lengths(requests)
+    n = len(prompts)
+    return sum(prompts) / n, sum(outputs) / n
+
+
+def build_fleet(
+    engine: "BaseEngine",
+    context: RouterContext,
+    averages: tuple[float, float],
+    start: ReplicaStarter | None = None,
+) -> tuple[ReplicaFleet, Autoscaler | None]:
+    """The fleet and autoscaler ``engine.options`` ask for, for either tier.
+
+    With no autoscaler the fleet is the configuration's fixed replica set.
+    Otherwise it starts at the configured dp clamped into
+    ``[min_dp, max_dp]``; ``max_dp`` defaults to what the cluster holds,
+    and a ``max_dp`` the cluster cannot hold is rejected. ``averages`` is
+    the workload's mean (prompt, output) length the autoscaler's analytic
+    rates are built from; ``start`` is the tier's replica factory.
+    """
+    options = engine.options
+    dp = engine.config.dp
+    min_dp = options.min_dp if options.min_dp is not None else 1
+    max_dp = options.max_dp
+    if options.autoscaler == "none":
+        min_dp = max_dp = dp
+    fleet = ReplicaFleet(
+        engine,
+        max(min_dp, min(dp, max_dp or dp)),
+        context,
+        min_dp=min_dp,
+        max_dp=max_dp,
+        autoscaler_name=options.autoscaler,
+        start=start,
+    )
+    if options.autoscaler == "none":
+        return fleet, None
+    # The analytic per-replica service time from the router context's
+    # rates: its inverse is the predictive autoscaler's ``mu1``.
+    avg_in, avg_out = averages
+    prefill_s = _duration(avg_in, context.prefill_tokens_per_s)
+    service_s = prefill_s + _duration(
+        max(0.0, avg_out - 1.0), context.decode_tokens_per_s
+    )
+    autoscaler = make_autoscaler(
+        options.autoscaler,
+        fleet.min_dp,
+        fleet.max_dp,
+        up_queue_tokens=float(options.max_batched_tokens),
+        # A degenerate context gets a neutral capacity.
+        capacity_rps_per_replica=(
+            1.0 / service_s if service_s > 0 and math.isfinite(service_s) else 1.0
+        ),
+        prefill_latency_s=prefill_s if math.isfinite(prefill_s) else 0.0,
+        ttft_slo=options.ttft_slo,
+    )
+    return fleet, autoscaler

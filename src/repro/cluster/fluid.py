@@ -22,9 +22,11 @@ mean-field model and processes one *arrival* per event instead of one
 - the boundary-quantization penalty of a real engine (an arrival waits
   for the in-flight iteration to finish before its prefill can start) is
   charged as half an iteration at the current operating point;
-- the autoscaler runs unmodified on its usual cadence against a
-  duck-typed fleet view; scale-ups pay the cost model's provisioning
-  latency, scale-downs drain their fluid backlog before stopping.
+- the replicas live in the same :class:`~repro.cluster.fleet.ReplicaFleet`
+  the event tier uses, and the autoscaler runs unmodified on its usual
+  cadence against that fleet: membership, lifecycle transitions,
+  scale-up provisioning latency, drain-then-stop and every fleet
+  accounting rule are the event tier's own.
 
 The offered rate that drives the decode operating point is precomputed
 for every arrival in one numpy pass over the sorted arrival times
@@ -43,22 +45,15 @@ being interactive.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.autoscaler import make_autoscaler
-from repro.cluster.fleet import provision_times
-from repro.cluster.simulator import (
-    _capacity_rps_from,
-    _prefill_latency_from,
-    _workload_averages,
-)
+from repro.cluster.fleet import build_fleet, workload_averages
 from repro.costmodel.breakdown import Breakdown
 from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.errors import ConfigurationError, SimulationError
-from repro.routing.stats import FleetEvent, FleetStats, RouterStats
+from repro.routing.stats import RouterStats
 from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult
 from repro.runtime.request import Request
@@ -101,13 +96,16 @@ _MAX_SAMPLED_REPLICAS = 32
 
 
 class _FluidReplica:
-    """One replica's fluid state: a prefill stream, a decode tail, and
-    the lifecycle timestamps the fleet accounting bills."""
+    """One replica's fluid state: a prefill stream and a decode tail.
+
+    The fleet's :class:`~repro.cluster.fleet.ReplicaHandle` holds its
+    lifecycle; the replica is both the handle's ``sim`` and its ``load``,
+    answering the signals the autoscaler and the fleet accounting read.
+    """
 
     __slots__ = (
         "replica_id",
-        "created_at",
-        "active_at",
+        "rate",
         "ready",
         "decode_done",
         "idle_seconds",
@@ -116,32 +114,21 @@ class _FluidReplica:
         "num_requests",
         "total_tokens",
         "peak_queued",
-        "draining",
-        "stopped_at",
     )
 
-    def __init__(self, replica_id: int, created_at: float, active_at: float) -> None:
+    def __init__(self, replica_id: int, start_time: float, prefill_rate: float) -> None:
         self.replica_id = replica_id
-        self.created_at = created_at
-        self.active_at = active_at
+        self.rate = prefill_rate
         # When the prefill stream drains (absolute time); queued prefill
         # tokens at ``now`` are (ready - now) * prefill rate.
-        self.ready = active_at
-        self.decode_done = active_at  # last token this replica will emit
+        self.ready = start_time
+        self.decode_done = start_time  # last token this replica will emit
         self.idle_seconds = 0.0
         self.prefill_busy = 0.0
         self.decode_tokens_total = 0
         self.num_requests = 0
         self.total_tokens = 0
         self.peak_queued = 0.0
-        self.draining = False
-        self.stopped_at = math.inf
-
-    # Duck-typed surface the autoscalers touch (``handle.sim`` on the
-    # event path; here the replica answers for itself).
-    @property
-    def sim(self) -> "_FluidReplica":
-        return self
 
     @property
     def clock(self) -> float:
@@ -150,48 +137,22 @@ class _FluidReplica:
     def idle_time(self) -> float:
         return self.idle_seconds
 
-    def end_time(self, makespan: float) -> float:
-        return self.stopped_at if math.isfinite(self.stopped_at) else makespan
-
-    def outstanding_seconds(self, now: float) -> float:
-        """Seconds until this replica would finish everything dispatched
-        to it — the drain horizon a scale-down victim bills for (the
-        event fleet's least-outstanding-work rule counts the undecoded
-        backlog too, not just the prefill queue)."""
-        horizon = self.ready if self.ready > self.decode_done else self.decode_done
-        return max(0.0, horizon - now)
-
-
-class _FluidLoad:
-    """The slice of the ObservedLoad view the threshold autoscaler reads."""
-
-    __slots__ = ("replica", "rate")
-
-    def __init__(self, replica: _FluidReplica, prefill_rate: float) -> None:
-        self.replica = replica
-        self.rate = prefill_rate
+    def outstanding_tokens(self, now: float) -> float:
+        """Everything dispatched here and not done by ``now`` — the
+        prefill queue *and* the decode tail — as seconds of drain horizon
+        at the prefill rate: the drain cost scale-down ranks victims by."""
+        return max(0.0, self.clock - now) * self.rate
 
     def queued_prefill_tokens(self, now: float) -> float:
-        return self.replica.outstanding_seconds(now) * self.rate
+        """The threshold autoscaler's queue signal. A mean-field replica
+        does not split its backlog into queues, so this is the whole
+        drain horizon (:meth:`outstanding_tokens`)."""
+        return self.outstanding_tokens(now)
 
-
-class _FluidFleetView:
-    """Duck-typed ReplicaFleet facade the autoscaler policies consult."""
-
-    __slots__ = ("sim",)
-
-    def __init__(self, sim: "FluidSimulator") -> None:
-        self.sim = sim
-
-    @property
-    def target_count(self) -> int:
-        return len(self.sim.active) + len(self.sim.provisioning)
-
-    def active_handles(self) -> list[_FluidReplica]:
-        return self.sim.active
-
-    def dispatch_loads(self) -> list[_FluidLoad]:
-        return [_FluidLoad(r, self.sim.prefill_rate) for r in self.sim.active]
+    def drained_by(self, now: float) -> bool:
+        """Mean-field work is committed at dispatch: the replica has
+        drained once its horizon has passed."""
+        return self.clock <= now
 
 
 class FluidSimulator:
@@ -208,12 +169,11 @@ class FluidSimulator:
             )
         self.prefill_rate = context.prefill_tokens_per_s
         self.decode_rate = context.decode_tokens_per_s
-        self.context = context
         self.policy_name = options.router
         self.rng = (
             make_rng(options.router_seed) if options.router == "po2" else None
         )
-        avg_in, avg_out = _workload_averages(workload)
+        avg_in, avg_out = workload_averages(workload)
         self.avg_ctx = avg_in + avg_out / 2.0
         self.avg_in = avg_in
         self.avg_out = avg_out
@@ -243,36 +203,6 @@ class FluidSimulator:
         # per-replica rate.
         self._tpot_cache: dict[int, tuple[float, float]] = {}
 
-        min_dp = options.min_dp if options.min_dp is not None else 1
-        max_dp = options.max_dp
-        if options.autoscaler == "none":
-            min_dp = max_dp = engine.config.dp
-            self.autoscaler = None
-        else:
-            self.autoscaler = make_autoscaler(
-                options.autoscaler,
-                min_dp,
-                max_dp if max_dp is not None else engine.config.dp,
-                up_queue_tokens=float(options.max_batched_tokens),
-                capacity_rps_per_replica=_capacity_rps_from(context, avg_in, avg_out),
-                prefill_latency_s=_prefill_latency_from(context, avg_in),
-                ttft_slo=options.ttft_slo,
-            )
-        self.min_dp = min_dp
-        self.max_dp = max_dp if max_dp is not None else engine.config.dp
-        self.weight_load_s, self.kv_warmup_s = provision_times(engine)
-
-        initial_dp = max(min_dp, min(engine.config.dp, self.max_dp))
-        self.replicas: list[_FluidReplica] = [
-            _FluidReplica(i, 0.0, 0.0) for i in range(initial_dp)
-        ]
-        self.active: list[_FluidReplica] = list(self.replicas)
-        self.provisioning: list[_FluidReplica] = []
-        self.draining: list[_FluidReplica] = []
-        self.events: list[FleetEvent] = []
-        self.scale_ups = 0
-        self.scale_downs = 0
-        self._fleet_view = _FluidFleetView(self)
         # Coarse telemetry sampler (repro.obs): same series schema as the
         # event path, sampled on a widened grid so a million-request day
         # stays a few-hundred-point artifact. Per-replica series are only
@@ -280,39 +210,52 @@ class FluidSimulator:
         self.telemetry = options.telemetry
         # simsan: the fluid path checks the mean-field analogs — causal
         # per-request timelines inline, aggregate token conservation at
-        # drain (there are no per-token events or KV books to sweep).
+        # drain (there are no per-token events or KV books to sweep) —
+        # plus the fleet's lifecycle transitions. Reset before the fleet
+        # fires its prewarm transitions.
         self.sanitizer = options.sanitize
         if self.sanitizer is not None:
             self.sanitizer.begin_run()
-        # numpy mirror of the active replicas' ready times (the ranking
-        # key every queue-depth policy reduces to); rebuilt on membership
-        # changes, updated in place on dispatch.
+        self.fleet, self.autoscaler = build_fleet(
+            engine,
+            context,
+            (avg_in, avg_out),
+            start=self._start_replica,
+        )
+        # The dispatchable replicas in id order, with numpy mirrors of
+        # their ready times (the ranking key every queue-depth policy
+        # reduces to) and least-work decode backlogs: rebuilt when the
+        # fleet's membership changes, updated in place on dispatch.
+        self.active: list[_FluidReplica] = [
+            h.sim for h in self.fleet.active_handles()
+        ]
         self._ready = np.array([r.ready for r in self.active], dtype=np.float64)
         self._decode_secs = np.zeros(len(self.active), dtype=np.float64)
-        # The membership snapshot the arrays were built against. Scale
-        # up/down mutates ``active`` before the rebuild, so carrying
-        # per-replica state across a rebuild must key off this snapshot —
-        # pairing the *new* membership positionally would hand a removed
-        # replica's decode backlog to whoever shifted into its slot.
-        self._array_members: list = list(self.active)
         self._decode_last = 0.0
 
     # ------------------------------------------------------------------ #
     # Fleet membership
     # ------------------------------------------------------------------ #
 
+    def _start_replica(
+        self, replica_id: int, start_time: float
+    ) -> tuple[_FluidReplica, _FluidReplica]:
+        replica = _FluidReplica(replica_id, start_time, self.prefill_rate)
+        return replica, replica
+
     def _rebuild_arrays(self, now: float) -> None:
+        """Re-read the fleet's membership; a replica that stays keeps its
+        decode backlog."""
         self._decay_decode(now)
-        order = {
-            id(r): s
-            for r, s in zip(self._array_members, self._decode_secs, strict=True)
+        backlog = {
+            r.replica_id: s
+            for r, s in zip(self.active, self._decode_secs.tolist(), strict=True)
         }
-        self.active.sort(key=lambda r: r.replica_id)
+        self.active = [h.sim for h in self.fleet.active_handles()]
         self._ready = np.array([r.ready for r in self.active], dtype=np.float64)
         self._decode_secs = np.array(
-            [order.get(id(r), 0.0) for r in self.active], dtype=np.float64
+            [backlog.get(r.replica_id, 0.0) for r in self.active], dtype=np.float64
         )
-        self._array_members = list(self.active)
 
     def _decay_decode(self, now: float) -> None:
         dt = now - self._decode_last
@@ -321,88 +264,29 @@ class FluidSimulator:
             np.maximum(self._decode_secs, 0.0, out=self._decode_secs)
             self._decode_last = now
 
-    def _poll(self, now: float) -> None:
-        if not self.provisioning:
+    def _resize(self, target: int, now: float, reason: str) -> None:
+        fleet = self.fleet
+        fleet.reap_drained(now)
+        mark = len(fleet.events)
+        fleet.resize_to(target, now, reason=reason)
+        victims = [
+            fleet.handle(e.replica_id).sim
+            for e in fleet.events[mark:]
+            if e.kind == "scale-down"
+        ]
+        if not victims:
             return
-        due = [r for r in self.provisioning if r.active_at <= now]
-        if not due:
-            return
-        self.provisioning = [r for r in self.provisioning if r.active_at > now]
-        for r in sorted(due, key=lambda r: r.active_at):
-            self.active.append(r)
-            self.events.append(
-                FleetEvent(
-                    r.active_at, "active", r.replica_id, len(self.active),
-                    reason=(
-                        f"weights loaded {self.weight_load_s:.2f}s + KV warm "
-                        f"{self.kv_warmup_s:.2f}s after scale-up"
-                    ),
-                )
-            )
-        self._rebuild_arrays(now)
-
-    def _reap(self, now: float) -> None:
-        if not self.draining:
-            return
-        still = []
-        for r in self.draining:
-            done = max(r.ready, r.decode_done, r.active_at)
-            if done <= now:
-                r.stopped_at = done
-                self.events.append(
-                    FleetEvent(
-                        done, "stopped", r.replica_id, len(self.active),
-                        reason="fluid backlog drained",
-                    )
-                )
-            else:
-                still.append(r)
-        self.draining = still
-
-    def _resize(self, target: int, now: float, reason: str = "") -> None:
-        target = max(self.min_dp, min(self.max_dp, target))
-        current = len(self.active) + len(self.provisioning)
-        while current < target:
-            rid = len(self.replicas)
-            replica = _FluidReplica(
-                rid, now, now + self.weight_load_s + self.kv_warmup_s
-            )
-            self.replicas.append(replica)
-            self.provisioning.append(replica)
-            self.scale_ups += 1
-            self.events.append(
-                FleetEvent(now, "scale-up", rid, len(self.active), reason=reason)
-            )
-            current += 1
-        while current > target and len(self.active) > 1:
-            # Least outstanding work first, youngest on ties (the event
-            # fleet's victim rule).
-            victim = min(
-                self.active,
-                key=lambda r: (r.outstanding_seconds(now), -r.replica_id),
-            )
-            self.active.remove(victim)
-            victim.draining = True
-            # A draining replica takes no more arrivals, so the prefill
-            # interleave that stretched its inter-token time vanishes:
-            # its remaining decode tail compresses to the bare iteration
-            # time (mirrors the drain-phase correction in run()).
-            tpot, tpot_drain = self._tpot_now
+        # A draining replica takes no more arrivals, so the prefill
+        # interleave that stretched its inter-token time vanishes: its
+        # remaining decode tail compresses to the bare iteration time
+        # (mirrors the drain-phase correction in run()).
+        tpot, tpot_drain = self._tpot_now
+        for victim in victims:
             if victim.decode_done > now and tpot_drain < tpot:
                 victim.decode_done = now + (victim.decode_done - now) * (
                     tpot_drain / tpot
                 )
-            self.draining.append(victim)
-            self.scale_downs += 1
-            self.events.append(
-                FleetEvent(
-                    now, "scale-down", victim.replica_id, len(self.active),
-                    reason=reason,
-                )
-            )
-            current -= 1
-            self._rebuild_arrays(now)
-        self._reap(now)
+        self._rebuild_arrays(now)
 
     # ------------------------------------------------------------------ #
     # Decode operating point
@@ -511,6 +395,7 @@ class FluidSimulator:
             rates = _offered_rates(arrivals[order_arr]).tolist()
             order = order_arr.tolist()
         pf_rate = self.prefill_rate
+        fleet = self.fleet
         active = self.active
         ready_arr = self._ready
         autoscaler = self.autoscaler
@@ -540,13 +425,13 @@ class FluidSimulator:
             sample_step = max(tel.interval_s, arrivals_end / MAX_WINDOWS)
         for pos, i in enumerate(order):
             now = times[i]
-            if self.provisioning:
-                self._poll(now)
+            if fleet.pending and fleet.poll(now):
+                self._rebuild_arrays(now)
                 active = self.active
                 ready_arr = self._ready
             if autoscaler is not None:
                 autoscaler.note_arrival(now)
-                target = autoscaler.decide(now, self._fleet_view)
+                target = autoscaler.decide(now, fleet)
                 if target is not None:
                     self._resize(target, now, reason=autoscaler.last_reason)
                     active = self.active
@@ -634,23 +519,8 @@ class FluidSimulator:
                     finish=finish,
                 )
 
-        self._reap(arrivals_end)
-        for r in self.draining:
-            r.stopped_at = max(r.ready, r.decode_done, r.active_at)
-            self.events.append(
-                FleetEvent(
-                    r.stopped_at, "stopped", r.replica_id, len(self.active),
-                    reason="fluid backlog drained",
-                )
-            )
-        self.draining = []
-        makespan = max(
-            max(finish_t) if finish_t else 0.0,
-            max(
-                (r.stopped_at for r in self.replicas if math.isfinite(r.stopped_at)),
-                default=0.0,
-            ),
-        )
+        makespan = fleet.makespan()
+        fleet.close(makespan)
 
         if tel is not None:
             # Close out the timeline through the drain tail.
@@ -658,26 +528,18 @@ class FluidSimulator:
                 self._sample(tel, t)
 
         if trc is not None:
-            trc.set_warming_windows(
-                tuple(
-                    (r.replica_id, r.created_at, r.active_at)
-                    for r in self.replicas
-                    if r.active_at > r.created_at
-                )
-            )
+            trc.set_warming_windows(fleet.warming_windows())
 
+        replicas = list(fleet.sims())
         if san is not None:
             san.check_fluid_conservation(
                 num_requests=n,
-                dispatched=sum(r.num_requests for r in self.replicas),
+                dispatched=sum(r.num_requests for r in replicas),
                 prompt_tokens=sum(prompts),
-                served_prompt_tokens=sum(
-                    r.prefill_busy for r in self.replicas
-                )
-                * pf_rate,
-                decode_tokens=sum(r.decode_tokens_total for r in self.replicas),
+                served_prompt_tokens=sum(r.prefill_busy for r in replicas) * pf_rate,
+                decode_tokens=sum(r.decode_tokens_total for r in replicas),
                 expected_decode_tokens=sum(max(0, o - 1) for o in outputs),
-                total_tokens=sum(r.total_tokens for r in self.replicas),
+                total_tokens=sum(r.total_tokens for r in replicas),
                 expected_total_tokens=sum(prompts) + sum(outputs),
                 now=makespan,
             )
@@ -691,12 +553,9 @@ class FluidSimulator:
             output_len=workload.output_len,
         )
         phase_time = {
-            "prefill": max((r.prefill_busy for r in self.replicas), default=0.0),
-            "decode": max(
-                (r.decode_tokens_total * decode_tail for r in self.replicas),
-                default=0.0,
-            ),
-            "idle": max((r.idle_seconds for r in self.replicas), default=0.0),
+            "prefill": max(r.prefill_busy for r in replicas),
+            "decode": max(r.decode_tokens_total * decode_tail for r in replicas),
+            "idle": max(r.idle_seconds for r in replicas),
         }
         return EngineResult(
             engine=self.engine.name,
@@ -718,22 +577,17 @@ class FluidSimulator:
     # ------------------------------------------------------------------ #
 
     def _sample(self, tel, t: float) -> None:
-        """One cluster sample at grid boundary ``t`` (fluid queue depths
-        are analytic: queued tokens = remaining drain seconds x rate)."""
-        pf_rate = self.prefill_rate
-        queued = 0.0
-        for r in self.active:
-            queued += max(0.0, r.ready - t) * pf_rate
-        tel.point("cluster.active_dp", t, float(len(self.active)))
-        tel.point("cluster.provisioning", t, float(len(self.provisioning)))
-        tel.point("cluster.draining", t, float(len(self.draining)))
-        tel.point("cluster.queued_prefill_tokens", t, queued)
-        if len(self.replicas) <= _MAX_SAMPLED_REPLICAS:
-            for r in self.active:
+        """One telemetry sample at grid boundary ``t``: the fleet's
+        cluster.* series, plus per-replica queue depths on small fleets
+        (fluid queue depths are analytic drain horizons x rate)."""
+        fleet = self.fleet
+        fleet.sample_cluster(tel, t)
+        if len(fleet.handles) <= _MAX_SAMPLED_REPLICAS:
+            for h in fleet.active_handles():
                 tel.point(
-                    f"replica{r.replica_id}.queued_prefill_tokens",
+                    f"replica{h.replica_id}.queued_prefill_tokens",
                     t,
-                    max(0.0, r.ready - t) * pf_rate,
+                    h.sim.queued_prefill_tokens(t),
                 )
 
     # ------------------------------------------------------------------ #
@@ -741,66 +595,25 @@ class FluidSimulator:
     # ------------------------------------------------------------------ #
 
     def _stats(self, makespan: float) -> RouterStats:
-        replicas = self.replicas
-        n = len(replicas)
-        fleet_stats = None
-        if self.autoscaler is not None:
-            fleet_stats = self._fleet_stats(makespan)
-        idle = []
-        for r in replicas:
-            window = max(0.0, r.end_time(makespan) - r.active_at)
-            # A drained prefill stream with no decode tail left is idle
-            # for the remainder of the replica's window.
-            tail = max(0.0, r.end_time(makespan) - max(r.clock, r.active_at))
-            idle.append(
-                min(1.0, (r.idle_seconds + tail) / window) if window > 0 else 0.0
+        fleet = self.fleet
+        handles = fleet.handles
+        n = len(handles)
+
+        def per_replica(attr: str, default):
+            return tuple(
+                getattr(h.sim, attr) if h.sim is not None else default
+                for h in handles
             )
+
         return RouterStats(
             policy=self.policy_name,
             num_replicas=n,
-            requests_per_replica=tuple(r.num_requests for r in replicas),
-            tokens_per_replica=tuple(r.total_tokens for r in replicas),
-            peak_queued_prefill_tokens=tuple(r.peak_queued for r in replicas),
+            requests_per_replica=per_replica("num_requests", 0),
+            tokens_per_replica=per_replica("total_tokens", 0),
+            peak_queued_prefill_tokens=per_replica("peak_queued", 0.0),
             predicted_preemptions=(0,) * n,
             coupled=True,
             observed_preemptions=(0,) * n,  # the fluid model never preempts
-            idle_fraction=tuple(idle),
-            fleet=fleet_stats,
-        )
-
-    def _fleet_stats(self, makespan: float) -> FleetStats:
-        deltas: dict[float, int] = {}
-        for r in self.replicas:
-            end = r.end_time(makespan)
-            if end <= r.active_at:
-                continue
-            deltas[r.active_at] = deltas.get(r.active_at, 0) + 1
-            deltas[end] = deltas.get(end, 0) - 1
-        peak = level = 0
-        active_seconds = 0.0
-        last_t: float | None = None
-        for t in sorted(deltas):
-            if last_t is not None:
-                active_seconds += level * (t - last_t)
-            level += deltas[t]
-            peak = max(peak, level)
-            last_t = t
-        billed = sum(r.end_time(makespan) - r.created_at for r in self.replicas)
-        provision = sum(
-            max(0.0, min(r.active_at, makespan) - r.created_at)
-            for r in self.replicas
-        )
-        return FleetStats(
-            autoscaler=self.engine.options.autoscaler,
-            min_dp=self.min_dp,
-            max_dp=self.max_dp,
-            num_handles=len(self.replicas),
-            peak_dp=peak,
-            mean_dp=active_seconds / makespan if makespan > 0 else 0.0,
-            replica_seconds=billed,
-            active_replica_seconds=active_seconds,
-            provision_seconds=provision,
-            scale_ups=self.scale_ups,
-            scale_downs=self.scale_downs,
-            events=tuple(self.events),
+            idle_fraction=fleet.idle_fractions(makespan),
+            fleet=fleet.stats(makespan) if self.autoscaler is not None else None,
         )

@@ -98,6 +98,12 @@ class ReplicaSim:
             return self.clock if arrival <= self.clock + _EPS else arrival
         return self.clock  # defensive: unfinished work of an unknown kind
 
+    def drained_by(self, now: float) -> bool:
+        """Whether nothing dispatched here is left to run. The cluster
+        loop advances every live replica to ``now`` before the fleet
+        reaps, so a replica without a next event has drained."""
+        return math.isinf(self.next_event_time())
+
     def advance(self, until: float) -> None:
         """Execute every event that starts before ``until``.
 

@@ -38,17 +38,14 @@ from typing import Sequence as TypingSequence, TYPE_CHECKING
 import heapq
 import math
 
-from repro.cluster.autoscaler import make_autoscaler
-from repro.cluster.fleet import ReplicaFleet
+from repro.cluster.fleet import build_fleet, workload_averages
 from repro.cluster.replica import _EPS, ReplicaSim
 from repro.errors import ConfigurationError, SimulationError
-from repro.routing.load import _duration
 from repro.routing.policies import DEFAULT_STORM_PREEMPTIONS
 from repro.routing.stats import RouterStats
 from repro.runtime.metrics import EngineResult, merge_dp_results
 from repro.runtime.request import Request
 from repro.runtime.trace import Trace
-from repro.workloads.spec import WorkloadSpec, request_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import BaseEngine
@@ -83,34 +80,9 @@ class ClusterSimulator:
         self.sanitizer = options.sanitize
         if self.sanitizer is not None:
             self.sanitizer.begin_run()
-        min_dp = options.min_dp if options.min_dp is not None else 1
-        max_dp = options.max_dp
-        if options.autoscaler == "none":
-            # Fixed fleet: exactly the configuration's replica set.
-            min_dp = max_dp = engine.config.dp
-        initial_dp = max(min_dp, min(engine.config.dp, max_dp or engine.config.dp))
-        self.fleet = ReplicaFleet(
-            engine,
-            initial_dp,
-            self.policy.context,
-            min_dp=min_dp,
-            max_dp=max_dp,
-            autoscaler_name=options.autoscaler,
+        self.fleet, self.autoscaler = build_fleet(
+            engine, self.policy.context, workload_averages(self.requests)
         )
-        if options.autoscaler == "none":
-            self.autoscaler = None
-        else:
-            context = self.policy.context
-            avg_in, avg_out = _workload_averages(self.requests)
-            self.autoscaler = make_autoscaler(
-                options.autoscaler,
-                self.fleet.min_dp,
-                self.fleet.max_dp,
-                up_queue_tokens=float(options.max_batched_tokens),
-                capacity_rps_per_replica=_capacity_rps_from(context, avg_in, avg_out),
-                prefill_latency_s=_prefill_latency_from(context, avg_in),
-                ttft_slo=options.ttft_slo,
-            )
         self.storm_preemptions = storm_preemptions
         self.redispatched_requests = 0
         self.redispatches = 0
@@ -238,7 +210,7 @@ class ClusterSimulator:
             else:
                 for sim in fleet.live_sims():
                     sim.advance(now)
-            fleet.reap_drained()
+            fleet.reap_drained(now)
             if self.autoscaler is not None:
                 self.autoscaler.note_arrival(now)
                 target = self.autoscaler.decide(now, fleet)
@@ -246,7 +218,7 @@ class ClusterSimulator:
                     fleet.resize_to(target, now, reason=self.autoscaler.last_reason)
             if tel is not None:
                 for t in tel.boundaries("cluster", now):
-                    self._sample_cluster(tel, t)
+                    fleet.sample_cluster(tel, t)
             loads = fleet.dispatch_loads()
             if not loads:
                 raise SimulationError("fleet has no dispatchable replica")
@@ -285,7 +257,8 @@ class ClusterSimulator:
 
         for sim in fleet.live_sims():
             sim.finish()
-        fleet.reap_drained()
+        makespan = fleet.makespan()
+        fleet.close(makespan)
         if san is not None:
             # Drain-time conservation sweep (S3 token conservation + S4
             # KV balance) over every replica that ever simulated.
@@ -297,13 +270,12 @@ class ClusterSimulator:
         if trc is not None:
             trc.set_warming_windows(fleet.warming_windows())
 
-        makespan = fleet.makespan()
         if tel is not None:
             # Close out the cluster timeline: sample every boundary
             # between the last arrival and the end of the run (the drain
             # tail, where queues empty and draining replicas stop).
             for t in tel.boundaries("cluster", makespan):
-                self._sample_cluster(tel, t)
+                fleet.sample_cluster(tel, t)
         results = [
             self.engine._replica_result(sim.run, sim.clock)
             for sim in fleet.sims()
@@ -391,25 +363,6 @@ class ClusterSimulator:
         return moved
 
     # ------------------------------------------------------------------ #
-    # Telemetry
-    # ------------------------------------------------------------------ #
-
-    def _sample_cluster(self, tel, t: float) -> None:
-        """One cluster-wide sample at boundary ``t`` (sample-and-hold of
-        the membership/queue state at the instant the boundary was
-        crossed — arrivals are the only instants the cluster loop runs,
-        so no finer-grained truth exists on this path)."""
-        fleet = self.fleet
-        queued = 0.0
-        for h in fleet.handles:
-            if h.dispatchable and h.sim is not None:
-                queued += h.sim.queued_prefill_tokens(t)
-        tel.point("cluster.active_dp", t, float(fleet.active_count))
-        tel.point("cluster.provisioning", t, float(fleet.provisioning_count))
-        tel.point("cluster.draining", t, float(fleet.draining_count))
-        tel.point("cluster.queued_prefill_tokens", t, queued)
-
-    # ------------------------------------------------------------------ #
     # Stats
     # ------------------------------------------------------------------ #
 
@@ -447,36 +400,3 @@ class ClusterSimulator:
             redispatches=self.redispatches,
             fleet=fleet.stats(makespan) if fleet.autoscaler_name != "none" else None,
         )
-
-
-def _workload_averages(
-    requests: WorkloadSpec | TypingSequence[Request],
-) -> tuple[float, float]:
-    prompts, outputs = request_lengths(requests)
-    n = len(prompts)
-    return sum(prompts) / n, sum(outputs) / n
-
-
-def _capacity_rps_from(context, avg_in: float, avg_out: float) -> float:
-    """Analytic per-replica request capacity from the router context's
-    service rates (the predictive autoscaler's ``mu1``)."""
-    seconds = _duration(avg_in, context.prefill_tokens_per_s)
-    seconds += _duration(max(0.0, avg_out - 1.0), context.decode_tokens_per_s)
-    if seconds <= 0 or not math.isfinite(seconds):
-        return 1.0  # degenerate context: neutral capacity
-    return 1.0 / seconds
-
-
-def _prefill_latency_from(context, avg_in: float) -> float:
-    latency = _duration(avg_in, context.prefill_tokens_per_s)
-    return latency if math.isfinite(latency) else 0.0
-
-
-def _capacity_rps(context, requests: list[Request]) -> float:
-    avg_in, avg_out = _workload_averages(requests)
-    return _capacity_rps_from(context, avg_in, avg_out)
-
-
-def _mean_prefill_latency(context, requests: list[Request]) -> float:
-    avg_in, _ = _workload_averages(requests)
-    return _prefill_latency_from(context, avg_in)

@@ -196,6 +196,25 @@ class EngineOptions:
             )
 
 
+def fold_telemetry(result: EngineResult, options: EngineOptions) -> EngineResult:
+    """Derive the windowed latency/SLO series on the run's hub and
+    finalize its request traces (the single exit every engine's ``run()``
+    path funnels through)."""
+    tel = options.telemetry
+    if tel is not None:
+        tel.fold_result(result, ttft_slo=options.ttft_slo, tpot_slo=options.tpot_slo)
+    tr = options.tracing
+    if tr is not None:
+        traces = tr.finalize(
+            result, ttft_slo=options.ttft_slo, tpot_slo=options.tpot_slo
+        )
+        if tel is not None:
+            tel.counter("trace.requests_traced").inc(len(traces))
+            if tr.dropped_requests:
+                tel.counter("trace.requests_dropped").inc(tr.dropped_requests)
+    return result
+
+
 def split_requests(
     requests: TypingSequence[Request], num_parts: int
 ) -> list[list[Request]]:
@@ -478,7 +497,7 @@ class BaseEngine(abc.ABC):
                 from repro.cluster.simulator import ClusterSimulator
 
                 result = ClusterSimulator(self, workload.requests).run()
-            return self._fold_telemetry(result)
+            return fold_telemetry(result, self.options)
         requests = list(workload.requests)
         plan = self.make_router(workload).route(requests)
         parts = [list(p) for p in plan.partitions]
@@ -501,30 +520,12 @@ class BaseEngine(abc.ABC):
             results.append(self._run_replica(part, replica_id=i))
             if traced:
                 self.last_trace = self._active_trace
-        return self._fold_telemetry(
+        return fold_telemetry(
             merge_dp_results(
                 results, engine=self.name, label=self.label(), router=plan.stats
-            )
+            ),
+            self.options,
         )
-
-    def _fold_telemetry(self, result: EngineResult) -> EngineResult:
-        """Derive the windowed latency/SLO series on the run's hub (the
-        single exit every ``run()`` path funnels through)."""
-        tel = self.options.telemetry
-        if tel is not None:
-            tel.fold_result(
-                result, ttft_slo=self.options.ttft_slo, tpot_slo=self.options.tpot_slo
-            )
-        tr = self.options.tracing
-        if tr is not None:
-            traces = tr.finalize(
-                result, ttft_slo=self.options.ttft_slo, tpot_slo=self.options.tpot_slo
-            )
-            if tel is not None:
-                tel.counter("trace.requests_traced").inc(len(traces))
-                if tr.dropped_requests:
-                    tel.counter("trace.requests_dropped").inc(tr.dropped_requests)
-        return result
 
     def label(self) -> str:
         """Configuration label shown in reports."""

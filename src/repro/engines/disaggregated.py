@@ -18,7 +18,13 @@ from typing import Iterator
 
 from repro.costmodel.pipeline import pipeline_time_heterogeneous
 from repro.costmodel.step import ITERATION_OVERHEAD, StepCostModel
-from repro.engines.base import BaseEngine, EngineOptions, ReplicaRun, ReplicaState
+from repro.engines.base import (
+    BaseEngine,
+    EngineOptions,
+    ReplicaRun,
+    ReplicaState,
+    fold_telemetry,
+)
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
@@ -348,7 +354,7 @@ class DisaggregatedEngine:
         if online:
             phase = dict(gated_decode.phase_time)
             phase["prefill"] = prefill_busy
-            return self._fold_telemetry(EngineResult(
+            return fold_telemetry(EngineResult(
                 engine=self.name,
                 label=self.label(),
                 num_requests=workload.num_requests,
@@ -366,7 +372,7 @@ class DisaggregatedEngine:
                 # The decode pool's dispatch record (decode dominates the
                 # serving latency; the prefill pool re-routes upstream).
                 router=gated_decode.router,
-            ))
+            ), self.options)
         # Offline: the gated decode run degenerates to the seed's
         # decode-pool run shifted by prefill completions; the seed bound
         # still needs the unshifted decode time, simulated once here.
@@ -379,7 +385,7 @@ class DisaggregatedEngine:
         )
         fill = costs.prefill_pass_time([int(workload.prompt_len[0])]).total
         total = max(prefill_time, decode_result.total_time) + fill
-        return self._fold_telemetry(EngineResult(
+        return fold_telemetry(EngineResult(
             engine=self.name,
             label=self.label(),
             num_requests=workload.num_requests,
@@ -395,7 +401,7 @@ class DisaggregatedEngine:
             transitions=0,
             latency=latency,
             router=decode_result.router,
-        ))
+        ), self.options)
 
     def _note_trace_marks(
         self,
@@ -436,19 +442,3 @@ class DisaggregatedEngine:
             tr.note_dispatch(arrival, rid, src)
             tr.note_handoff(done, rid, src, dp_p, until=decode_sched.get(rid))
 
-    def _fold_telemetry(self, result: EngineResult) -> EngineResult:
-        tel = self.options.telemetry
-        if tel is not None:
-            tel.fold_result(
-                result, ttft_slo=self.options.ttft_slo, tpot_slo=self.options.tpot_slo
-            )
-        tr = self.options.tracing
-        if tr is not None:
-            traces = tr.finalize(
-                result, ttft_slo=self.options.ttft_slo, tpot_slo=self.options.tpot_slo
-            )
-            if tel is not None:
-                tel.counter("trace.requests_traced").inc(len(traces))
-                if tr.dropped_requests:
-                    tel.counter("trace.requests_dropped").inc(tr.dropped_requests)
-        return result

@@ -280,6 +280,18 @@ class TestSanitizerUnits:
             san.note_transition(0, "active", "stopped", 1.0)
         assert exc.value.rule == "S6"
 
+    def test_s6_transition_stamped_before_previous_one(self):
+        san = Sanitizer()
+        san.note_transition(0, "active", "draining", 5.0)
+        with pytest.raises(SanitizerError, match="previous transition") as exc:
+            san.note_transition(0, "draining", "stopped", 4.0)
+        assert exc.value.rule == "S6"
+        assert exc.value.replica == 0
+        # Stamps are per replica, and a new run starts a fresh history.
+        san.note_transition(1, "draining", "stopped", 4.0)
+        san.begin_run()
+        san.note_transition(0, "draining", "stopped", 4.0)
+
     def test_begin_run_resets_ownership(self):
         san = Sanitizer()
         req = Request(0, 128, 8, arrival_time=0.0)

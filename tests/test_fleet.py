@@ -26,6 +26,7 @@ import math
 
 import pytest
 
+from repro.check import Sanitizer
 from repro.cluster import ClusterSimulator, ReplicaLifecycle
 from repro.cluster.autoscaler import (
     PredictiveAutoscaler,
@@ -41,6 +42,7 @@ from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.autoscale_sweep import run_autoscale_sweep
+from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.parallel.config import parse_config, parse_transition
 from repro.routing.load import RouterContext
@@ -573,3 +575,75 @@ class TestSimulatorFleetIntegration:
         # The provisioning handle has no sim yet: not in the live set.
         assert len(list(fleet.live_sims())) == 1
         assert math.isinf(fleet.handles[0].sim.next_event_time())
+
+
+def run_fidelity(fidelity, config, wl, **kw):
+    """A 15b JSQ fleet on 8xA10 at either fidelity tier."""
+    return VllmLikeEngine(
+        get_model("15b"),
+        make_cluster("A10", 8),
+        parse_config(config),
+        EngineOptions(coupled=True, router="jsq", fidelity=fidelity, **kw),
+    ).run(wl)
+
+
+class TestSharedLifecycleRules:
+    """Both fidelity tiers run their replicas through one ReplicaFleet,
+    so its sizing, stop and accounting rules hold at both."""
+
+    @pytest.mark.parametrize("fidelity", ["event", "fluid"])
+    def test_max_dp_beyond_cluster_rejected(self, fidelity):
+        wl = diurnal_arrivals(constant_workload(20, 512, 8), 2.0, 20.0, seed=0)
+        with pytest.raises(ConfigurationError, match="max_dp 6 needs 12 GPUs"):
+            run_fidelity(fidelity, "T2", wl, autoscaler="threshold", max_dp=6)
+
+    @pytest.mark.parametrize("fidelity", ["event", "fluid"])
+    def test_max_dp_defaults_to_cluster_capacity(self, fidelity):
+        # One T2 replica on 8 GPUs: the cluster holds four, and a fleet
+        # with no max_dp may grow to all of them.
+        wl = diurnal_arrivals(constant_workload(300, 2048, 16), 12.0, 30.0, seed=3)
+        result = run_fidelity(fidelity, "T2", wl, autoscaler="threshold")
+        fleet = result.router.fleet
+        assert fleet.max_dp == 4
+        assert fleet.scale_ups > 0
+
+    @pytest.mark.parametrize("fidelity", ["event", "fluid"])
+    def test_drained_replica_stops_after_its_drain_order(self, fidelity):
+        wl = diurnal_arrivals(constant_workload(400, 1024, 32), 1.0, 120.0, seed=0)
+        san = Sanitizer()
+        result = run_fidelity(
+            fidelity, "D4T2", wl, autoscaler="threshold", min_dp=1, max_dp=4,
+            sanitize=san,
+        )
+        events = result.router.fleet.events
+        drained_at = {e.replica_id: e.time for e in events if e.kind == "scale-down"}
+        stops = [e for e in events if e.kind == "stopped"]
+        assert drained_at and len(stops) == len(drained_at)
+        for e in stops:
+            assert e.time >= drained_at[e.replica_id], e
+        # Every lifecycle edge, the stops included, went through simsan.
+        assert san.checks["S6"] >= 2 * 4 + 2 * len(stops)
+
+
+class TestEndOfRunActivation:
+    def test_scale_up_due_after_last_arrival_counts_as_active(self):
+        """Arrivals are the only instants the loop polls the fleet: a
+        replica that finishes warming between the last arrival and the
+        makespan must still join the accounting it is billed in."""
+        burst = [Request(i, 2048, 16, arrival_time=10.0) for i in range(1, 41)]
+        reqs = [Request(0, 256, 8, arrival_time=0.0), *burst,
+                Request(41, 256, 8, arrival_time=15.0)]
+        result = run_fidelity(
+            "event", "T2", reqs, autoscaler="threshold", min_dp=1, max_dp=2
+        )
+        fleet = result.router.fleet
+        assert fleet.scale_ups == 1
+        late = [e for e in fleet.events if e.kind == "active"]
+        assert len(late) == 1
+        assert 15.0 < late[0].time < result.total_time
+        assert fleet.peak_dp == 2
+        assert fleet.mean_dp > 1.0
+        assert result.router.idle_fraction[late[0].replica_id] == 1.0
+        assert fleet.active_replica_seconds == pytest.approx(
+            2 * result.total_time - late[0].time
+        )
