@@ -38,6 +38,7 @@ from repro.engines import (
     DecodePrioritizedEngine,
     DisaggregatedEngine,
     EngineOptions,
+    RunHooks,
     VllmLikeEngine,
 )
 from repro.engines.disaggregated import DisaggregationPlan
@@ -68,6 +69,7 @@ __all__ = [
     "DisaggregatedEngine",
     "DisaggregationPlan",
     "EngineOptions",
+    "RunHooks",
     "ClusterSpec",
     "GPUSpec",
     "GPU_REGISTRY",

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import SimulationError
 from repro.hardware.cluster import make_cluster
@@ -99,7 +99,7 @@ def _cell_offline_static(scale: float):
     return lambda: eng.run(wl), "iterations"
 
 
-def _cell_coupled_jsq(scale: float, telemetry=None, tracing=None):
+def _cell_coupled_jsq(scale: float, hooks: RunHooks | None = None):
     """Event-coupled JSQ dispatch on the shared clock (the reference
     cell of the event-path speedup criterion and of the telemetry and
     tracing overhead gates)."""
@@ -109,9 +109,9 @@ def _cell_coupled_jsq(scale: float, telemetry=None, tracing=None):
         get_model("15b"),
         make_cluster("A10", 8),
         ParallelConfig(dp=4, tp=2, pp=1),
-        EngineOptions(router="jsq", coupled=True, telemetry=telemetry, tracing=tracing),
+        EngineOptions(router="jsq", coupled=True),
     )
-    return lambda: eng.run(wl), "iterations"
+    return lambda: eng.run(wl, hooks), "iterations"
 
 
 def _cell_autoscaled_diurnal(scale: float):
@@ -269,71 +269,51 @@ def run_cell(
     }
 
 
-def run_telemetry_overhead(scale: float = 1.0, repeats: int = 5) -> dict:
-    """Telemetry-on vs telemetry-off wall time on the coupled-JSQ cell.
+def run_hook_overhead(hook: str, scale: float = 1.0, repeats: int = 5) -> dict:
+    """Hook-on vs hook-off wall time on the coupled-JSQ cell, for the
+    ``telemetry`` hub or the ``tracing`` tracer (``p99_exemplars``, the
+    always-on production posture: marks for everyone, trace trees only
+    for the tail).
 
     Both variants run in this process in interleaved off/on rounds (min
-    of ``repeats`` each, fresh engine and hub per repetition) so slow
+    of ``repeats`` each, fresh engine and hook per repetition) so slow
     machine drift hits both sides equally and the ratio needs no
-    cross-machine calibration. The gate is the tentpole's cost contract:
-    the instrumented run must stay under
-    :data:`TELEMETRY_OVERHEAD_TOLERANCE` times the zero-overhead run.
+    cross-machine calibration. The gate is the hook's cost contract: the
+    instrumented run must stay under the hook's tolerance times the
+    zero-overhead run.
     """
-    from repro.obs import Telemetry
+    from repro.obs import Telemetry, Tracer
 
-    def one_wall(make_telemetry) -> float:
-        runner, _ = _cell_coupled_jsq(scale, telemetry=make_telemetry())
+    if hook == "telemetry":
+        make, tolerance, extra = (
+            lambda: RunHooks(telemetry=Telemetry()), TELEMETRY_OVERHEAD_TOLERANCE, {}
+        )
+    else:
+        make, tolerance, extra = (
+            lambda: RunHooks(tracing=Tracer("p99_exemplars")),
+            TRACING_OVERHEAD_TOLERANCE,
+            {"sampling": "p99_exemplars"},
+        )
+
+    def one_wall(hooks) -> float:
+        runner, _ = _cell_coupled_jsq(scale, hooks)
         t0 = time.perf_counter()
         runner()
         return time.perf_counter() - t0
 
     off = on = float("inf")
     for _ in range(repeats):
-        off = min(off, one_wall(lambda: None))
-        on = min(on, one_wall(Telemetry))
+        off = min(off, one_wall(None))
+        on = min(on, one_wall(make()))
     ratio = on / off if off > 0 else 1.0
     return {
         "cell": "coupled_jsq",
+        **extra,
         "off_wall_s": round(off, 4),
         "on_wall_s": round(on, 4),
         "overhead_ratio": round(ratio, 4),
-        "tolerance": TELEMETRY_OVERHEAD_TOLERANCE,
-        "ok": ratio <= TELEMETRY_OVERHEAD_TOLERANCE,
-    }
-
-
-def run_tracing_overhead(scale: float = 1.0, repeats: int = 5) -> dict:
-    """Tracing-on vs tracing-off wall time on the coupled-JSQ cell.
-
-    Same protocol as :func:`run_telemetry_overhead` — interleaved
-    off/on rounds in one process, min-of-``repeats`` walls, a fresh
-    engine and tracer per repetition — gating the tracer's cost
-    contract at :data:`TRACING_OVERHEAD_TOLERANCE`. The instrumented
-    side runs the ``p99_exemplars`` sampling mode (the always-on
-    production posture: marks for everyone, trace trees only for the
-    tail).
-    """
-    from repro.obs import Tracer
-
-    def one_wall(make_tracer) -> float:
-        runner, _ = _cell_coupled_jsq(scale, tracing=make_tracer())
-        t0 = time.perf_counter()
-        runner()
-        return time.perf_counter() - t0
-
-    off = on = float("inf")
-    for _ in range(repeats):
-        off = min(off, one_wall(lambda: None))
-        on = min(on, one_wall(lambda: Tracer("p99_exemplars")))
-    ratio = on / off if off > 0 else 1.0
-    return {
-        "cell": "coupled_jsq",
-        "sampling": "p99_exemplars",
-        "off_wall_s": round(off, 4),
-        "on_wall_s": round(on, 4),
-        "overhead_ratio": round(ratio, 4),
-        "tolerance": TRACING_OVERHEAD_TOLERANCE,
-        "ok": ratio <= TRACING_OVERHEAD_TOLERANCE,
+        "tolerance": tolerance,
+        "ok": ratio <= tolerance,
     }
 
 
@@ -427,14 +407,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
             (out / f"{_BASELINE_PREFIX}{name}.json").write_text(
                 json.dumps(measurement, indent=2, sort_keys=True) + "\n"
             )
-    if args.telemetry_overhead:
+    for hook in ("telemetry", "tracing"):
+        if not getattr(args, f"{hook}_overhead"):
+            continue
         if args.scale != 1.0:
-            print("telemetry overhead gate requires --scale 1", file=sys.stderr)
+            print(f"{hook} overhead gate requires --scale 1", file=sys.stderr)
             return 2
-        overhead = run_telemetry_overhead()
+        overhead = run_hook_overhead(hook)
         verdict = "ok" if overhead["ok"] else "FAIL"
         print(
-            f"telemetry_overhead   off={overhead['off_wall_s']:.3f}s "
+            f"{hook + '_overhead':21s}off={overhead['off_wall_s']:.3f}s "
             f"on={overhead['on_wall_s']:.3f}s "
             f"ratio={overhead['overhead_ratio']:.3f} "
             f"[{verdict}: tolerance {overhead['tolerance']}]"
@@ -442,31 +424,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.json:
             out = Path(args.json)
             out.mkdir(parents=True, exist_ok=True)
-            (out / "BENCH_telemetry_overhead.json").write_text(
+            (out / f"BENCH_{hook}_overhead.json").write_text(
                 json.dumps(overhead, indent=2, sort_keys=True) + "\n"
             )
         if not overhead["ok"]:
-            failed.append("telemetry_overhead")
-    if args.tracing_overhead:
-        if args.scale != 1.0:
-            print("tracing overhead gate requires --scale 1", file=sys.stderr)
-            return 2
-        overhead = run_tracing_overhead()
-        verdict = "ok" if overhead["ok"] else "FAIL"
-        print(
-            f"tracing_overhead     off={overhead['off_wall_s']:.3f}s "
-            f"on={overhead['on_wall_s']:.3f}s "
-            f"ratio={overhead['overhead_ratio']:.3f} "
-            f"[{verdict}: tolerance {overhead['tolerance']}]"
-        )
-        if args.json:
-            out = Path(args.json)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "BENCH_tracing_overhead.json").write_text(
-                json.dumps(overhead, indent=2, sort_keys=True) + "\n"
-            )
-        if not overhead["ok"]:
-            failed.append("tracing_overhead")
+            failed.append(f"{hook}_overhead")
     if profile_dir is not None:
         print(f"profiles written under {profile_dir}/")
     if failed:

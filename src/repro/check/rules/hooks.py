@@ -1,12 +1,14 @@
-"""R4 — unguarded telemetry calls in engine/simulator hot loops.
+"""R4 — unguarded run-hook calls in engine/simulator hot loops.
 
-The observability contract (PR 7) is zero overhead when telemetry is
-off: every loop must take its exact pre-telemetry instruction path when
-the hub is ``None``. That only holds when each telemetry call sits
-behind an ``if tel is not None`` (or equivalent) guard. This rule flags
-calls on telemetry-looking receivers (``tel``, ``telemetry``,
-``probe``, ``_probe``, ``hub``) in ``engines/`` and ``cluster/`` that no
-enclosing guard protects.
+The run hooks (:class:`repro.engines.base.RunHooks`: telemetry, tracing,
+the sanitizer) cost nothing when off: every loop must take its exact
+unobserved instruction path when a hook is ``None``. That only holds
+when each hook call sits behind an ``if tel is not None`` (or
+equivalent) guard. This rule flags calls on hook-looking receivers —
+telemetry (``tel``, ``_tel``, ``telemetry``, ``probe``, ``_probe``,
+``hub``), tracer (``tr``, ``trc``, ``tracing``) and sanitizer (``san``,
+``_san``, ``sanitizer``) — in ``core/``, ``engines/`` and ``cluster/``
+that no enclosing guard protects.
 
 A receiver that is a *parameter* of the enclosing function is treated as
 guaranteed-non-None by its callers (the idiom used by helpers like
@@ -20,7 +22,11 @@ import ast
 
 from repro.check.rules.base import FileContext, Finding, Rule
 
-RECEIVER_NAMES = frozenset({"tel", "telemetry", "probe", "_probe", "_tel", "hub"})
+RECEIVER_NAMES = frozenset({
+    "tel", "_tel", "telemetry", "probe", "_probe", "hub",  # telemetry
+    "tr", "trc", "tracing",  # tracer
+    "san", "_san", "sanitizer",  # sanitizer
+})
 
 
 def _terminal_ident(node: ast.expr) -> str | None:
@@ -54,15 +60,15 @@ def _matches(test: ast.expr, recv_dump: str) -> tuple[bool, bool]:
     return False, False
 
 
-class TelemetryGuardRule(Rule):
+class HookGuardRule(Rule):
     id = "R4"
-    name = "telemetry-guard"
+    name = "hook-guard"
     severity = "error"
     description = (
-        "telemetry call in a hot loop without an `is not None` guard "
-        "(breaks the zero-overhead-when-off contract)"
+        "run-hook (telemetry/tracer/sanitizer) call in a hot loop without "
+        "an `is not None` guard (breaks the zero-overhead-when-off contract)"
     )
-    include = ("cluster/", "engines/")
+    include = ("cluster/", "core/", "engines/")
 
     def check(self, ctx: FileContext) -> list[Finding]:
         findings = []
@@ -81,7 +87,7 @@ class TelemetryGuardRule(Rule):
                 self.finding(
                     ctx,
                     node,
-                    f"telemetry call {ident}.{node.func.attr}(...) is not "
+                    f"run-hook call {ident}.{node.func.attr}(...) is not "
                     "behind an `if ... is not None` guard; the off path must "
                     "stay instruction-identical",
                 )

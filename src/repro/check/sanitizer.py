@@ -1,6 +1,6 @@
 """simsan — the shared-clock invariant sanitizer.
 
-An opt-in runtime checker (``EngineOptions.sanitize`` / ``--sanitize``)
+An opt-in runtime checker (``RunHooks.sanitize`` / ``--sanitize``)
 that asserts, *while* a coupled/autoscaled run executes, the invariants
 the simulator's correctness rests on:
 
@@ -90,7 +90,7 @@ class Sanitizer:
     Every hook is O(1) except :meth:`note_event_pop` (the heap-vs-oracle
     cross-check, O(replicas) per popped event) and the drain-time
     conservation sweep — the cost of sanitizing, paid only when opted
-    in. The simulator calls :meth:`begin_run` at construction, so one
+    in. ``run()`` calls :meth:`begin_run` before each run, so one
     instance can watch a sequence of runs; the per-rule check counters
     make a clean run auditable (``describe()``) rather than silently
     green.

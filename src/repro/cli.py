@@ -39,7 +39,7 @@ from repro.autotuner.search import (
     tune_chunk_size,
 )
 from repro.core.engine import SeesawEngine
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError, ReproError
 from repro.hardware.cluster import make_cluster
@@ -47,7 +47,6 @@ from repro.models.registry import get_model
 from repro.parallel.config import parse_config, parse_transition
 from repro.routing import ROUTER_POLICIES
 from repro.runtime.metrics import EngineResult
-from repro.runtime.trace import render_timeline
 from repro.workloads.arrivals import (
     ARRIVAL_KINDS,
     DIURNAL_PREFIX,
@@ -275,22 +274,19 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
 
 def _make_executor(args: argparse.Namespace):
     """The :class:`~repro.exec.CellExecutor` the exec flags describe
-    (inline and uncached at ``--jobs 1`` without ``--cache``)."""
-    jobs = getattr(args, "jobs", 1)
-    want_cache = getattr(args, "cache", False) or getattr(args, "cache_dir", None)
-    if getattr(args, "sanitize", False) and (jobs > 1 or want_cache):
-        raise ConfigurationError(
-            "--sanitize is incompatible with --jobs > 1 / --cache: the "
-            "sanitizer is a process-local hook whose checks cannot cross "
-            "a worker boundary or be replayed from a cache entry; drop "
-            "--sanitize or run with --jobs 1 and no cache"
-        )
+    (inline and uncached at ``--jobs 1`` without ``--cache``), carrying
+    the sanitizer when ``--sanitize`` asks for one."""
     from repro.exec import CellExecutor, ResultCache
 
     cache = None
-    if want_cache:
+    if getattr(args, "cache", False) or getattr(args, "cache_dir", None):
         cache = ResultCache(root=getattr(args, "cache_dir", None))
-    return CellExecutor(jobs=jobs, cache=cache)
+    san = _make_sanitizer(args)
+    return CellExecutor(
+        jobs=getattr(args, "jobs", 1),
+        cache=cache,
+        hooks=None if san is None else RunHooks(sanitize=san),
+    )
 
 
 def _report_cache(executor) -> None:
@@ -513,18 +509,38 @@ def _export_telemetry(tel, path: str) -> None:
     print(f"telemetry written to {path}")
 
 
-def _build_engine(
-    args: argparse.Namespace,
-    objective: ServingObjective,
-    telemetry=None,
-    tracer=None,
-):
+def _run_hooks(args: argparse.Namespace, telemetry=None, tracing=None) -> RunHooks:
+    """The hooks of one CLI run: the given hub and tracer plus the
+    sanitizer ``--sanitize`` asks for."""
+    return RunHooks(
+        telemetry=telemetry, tracing=tracing, sanitize=_make_sanitizer(args)
+    )
+
+
+def _print_timeline(tracer) -> None:
+    """The ``--timeline`` schedule: the phase track of the lowest-id
+    replica that recorded one."""
+    print()
+    replicas = tracer.phase_replicas()
+    if not replicas:
+        print(
+            "timeline: no replica recorded phase spans (the fluid tier "
+            "runs no iterations to draw)"
+        )
+        return
+    from repro.obs import render_timeline
+
+    print(render_timeline(tracer.phases(replicas[0])))
+    if tracer.dropped_phases:
+        print(f"({tracer.dropped_phases} phase spans dropped at the trace cap)")
+
+
+def _build_engine(args: argparse.Namespace, objective: ServingObjective):
     """One engine from the shared run/obs flag set (static or transition)."""
     model = get_model(args.model)
     cluster = make_cluster(args.gpu, args.num_gpus)
     common = {
         "chunk_size": args.chunk_size,
-        "trace": getattr(args, "timeline", False),
         "router": args.router,
         "router_seed": args.seed,
         "ttft_slo": args.ttft_slo,
@@ -534,9 +550,6 @@ def _build_engine(
         "autoscaler": args.autoscaler,
         "min_dp": args.min_dp,
         "max_dp": args.max_dp,
-        "telemetry": telemetry,
-        "tracing": tracer,
-        "sanitize": _make_sanitizer(args),
     }
     if "->" in args.config:
         from repro.core.options import SeesawOptions
@@ -559,22 +572,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     objective = _serving_objective(args, workload)
     tel = _make_telemetry(args)
     tracer = _make_tracer(args)
-    engine = _build_engine(args, objective, telemetry=tel, tracer=tracer)
-    result = engine.run(workload)
+    report_traces = tracer is not None
+    if tracer is None and args.timeline:
+        # The timeline is the tracer's phase track: trace the run for it
+        # alone, without a tracing report.
+        from repro.obs import Tracer
+
+        tracer = Tracer("p99_exemplars")
+    hooks = _run_hooks(args, telemetry=tel, tracing=tracer)
+    result = _build_engine(args, objective).run(workload, hooks)
     _print_result(result, ttft_slo=args.ttft_slo, tpot_slo=args.tpot_slo)
-    san = engine.options.sanitize
-    if san is not None:
-        print(f"sanitizer: {san.describe()}")
+    if hooks.sanitize is not None:
+        print(f"sanitizer: {hooks.sanitize.describe()}")
     if tel is not None:
         print()
         print(telemetry_table(tel, title="telemetry"))
         if args.telemetry_out:
             _export_telemetry(tel, args.telemetry_out)
-    if tracer is not None:
+    if report_traces:
         _report_traces(tracer, args)
-    if args.timeline and engine.last_trace.enabled:
-        print()
-        print(render_timeline(engine.last_trace))
+    if args.timeline:
+        _print_timeline(tracer)
     return 0
 
 
@@ -624,8 +642,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         workload = _make_workload(args)
         objective = _serving_objective(args, workload)
         tel = Telemetry(interval_s=args.telemetry_interval)
-        engine = _build_engine(args, objective, telemetry=tel)
-        engine.run(workload)
+        _build_engine(args, objective).run(workload, _run_hooks(args, telemetry=tel))
         if args.telemetry_out:
             _export_telemetry(tel, args.telemetry_out)
     else:
@@ -660,8 +677,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             from repro.obs import Tracer
 
             tracer = Tracer("all")
-        engine = _build_engine(args, objective, tracer=tracer)
-        engine.run(workload)
+        _build_engine(args, objective).run(workload, _run_hooks(args, tracing=tracer))
         if args.trace_out:
             from repro.obs import write_trace_jsonl
 
@@ -709,7 +725,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     objective = _serving_objective(args, workload)
     executor = _make_executor(args)
     from repro.core.options import SeesawOptions
-    from repro.exec import CellSpec
+    from repro.exec import CellExecutor, CellSpec
 
     slo_opts = {"ttft_slo": args.ttft_slo, "tpot_slo": args.tpot_slo}
     router_opts = {
@@ -720,7 +736,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "autoscaler": args.autoscaler,
         "min_dp": args.min_dp,
         "max_dp": args.max_dp,
-        "sanitize": _make_sanitizer(args),
         **slo_opts,
     }
     static_cfg = best_static_config(
@@ -732,7 +747,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         objective=objective,
         executor=executor,
     )
-    chunk = tune_chunk_size(model, cluster, static_cfg, workload, executor=executor)
+    # The chunk-size candidates run decoupled: nothing for --sanitize to check.
+    hook_free = CellExecutor(jobs=executor.jobs, cache=executor.cache)
+    chunk = tune_chunk_size(model, cluster, static_cfg, workload, executor=hook_free)
     chunked_opts = EngineOptions(
         chunked_prefill=True, chunk_size=chunk, **router_opts
     )
@@ -825,7 +842,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         router_seed=args.seed,
         coupled=args.coupled,
         fidelity=args.fidelity,
-        sanitize=_make_sanitizer(args),
         **fleet_opts,
         **slo_opts,
     )
@@ -848,7 +864,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         router_seed=args.seed,
         coupled=args.coupled,
         fidelity=args.fidelity,
-        sanitize=_make_sanitizer(args),
         **fleet_opts,
         **slo_opts,
         arrival_rate=objective.arrival_rate_hint,
@@ -1044,7 +1059,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     _add_engine_flags(p_run)
     p_run.add_argument(
-        "--timeline", action="store_true", help="print the schedule timeline"
+        "--timeline",
+        action="store_true",
+        help="print the schedule timeline (the tracer's per-replica phase track)",
     )
     _add_telemetry_flags(p_run)
     _add_tracing_flags(p_run)

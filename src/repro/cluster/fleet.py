@@ -173,9 +173,6 @@ class ReplicaFleet:
         self.max_dp = max_dp
         self.autoscaler_name = autoscaler_name
         self.weight_load_s, self.kv_warmup_s = provision_times(engine)
-        # Runtime invariant sanitizer (repro.check.Sanitizer); None keeps
-        # lifecycle bookkeeping on the exact unsanitized path.
-        self._san = engine.options.sanitize
         self.handles: list[ReplicaHandle] = []
         # Lifecycle worklists so the per-event poll/reap sweeps touch only
         # replicas that can actually transition (id-ordered, like the
@@ -266,8 +263,9 @@ class ReplicaFleet:
     ) -> None:
         """Every lifecycle state write funnels through here so the
         sanitizer can assert the edge is legal (S6)."""
-        if self._san is not None:
-            self._san.note_transition(
+        san = self.engine.hooks.sanitize
+        if san is not None:
+            san.note_transition(
                 handle.replica_id, handle.state.value, new_state.value, now
             )
         handle.state = new_state

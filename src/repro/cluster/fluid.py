@@ -202,20 +202,6 @@ class FluidSimulator:
         # Fixed-point (tpot, drain-tpot) cache, keyed by the bucketed
         # per-replica rate.
         self._tpot_cache: dict[int, tuple[float, float]] = {}
-
-        # Coarse telemetry sampler (repro.obs): same series schema as the
-        # event path, sampled on a widened grid so a million-request day
-        # stays a few-hundred-point artifact. Per-replica series are only
-        # emitted for small fleets; cluster.* always.
-        self.telemetry = options.telemetry
-        # simsan: the fluid path checks the mean-field analogs — causal
-        # per-request timelines inline, aggregate token conservation at
-        # drain (there are no per-token events or KV books to sweep) —
-        # plus the fleet's lifecycle transitions. Reset before the fleet
-        # fires its prewarm transitions.
-        self.sanitizer = options.sanitize
-        if self.sanitizer is not None:
-            self.sanitizer.begin_run()
         self.fleet, self.autoscaler = build_fleet(
             engine,
             context,
@@ -408,9 +394,15 @@ class FluidSimulator:
 
         arrivals_end = times[order[-1]]
         tpot, tpot_drain = self._tpot_now = self._tpot(0.0)
-        tel = self.telemetry
-        trc = self.engine.options.tracing
-        san = self.sanitizer
+        # Hooks. Telemetry samples the event path's series schema on a
+        # widened grid so a million-request day stays a few-hundred-point
+        # artifact (per-replica series only for small fleets; cluster.*
+        # always). simsan checks the mean-field analogs: causal
+        # per-request timelines inline, aggregate token conservation at
+        # drain (there are no per-token events or KV books to sweep), plus
+        # the fleet's lifecycle transitions.
+        hooks = self.engine.hooks
+        tel, trc, san = hooks.telemetry, hooks.tracing, hooks.sanitize
         ids = (
             workload.request_id.tolist()
             if trc is not None or san is not None

@@ -57,11 +57,11 @@ class ReplicaSim:
         self._events = None
         # Fixed-interval state sampler (repro.obs); None keeps _step on
         # the exact pre-telemetry path.
-        tel = engine.options.telemetry
+        tel = engine.hooks.telemetry
         self._probe = tel.probe(replica_id, start_time) if tel is not None else None
         # Runtime invariant sanitizer (repro.check); None keeps _step on
         # the exact unsanitized path.
-        self._san = engine.options.sanitize
+        self._san = engine.hooks.sanitize
         # Observed-preemption watermark of the last storm check (the
         # coupled analog of ReplicaLoad.storm_preemptions resets).
         self.preemption_mark = 0
@@ -126,9 +126,6 @@ class ReplicaSim:
         """Execute one event: resume the engine's event-loop generator."""
         if self._events is None:
             self._events = self.engine._replica_loop(self.run, self.clock)
-        # Trace events recorded while this replica's generator runs must
-        # land in this replica's trace, not another's.
-        self.engine._active_trace = self.run.trace
         try:
             t = next(self._events)
             if self._san is not None:

@@ -45,7 +45,6 @@ from repro.routing.policies import DEFAULT_STORM_PREEMPTIONS
 from repro.routing.stats import RouterStats
 from repro.runtime.metrics import EngineResult, merge_dp_results
 from repro.runtime.request import Request
-from repro.runtime.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import BaseEngine
@@ -72,14 +71,9 @@ class ClusterSimulator:
         # replica simulations, narrowed to the dispatchable membership
         # before every decision.
         self.policy = engine.make_router(self.requests)
-        options = engine.options
-        # Runtime invariant sanitizer (repro.check.Sanitizer); None keeps
-        # the event loop on its exact unsanitized instruction path. Reset
-        # per-run state before the fleet constructor fires its prewarm
-        # lifecycle transitions, so one sanitizer can watch many runs.
-        self.sanitizer = options.sanitize
-        if self.sanitizer is not None:
-            self.sanitizer.begin_run()
+        # The run's telemetry hub, tracer and sanitizer (RunHooks); a None
+        # slot keeps the event loop on its exact unobserved path.
+        self.hooks = engine.hooks
         self.fleet, self.autoscaler = build_fleet(
             engine, self.policy.context, workload_averages(self.requests)
         )
@@ -93,13 +87,6 @@ class ClusterSimulator:
         self.use_heap = use_heap
         self._heap: list[tuple[float, int, int]] = []
         self._serial: dict[int, int] = {}
-        # Telemetry hub: dispatch/storm events and the cluster-wide
-        # fixed-interval sampler land here.
-        self.telemetry = options.telemetry
-        # Per-request tracer (repro.obs.Tracer); None keeps the dispatch
-        # loop on its exact untraced instruction path (same contract as
-        # telemetry).
-        self.tracing = options.tracing
 
     @property
     def sims(self) -> list[ReplicaSim]:
@@ -129,7 +116,7 @@ class ClusterSimulator:
         heap = self._heap
         serials = self._serial
         handles = self.fleet.handles
-        san = self.sanitizer
+        san = self.hooks.sanitize
         while heap:
             t, rid, serial = heap[0]
             if t + _EPS >= now:
@@ -160,12 +147,11 @@ class ClusterSimulator:
         """Co-simulate to completion; returns the merged cluster result."""
         reqs = self.requests
         order = sorted(range(len(reqs)), key=lambda i: (reqs[i].arrival_time, i))
-        trace_armed = self.engine.options.trace
-        traced_sim: ReplicaSim | None = None
         fleet = self.fleet
         use_heap = self.use_heap
-        tel = self.telemetry
-        san = self.sanitizer
+        tel = self.hooks.telemetry
+        trc = self.hooks.tracing
+        san = self.hooks.sanitize
         last_now = -1.0
         # Replicas that executed events since the last snapshot refresh —
         # every other replica's preemption counter is unchanged, so
@@ -230,15 +216,8 @@ class ClusterSimulator:
                     f"{self.policy.name} selected non-dispatchable replica {rid}"
                 )
             sim = handle.sim
-            if trace_armed:
-                # Trace the first replica that receives work (the coupled
-                # analog of tracing the first non-empty partition).
-                sim.run.trace = Trace()
-                traced_sim = sim
-                trace_armed = False
             if san is not None:
                 san.note_dispatch(req, rid, now)
-            trc = self.tracing
             if trc is not None:
                 trc.note_dispatch(now, req.request_id, rid)
             sim.inject(req)
@@ -264,9 +243,6 @@ class ClusterSimulator:
             # KV balance) over every replica that ever simulated.
             for sim in fleet.sims():
                 san.check_drained(sim.replica_id, sim.run.state, sim.clock)
-        if traced_sim is not None:
-            self.engine.last_trace = traced_sim.run.trace
-        trc = self.tracing
         if trc is not None:
             trc.set_warming_windows(fleet.warming_windows())
 
@@ -328,7 +304,8 @@ class ClusterSimulator:
         # recomputed outstanding_tokens bit-for-bit).
         candidates = [(s.outstanding_tokens(now), s.replica_id, s) for s in calm]
         heapq.heapify(candidates)
-        san = self.sanitizer
+        san = self.hooks.sanitize
+        trc = self.hooks.tracing
         moved = 0
         for src in storming:
             stolen = src.steal_pending()
@@ -346,7 +323,6 @@ class ClusterSimulator:
                     # S5: ownership moves src -> target exactly once.
                     san.note_withdraw(req, src.replica_id, now)
                     san.note_dispatch(req, rid, now)
-                trc = self.tracing
                 if trc is not None:
                     trc.note_withdraw(now, req.request_id, src.replica_id)
                     trc.note_redispatch(now, req.request_id, rid)

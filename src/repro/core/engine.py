@@ -231,9 +231,11 @@ class SeesawEngine(BaseEngine):
         )
         start = max(now, state.d2h.free_at, state.h2d.free_at)
         elapsed = (start - now) + plan.transfer_time(self.cluster)
-        self.record_event(
-            "reshard", now, elapsed, resident_seqs=len(state.running)
-        )
+        tr = self.hooks.tracing
+        if tr is not None:
+            tr.note_phase(
+                state.replica_id, "reshard", now, elapsed, 0, 0, len(state.running)
+            )
         metrics.add_phase("reshard", elapsed)
         metrics.transitions += 1
         metrics.resharded_bytes += plan.total_transfer_bytes
@@ -257,6 +259,8 @@ class SeesawEngine(BaseEngine):
         A generator: yields the clock at every micro-batch boundary (and
         once more at the phase end) and returns the final clock."""
         opts: SeesawOptions = self.options  # type: ignore[assignment]
+        tr = self.hooks.tracing
+        replica = state.replica_id
         pp = costs.config.pp
         last_stage_total = 0.0
         processed_any = False
@@ -278,21 +282,17 @@ class SeesawEngine(BaseEngine):
             last_stage_total = stage.total
             # Steady-state stream: one micro-batch retires per stage time.
             elapsed = stage.total + ITERATION_OVERHEAD
-            self.record_event(
-                "prefill",
-                now,
-                elapsed,
-                num_seqs=len(microbatch),
-                tokens=sum(lens),
-                resident_seqs=len(state.running),
-            )
+            if tr is not None:
+                tr.note_phase(
+                    replica, "prefill", now, elapsed, len(microbatch), sum(lens),
+                    len(state.running),
+                )
             now += elapsed
             metrics.add_phase("prefill", elapsed, stage.scale(pp))
             metrics.iterations += 1
             processed_any = True
 
             swap_tokens = 0
-            tr = self.options.tracing
             for seq in microbatch:
                 seq.advance_prefill(seq.remaining_prefill)
                 seq.prefill_end_time = now
@@ -320,9 +320,9 @@ class SeesawEngine(BaseEngine):
                 state.park_in_cpu(seq, parked)
                 swap_tokens += parked
             swap_t = costs.kv_swap_time(swap_tokens)
-            if swap_tokens:
-                self.record_event(
-                    "swap_out", now, swap_t, num_seqs=len(microbatch), tokens=swap_tokens
+            if swap_tokens and tr is not None:
+                tr.note_phase(
+                    replica, "swap_out", now, swap_t, len(microbatch), swap_tokens
                 )
             if opts.overlap_swap:
                 state.d2h.submit(now, swap_t)
@@ -337,13 +337,15 @@ class SeesawEngine(BaseEngine):
         if processed_any and pp > 1:
             # Drain the pipeline for the final micro-batch.
             ramp = (pp - 1) * last_stage_total
-            self.record_event("prefill", now, ramp)
+            if tr is not None:
+                tr.note_phase(replica, "prefill", now, ramp)
             now += ramp
             metrics.add_phase("prefill", ramp)
         if opts.overlap_swap and state.d2h.free_at > now:
             # Swap-outs that outlived compute stall the transition.
             stall = state.d2h.free_at - now
-            self.record_event("stall", now, stall)
+            if tr is not None:
+                tr.note_phase(replica, "stall", now, stall)
             metrics.add_phase("swap_stall", stall)
             now = state.d2h.free_at
         yield now
@@ -392,12 +394,12 @@ class SeesawEngine(BaseEngine):
         A generator: yields the clock after every decode iteration (and
         once more at the phase end) and returns the final clock."""
         opts: SeesawOptions = self.options  # type: ignore[assignment]
+        tr = self.hooks.tracing
         state.h2d.idle_until(now)
 
         while True:
             state.admit_arrivals(now)
             now = self._launch_prefetches(state, costs, metrics, now)
-            tr = self.options.tracing
             for seq in state.arrived_inflight(now):
                 seq.state = SequenceState.RUNNING
                 state.start_running(seq)
@@ -409,7 +411,8 @@ class SeesawEngine(BaseEngine):
                 if state.inflight:
                     stall = state.next_arrival - now
                     if stall > 0:
-                        self.record_event("stall", now, stall)
+                        if tr is not None:
+                            tr.note_phase(state.replica_id, "stall", now, stall)
                         metrics.add_phase("swap_stall", stall)
                         now = state.next_arrival
                     continue
@@ -448,6 +451,7 @@ class SeesawEngine(BaseEngine):
         compute when the async pipeline is disabled.
         """
         opts: SeesawOptions = self.options  # type: ignore[assignment]
+        tr = self.hooks.tracing
         while state.cpu_has_sequences:
             if len(state.running) + len(state.inflight) >= opts.max_num_seqs:
                 break
@@ -463,10 +467,12 @@ class SeesawEngine(BaseEngine):
             state.kv.allocate(seq.seq_id, need)
             seq.state = SequenceState.SWAPPING_IN
             swap_t = costs.kv_swap_time(tokens)
-            self.record_event("swap_in", now, swap_t, num_seqs=1, tokens=tokens)
+            if tr is not None:
+                tr.note_phase(state.replica_id, "swap_in", now, swap_t, 1, tokens)
             arrival = state.h2d.submit(now, swap_t)
             if not opts.overlap_swap:
-                self.record_event("stall", now, arrival - now, num_seqs=1)
+                if tr is not None:
+                    tr.note_phase(state.replica_id, "stall", now, arrival - now, 1)
                 metrics.add_phase("swap_stall", arrival - now)
                 now = arrival
             state.inflight.append((seq, arrival))
@@ -502,7 +508,7 @@ class SeesawEngine(BaseEngine):
             victim.preempt_recompute()
             state.waiting.appendleft(victim)
             stall_kind = "recompute"
-        tr = self.options.tracing
+        tr = self.hooks.tracing
         if tr is not None:
             tr.note_preempt(now, victim.seq_id, stall_kind)
 
@@ -521,6 +527,7 @@ class SeesawEngine(BaseEngine):
         metrics = run.metrics
         cp, cd = run.cp, run.cd
         costs_p, costs_d = run.costs_p, run.costs_d
+        tr = self.hooks.tracing
         now = start
         while state.has_work:
             state.admit_arrivals(now)
@@ -548,14 +555,12 @@ class SeesawEngine(BaseEngine):
                 )
             microbatches = self.form_prefill_microbatches(admitted)
             wall, device = self.prefill_time(costs_p, microbatches)
-            self.record_event(
-                "prefill",
-                now,
-                wall,
-                num_seqs=len(admitted),
-                tokens=sum(s.remaining_prefill for s in admitted),
-                resident_seqs=len(state.running) + len(admitted),
-            )
+            if tr is not None:
+                tr.note_phase(
+                    run.replica_id, "prefill", now, wall, len(admitted),
+                    sum(s.remaining_prefill for s in admitted),
+                    len(state.running) + len(admitted),
+                )
             now += wall
             metrics.add_phase("prefill", wall, device)
             for seq in admitted:
@@ -564,7 +569,6 @@ class SeesawEngine(BaseEngine):
                 seq.prefill_end_time = now
                 seq.mark_first_token(now)
                 state.start_running(seq)
-            tr = self.options.tracing
             if tr is not None:
                 for seq in admitted:
                     tr.note_resume(now, seq.seq_id)

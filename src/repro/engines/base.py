@@ -32,7 +32,6 @@ from repro.runtime.kvcache import KVCacheManager
 from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult, RunMetrics, merge_dp_results
 from repro.runtime.request import Request, Sequence
-from repro.runtime.trace import DECODE, IDLE, NullTrace, Trace
 from repro.workloads.spec import WorkloadSpec, request_lengths
 
 
@@ -87,7 +86,6 @@ class EngineOptions:
     chunk_size: int = 1024
     block_size: int = 16
     kv_layout: KVLayout = KVLayout.HND
-    trace: bool = False
     router: str = "static"
     router_seed: int | None = None
     ttft_slo: float | None = None
@@ -104,45 +102,10 @@ class EngineOptions:
     fidelity: str = "event"
     # Vectorized decode bookkeeping (numpy slot arrays), for plain decode
     # iterations and the decode half of chunked-prefill mixed ones. The
-    # scalar path is kept for traced runs and as the bit-exactness oracle.
+    # scalar path is kept as the bit-exactness oracle.
     vectorize: bool = True
-    # Telemetry hub (repro.obs.Telemetry) recording fixed-interval
-    # time-series and lifecycle events on the virtual clock. None (the
-    # default) keeps every loop on its exact pre-telemetry instruction
-    # path — the bit-exactness contract the goldens pin.
-    telemetry: object | None = None
-    # Runtime invariant sanitizer (repro.check.Sanitizer) asserting clock
-    # monotonicity, event causality, token/KV conservation, request-id
-    # uniqueness and fleet lifecycle legality during coupled runs. None
-    # (the default) keeps every loop on its exact unsanitized instruction
-    # path — the same bit-exactness contract as telemetry.
-    sanitize: object | None = None
-    # Per-request trace collector (repro.obs.Tracer) recording life-cycle
-    # marks (dispatch, storm withdraw/re-dispatch, preempt/resume, KV
-    # handoff) and deriving span trees + critical paths at finalize. None
-    # (the default) keeps every loop on its exact untraced instruction
-    # path — the same bit-exactness contract as telemetry.
-    tracing: object | None = None
 
     def __post_init__(self) -> None:
-        if self.telemetry is not None and not hasattr(self.telemetry, "probe"):
-            raise ConfigurationError(
-                "telemetry must be a repro.obs.Telemetry hub (or None)"
-            )
-        if self.tracing is not None and not hasattr(self.tracing, "finalize"):
-            raise ConfigurationError(
-                "tracing must be a repro.obs.Tracer (or None)"
-            )
-        if self.sanitize is not None:
-            if not hasattr(self.sanitize, "note_transition"):
-                raise ConfigurationError(
-                    "sanitize must be a repro.check.Sanitizer (or None)"
-                )
-            if not self.coupled:
-                raise ConfigurationError(
-                    "the sanitizer checks shared-clock invariants: pass "
-                    "coupled=True (--coupled) with --sanitize"
-                )
         if self.max_num_seqs < 1 or self.max_batched_tokens < 1 or self.chunk_size < 1:
             raise ConfigurationError("engine limits must be positive")
         if self.block_size < 1:
@@ -196,23 +159,70 @@ class EngineOptions:
             )
 
 
-def fold_telemetry(result: EngineResult, options: EngineOptions) -> EngineResult:
-    """Derive the windowed latency/SLO series on the run's hub and
-    finalize its request traces (the single exit every engine's ``run()``
-    path funnels through)."""
-    tel = options.telemetry
-    if tel is not None:
-        tel.fold_result(result, ttft_slo=options.ttft_slo, tpot_slo=options.tpot_slo)
-    tr = options.tracing
-    if tr is not None:
-        traces = tr.finalize(
-            result, ttft_slo=options.ttft_slo, tpot_slo=options.tpot_slo
-        )
+@dataclass(frozen=True)
+class RunHooks:
+    """Process-local observers of one engine run, passed to ``run()``.
+
+    A hook observes a run without changing its result: with a slot left
+    ``None`` (the default, :data:`NO_HOOKS`) every loop takes its exact
+    unobserved instruction path — the bit-exactness contract the goldens
+    pin — and with it attached the result is the same bit for bit. Hooks
+    live outside the frozen :class:`EngineOptions`, so they are never part
+    of a cell's identity.
+
+    Attributes:
+        telemetry: Telemetry hub (:class:`repro.obs.Telemetry`) recording
+            fixed-interval time-series and lifecycle events on the
+            virtual clock.
+        tracing: Tracer (:class:`repro.obs.Tracer`) recording per-request
+            life-cycle marks (dispatch, storm withdraw/re-dispatch,
+            preempt/resume, KV handoff) and one phase track per replica.
+        sanitize: Runtime invariant sanitizer
+            (:class:`repro.check.Sanitizer`) asserting clock monotonicity,
+            event causality, token/KV conservation, request-id uniqueness
+            and fleet lifecycle legality. It checks shared-clock
+            invariants, so ``run()`` refuses it on a decoupled engine.
+    """
+
+    telemetry: object | None = None
+    tracing: object | None = None
+    sanitize: object | None = None
+
+    def __post_init__(self) -> None:
+        if self.telemetry is not None and not hasattr(self.telemetry, "probe"):
+            raise ConfigurationError(
+                "telemetry must be a repro.obs.Telemetry hub (or None)"
+            )
+        if self.tracing is not None and not hasattr(self.tracing, "finalize"):
+            raise ConfigurationError(
+                "tracing must be a repro.obs.Tracer (or None)"
+            )
+        if self.sanitize is not None and not hasattr(self.sanitize, "note_transition"):
+            raise ConfigurationError(
+                "sanitize must be a repro.check.Sanitizer (or None)"
+            )
+
+    def fold(self, result: EngineResult, options: EngineOptions) -> EngineResult:
+        """Derive the windowed latency/SLO series on the run's hub and
+        finalize its request traces (the single exit every engine's
+        ``run()`` path funnels through)."""
+        tel = self.telemetry
         if tel is not None:
-            tel.counter("trace.requests_traced").inc(len(traces))
-            if tr.dropped_requests:
-                tel.counter("trace.requests_dropped").inc(tr.dropped_requests)
-    return result
+            tel.fold_result(result, ttft_slo=options.ttft_slo, tpot_slo=options.tpot_slo)
+        tr = self.tracing
+        if tr is not None:
+            traces = tr.finalize(
+                result, ttft_slo=options.ttft_slo, tpot_slo=options.tpot_slo
+            )
+            if tel is not None:
+                tel.counter("trace.requests_traced").inc(len(traces))
+                if tr.dropped_requests:
+                    tel.counter("trace.requests_dropped").inc(tr.dropped_requests)
+        return result
+
+
+#: The hook-free bundle: every slot off.
+NO_HOOKS = RunHooks()
 
 
 def split_requests(
@@ -270,6 +280,9 @@ class ReplicaState:
         # Vectorized decode slot arrays (engines/slots.py); None = the
         # object lists are authoritative.
         self.slots = None
+        # The DP replica this state belongs to (stamped by ReplicaRun);
+        # phase spans are recorded on its track.
+        self.replica_id = 0
         self.admit_arrivals(0.0)
 
     def admit_arrivals(self, now: float) -> int:
@@ -376,7 +389,7 @@ class ReplicaRun:
         self.requests = requests
         self.state = state
         self.metrics = metrics
-        self.trace: Trace | NullTrace = NullTrace()
+        state.replica_id = replica_id
         self.guard = 0
         self.total_request_tokens = sum(r.prompt_len + r.output_len for r in requests)
 
@@ -433,6 +446,9 @@ class BaseEngine(abc.ABC):
     """
 
     name: str = "base"
+    # The hooks of the run in progress (run-scoped: ``run()`` attaches
+    # them and detaches them when it returns).
+    hooks: RunHooks = NO_HOOKS
 
     def __init__(
         self,
@@ -450,14 +466,16 @@ class BaseEngine(abc.ABC):
         self.cluster = cluster
         self.config = config
         self.options = options or EngineOptions()
-        # Populated by run() when options.trace is set (replica 0's trace).
-        self.last_trace: Trace = NullTrace()
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
 
-    def run(self, workload: WorkloadSpec | TypingSequence[Request]) -> EngineResult:
+    def run(
+        self,
+        workload: WorkloadSpec | TypingSequence[Request],
+        hooks: RunHooks | None = None,
+    ) -> EngineResult:
         """Execute the workload to completion; returns the run summary.
 
         Requests are dispatched across the DP replicas by the routing
@@ -472,7 +490,29 @@ class BaseEngine(abc.ABC):
         :meth:`WorkloadSpec.from_requests` first, so it is validated the
         same way (request ids must be unique). The fluid tier reads the
         workload's columns; the event tier walks its ``requests`` view.
+
+        ``hooks`` attaches observers (telemetry, tracing, sanitizer) for
+        this run only; the result is the same with or without them.
         """
+        hooks = NO_HOOKS if hooks is None else hooks
+        if hooks.sanitize is not None:
+            if not self.options.coupled:
+                raise ConfigurationError(
+                    "the sanitizer checks shared-clock invariants: pass "
+                    "coupled=True (--coupled) with --sanitize"
+                )
+            # Reset per-run state before the fleet fires its prewarm
+            # lifecycle transitions, so one sanitizer can watch many runs.
+            hooks.sanitize.begin_run()
+        self.hooks = hooks
+        try:
+            return hooks.fold(self._run_workload(workload), self.options)
+        finally:
+            self.hooks = NO_HOOKS
+
+    def _run_workload(
+        self, workload: WorkloadSpec | TypingSequence[Request]
+    ) -> EngineResult:
         if not isinstance(workload, WorkloadSpec):
             requests = list(workload)
             if not requests:
@@ -492,39 +532,27 @@ class BaseEngine(abc.ABC):
             if fidelity == "fluid":
                 from repro.cluster.fluid import FluidSimulator
 
-                result = FluidSimulator(self, workload).run()
-            else:
-                from repro.cluster.simulator import ClusterSimulator
+                return FluidSimulator(self, workload).run()
+            from repro.cluster.simulator import ClusterSimulator
 
-                result = ClusterSimulator(self, workload.requests).run()
-            return fold_telemetry(result, self.options)
+            return ClusterSimulator(self, workload.requests).run()
         requests = list(workload.requests)
         plan = self.make_router(workload).route(requests)
         parts = [list(p) for p in plan.partitions]
-        tr = self.options.tracing
+        tr = self.hooks.tracing
         if tr is not None:
             # Decoupled routing dispatches every arrival up front, at its
             # arrival instant, to the partition the plan chose.
             for i, part in enumerate(parts):
                 for req in part:
                     tr.note_dispatch(req.arrival_time, req.request_id, i)
-        # Trace the first non-empty partition (partition 0 can be empty
-        # when there are fewer requests than replicas).
-        trace_part = next((i for i, p in enumerate(parts) if p), None)
-        results = []
-        for i, part in enumerate(parts):
-            if not part:
-                continue
-            traced = self.options.trace and i == trace_part
-            self._active_trace = Trace() if traced else NullTrace()
-            results.append(self._run_replica(part, replica_id=i))
-            if traced:
-                self.last_trace = self._active_trace
-        return fold_telemetry(
-            merge_dp_results(
-                results, engine=self.name, label=self.label(), router=plan.stats
-            ),
-            self.options,
+        results = [
+            self._run_replica(part, replica_id=i)
+            for i, part in enumerate(parts)
+            if part
+        ]
+        return merge_dp_results(
+            results, engine=self.name, label=self.label(), router=plan.stats
         )
 
     def label(self) -> str:
@@ -536,7 +564,7 @@ class BaseEngine(abc.ABC):
         (the decoupled path: drive the event-loop generator dry)."""
         run = self._replica_setup(list(requests), replica_id)
         now = 0.0
-        tel = self.options.telemetry
+        tel = self.hooks.telemetry
         if tel is None:
             for now in self._replica_loop(run, 0.0):
                 pass
@@ -602,12 +630,6 @@ class BaseEngine(abc.ABC):
         if cached is None:
             cached = self._replica_config = replace(self.config, dp=1)
         return cached
-
-    def record_event(self, kind: str, start: float, duration: float, **kw: int) -> None:
-        """Append a trace event (no-op unless tracing is enabled)."""
-        trace = getattr(self, "_active_trace", None)
-        if trace is not None:
-            trace.record(kind, start, duration, **kw)
 
     def make_router(
         self, requests: WorkloadSpec | TypingSequence[Request]
@@ -709,7 +731,11 @@ class BaseEngine(abc.ABC):
         target = state.next_arrival_time
         if target <= now:
             raise SimulationError("idle_advance with an admissible arrival")
-        self.record_event(IDLE, now, target - now, resident_seqs=len(state.running))
+        tr = self.hooks.tracing
+        if tr is not None:
+            tr.note_phase(
+                state.replica_id, "idle", now, target - now, 0, 0, len(state.running)
+            )
         metrics.add_phase("idle", target - now)
         return target
 
@@ -771,18 +797,12 @@ class BaseEngine(abc.ABC):
             raise ConfigurationError("decode_step with no running sequences")
         num_seqs = len(state.running)
         bd = costs.decode_iteration_time(num_seqs, self.decode_context(state))
-        if state.slots is None:
-            # The vectorized path never runs under tracing, so skipping
-            # record_event there drops no events.
-            self.record_event(
-                DECODE,
-                now,
-                bd.total + ITERATION_OVERHEAD,
-                num_seqs=num_seqs,
-                tokens=num_seqs,
-                resident_seqs=num_seqs,
-            )
         elapsed = bd.total + ITERATION_OVERHEAD
+        tr = self.hooks.tracing
+        if tr is not None:
+            tr.note_phase(
+                state.replica_id, "decode", now, elapsed, num_seqs, num_seqs, num_seqs
+            )
         now += elapsed
         metrics.add_phase(phase, elapsed, bd)
         metrics.iterations += 1
@@ -795,8 +815,8 @@ class BaseEngine(abc.ABC):
         over — the cost-model input of every decode half-iteration.
 
         Builds the vectorized slot arrays first when the batch qualifies
-        (``EngineOptions.vectorize``, numpy present, no phase trace, at
-        least ``VECTORIZE_MIN_SEQS`` running) and then reads their exact
+        (``EngineOptions.vectorize``, numpy present, at least
+        ``VECTORIZE_MIN_SEQS`` running) and then reads their exact
         running sum instead of walking the batch.
         """
         slots = state.slots
@@ -805,7 +825,6 @@ class BaseEngine(abc.ABC):
             and _np is not None
             and len(state.running) >= VECTORIZE_MIN_SEQS
             and self.options.vectorize
-            and not self.options.trace
         ):
             slots = state.slots = DecodeSlots(state)
         if slots is None:
@@ -876,6 +895,6 @@ class BaseEngine(abc.ABC):
         victim.num_preemptions += 1
         metrics.preemptions += 1
         state.waiting.appendleft(victim)
-        tr = self.options.tracing
+        tr = self.hooks.tracing
         if tr is not None:
             tr.note_preempt(now, victim.seq_id, "recompute")

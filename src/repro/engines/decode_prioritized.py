@@ -56,14 +56,13 @@ class DecodePrioritizedEngine(BaseEngine):
                 metrics.add_phase("prefill", wall, device)
                 metrics.iterations += 1
                 metrics.transitions += 1
-                self.record_event(
-                    "prefill",
-                    admit_time,
-                    wall,
-                    num_seqs=len(batch),
-                    tokens=sum(s.remaining_prefill for s in batch),
-                    resident_seqs=len(state.running) + len(batch),
-                )
+                tr = self.hooks.tracing
+                if tr is not None:
+                    tr.note_phase(
+                        run.replica_id, "prefill", admit_time, wall, len(batch),
+                        sum(s.remaining_prefill for s in batch),
+                        len(state.running) + len(batch),
+                    )
                 for seq in batch:
                     seq.mark_scheduled(admit_time)
                     seq.advance_prefill(seq.remaining_prefill)
@@ -71,7 +70,6 @@ class DecodePrioritizedEngine(BaseEngine):
                     seq.prefill_end_time = now
                     seq.mark_first_token(now)
                     state.start_running(seq)
-                tr = self.options.tracing
                 if tr is not None:
                     for seq in batch:
                         tr.note_resume(now, seq.seq_id)

@@ -19,11 +19,12 @@ from typing import Iterator
 from repro.costmodel.pipeline import pipeline_time_heterogeneous
 from repro.costmodel.step import ITERATION_OVERHEAD, StepCostModel
 from repro.engines.base import (
+    NO_HOOKS,
     BaseEngine,
     EngineOptions,
     ReplicaRun,
     ReplicaState,
-    fold_telemetry,
+    RunHooks,
 )
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.cluster import ClusterSpec
@@ -228,16 +229,11 @@ class DisaggregatedEngine:
 
     def decode_pool_result(self, workload: WorkloadSpec) -> EngineResult:
         """Decode-pool completion summary for already-prefilled requests."""
+        # The pool run is an internal building block (called more than once
+        # per disaggregated run), so it runs without hooks; only the joint
+        # result folds into the telemetry hub / tracer, in :meth:`run`.
         engine = _DecodeOnlyEngine(
-            self.model,
-            self._decode_cluster,
-            self.plan.decode_config,
-            # The pool run is an internal building block (called more than
-            # once per disaggregated run); only the joint result folds into
-            # the telemetry hub / tracer, in :meth:`run`.
-            replace(self.options, telemetry=None, tracing=None)
-            if self.options.telemetry is not None or self.options.tracing is not None
-            else self.options,
+            self.model, self._decode_cluster, self.plan.decode_config, self.options
         )
         return engine.run(workload)
 
@@ -334,7 +330,7 @@ class DisaggregatedEngine:
         )
         return latency, decode_result, prefill_busy
 
-    def run(self, workload: WorkloadSpec) -> EngineResult:
+    def run(self, workload: WorkloadSpec, hooks: RunHooks | None = None) -> EngineResult:
         """End-to-end run: the two pools overlap as a two-stage pipeline.
 
         Offline (every arrival at 0) the completion time keeps the seed's
@@ -344,17 +340,26 @@ class DisaggregatedEngine:
         the steady-state bound no longer applies, so the run *is* the joint
         simulation: total time is when the gated decode pool finishes the
         last request.
+
+        ``hooks`` observe the joint result (telemetry folds it, tracing
+        records dispatch and KV-handoff marks); no shared clock runs here
+        for a sanitizer to check.
         """
+        hooks = NO_HOOKS if hooks is None else hooks
+        if hooks.sanitize is not None:
+            raise ConfigurationError(
+                "the disaggregated engine has no shared clock to sanitize"
+            )
         pool_plan = self._prefill_pool_plan(workload)
         latency, gated_decode, prefill_busy = self._joint_latency(workload, pool_plan)
-        tr = self.options.tracing
+        tr = hooks.tracing
         if tr is not None:
             self._note_trace_marks(tr, pool_plan, latency, gated_decode)
         online = bool((workload.arrival_time > 0).any())
         if online:
             phase = dict(gated_decode.phase_time)
             phase["prefill"] = prefill_busy
-            return fold_telemetry(EngineResult(
+            return hooks.fold(EngineResult(
                 engine=self.name,
                 label=self.label(),
                 num_requests=workload.num_requests,
@@ -385,7 +390,7 @@ class DisaggregatedEngine:
         )
         fill = costs.prefill_pass_time([int(workload.prompt_len[0])]).total
         total = max(prefill_time, decode_result.total_time) + fill
-        return fold_telemetry(EngineResult(
+        return hooks.fold(EngineResult(
             engine=self.name,
             label=self.label(),
             num_requests=workload.num_requests,

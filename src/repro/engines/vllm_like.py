@@ -73,14 +73,12 @@ class VllmLikeEngine(BaseEngine):
             admit_time = now
             microbatches = self.form_prefill_microbatches(admitted)
             wall, device = self.prefill_time(costs, microbatches)
-            self.record_event(
-                "prefill",
-                now,
-                wall,
-                num_seqs=len(admitted),
-                tokens=sum(s.remaining_prefill for s in admitted),
-                resident_seqs=len(state.running),
-            )
+            tr = self.hooks.tracing
+            if tr is not None:
+                tr.note_phase(
+                    state.replica_id, "prefill", now, wall, len(admitted),
+                    sum(s.remaining_prefill for s in admitted), len(state.running),
+                )
             now += wall
             metrics.add_phase("prefill", wall, device)
             metrics.iterations += 1
@@ -91,7 +89,6 @@ class VllmLikeEngine(BaseEngine):
                 seq.prefill_end_time = now
                 seq.mark_first_token(now)
                 state.start_running(seq)
-            tr = self.options.tracing
             if tr is not None:
                 for seq in admitted:
                     tr.note_resume(now, seq.seq_id)
@@ -259,14 +256,12 @@ class VllmLikeEngine(BaseEngine):
         phase = "mixed" if (chunk_tokens and decode_seqs) else (
             "prefill" if chunk_tokens else "decode"
         )
-        self.record_event(
-            phase,
-            now,
-            elapsed,
-            num_seqs=decode_seqs + len(completing),
-            tokens=chunk_tokens + decode_seqs,
-            resident_seqs=decode_seqs,
-        )
+        tr = self.hooks.tracing
+        if tr is not None:
+            tr.note_phase(
+                state.replica_id, phase, now, elapsed, decode_seqs + len(completing),
+                chunk_tokens + decode_seqs, decode_seqs,
+            )
         now += elapsed
         metrics.add_phase(phase, elapsed, bd)
         metrics.iterations += 1
@@ -278,7 +273,6 @@ class VllmLikeEngine(BaseEngine):
             seq.prefill_end_time = now
             seq.mark_first_token(now)
             state.start_running(seq)
-        tr = self.options.tracing
         if tr is not None:
             for seq in completing:
                 tr.note_resume(now, seq.seq_id)

@@ -18,11 +18,12 @@ A cache (:class:`~repro.exec.cache.ResultCache`) short-circuits cells
 before any fan-out; only misses are simulated, and fresh results are
 written back.
 
-Hooked cells (a spec whose options carry a schedule trace, telemetry
-hub, tracer or sanitizer) run only inline and uncached: a hook observes
-this process's run, so its observations cannot come back from a worker
-or a cache entry. Pooling or caching a hooked spec raises
-:class:`~repro.errors.ConfigurationError` before any cell runs.
+An executor may carry :class:`~repro.engines.base.RunHooks` (telemetry,
+tracing, the sanitizer); every cell it simulates runs under them. A
+hook observes this process's runs, so its observations cannot come back
+from a worker or a cache entry: an executor with hooks and ``jobs > 1``
+or a cache raises :class:`~repro.errors.ConfigurationError` at
+construction, before any cell runs.
 
 Exceptions inside a worker are serialized as (type name, message,
 traceback text) — engine exceptions can hold unpicklable state — and
@@ -38,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.engines.base import RunHooks
 from repro.errors import ConfigurationError, ReproError
 from repro.exec.cache import ResultCache
 from repro.exec.spec import CellSpec
@@ -98,13 +100,28 @@ def _run_cell_worker(spec: CellSpec) -> tuple:
 
 class CellExecutor:
     """Runs cells inline (``jobs=1``) or across a process pool, with an
-    optional content-addressed result cache in front."""
+    optional content-addressed result cache in front; ``hooks`` observe
+    every inline run."""
 
-    def __init__(self, jobs: int = 1, cache: ResultCache | None = None) -> None:
+    def __init__(
+        self,
+        jobs: int = 1,
+        cache: ResultCache | None = None,
+        hooks: RunHooks | None = None,
+    ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"--jobs must be >= 1 (got {jobs})")
+        if hooks is not None and (jobs > 1 or cache is not None):
+            raise ConfigurationError(
+                "--sanitize is incompatible with --jobs > 1 / --cache: run "
+                "hooks (sanitizer, telemetry, tracer) observe this process "
+                "only, so their checks cannot cross a worker boundary or be "
+                "replayed from a cache entry; drop --sanitize or run with "
+                "--jobs 1 and no cache"
+            )
         self.jobs = jobs
         self.cache = cache
+        self.hooks = hooks
 
     def run(self, specs: Iterable[CellSpec]) -> list[EngineResult]:
         """Results in submission order (the common calling convention)."""
@@ -112,14 +129,6 @@ class CellExecutor:
 
     def run_outcomes(self, specs: Iterable[CellSpec]) -> list[CellOutcome]:
         specs = list(specs)
-        if self.jobs > 1 or self.cache is not None:
-            for spec in specs:
-                if spec.hooks:
-                    raise ConfigurationError(
-                        f"cell {spec.describe()} carries process-local "
-                        f"hook(s) {', '.join(spec.hooks)}: hooked cells run "
-                        "inline only (jobs=1, no result cache)"
-                    )
         outcomes: list[CellOutcome | None] = [None] * len(specs)
         misses: list[int] = []
         for i, spec in enumerate(specs):
@@ -132,7 +141,7 @@ class CellExecutor:
         if misses:
             if self.jobs == 1:
                 for i in misses:
-                    result = specs[i].execute()
+                    result = specs[i].execute(self.hooks)
                     outcomes[i] = CellOutcome(specs[i], result, False, _self_rss_mb())
             else:
                 self._run_pooled(specs, misses, outcomes)

@@ -8,15 +8,12 @@ a worker process and serialize canonically into a cache key.
 
 Two constraints shape the design:
 
-- **Purity.** A cell's result is a pure function of its spec. The
-  process-local hooks an :class:`~repro.engines.base.EngineOptions` can
-  carry (schedule trace, telemetry hub, tracer, sanitizer; see
-  :data:`HOOK_FIELDS`) observe a run without changing its result, so a
-  spec accepts them but leaves them out of its identity: a hooked cell
-  and its unhooked twin share one ``cell_key``. A hook observes one
-  process's run and cannot be merged back from a worker or replayed from
-  a cache entry, so :class:`~repro.exec.executor.CellExecutor` runs
-  hooked cells inline and refuses them when pooling or caching.
+- **Purity.** A cell's result is a pure function of its spec. A spec
+  holds no process-local hook: telemetry, tracing and the sanitizer are
+  a :class:`~repro.engines.base.RunHooks` bundle handed to
+  :meth:`CellSpec.execute` (or carried by a
+  :class:`~repro.exec.executor.CellExecutor`) for one run, and they
+  observe it without changing its result.
 - **Canonical form.** ``canonical_json()`` walks the nested frozen
   dataclasses into sorted-key JSON with enums by name and arrival times
   in ``float.hex()`` (decimal round-tripping would alias distinct
@@ -33,7 +30,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cached_property
 
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
@@ -43,11 +40,6 @@ from repro.workloads.spec import WorkloadSpec
 
 #: Engine kinds a spec can name, mapped from the engines' ``name`` attrs.
 ENGINE_KINDS = ("vllm", "decode-prio", "seesaw", "disagg")
-
-#: Options fields holding process-local hooks. They never change a
-#: result (the pinned off/on contract), so they are not part of a cell's
-#: canonical form.
-HOOK_FIELDS = ("trace", "telemetry", "tracing", "sanitize")
 
 
 def _canonical_value(value: object) -> object:
@@ -102,8 +94,7 @@ class CellSpec:
         config: Parallelism label — a static label (``"T4P2"``) for
             vllm/decode-prio, a transition (``"P8->T4P2"``) for seesaw,
             or ``"<prefill>|<decode>"`` (``"T2|T2"``) for disagg.
-        options: Scheduler options, hooks included (see
-            :attr:`hooks`); seesaw cells must pass a
+        options: Scheduler options; seesaw cells must pass a
             :class:`~repro.core.options.SeesawOptions`.
         workload: Inline workload (arrival stamps included).
         seed: Cell seed. Feeds :func:`~repro.utils.rng.spawn_rng` child
@@ -150,17 +141,6 @@ class CellSpec:
                 f"{self.config!r}"
             )
 
-    @property
-    def hooks(self) -> tuple[str, ...]:
-        """The :data:`HOOK_FIELDS` this cell's options set (``trace`` is
-        a flag; the others are hook objects, ``None`` when off)."""
-        opts = self.options
-        return tuple(
-            name
-            for name in HOOK_FIELDS
-            if (opts.trace if name == "trace" else getattr(opts, name) is not None)
-        )
-
     # ------------------------------------------------------------------ #
     # Canonical serialization
     # ------------------------------------------------------------------ #
@@ -179,7 +159,6 @@ class CellSpec:
                 **{
                     f.name: _canonical_value(getattr(self.options, f.name))
                     for f in fields(self.options)
-                    if f.name not in HOOK_FIELDS
                 },
             },
             "workload": _workload_digest(self.workload),
@@ -264,6 +243,6 @@ class CellSpec:
         )
         return DisaggregatedEngine(self.model, self.cluster, plan, options)
 
-    def execute(self) -> EngineResult:
-        """Build and run the cell in this process."""
-        return self.build_engine().run(self.workload)
+    def execute(self, hooks: RunHooks | None = None) -> EngineResult:
+        """Build and run the cell in this process, observed by ``hooks``."""
+        return self.build_engine().run(self.workload, hooks)

@@ -1,18 +1,19 @@
 """Observability subsystem: telemetry, tracing, artifact I/O, dashboards.
 
-Attach a :class:`Telemetry` hub to ``EngineOptions.telemetry`` and every
-layer of a run — engine iteration loops, the event-coupled cluster
-simulator, the elastic fleet and its autoscaler, the fluid fast path —
-records fixed-interval time-series and lifecycle events into it on the
-shared virtual clock. ``None`` (the default) keeps every loop on its
+Pass a :class:`Telemetry` hub to ``run()`` as ``RunHooks(telemetry=...)``
+and every layer of a run — engine iteration loops, the event-coupled
+cluster simulator, the elastic fleet and its autoscaler, the fluid fast
+path — records fixed-interval time-series and lifecycle events into it
+on the shared virtual clock. ``None`` (the default) keeps every loop on its
 exact pre-telemetry instruction path.
 
-Attach a :class:`Tracer` to ``EngineOptions.tracing`` (same contract)
+Pass a :class:`Tracer` as ``RunHooks(tracing=...)`` (same contract)
 and every request gets a span tree on the shared clock — queue wait,
 dispatch, prefill, decode, preemption stalls, storm re-dispatch, fleet
 warm-up, disaggregated KV handoff — plus a critical-path decomposition
 of its end-to-end latency into additive segments whose conservation is
-enforced as an invariant.
+enforced as an invariant. The tracer also keeps one phase track per
+replica (the ``--timeline`` schedule).
 """
 
 from repro.obs.critical_path import (
@@ -42,6 +43,7 @@ from repro.obs.tracing import (
     SAMPLING_MODES,
     TRACE_SCHEMA,
     Link,
+    PhaseSpan,
     RequestTrace,
     Span,
     TraceArtifact,
@@ -49,6 +51,8 @@ from repro.obs.tracing import (
     chrome_trace_events,
     load_trace_jsonl,
     parse_sampling,
+    phase_segments,
+    render_timeline,
     render_trace_flame,
     write_chrome_trace,
     write_trace_jsonl,
@@ -67,6 +71,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Link",
+    "PhaseSpan",
     "ReplicaProbe",
     "RequestTrace",
     "Segment",
@@ -84,7 +89,9 @@ __all__ = [
     "load_trace_jsonl",
     "parse_sampling",
     "percentiles",
+    "phase_segments",
     "render_dashboard",
+    "render_timeline",
     "render_trace_flame",
     "sparkline",
     "worst_windows",

@@ -12,7 +12,7 @@ run into end-state aggregates. This module adds the missing layer: a
 Design constraints, in order:
 
 1. **Zero overhead when off.** Nothing in this module is imported or
-   executed unless ``EngineOptions.telemetry`` carries a hub; the engine
+   executed unless ``RunHooks.telemetry`` carries a hub; the engine
    loops keep their exact instruction paths (the bit-exactness contract
    the goldens pin).
 2. **Cheap when on.** The per-iteration hook is one float compare
@@ -217,7 +217,7 @@ class ReplicaProbe:
 class Telemetry:
     """The hub: instruments, series, a bounded event log and run meta.
 
-    One hub instance is attached to ``EngineOptions.telemetry`` and
+    One hub instance is attached to ``RunHooks.telemetry`` and
     shared by every layer of a run (engine loops, cluster simulator,
     fleet, autoscaler, result fold). All timestamps are virtual seconds.
     """

@@ -6,7 +6,7 @@ recording a request-scoped span tree across every replica a request
 touched, then decomposing its end-to-end latency into additive segments
 via :mod:`repro.obs.critical_path`.
 
-Design contract (same as telemetry): ``EngineOptions.tracing`` is a
+Design contract (same as telemetry): ``RunHooks.tracing`` is a
 :class:`Tracer` or ``None``; when ``None`` every hot loop takes its
 exact pre-tracing instruction path, so tracing off is bit-exact with the
 pinned goldens. When on, engines and the cluster simulator record O(1)
@@ -17,6 +17,11 @@ the sticky timestamps already carried by each
 :class:`~repro.runtime.latency.RequestLatency` record. Paths that record
 no marks at all (the fluid fast path, decoupled replicas) still produce
 complete traces backfilled from their latency records.
+
+The tracer also keeps one *phase track* per replica: each scheduler
+iteration, re-shard, swap and idle jump becomes a :class:`PhaseSpan`.
+Sampling does not apply (a phase belongs to a replica, not a request);
+``--timeline`` draws the Fig. 2 schedule from a track.
 
 Sampling keeps million-request runs bounded:
 
@@ -71,6 +76,10 @@ SAMPLING_MODES = ("all", "slo_miss", "p99_exemplars")
 #: Cap on distinct requests whose marks are held during a run; beyond it
 #: new requests are counted in ``dropped_requests`` instead of recorded.
 DEFAULT_MAX_REQUESTS = 100_000
+
+#: Cap on phase spans held across every replica track during a run;
+#: beyond it new spans are counted in ``dropped_phases`` instead.
+MAX_PHASE_SPANS = 500_000
 
 #: Fraction of the population kept by ``p99_exemplars``.
 _EXEMPLAR_FRACTION = 0.01
@@ -158,19 +167,96 @@ class RequestTrace:
 
 
 # ---------------------------------------------------------------------- #
+# Phase spans (per-replica tracks)
+# ---------------------------------------------------------------------- #
+
+#: Phase span kinds engines emit (``idle``: event-driven serving jumped
+#: the clock to the next arrival).
+PHASE_KINDS = (
+    "prefill", "decode", "mixed", "reshard", "swap_in", "swap_out", "stall", "idle"
+)
+
+
+@dataclass(frozen=True)
+class PhaseSpan:
+    """One timed span of replica activity.
+
+    ``num_seqs`` counts the sequences involved (batch size for compute,
+    transferred sequences for swaps), ``tokens`` the tokens processed or
+    moved, and ``resident_seqs`` the sequences resident in GPU KV when the
+    span started (the light-green area of Fig. 2).
+    """
+
+    kind: str
+    start: float
+    duration: float
+    num_seqs: int = 0
+    tokens: int = 0
+    resident_seqs: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in PHASE_KINDS:
+            raise SimulationError(f"unknown phase span kind {self.kind!r}")
+        if self.start < 0 or self.duration < 0:
+            raise SimulationError("phase spans must have non-negative time")
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
+
+
+def phase_segments(spans: TypingSequence[PhaseSpan]) -> list[tuple[str, float, float]]:
+    """Coalesce consecutive same-kind compute spans into (kind, start,
+    end) segments — the prefill/mixed/decode/reshard alternation Fig. 2
+    draws."""
+    segments: list[tuple[str, float, float]] = []
+    for e in sorted(spans, key=lambda e: e.start):
+        if e.kind not in ("prefill", "decode", "mixed", "reshard"):
+            continue
+        if segments and segments[-1][0] == e.kind and e.start <= segments[-1][2] + 1e-9:
+            kind, start, end = segments[-1]
+            segments[-1] = (kind, start, max(end, e.end))
+        else:
+            segments.append((e.kind, e.start, e.end))
+    return segments
+
+
+def render_timeline(spans: TypingSequence[PhaseSpan], width: int = 72) -> str:
+    """ASCII timeline of phase segments (a measured Fig. 2): one row per
+    phase kind, ``#`` where it was active, over the latest span end."""
+    segments = phase_segments(spans)
+    if not segments:
+        return "(empty trace)"
+    span = max(e.end for e in spans)
+    kinds = [k for k in ("prefill", "mixed", "decode", "reshard")
+             if any(s[0] == k for s in segments)]
+    label_w = max(len(k) for k in kinds)
+    lines = [f"timeline over {span:.1f}s ({width} cols)"]
+    for kind in kinds:
+        row = [" "] * width
+        for seg_kind, start, end in segments:
+            if seg_kind == kind:
+                lo = int(start / span * (width - 1))
+                hi = max(lo, int(end / span * (width - 1)))
+                row[lo : hi + 1] = "#" * (hi + 1 - lo)
+        lines.append(f"{kind.ljust(label_w)} |{''.join(row)}|")
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------- #
 # The tracer
 # ---------------------------------------------------------------------- #
 
 
 class Tracer:
-    """Request-scoped trace collector behind ``EngineOptions.tracing``.
+    """Request-scoped trace collector behind ``RunHooks.tracing``.
 
     Mark-recording methods (``note_*``) are safe to call from any layer
-    that knows a request id and the virtual clock; they are O(1) and
-    allocate only for requests the sampling spec keeps. All call sites
-    must be guarded ``if tr is not None:`` so the off path stays
-    instruction-identical (the same contract simlint R4 enforces for
-    telemetry).
+    that knows a request id (or, for :meth:`note_phase`, a replica id)
+    and the virtual clock; they are O(1) and allocate only for requests
+    the sampling spec keeps. All call sites must be guarded
+    ``if tr is not None:`` so the off path stays instruction-identical
+    (simlint R4 enforces it).
     """
 
     def __init__(
@@ -186,7 +272,10 @@ class Tracer:
         self.max_requests = max_requests
         self._marks: dict[int, list[tuple]] = {}
         self._warming: tuple[tuple[int, float, float], ...] = ()
+        self._phases: dict[int, list[tuple]] = {}
+        self._num_phases = 0
         self.dropped_requests = 0
+        self.dropped_phases = 0
         self.num_requests = 0
         self.traces: tuple[RequestTrace, ...] = ()
 
@@ -243,6 +332,30 @@ class Tracer:
         decode-side admission time is known, ``until`` bounds the
         transfer-wait segment."""
         self._mark(request_id, ("handoff", t, src_replica, dst_replica, until))
+
+    def note_phase(
+        self, replica: int, kind: str, start: float, duration: float,
+        num_seqs: int = 0, tokens: int = 0, resident_seqs: int = 0,
+    ) -> None:
+        """``replica`` spent ``[start, start + duration)`` in one phase
+        span (see :class:`PhaseSpan` for the fields)."""
+        if self._num_phases >= MAX_PHASE_SPANS:
+            self.dropped_phases += 1
+            return
+        self._num_phases += 1
+        track = self._phases.get(replica)
+        if track is None:
+            track = self._phases[replica] = []
+        track.append((kind, start, duration, num_seqs, tokens, resident_seqs))
+
+    def phase_replicas(self) -> list[int]:
+        """Ids of the replicas that recorded at least one phase span."""
+        return sorted(self._phases)
+
+    def phases(self, replica: int) -> tuple[PhaseSpan, ...]:
+        """``replica``'s phase track in recording order (empty when it
+        recorded none)."""
+        return tuple(PhaseSpan(*row) for row in self._phases.get(replica, ()))
 
     def set_warming_windows(
         self, windows: Iterable[tuple[int, float, float]]

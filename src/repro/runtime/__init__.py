@@ -3,7 +3,7 @@
 Provides the pieces a real inference engine owns, in simulated form:
 request/sequence state machines, a paged GPU KV-cache allocator, the tiered
 CPU KV buffer, serialized transfer channels (the PCIe links the async
-swap pipeline runs over), and metrics/trace accounting. Engines in
+swap pipeline runs over), and metrics accounting. Engines in
 :mod:`repro.engines` drive these against the cost model's virtual clock.
 """
 
@@ -13,7 +13,6 @@ from repro.runtime.cpu_buffer import CPUKVBuffer
 from repro.runtime.channel import TransferChannel
 from repro.runtime.latency import LatencyStats, RequestLatency
 from repro.runtime.metrics import RunMetrics, EngineResult, PhaseTimer
-from repro.runtime.trace import Trace, TraceEvent, NullTrace, render_timeline
 
 __all__ = [
     "Request",
@@ -27,8 +26,4 @@ __all__ = [
     "RunMetrics",
     "EngineResult",
     "PhaseTimer",
-    "Trace",
-    "TraceEvent",
-    "NullTrace",
-    "render_timeline",
 ]

@@ -25,7 +25,8 @@ from repro.check import (
     lint_source,
 )
 from repro.cluster.simulator import ClusterSimulator
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
+from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError
 from repro.parallel.config import parse_config
@@ -116,6 +117,22 @@ class TestLintRules:
             "        self._probe.tick(self.clock)\n"
         )
         assert rules_of(src) == []
+
+    def test_r4_flags_unguarded_tracer_in_core(self):
+        src = (
+            "def _reshard(self, state, now, elapsed):\n"
+            "    tr = self.hooks.tracing\n"
+            "    tr.note_phase(state.replica_id, 'reshard', now, elapsed)\n"
+        )
+        assert "R4" in rules_of(src, rel="src/repro/core/engine.py")
+
+    def test_r4_flags_unguarded_sanitizer_in_cluster(self):
+        src = (
+            "def dispatch(self, req, rid, now):\n"
+            "    san = self.sanitizer\n"
+            "    san.note_dispatch(req, rid, now)\n"
+        )
+        assert "R4" in rules_of(src, rel="src/repro/cluster/simulator.py")
 
     def test_r4_accepts_early_return_guard(self):
         src = (
@@ -367,9 +384,9 @@ class TestSanitizedRuns:
         )
         engine = VllmLikeEngine(
             tiny_model, cluster_a10_4, parse_config("D2T2"),
-            EngineOptions(coupled=True, router="jsq", sanitize=san),
+            EngineOptions(coupled=True, router="jsq"),
         )
-        return engine.run(wl)
+        return engine.run(wl, RunHooks(sanitize=san))
 
     def test_reference_run_is_violation_free(self, tiny_model, cluster_a10_4):
         san = Sanitizer()
@@ -395,8 +412,9 @@ class TestSanitizedRuns:
         san = Sanitizer()
         engine = VllmLikeEngine(
             tiny_model, cluster_a10_4, parse_config("D2T2"),
-            EngineOptions(coupled=True, router="jsq", sanitize=san),
+            EngineOptions(coupled=True, router="jsq"),
         )
+        engine.hooks = RunHooks(sanitize=san)  # as run() attaches them
         reqs = [Request(i, 200, 4, arrival_time=float(i)) for i in range(6)]
         sim = ClusterSimulator(engine, reqs)
         src = sim.sims[0]
@@ -410,13 +428,28 @@ class TestSanitizedRuns:
         # the calm replica, and none were lost or duplicated.
         assert san._owner == {0: 1, 1: 1, 2: 1}
 
-    def test_options_validation(self):
+    def test_options_validation(self, tiny_model, cluster_a10_4):
+        wl = constant_workload(4, 256, 8)
+
+        def engine(**opts):
+            return VllmLikeEngine(
+                tiny_model, cluster_a10_4, parse_config("D2T2"),
+                EngineOptions(**opts),
+            )
+
         with pytest.raises(ConfigurationError, match="coupled"):
-            EngineOptions(sanitize=Sanitizer())
+            engine().run(wl, RunHooks(sanitize=Sanitizer()))
+        plan = DisaggregationPlan(parse_config("T2"), parse_config("T2"))
+        with pytest.raises(ConfigurationError, match="shared clock"):
+            DisaggregatedEngine(tiny_model, cluster_a10_4, plan).run(
+                wl, RunHooks(sanitize=Sanitizer())
+            )
         with pytest.raises(ConfigurationError, match="Sanitizer"):
-            EngineOptions(sanitize=object(), coupled=True)
+            RunHooks(sanitize=object())
         # The fluid fidelity carries its own conservation analogs now.
-        EngineOptions(sanitize=Sanitizer(), coupled=True, fidelity="fluid")
+        san = Sanitizer()
+        engine(coupled=True, fidelity="fluid").run(wl, RunHooks(sanitize=san))
+        assert san.total_checks > 0
 
     def test_describe_reports_counts(self, tiny_model, cluster_a10_4):
         san = Sanitizer()
@@ -435,11 +468,9 @@ class TestFluidSanitizedRuns:
         wl = poisson_arrivals(constant_workload(48, 512, 16), 6.0, seed=11)
         engine = VllmLikeEngine(
             tiny_model, cluster_a10_4, parse_config("D2T2"),
-            EngineOptions(
-                coupled=True, router="jsq", fidelity="fluid", sanitize=san
-            ),
+            EngineOptions(coupled=True, router="jsq", fidelity="fluid"),
         )
-        return engine.run(wl)
+        return engine.run(wl, RunHooks(sanitize=san))
 
     def test_fluid_run_is_violation_free_and_counted(
         self, tiny_model, cluster_a10_4

@@ -92,6 +92,36 @@ class TestCommands:
         assert "timeline" in out
         assert "reshard" in out
 
+    COUPLED_JSQ = [
+        "run", "--model", "15b", "--num-gpus", "8", "--config", "D4T2",
+        "--dataset", "const:1024x32", "--num-requests", "40",
+        "--request-rate", "1.0", "--router", "jsq", "--coupled", "--timeline",
+    ]
+
+    def test_run_event_tier_timeline(self, capsys):
+        """An event-tier coupled run draws replica 0's phase track; the
+        tracer behind it reports nothing unless --tracing asks."""
+        assert main(self.COUPLED_JSQ) == 0
+        out = capsys.readouterr().out
+        assert "timeline over" in out
+        assert "prefill |" in out and "decode  |" in out
+        assert "tracing:" not in out
+        assert main([*self.COUPLED_JSQ, "--tracing", "p99_exemplars"]) == 0
+        traced = capsys.readouterr().out
+        assert "tracing:" in traced
+        assert traced.split("timeline over")[1] == out.split("timeline over")[1]
+
+    def test_run_fluid_tier_timeline_says_why_it_is_empty(self, capsys):
+        """The fluid tier runs no iterations: --timeline says so instead
+        of printing nothing."""
+        assert main([*self.COUPLED_JSQ, "--fidelity", "fluid"]) == 0
+        out = capsys.readouterr().out
+        assert "timeline over" not in out
+        notes = [line for line in out.splitlines() if line.startswith("timeline:")]
+        assert len(notes) == 1
+        assert "no replica recorded phase spans" in notes[0]
+        assert "fluid tier" in notes[0]
+
     def test_run_chunked(self, capsys):
         rc = main(
             [

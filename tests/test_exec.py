@@ -10,7 +10,7 @@ from repro.check.goldens import run_goldens
 from repro.check.sanitizer import Sanitizer
 from repro.cli import main
 from repro.core.options import SeesawOptions
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
 from repro.errors import CapacityError, ConfigurationError
 from repro.exec import (
     CellExecutionError,
@@ -207,77 +207,68 @@ class TestCellExecutor:
 
 
 def _hooked_cells(tiny_model, cluster_a10_4):
-    """(hook name, hooked spec, "did the hook observe a run?") for each
-    process-local hook, on a coupled JSQ cell every hook instruments."""
+    """A coupled JSQ cell every hook instruments, plus (hook name, hooks,
+    "did the hook observe a run?") for each process-local hook."""
     online = poisson_arrivals(constant_workload(16, 256, 16), 4.0, seed=3)
+    spec = _spec(
+        tiny_model, cluster_a10_4,
+        config="D2T2",
+        options=EngineOptions(router="jsq", coupled=True),
+        workload=online,
+    )
     san, tel, tracer = Sanitizer(), Telemetry(), Tracer("all")
-
-    def cell(**hook) -> CellSpec:
-        return _spec(
-            tiny_model, cluster_a10_4,
-            config="D2T2",
-            options=EngineOptions(router="jsq", coupled=True, **hook),
-            workload=online,
-        )
-
-    return [
-        ("sanitize", cell(sanitize=san), lambda: sum(san.checks.values()) > 0),
-        ("telemetry", cell(telemetry=tel), lambda: len(tel.events) > 0),
-        ("tracing", cell(tracing=tracer), lambda: len(tracer.traces) > 0),
+    return spec, [
+        ("sanitize", RunHooks(sanitize=san), lambda: sum(san.checks.values()) > 0),
+        ("telemetry", RunHooks(telemetry=tel), lambda: len(tel.events) > 0),
+        ("tracing", RunHooks(tracing=tracer), lambda: len(tracer.traces) > 0),
     ]
 
 
 class TestHookedCells:
-    """Hooked cells run inline through the executor; pooling or caching
-    one is refused before any cell runs."""
+    """Hooks ride on the executor: its inline runs are observed; a pooled
+    or cached executor refuses hooks at construction, before any cell
+    runs."""
 
     def test_hooks_observe_inline_runs(self, tiny_model, cluster_a10_4):
-        for name, spec, observed in _hooked_cells(tiny_model, cluster_a10_4):
-            assert spec.hooks == (name,)
+        spec, hooked = _hooked_cells(tiny_model, cluster_a10_4)
+        (plain,) = CellExecutor().run([spec])
+        for name, hooks, observed in hooked:
             assert not observed()
-            (result,) = CellExecutor().run([spec])
+            (result,) = CellExecutor(hooks=hooks).run([spec])
             assert observed(), name
-            assert result.num_requests == spec.workload.num_requests
+            assert result == plain, name
 
     def test_trace_flag_is_a_hook(self, tiny_model, cluster_a10_4):
-        spec = _spec(tiny_model, cluster_a10_4, options=EngineOptions(trace=True))
-        assert spec.hooks == ("trace",)
-        with pytest.raises(ConfigurationError, match="hook"):
-            CellExecutor(jobs=2).run([spec])
+        """The ``--timeline`` schedule is the tracer's phase track: the
+        executor's inline run records it, and a pool refuses it like any
+        other hook."""
+        tracer = Tracer("p99_exemplars")
+        CellExecutor(hooks=RunHooks(tracing=tracer)).run(
+            [_spec(tiny_model, cluster_a10_4)]
+        )
+        assert tracer.phase_replicas() == [0]
+        assert tracer.phases(0)
+        with pytest.raises(ConfigurationError, match="hooks"):
+            CellExecutor(jobs=2, hooks=RunHooks(tracing=Tracer()))
 
     def test_pool_refuses_before_running(self, tiny_model, cluster_a10_4):
-        plain = _spec(tiny_model, cluster_a10_4)
-        for name, spec, observed in _hooked_cells(tiny_model, cluster_a10_4):
-            with pytest.raises(ConfigurationError, match=name) as excinfo:
-                CellExecutor(jobs=2).run([plain, spec])
-            assert spec.describe() in str(excinfo.value)
+        _, hooked = _hooked_cells(tiny_model, cluster_a10_4)
+        for name, hooks, observed in hooked:
+            with pytest.raises(ConfigurationError, match="--sanitize is incompatible"):
+                CellExecutor(jobs=2, hooks=hooks)
             assert not observed(), name
 
     def test_cache_refuses_before_running(
         self, tmp_path, tiny_model, cluster_a10_4
     ):
-        plain = _spec(tiny_model, cluster_a10_4)
         cache = ResultCache(root=tmp_path)
-        for name, spec, observed in _hooked_cells(tiny_model, cluster_a10_4):
-            with pytest.raises(ConfigurationError, match=name):
-                CellExecutor(jobs=1, cache=cache).run([plain, spec])
+        _, hooked = _hooked_cells(tiny_model, cluster_a10_4)
+        for name, hooks, observed in hooked:
+            with pytest.raises(ConfigurationError, match="cache"):
+                CellExecutor(jobs=1, cache=cache, hooks=hooks)
             assert not observed(), name
         assert cache.stats().entries == 0
         assert cache.hits == 0 and cache.misses == 0
-
-    def test_hooks_are_not_part_of_the_identity(
-        self, tiny_model, cluster_a10_4
-    ):
-        for _, spec, _ in _hooked_cells(tiny_model, cluster_a10_4):
-            twin = CellSpec(
-                engine=spec.engine, model=spec.model, cluster=spec.cluster,
-                config=spec.config,
-                options=EngineOptions(router="jsq", coupled=True),
-                workload=spec.workload, seed=spec.seed,
-            )
-            assert twin.hooks == ()
-            assert spec.cell_key == twin.cell_key
-            assert spec.canonical_json() == twin.canonical_json()
 
 
 class TestResultCache:

@@ -36,7 +36,7 @@ from repro.cluster.autoscaler import (
 from repro.cluster.fleet import ReplicaFleet, provision_times
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.vllm_like import VllmLikeEngine
@@ -577,14 +577,14 @@ class TestSimulatorFleetIntegration:
         assert math.isinf(fleet.handles[0].sim.next_event_time())
 
 
-def run_fidelity(fidelity, config, wl, **kw):
+def run_fidelity(fidelity, config, wl, hooks=None, **kw):
     """A 15b JSQ fleet on 8xA10 at either fidelity tier."""
     return VllmLikeEngine(
         get_model("15b"),
         make_cluster("A10", 8),
         parse_config(config),
         EngineOptions(coupled=True, router="jsq", fidelity=fidelity, **kw),
-    ).run(wl)
+    ).run(wl, hooks)
 
 
 class TestSharedLifecycleRules:
@@ -612,8 +612,8 @@ class TestSharedLifecycleRules:
         wl = diurnal_arrivals(constant_workload(400, 1024, 32), 1.0, 120.0, seed=0)
         san = Sanitizer()
         result = run_fidelity(
-            fidelity, "D4T2", wl, autoscaler="threshold", min_dp=1, max_dp=4,
-            sanitize=san,
+            fidelity, "D4T2", wl, hooks=RunHooks(sanitize=san),
+            autoscaler="threshold", min_dp=1, max_dp=4,
         )
         events = result.router.fleet.events
         drained_at = {e.replica_id: e.time for e in events if e.kind == "scale-down"}

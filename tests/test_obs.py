@@ -2,7 +2,7 @@
 
 Contracts pinned by this PR:
 
-1. **Zero overhead when off** — ``telemetry=None`` (the default) leaves
+1. **Zero overhead when off** — no hub in ``RunHooks`` (the default) leaves
    every engine on its exact pre-telemetry path: results match the seed
    goldens bit-for-bit (pinned elsewhere) and, stronger, attaching a hub
    must not perturb the simulation at all — telemetry-on and
@@ -24,7 +24,7 @@ import math
 import pytest
 
 from repro.analysis.report import fleet_table, telemetry_table
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError
@@ -33,6 +33,7 @@ from repro.obs import (
     Counter,
     Histogram,
     Telemetry,
+    Tracer,
     load_jsonl,
     percentiles,
     render_dashboard,
@@ -136,19 +137,19 @@ class TestBoundaries:
 
 class TestZeroOverheadContract:
     def run_pair(self, make_engine, workload):
-        off = make_engine(None).run(workload)
+        off = make_engine().run(workload)
         tel = Telemetry()
-        on = make_engine(tel).run(workload)
+        on = make_engine().run(workload, RunHooks(telemetry=tel))
         return off, on, tel
 
     def test_decoupled_identical(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(constant_workload(16, 256, 16), 4.0, seed=1)
         off, on, tel = self.run_pair(
-            lambda t: VllmLikeEngine(
+            lambda: VllmLikeEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("D2T2"),
-                EngineOptions(telemetry=t),
+                EngineOptions(),
             ),
             wl,
         )
@@ -159,11 +160,11 @@ class TestZeroOverheadContract:
     def test_coupled_identical(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(constant_workload(24, 256, 16), 6.0, seed=2)
         off, on, tel = self.run_pair(
-            lambda t: VllmLikeEngine(
+            lambda: VllmLikeEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("D2T2"),
-                EngineOptions(coupled=True, router="jsq", telemetry=t),
+                EngineOptions(coupled=True, router="jsq"),
             ),
             wl,
         )
@@ -174,11 +175,11 @@ class TestZeroOverheadContract:
     def test_decode_prio_identical(self, tiny_model, cluster_a10_4):
         wl = constant_workload(12, 256, 16)
         off, on, _ = self.run_pair(
-            lambda t: DecodePrioritizedEngine(
+            lambda: DecodePrioritizedEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("T4"),
-                EngineOptions(telemetry=t),
+                EngineOptions(),
             ),
             wl,
         )
@@ -187,7 +188,7 @@ class TestZeroOverheadContract:
     def test_autoscaled_identical(self, tiny_model, cluster_a10_4):
         wl = diurnal_arrivals(constant_workload(128, 2048, 16), 16.0, 20.0, seed=3)
         off, on, tel = self.run_pair(
-            lambda t: VllmLikeEngine(
+            lambda: VllmLikeEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("T2"),
@@ -197,7 +198,6 @@ class TestZeroOverheadContract:
                     autoscaler="threshold",
                     min_dp=1,
                     max_dp=2,
-                    telemetry=t,
                 ),
             ),
             wl,
@@ -208,12 +208,12 @@ class TestZeroOverheadContract:
     def test_fluid_identical_and_same_schema(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(constant_workload(32, 256, 16), 8.0, seed=4)
         off, on, tel = self.run_pair(
-            lambda t: VllmLikeEngine(
+            lambda: VllmLikeEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("D2T2"),
                 EngineOptions(
-                    coupled=True, router="jsq", fidelity="fluid", telemetry=t
+                    coupled=True, router="jsq", fidelity="fluid"
                 ),
             ),
             wl,
@@ -229,7 +229,7 @@ class TestZeroOverheadContract:
 
     def test_rejects_non_hub(self):
         with pytest.raises(ConfigurationError):
-            EngineOptions(telemetry=object())
+            RunHooks(telemetry=object())
 
 
 # --------------------------------------------------------------------- #
@@ -245,8 +245,8 @@ class TestSampledSeries:
             tiny_model,
             cluster_a10_4,
             parse_config("D2T2"),
-            EngineOptions(coupled=True, router="jsq", telemetry=tel),
-        ).run(wl)
+            EngineOptions(coupled=True, router="jsq"),
+        ).run(wl, RunHooks(telemetry=tel))
         for name in ("replica0.queued_prefill_tokens", "cluster.active_dp"):
             times = [t for t, _ in tel.series[name]]
             assert times == sorted(times)
@@ -264,9 +264,8 @@ class TestSampledSeries:
                 coupled=True,
                 router="jsq",
                 ttft_slo=1e-6,  # unattainable: every window burns
-                telemetry=tel,
             ),
-        ).run(wl)
+        ).run(wl, RunHooks(telemetry=tel))
         burn = [v for _, v in tel.series["slo.burn_rate"]]
         att = [v for _, v in tel.series["slo.attainment"]]
         assert any(v > 0 for v in burn)
@@ -287,9 +286,8 @@ class TestSampledSeries:
                 router="jsq",
                 autoscaler="threshold",
                 max_dp=2,
-                telemetry=tel,
             ),
-        ).run(wl)
+        ).run(wl, RunHooks(telemetry=tel))
         before_series = {k: list(v) for k, v in tel.series.items()}
         before_scale = len(tel.events_of("scale"))
         tel.fold_result(result)
@@ -440,9 +438,8 @@ class TestDashboard:
                 autoscaler="threshold",
                 max_dp=2,
                 ttft_slo=0.5,
-                telemetry=tel,
             ),
-        ).run(wl)
+        ).run(wl, RunHooks(telemetry=tel))
         text = render_dashboard(tel)
         assert "cluster.active_dp" in text
         assert "replica0.queued_prefill_tokens" in text
@@ -477,9 +474,8 @@ class TestReasonsAndAliases:
                 router="jsq",
                 autoscaler="threshold",
                 max_dp=2,
-                telemetry=telemetry,
             ),
-        ).run(wl)
+        ).run(wl, RunHooks(telemetry=telemetry))
 
     def test_scale_actions_carry_reasons(self, tiny_model, cluster_a10_4):
         result = self._autoscaled_result(tiny_model, cluster_a10_4)
@@ -511,17 +507,16 @@ class TestTraceCompleteness:
     def test_decode_prio_traces_prefill_spans(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(constant_workload(12, 512, 16), 4.0, seed=2)
         engine = DecodePrioritizedEngine(
-            tiny_model,
-            cluster_a10_4,
-            parse_config("T4"),
-            EngineOptions(trace=True),
+            tiny_model, cluster_a10_4, parse_config("T4")
         )
-        result = engine.run(wl)
-        kinds = {e.kind for e in engine.last_trace.events}
+        tracer = Tracer("p99_exemplars")
+        result = engine.run(wl, RunHooks(tracing=tracer))
+        spans = tracer.phases(0)
+        kinds = {e.kind for e in spans}
         assert "prefill" in kinds and "decode" in kinds
         # Spans tile the run: no hole longer than numeric noise between
-        # consecutive events on the replica timeline.
-        events = sorted(engine.last_trace.events, key=lambda e: e.start)
+        # consecutive spans on the replica's phase track.
+        events = sorted(spans, key=lambda e: e.start)
         cursor = 0.0
         for e in events:
             assert e.start <= cursor + 1e-6, f"hole before {e}"

@@ -11,11 +11,12 @@ degrades monotonically-in-trend with offered load.
 import pytest
 
 from repro.core.engine import SeesawEngine
-from repro.engines.base import EngineOptions, ReplicaState
+from repro.engines.base import EngineOptions, ReplicaState, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import SimulationError
+from repro.obs import Tracer
 from repro.parallel.config import parse_config
 from repro.runtime.kvcache import KVCacheManager
 from repro.runtime.metrics import EngineResult, merge_dp_results
@@ -276,22 +277,26 @@ class TestDpMerge:
 
 
 class TestTraceSelection:
+    """Every replica that ran records its own phase track; ``--timeline``
+    renders the lowest-id one."""
+
     def test_trace_with_empty_trailing_partitions(self, tiny_model, cluster_a10_4):
-        """Fewer requests than replicas leaves partitions empty; tracing
-        must still capture the partition that ran."""
+        """Fewer requests than replicas leaves partitions empty; the
+        replica that ran has a track and the idle ones have none."""
         wl = constant_workload(1, 256, 8)
-        opts = EngineOptions(trace=True)
-        engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("D4"), opts)
-        r = engine.run(wl)
+        engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("D4"))
+        tracer = Tracer("p99_exemplars")
+        r = engine.run(wl, RunHooks(tracing=tracer))
         assert r.num_requests == 1
-        assert engine.last_trace.enabled
-        assert len(engine.last_trace) > 0
+        assert tracer.phase_replicas() == [0]
+        assert len(tracer.phases(0)) > 0
+        assert all(tracer.phases(i) == () for i in (1, 2, 3))
 
     def test_trace_attaches_to_first_nonempty_partition(
         self, tiny_model, cluster_a10_4, monkeypatch
     ):
-        """If partition 0 is empty the trace must attach to the first
-        partition that actually has requests (the seed left a NullTrace)."""
+        """With replica 0 skipped by the router, replica 1 has the track
+        and replica 0 has none."""
         import repro.engines.base as base_mod
         from repro.routing import StaticRouter
 
@@ -305,9 +310,10 @@ class TestTraceSelection:
             lambda self, requests: _SkipReplicaZero(self.config.dp),
         )
         wl = constant_workload(2, 256, 8)
-        opts = EngineOptions(trace=True)
-        engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("D2"), opts)
-        r = engine.run(wl)
+        engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("D2"))
+        tracer = Tracer("p99_exemplars")
+        r = engine.run(wl, RunHooks(tracing=tracer))
         assert r.num_requests == 2
-        assert engine.last_trace.enabled
-        assert len(engine.last_trace) > 0
+        assert tracer.phase_replicas() == [1]
+        assert len(tracer.phases(1)) > 0
+        assert tracer.phases(0) == ()

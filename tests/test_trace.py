@@ -1,133 +1,198 @@
-"""Execution traces and schedule timelines."""
+"""Phase tracks (the tracer's per-replica schedule) and timelines."""
 
 import pytest
 
 from repro.core.engine import SeesawEngine
-from repro.core.options import SeesawOptions
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
+from repro.engines.slots import VECTORIZE_MIN_SEQS
+from repro.engines.slots import np as slots_np
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import SimulationError
+from repro.obs import PhaseSpan, Tracer, phase_segments, render_timeline
 from repro.parallel.config import parse_config
-from repro.runtime.trace import (
-    DECODE,
-    PREFILL,
-    RESHARD,
-    SWAP_IN,
-    SWAP_OUT,
-    NullTrace,
-    Trace,
-    TraceEvent,
-    render_timeline,
-)
+from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.synthetic import constant_workload
+
+
+PREFILL, DECODE, RESHARD, SWAP_IN, SWAP_OUT = (
+    "prefill", "decode", "reshard", "swap_in", "swap_out"
+)
+
+
+def traced_run(engine, workload, sampling="p99_exemplars"):
+    """Run ``engine`` under a fresh tracer; returns (result, tracer)."""
+    tracer = Tracer(sampling)
+    result = engine.run(workload, RunHooks(tracing=tracer))
+    return result, tracer
+
+
+def first_track(tracer):
+    """The phase track ``--timeline`` renders: the lowest-id replica
+    that recorded one."""
+    return tracer.phases(tracer.phase_replicas()[0])
+
+
+def of_kind(spans, kind):
+    return [e for e in spans if e.kind == kind]
+
+
+def total_time(spans, kind):
+    return sum(e.duration for e in spans if e.kind == kind)
 
 
 class TestTraceBasics:
     def test_record_and_query(self):
-        t = Trace()
-        t.record(PREFILL, 0.0, 1.0, tokens=100)
-        t.record(DECODE, 1.0, 2.0, num_seqs=4)
-        assert len(t) == 2
-        assert t.total_time(DECODE) == pytest.approx(2.0)
-        assert t.span == pytest.approx(3.0)
-        assert [e.kind for e in t] == [PREFILL, DECODE]
+        t = Tracer()
+        t.note_phase(0, PREFILL, 0.0, 1.0, 0, 100)
+        t.note_phase(0, DECODE, 1.0, 2.0, 4)
+        t.note_phase(2, DECODE, 0.5, 1.0, 1)
+        spans = t.phases(0)
+        assert len(spans) == 2
+        assert total_time(spans, DECODE) == pytest.approx(2.0)
+        assert max(e.end for e in spans) == pytest.approx(3.0)
+        assert [e.kind for e in spans] == [PREFILL, DECODE]
+        assert spans[0] == PhaseSpan(PREFILL, 0.0, 1.0, tokens=100)
+        assert t.phase_replicas() == [0, 2]
+        assert t.phases(1) == ()
 
     def test_invalid_kind(self):
         with pytest.raises(SimulationError):
-            TraceEvent(kind="nap", start=0, duration=1)
+            PhaseSpan(kind="nap", start=0, duration=1)
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            TraceEvent(kind=DECODE, start=-1, duration=1)
+            PhaseSpan(kind=DECODE, start=-1, duration=1)
 
-    def test_null_trace_free(self):
-        t = NullTrace()
-        t.record(PREFILL, 0.0, 1.0)
-        assert len(t) == 0
-        assert not t.enabled
+    def test_span_cap_counts_drops(self, monkeypatch):
+        import repro.obs.tracing as tracing_mod
+
+        monkeypatch.setattr(tracing_mod, "MAX_PHASE_SPANS", 3)
+        t = Tracer()
+        for i in range(5):
+            t.note_phase(i % 2, DECODE, float(i), 1.0)
+        assert len(t.phases(0)) + len(t.phases(1)) == 3
+        assert t.dropped_phases == 2
 
     def test_segments_coalesce(self):
-        t = Trace()
-        t.record(DECODE, 0.0, 1.0)
-        t.record(DECODE, 1.0, 1.0)
-        t.record(PREFILL, 2.0, 1.0)
-        t.record(DECODE, 3.0, 1.0)
-        segs = t.phase_segments()
+        spans = [
+            PhaseSpan(DECODE, 0.0, 1.0),
+            PhaseSpan(DECODE, 1.0, 1.0),
+            PhaseSpan(PREFILL, 2.0, 1.0),
+            PhaseSpan(DECODE, 3.0, 1.0),
+        ]
+        segs = phase_segments(spans)
         assert [s[0] for s in segs] == [DECODE, PREFILL, DECODE]
         assert segs[0][1:] == (0.0, 2.0)
 
     def test_render_empty(self):
-        assert "empty" in render_timeline(Trace())
+        assert "empty" in render_timeline(())
 
     def test_render_rows(self):
-        t = Trace()
-        t.record(PREFILL, 0.0, 5.0)
-        t.record(DECODE, 5.0, 5.0)
-        out = render_timeline(t, width=20)
+        spans = [PhaseSpan(PREFILL, 0.0, 5.0), PhaseSpan(DECODE, 5.0, 5.0)]
+        out = render_timeline(spans, width=20)
         assert "prefill" in out and "decode" in out
         assert "#" in out
 
 
 class TestEngineTracing:
     def test_disabled_by_default(self, tiny_model, cluster_a10_4):
+        """Hooks are run-scoped: an engine holds none outside ``run()``,
+        before or after a traced run."""
         engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T2P2"))
-        engine.run(constant_workload(8, 200, 16))
-        assert not engine.last_trace.enabled
+        assert engine.hooks.tracing is None
+        _, tracer = traced_run(engine, constant_workload(8, 200, 16))
+        assert tracer.phase_replicas() == [0]
+        assert engine.hooks.tracing is None
 
     def test_vllm_trace_has_phases(self, tiny_model, cluster_a10_4):
-        engine = VllmLikeEngine(
-            tiny_model, cluster_a10_4, parse_config("T2P2"), EngineOptions(trace=True)
-        )
-        result = engine.run(constant_workload(8, 200, 16))
-        trace = engine.last_trace
-        assert trace.enabled
-        assert trace.of_kind(PREFILL)
-        assert trace.of_kind(DECODE)
-        # Trace compute time accounts for the run's wall clock.
-        total = trace.total_time(PREFILL) + trace.total_time(DECODE)
+        engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T2P2"))
+        result, tracer = traced_run(engine, constant_workload(8, 200, 16))
+        spans = first_track(tracer)
+        assert of_kind(spans, PREFILL)
+        assert of_kind(spans, DECODE)
+        # Track compute time accounts for the run's wall clock.
+        total = total_time(spans, PREFILL) + total_time(spans, DECODE)
         assert total == pytest.approx(result.total_time, rel=1e-6)
 
     def test_seesaw_trace_has_reshards_and_swaps(
         self, model_34b, cluster_a10_8, small_arxiv
     ):
         engine = SeesawEngine(
-            model_34b,
-            cluster_a10_8,
-            parse_config("P8"),
-            parse_config("T4P2"),
-            SeesawOptions(trace=True),
+            model_34b, cluster_a10_8, parse_config("P8"), parse_config("T4P2")
         )
-        result = engine.run(small_arxiv)
-        trace = engine.last_trace
-        assert trace.of_kind(RESHARD)
-        assert trace.of_kind(SWAP_IN) and trace.of_kind(SWAP_OUT)
-        assert sum(e.tokens for e in trace.of_kind(SWAP_OUT)) == result.swapped_out_tokens
+        result, tracer = traced_run(engine, small_arxiv)
+        spans = first_track(tracer)
+        assert of_kind(spans, RESHARD)
+        assert of_kind(spans, SWAP_IN) and of_kind(spans, SWAP_OUT)
+        assert (
+            sum(e.tokens for e in of_kind(spans, SWAP_OUT))
+            == result.swapped_out_tokens
+        )
 
     def test_seesaw_phase_alternation(self, model_34b, cluster_a10_8, small_arxiv):
-        """The trace shows the Fig. 2(c) structure: prefill, then a reshard,
+        """The track shows the Fig. 2(c) structure: prefill, then a reshard,
         then decode — with no decode before the first reshard."""
         engine = SeesawEngine(
-            model_34b,
-            cluster_a10_8,
-            parse_config("P8"),
-            parse_config("T4P2"),
-            SeesawOptions(trace=True),
+            model_34b, cluster_a10_8, parse_config("P8"), parse_config("T4P2")
         )
-        engine.run(small_arxiv)
-        kinds = [s[0] for s in engine.last_trace.phase_segments()]
+        _, tracer = traced_run(engine, small_arxiv)
+        kinds = [s[0] for s in phase_segments(first_track(tracer))]
         assert kinds[0] == PREFILL
         assert RESHARD in kinds
         assert kinds.index(RESHARD) < kinds.index(DECODE)
 
     def test_events_are_time_ordered_within_phase(self, model_34b, cluster_a10_8, small_arxiv):
         engine = SeesawEngine(
-            model_34b,
-            cluster_a10_8,
-            parse_config("P8"),
-            parse_config("T4P2"),
-            SeesawOptions(trace=True),
+            model_34b, cluster_a10_8, parse_config("P8"), parse_config("T4P2")
         )
-        engine.run(small_arxiv)
-        decodes = engine.last_trace.of_kind(DECODE)
-        starts = [e.start for e in decodes]
+        _, tracer = traced_run(engine, small_arxiv)
+        starts = [e.start for e in of_kind(first_track(tracer), DECODE)]
         assert starts == sorted(starts)
+
+
+class TestPhaseTracks:
+    @pytest.mark.skipif(slots_np is None, reason="vectorized slots need numpy")
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_vectorized_decode_matches_scalar_oracle(
+        self, tiny_model, cluster_a10_4, chunked
+    ):
+        """Vectorized decode records its spans too: a decode-heavy cell
+        with the slot arrays on gives the scalar path's phase track and
+        result exactly (the scalar path is the oracle)."""
+        wl = constant_workload(16 * VECTORIZE_MIN_SEQS, 128, 96)
+
+        def run(vectorize):
+            opts = EngineOptions(
+                vectorize=vectorize, chunked_prefill=chunked, chunk_size=512
+            )
+            engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T4"), opts)
+            return traced_run(engine, wl)
+
+        fast, fast_tr = run(True)
+        oracle, oracle_tr = run(False)
+        spans = fast_tr.phases(0)
+        assert spans == oracle_tr.phases(0)
+        assert max(e.num_seqs for e in of_kind(spans, DECODE)) >= VECTORIZE_MIN_SEQS
+        assert fast == oracle
+
+    def test_coupled_jsq_tracks_every_replica_with_work(
+        self, tiny_model, cluster_a10_4
+    ):
+        wl = poisson_arrivals(constant_workload(40, 512, 32), 8.0, seed=5)
+        engine = VllmLikeEngine(
+            tiny_model, cluster_a10_4, parse_config("D4"),
+            EngineOptions(router="jsq", coupled=True),
+        )
+        result, tracer = traced_run(engine, wl)
+        busy = [
+            rid
+            for rid, n in enumerate(result.router.requests_per_replica)
+            if n > 0
+        ]
+        assert len(busy) > 1
+        assert tracer.phase_replicas() == busy
+        for rid in busy:
+            spans = tracer.phases(rid)
+            assert of_kind(spans, PREFILL) and of_kind(spans, DECODE)
+            starts = [e.start for e in spans]
+            assert starts == sorted(starts)

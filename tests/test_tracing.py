@@ -2,7 +2,7 @@
 
 Contracts pinned by this PR:
 
-1. **Zero overhead when off** — ``tracing=None`` (the default) leaves
+1. **Zero overhead when off** — no tracer in ``RunHooks`` (the default) leaves
    every engine on its exact pre-tracing path, and attaching a tracer
    must not perturb the simulation at all: tracing-on and tracing-off
    runs produce identical results on every engine and on the
@@ -32,7 +32,7 @@ from repro.cluster.autoscaler import (
 )
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.vllm_like import VllmLikeEngine
@@ -243,8 +243,8 @@ class TestSampling:
                 tiny_model,
                 cluster_a10_4,
                 parse_config("D2T2"),
-                EngineOptions(tracing=tr),
-            ).run(wl)
+                EngineOptions(),
+            ).run(wl, RunHooks(tracing=tr))
             return tr
 
         full = run("all")
@@ -263,8 +263,8 @@ class TestSampling:
             tiny_model,
             cluster_a10_4,
             parse_config("T2"),
-            EngineOptions(tracing=tr),
-        ).run(wl)
+            EngineOptions(),
+        ).run(wl, RunHooks(tracing=tr))
         assert tr.num_requests == 50
         assert len(tr.traces) == max(1, int(50 * 0.01))
         worst_e2e = max(r.e2e for r in result.latency.records)
@@ -317,8 +317,8 @@ class TestSampling:
             tiny_model,
             cluster_a10_4,
             parse_config("T2"),
-            EngineOptions(tracing=tr, ttft_slo=0.2),
-        ).run(wl)
+            EngineOptions(ttft_slo=0.2),
+        ).run(wl, RunHooks(tracing=tr))
         misses = [r for r in result.latency.records if r.ttft > 0.2]
         assert len(tr.traces) == len(misses)
         assert {t.request_id for t in tr.traces} == {r.request_id for r in misses}
@@ -337,19 +337,19 @@ class TestSampling:
 
 class TestZeroOverheadContract:
     def run_pair(self, make_engine, workload):
-        off = make_engine(None).run(workload)
+        off = make_engine().run(workload)
         tr = Tracer("all")
-        on = make_engine(tr).run(workload)
+        on = make_engine().run(workload, RunHooks(tracing=tr))
         return off, on, tr
 
     def test_decoupled_identical(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(constant_workload(16, 256, 16), 4.0, seed=1)
         off, on, tr = self.run_pair(
-            lambda t: VllmLikeEngine(
+            lambda: VllmLikeEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("D2T2"),
-                EngineOptions(tracing=t),
+                EngineOptions(),
             ),
             wl,
         )
@@ -361,11 +361,11 @@ class TestZeroOverheadContract:
     def test_coupled_identical(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(constant_workload(24, 256, 16), 6.0, seed=2)
         off, on, tr = self.run_pair(
-            lambda t: VllmLikeEngine(
+            lambda: VllmLikeEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("D2T2"),
-                EngineOptions(coupled=True, router="jsq", tracing=t),
+                EngineOptions(coupled=True, router="jsq"),
             ),
             wl,
         )
@@ -378,11 +378,11 @@ class TestZeroOverheadContract:
     def test_decode_prio_identical(self, tiny_model, cluster_a10_4):
         wl = constant_workload(12, 256, 16)
         off, on, tr = self.run_pair(
-            lambda t: DecodePrioritizedEngine(
+            lambda: DecodePrioritizedEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("T4"),
-                EngineOptions(tracing=t),
+                EngineOptions(),
             ),
             wl,
         )
@@ -393,12 +393,12 @@ class TestZeroOverheadContract:
     def test_seesaw_identical_with_stalls(self, model_34b, cluster_a10_8):
         wl = sharegpt_workload(30, seed=7)
         off, on, tr = self.run_pair(
-            lambda t: SeesawEngine(
+            lambda: SeesawEngine(
                 model_34b,
                 cluster_a10_8,
                 parse_config("P8"),
                 parse_config("T4P2"),
-                SeesawOptions(tracing=t),
+                SeesawOptions(),
             ),
             wl,
         )
@@ -412,8 +412,8 @@ class TestZeroOverheadContract:
             prefill_config=parse_config("T2"), decode_config=parse_config("T2")
         )
         off, on, tr = self.run_pair(
-            lambda t: DisaggregatedEngine(
-                tiny_model, cluster_a10_4, plan, EngineOptions(tracing=t)
+            lambda: DisaggregatedEngine(
+                tiny_model, cluster_a10_4, plan, EngineOptions()
             ),
             wl,
         )
@@ -426,7 +426,7 @@ class TestZeroOverheadContract:
     def test_autoscaled_identical_with_warmup(self, tiny_model, cluster_a10_4):
         wl = diurnal_arrivals(constant_workload(128, 2048, 16), 16.0, 20.0, seed=3)
         off, on, tr = self.run_pair(
-            lambda t: VllmLikeEngine(
+            lambda: VllmLikeEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("T2"),
@@ -436,7 +436,6 @@ class TestZeroOverheadContract:
                     autoscaler="threshold",
                     min_dp=1,
                     max_dp=2,
-                    tracing=t,
                 ),
             ),
             wl,
@@ -448,11 +447,11 @@ class TestZeroOverheadContract:
     def test_fluid_identical(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(constant_workload(32, 256, 16), 8.0, seed=4)
         off, on, tr = self.run_pair(
-            lambda t: VllmLikeEngine(
+            lambda: VllmLikeEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("D2T2"),
-                EngineOptions(coupled=True, router="jsq", fidelity="fluid", tracing=t),
+                EngineOptions(coupled=True, router="jsq", fidelity="fluid"),
             ),
             wl,
         )
@@ -474,11 +473,11 @@ class TestZeroOverheadContract:
 
         wl = poisson_arrivals(constant_workload(8, 1000, 500), 100.0, seed=2)
         off, on, tr = self.run_pair(
-            lambda t: TightKVEngine(
+            lambda: TightKVEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("T2"),
-                EngineOptions(tracing=t),
+                EngineOptions(),
             ),
             wl,
         )
@@ -493,7 +492,7 @@ class TestZeroOverheadContract:
 
     def test_rejects_non_tracer(self):
         with pytest.raises(ConfigurationError):
-            EngineOptions(tracing=object())
+            RunHooks(tracing=object())
 
 
 # --------------------------------------------------------------------- #
@@ -554,8 +553,8 @@ def _traced_run(tmp_path, tiny_model, cluster, sampling="all", max_requests=None
         tiny_model,
         cluster,
         parse_config("D2T2"),
-        EngineOptions(coupled=True, router="jsq", tracing=tr),
-    ).run(wl)
+        EngineOptions(coupled=True, router="jsq"),
+    ).run(wl, RunHooks(tracing=tr))
     return tr
 
 
