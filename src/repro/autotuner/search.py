@@ -2,9 +2,11 @@
 
 Mirrors the paper's methodology: the vLLM baseline sweeps *all* feasible
 single configurations and reports the best (Section 6.2), and Seesaw picks
-a prefill-optimal and a decode-optimal configuration pair. Ranking is
-analytic (cheap); ``simulate_top`` optionally re-ranks the analytic top-k
-with short engine runs on a workload subsample for fidelity.
+a prefill-optimal and a decode-optimal configuration pair; a static
+configuration ranks as the degenerate pair cp == cd. Ranking is analytic
+(cheap); ``simulate_top`` optionally re-ranks the analytic top-k with
+short engine runs on a workload subsample for fidelity.
+:func:`compare_best` is the paper's headline comparison recipe.
 
 What the ranking optimizes is a :class:`~repro.autotuner.objective.ServingObjective`:
 the default (``throughput``) reproduces the seed's offline-throughput
@@ -16,38 +18,32 @@ SLO attainment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from repro.autotuner.objective import ServingObjective
 from repro.autotuner.predictor import predict_request_rate
+from repro.cluster.fleet import workload_averages
 from repro.engines.base import EngineOptions
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
-from repro.parallel.config import ParallelConfig
+from repro.parallel.config import ParallelConfig, transition_label
 from repro.parallel.enumerate import feasible_configs
+from repro.runtime.metrics import EngineResult
 from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.options import SeesawOptions
-    from repro.exec import CellExecutor
+    from repro.exec import CellExecutor, CellSpec
 
-
-@dataclass(frozen=True)
-class RankedConfig:
-    """One configuration with its predicted request rate (and, under an
-    SLO objective, its predicted attainment and goodput)."""
-
-    config: ParallelConfig
-    predicted_rps: float
-    predicted_attainment: float = 1.0
-    predicted_goodput_rps: float | None = None
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class RankedPair:
-    """One Seesaw (prefill, decode) pair with its predicted request rate
-    (and, under an SLO objective, attainment and goodput)."""
+    """One (prefill, decode) pair with its predicted request rate (and,
+    under an SLO objective, attainment and goodput); static configs are
+    the degenerate pairs cp == cd."""
 
     prefill_config: ParallelConfig
     decode_config: ParallelConfig
@@ -55,13 +51,53 @@ class RankedPair:
     predicted_attainment: float = 1.0
     predicted_goodput_rps: float | None = None
 
+    @property
+    def config(self) -> ParallelConfig:
+        """The configuration of a static (cp == cd) pair."""
+        return self.decode_config
+
     def label(self) -> str:
-        return f"{self.prefill_config.label()}->{self.decode_config.label()}"
+        return transition_label(self.prefill_config, self.decode_config)
 
 
-def _workload_averages(workload: WorkloadSpec) -> tuple[float, float]:
-    n = workload.num_requests
-    return workload.total_input_tokens / n, workload.total_output_tokens / n
+def _rank(
+    model: ModelConfig,
+    cluster: ClusterSpec,
+    workload: WorkloadSpec,
+    pairs: Iterable[tuple[ParallelConfig, ParallelConfig]],
+    *,
+    max_num_seqs: int,
+    objective: ServingObjective | None,
+    what: str,
+) -> list[RankedPair]:
+    """Predict every feasible (cp, cd) candidate and sort best first under
+    ``objective`` (stable, so ties keep candidate order)."""
+    objective = objective or ServingObjective()
+    avg_in, avg_out = workload_averages(workload)
+    ranked: list[tuple[tuple[float, ...], RankedPair]] = []
+    for cp, cd in pairs:
+        try:
+            rates = predict_request_rate(
+                model, cluster, cp, cd, avg_in, avg_out, max_num_seqs,
+                concurrency=workload.num_requests,
+            )
+        except CapacityError:
+            continue
+        pred = objective.predict(rates, avg_in, avg_out)
+        ranked.append(
+            (
+                objective.rank_key(rates, pred),
+                RankedPair(
+                    cp, cd, rates.request_rate, pred.attainment, pred.goodput_rps
+                ),
+            )
+        )
+    if not ranked:
+        raise CapacityError(
+            f"no feasible {what} for {model.name} on {cluster.describe()}"
+        )
+    ranked.sort(key=lambda kr: kr[0], reverse=True)
+    return [r for _, r in ranked]
 
 
 def rank_static_configs(
@@ -72,38 +108,15 @@ def rank_static_configs(
     allow_dp: bool = True,
     max_num_seqs: int = 512,
     objective: ServingObjective | None = None,
-) -> list[RankedConfig]:
-    """All feasible static configs, best first under ``objective`` (the
-    default throughput objective reproduces the seed ordering)."""
-    objective = objective or ServingObjective()
-    avg_in, avg_out = _workload_averages(workload)
-    ranked: list[tuple[tuple[float, ...], RankedConfig]] = []
-    for cfg in feasible_configs(model, cluster, allow_dp=allow_dp):
-        try:
-            rates = predict_request_rate(
-                model, cluster, cfg, cfg, avg_in, avg_out, max_num_seqs,
-                concurrency=workload.num_requests,
-            )
-        except CapacityError:
-            continue
-        pred = objective.predict(rates, avg_in, avg_out)
-        ranked.append(
-            (
-                objective.rank_key(rates, pred),
-                RankedConfig(
-                    config=cfg,
-                    predicted_rps=rates.request_rate,
-                    predicted_attainment=pred.attainment,
-                    predicted_goodput_rps=pred.goodput_rps,
-                ),
-            )
-        )
-    if not ranked:
-        raise CapacityError(
-            f"no feasible configuration for {model.name} on {cluster.describe()}"
-        )
-    ranked.sort(key=lambda kr: kr[0], reverse=True)
-    return [r for _, r in ranked]
+) -> list[RankedPair]:
+    """All feasible static configs as degenerate (c, c) pairs, best first
+    under ``objective`` (the default throughput objective reproduces the
+    seed ordering); read each one's ``config``."""
+    configs = feasible_configs(model, cluster, allow_dp=allow_dp)
+    return _rank(
+        model, cluster, workload, [(c, c) for c in configs],
+        max_num_seqs=max_num_seqs, objective=objective, what="configuration",
+    )
 
 
 def rank_seesaw_pairs(
@@ -120,40 +133,33 @@ def rank_seesaw_pairs(
     Seesaw keeps DP fixed across the transition (Section 4.1), so pairs are
     formed within each DP group.
     """
-    objective = objective or ServingObjective()
-    avg_in, avg_out = _workload_averages(workload)
     configs = feasible_configs(model, cluster, allow_dp=allow_dp)
-    pairs: list[tuple[tuple[float, ...], RankedPair]] = []
-    for cp in configs:
-        for cd in configs:
-            if cp.dp != cd.dp:
-                continue
-            try:
-                rates = predict_request_rate(
-                    model, cluster, cp, cd, avg_in, avg_out, max_num_seqs,
-                    concurrency=workload.num_requests,
-                )
-            except CapacityError:
-                continue
-            pred = objective.predict(rates, avg_in, avg_out)
-            pairs.append(
-                (
-                    objective.rank_key(rates, pred),
-                    RankedPair(
-                        prefill_config=cp,
-                        decode_config=cd,
-                        predicted_rps=rates.request_rate,
-                        predicted_attainment=pred.attainment,
-                        predicted_goodput_rps=pred.goodput_rps,
-                    ),
-                )
-            )
-    if not pairs:
-        raise CapacityError(
-            f"no feasible Seesaw pair for {model.name} on {cluster.describe()}"
-        )
-    pairs.sort(key=lambda kp: kp[0], reverse=True)
-    return [p for _, p in pairs]
+    return _rank(
+        model, cluster, workload,
+        [(cp, cd) for cp in configs for cd in configs if cp.dp == cd.dp],
+        max_num_seqs=max_num_seqs, objective=objective, what="Seesaw pair",
+    )
+
+
+def _simulated_best(
+    candidates: Sequence[T],
+    cell: Callable[[T], "CellSpec"],
+    key: Callable[[EngineResult], tuple[float, ...] | float],
+    executor: "CellExecutor | None",
+) -> T:
+    """The candidate whose simulated ``cell`` scores the highest ``key``
+    (the first one on ties). ``executor`` (inline by default) fans the
+    cells out and, with a cache attached, memoizes them; the pick is
+    identical at any ``--jobs``."""
+    from repro.exec import CellExecutor
+
+    runs = (executor or CellExecutor()).run(cell(c) for c in candidates)
+    best, best_key = candidates[0], None
+    for cand, result in zip(candidates, runs, strict=True):
+        score = key(result)
+        if best_key is None or score > best_key:
+            best, best_key = cand, score
+    return best
 
 
 def best_static_config(
@@ -171,36 +177,37 @@ def best_static_config(
     """Best static configuration; optionally re-rank analytic top-k by
     simulating a workload subsample with the vLLM-like engine. Under an
     ``slo`` objective the simulated score is measured SLO attainment
-    (throughput breaking ties), not raw throughput.
-
-    ``executor`` (inline by default) fans the top-k validation runs
-    across worker processes, and through the result cache when one is
-    attached; the pick is identical at any ``--jobs``."""
+    (throughput breaking ties), not raw throughput."""
     objective = objective or ServingObjective()
     ranked = rank_static_configs(
         model, cluster, workload, allow_dp=allow_dp, objective=objective
     )
     if simulate_top <= 1:
         return ranked[0].config
-    from repro.exec import CellExecutor, CellSpec
+    from repro.exec import CellSpec
 
+    options = options or EngineOptions()
     sample = workload.subset(min(sample_requests, workload.num_requests))
-    runs = (executor or CellExecutor()).run(
-        CellSpec(
+    return _simulated_best(
+        ranked[:simulate_top],
+        lambda cand: CellSpec(
             engine="vllm", model=model, cluster=cluster,
-            config=cand.config.label(),
-            options=options if options is not None else EngineOptions(),
-            workload=sample,
-        )
-        for cand in ranked[:simulate_top]
-    )
-    best_cfg, best_key = None, None
-    for cand, result in zip(ranked[:simulate_top], runs, strict=True):
-        key = objective.result_key(result)
-        if best_key is None or key > best_key:
-            best_cfg, best_key = cand.config, key
-    assert best_cfg is not None
-    return best_cfg
+            config=cand.config.label(), options=options, workload=sample,
+        ),
+        objective.result_key,
+        executor,
+    ).config
+
+
+def _with_rate_hint(
+    options: "SeesawOptions", objective: ServingObjective
+) -> "SeesawOptions":
+    """``options`` told the objective's arrival rate, unless they are
+    coupled (no planned arrivals to wait for) or already carry a rate."""
+    hint = objective.arrival_rate_hint
+    if hint is None or options.coupled or options.arrival_rate is not None:
+        return options
+    return replace(options, arrival_rate=hint)
 
 
 def best_seesaw_pair(
@@ -218,44 +225,30 @@ def best_seesaw_pair(
     """Best (cp, cd) pair; optionally validated by short simulation.
 
     ``options`` reaches the :class:`~repro.core.engine.SeesawEngine` used
-    for that validation (previously the simulated re-ranking silently
-    ignored arrival/router engine options). Under an ``slo`` objective the
-    engine is also told the predicted arrival rate so its phase loop can
-    weigh waiting against re-sharding. ``executor`` (inline by default)
-    parallelizes (and, with a cache, memoizes) the validation runs; the
-    pick is identical at any ``--jobs``.
+    for that validation. Under an ``slo`` objective a decoupled engine is
+    also told the predicted arrival rate so its phase loop can weigh
+    waiting against re-sharding.
     """
     objective = objective or ServingObjective()
     ranked = rank_seesaw_pairs(
         model, cluster, workload, allow_dp=allow_dp, objective=objective
     )
-    if simulate_top <= 1:
-        top = ranked[0]
-        return top.prefill_config, top.decode_config
-    from repro.core.options import SeesawOptions
-    from repro.exec import CellExecutor, CellSpec
+    best = ranked[0]
+    if simulate_top > 1:
+        from repro.core.options import SeesawOptions
+        from repro.exec import CellSpec
 
-    if options is None:
-        options = SeesawOptions()
-    # The hint never overrides an explicitly-supplied rate (e.g. one
-    # measured from a trace) — the validation engines must match what the
-    # caller will actually run.
-    if options.arrival_rate is None and objective.arrival_rate_hint is not None:
-        options = replace(options, arrival_rate=objective.arrival_rate_hint)
-    sample = workload.subset(min(sample_requests, workload.num_requests))
-    runs = (executor or CellExecutor()).run(
-        CellSpec(
-            engine="seesaw", model=model, cluster=cluster,
-            config=cand.label(), options=options, workload=sample,
+        options = _with_rate_hint(options or SeesawOptions(), objective)
+        sample = workload.subset(min(sample_requests, workload.num_requests))
+        best = _simulated_best(
+            ranked[:simulate_top],
+            lambda cand: CellSpec(
+                engine="seesaw", model=model, cluster=cluster,
+                config=cand.label(), options=options, workload=sample,
+            ),
+            objective.result_key,
+            executor,
         )
-        for cand in ranked[:simulate_top]
-    )
-    best, best_key = None, None
-    for cand, result in zip(ranked[:simulate_top], runs, strict=True):
-        key = objective.result_key(result)
-        if best_key is None or key > best_key:
-            best, best_key = cand, key
-    assert best is not None
     return best.prefill_config, best.decode_config
 
 
@@ -278,21 +271,77 @@ def tune_chunk_size(
     """
     if not candidates:
         raise ConfigurationError("need at least one chunk-size candidate")
-    from repro.exec import CellExecutor, CellSpec
+    from repro.exec import CellSpec
 
     sample = workload.subset(min(sample_requests, workload.num_requests))
-    runs = (executor or CellExecutor()).run(
-        CellSpec(
+    return _simulated_best(
+        candidates,
+        lambda size: CellSpec(
             engine="vllm", model=model, cluster=cluster,
             config=config.label(),
             options=EngineOptions(chunked_prefill=True, chunk_size=size),
             workload=sample,
-        )
-        for size in candidates
+        ),
+        lambda result: result.throughput_rps,
+        executor,
     )
-    best_size, best_rps = candidates[0], -1.0
-    for size, result in zip(candidates, runs, strict=True):
-        rps = result.throughput_rps
-        if rps > best_rps:
-            best_size, best_rps = size, rps
-    return best_size
+
+
+def compare_best(
+    model: ModelConfig,
+    cluster: ClusterSpec,
+    workload: WorkloadSpec,
+    *,
+    options: EngineOptions | None = None,
+    seesaw_options: "SeesawOptions | None" = None,
+    objective: ServingObjective | None = None,
+    simulate_top: int = 3,
+    seed: int = 0,
+    executor: "CellExecutor | None" = None,
+) -> tuple[EngineResult, EngineResult]:
+    """The paper's headline comparison: ``(vllm_best, seesaw)`` results.
+
+    vLLM runs its best static configuration with a tuned chunk size,
+    chunked and plain, keeping the better run by ``objective.result_key``
+    (under ``slo`` a faster run that misses the SLOs must not displace a
+    compliant one); Seesaw runs its best (cp, cd) pair from the same
+    search. Every cell goes through ``executor`` (inline by default) in
+    four batches: the static top-k, the chunk sizes, the Seesaw top-k,
+    then the three full runs.
+    """
+    from repro.core.options import SeesawOptions
+    from repro.exec import CellExecutor, CellSpec
+
+    objective = objective or ServingObjective()
+    executor = executor or CellExecutor()
+    options = options or EngineOptions()
+    seesaw_options = _with_rate_hint(seesaw_options or SeesawOptions(), objective)
+    static_cfg = best_static_config(
+        model, cluster, workload, simulate_top=simulate_top, options=options,
+        objective=objective, executor=executor,
+    )
+    chunk = tune_chunk_size(model, cluster, static_cfg, workload, executor=executor)
+    cp, cd = best_seesaw_pair(
+        model, cluster, workload, simulate_top=simulate_top,
+        options=seesaw_options, objective=objective, executor=executor,
+    )
+
+    def cell(engine: str, config: str, opts: EngineOptions) -> CellSpec:
+        return CellSpec(
+            engine=engine, model=model, cluster=cluster, config=config,
+            options=opts, workload=workload, seed=seed,
+        )
+
+    chunked, plain, seesaw = executor.run(
+        [
+            cell(
+                "vllm", static_cfg.label(),
+                replace(options, chunked_prefill=True, chunk_size=chunk),
+            ),
+            cell("vllm", static_cfg.label(), options),
+            cell("seesaw", transition_label(cp, cd), seesaw_options),
+        ]
+    )
+    if objective.result_key(plain) > objective.result_key(chunked):
+        return plain, seesaw
+    return chunked, seesaw

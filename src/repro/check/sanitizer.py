@@ -1,8 +1,11 @@
 """simsan — the shared-clock invariant sanitizer.
 
 An opt-in runtime checker (``RunHooks.sanitize`` / ``--sanitize``)
-that asserts, *while* a coupled/autoscaled run executes, the invariants
-the simulator's correctness rests on:
+that asserts, *while* a run executes, the invariants the simulator's
+correctness rests on. The coupled (and autoscaled) event loop exercises
+every rule; a decoupled run notes each planned dispatch (S2, S5), checks
+each replica's clock as it steps (S1) and sweeps each replica at drain
+(S3, S4):
 
 - **S1 clock-monotonic** — per-replica and cluster clocks never move
   backwards.
@@ -85,7 +88,7 @@ class SanitizerError(SimulationError):
 
 
 class Sanitizer:
-    """Runtime invariant checks for one coupled run.
+    """Runtime invariant checks for one run (decoupled or coupled).
 
     Every hook is O(1) except :meth:`note_event_pop` (the heap-vs-oracle
     cross-check, O(replicas) per popped event) and the drain-time

@@ -34,9 +34,8 @@ from repro.autotuner.objective import OBJECTIVES, ServingObjective
 from repro.cluster.autoscaler import AUTOSCALER_POLICIES
 from repro.autotuner.search import (
     best_seesaw_pair,
-    best_static_config,
+    compare_best,
     rank_static_configs,
-    tune_chunk_size,
 )
 from repro.core.engine import SeesawEngine
 from repro.engines.base import EngineOptions, RunHooks
@@ -170,12 +169,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sanitize",
         action="store_true",
-        help="run the shared-clock invariant sanitizer (simsan) alongside "
-        "the simulation: per-replica/cluster clock monotonicity, event "
+        help="run the invariant sanitizer (simsan) alongside the "
+        "simulation: per-replica/cluster clock monotonicity, event "
         "causality, token conservation, KV balance, request identity and "
         "fleet lifecycle legality (on the fluid fidelity, the analog "
-        "conservation laws over the mean-field accumulators); needs "
-        "--coupled, and any violation aborts the run with the rule id",
+        "conservation laws over the mean-field accumulators); any "
+        "violation aborts the run with the rule id",
     )
 
 
@@ -535,12 +534,10 @@ def _print_timeline(tracer) -> None:
         print(f"({tracer.dropped_phases} phase spans dropped at the trace cap)")
 
 
-def _build_engine(args: argparse.Namespace, objective: ServingObjective):
-    """One engine from the shared run/obs flag set (static or transition)."""
-    model = get_model(args.model)
-    cluster = make_cluster(args.gpu, args.num_gpus)
-    common = {
-        "chunk_size": args.chunk_size,
+def _serving_opts(args: argparse.Namespace) -> dict:
+    """The engine options every serving command takes from its flags:
+    routing, SLOs, and the coupled path with its fleet."""
+    return {
         "router": args.router,
         "router_seed": args.seed,
         "ttft_slo": args.ttft_slo,
@@ -551,6 +548,13 @@ def _build_engine(args: argparse.Namespace, objective: ServingObjective):
         "min_dp": args.min_dp,
         "max_dp": args.max_dp,
     }
+
+
+def _build_engine(args: argparse.Namespace, objective: ServingObjective):
+    """One engine from the shared run/obs flag set (static or transition)."""
+    model = get_model(args.model)
+    cluster = make_cluster(args.gpu, args.num_gpus)
+    common = {"chunk_size": args.chunk_size, **_serving_opts(args)}
     if "->" in args.config:
         from repro.core.options import SeesawOptions
 
@@ -558,8 +562,9 @@ def _build_engine(args: argparse.Namespace, objective: ServingObjective):
         seesaw_opts = SeesawOptions(
             chunked_prefill=False,
             # The SLO objective lets Seesaw's phase loop weigh waiting for
-            # predicted arrivals against re-sharding immediately.
-            arrival_rate=objective.arrival_rate_hint,
+            # predicted arrivals against re-sharding immediately (decoupled
+            # replicas only: a coupled one cannot see planned arrivals).
+            arrival_rate=None if args.coupled else objective.arrival_rate_hint,
             **common,
         )
         return SeesawEngine(model, cluster, cp, cd, seesaw_opts)
@@ -725,72 +730,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     objective = _serving_objective(args, workload)
     executor = _make_executor(args)
     from repro.core.options import SeesawOptions
-    from repro.exec import CellExecutor, CellSpec
 
     slo_opts = {"ttft_slo": args.ttft_slo, "tpot_slo": args.tpot_slo}
-    router_opts = {
-        "router": args.router,
-        "router_seed": args.seed,
-        "coupled": args.coupled,
-        "fidelity": args.fidelity,
-        "autoscaler": args.autoscaler,
-        "min_dp": args.min_dp,
-        "max_dp": args.max_dp,
-        **slo_opts,
-    }
-    static_cfg = best_static_config(
+    vllm, seesaw = compare_best(
         model,
         cluster,
         workload,
-        simulate_top=3,
-        options=EngineOptions(**router_opts),
+        options=EngineOptions(**_serving_opts(args)),
+        seesaw_options=SeesawOptions(**_serving_opts(args)),
         objective=objective,
+        seed=args.seed,
         executor=executor,
     )
-    # The chunk-size candidates run decoupled: nothing for --sanitize to check.
-    hook_free = CellExecutor(jobs=executor.jobs, cache=executor.cache)
-    chunk = tune_chunk_size(model, cluster, static_cfg, workload, executor=hook_free)
-    chunked_opts = EngineOptions(
-        chunked_prefill=True, chunk_size=chunk, **router_opts
-    )
-    plain_opts = EngineOptions(**router_opts)
-    seesaw_run_opts = SeesawOptions(
-        **router_opts, arrival_rate=objective.arrival_rate_hint
-    )
-    cp, cd = best_seesaw_pair(
-        model,
-        cluster,
-        workload,
-        simulate_top=3,
-        options=seesaw_run_opts,
-        objective=objective,
-        executor=executor,
-    )
-    # The three headline runs are independent cells: batch them into one
-    # fan-out (results come back in submission order).
-    vllm, vllm_plain, seesaw = executor.run(
-        [
-            CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=static_cfg.label(), options=chunked_opts,
-                workload=workload, seed=args.seed,
-            ),
-            CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=static_cfg.label(), options=plain_opts,
-                workload=workload, seed=args.seed,
-            ),
-            CellSpec(
-                engine="seesaw", model=model, cluster=cluster,
-                config=f"{cp.label()}->{cd.label()}",
-                options=seesaw_run_opts, workload=workload, seed=args.seed,
-            ),
-        ]
-    )
-    # The chunked-vs-plain pick honors the objective too: under slo, a
-    # faster run that misses the SLOs must not displace a compliant one.
-    if objective.result_key(vllm_plain) > objective.result_key(vllm):
-        vllm = vllm_plain
     results = {f"vllm {vllm.label}": vllm, f"seesaw {seesaw.label}": seesaw}
     print(
         comparison_table(
@@ -833,18 +784,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.exec import CellSpec
 
     results: dict[str, EngineResult] = {}
-    slo_opts = {"ttft_slo": args.ttft_slo, "tpot_slo": args.tpot_slo}
-    fleet_opts = {
-        "autoscaler": args.autoscaler, "min_dp": args.min_dp, "max_dp": args.max_dp
-    }
-    opts = EngineOptions(
-        router=args.router,
-        router_seed=args.seed,
-        coupled=args.coupled,
-        fidelity=args.fidelity,
-        **fleet_opts,
-        **slo_opts,
-    )
+    opts = EngineOptions(**_serving_opts(args))
     labels = [
         ranked.config.label()
         for ranked in rank_static_configs(
@@ -860,13 +800,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     results.update(zip(labels, static_runs, strict=True))
     seesaw_opts = SeesawOptions(
-        router=args.router,
-        router_seed=args.seed,
-        coupled=args.coupled,
-        fidelity=args.fidelity,
-        **fleet_opts,
-        **slo_opts,
-        arrival_rate=objective.arrival_rate_hint,
+        **_serving_opts(args),
+        arrival_rate=None if args.coupled else objective.arrival_rate_hint,
     )
     cp, cd = best_seesaw_pair(
         model, cluster, workload, simulate_top=3,
@@ -899,6 +834,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         r.latency is not None for r in results.values()
     ):
         print()
+        slo_opts = {"ttft_slo": args.ttft_slo, "tpot_slo": args.tpot_slo}
         print(latency_table(results, title="latency vs SLO", **slo_opts))
     _report_cache(executor)
     return 0
@@ -1011,16 +947,24 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     artifacts = {
         "table1": lambda: ex.render_table1(),
         "fig1": lambda: ex.render_fig1(ex.run_fig1()),
-        "fig2": lambda: ex.render_fig2(ex.run_fig2(num_requests=300)),
+        "fig2": lambda: ex.render_fig2(
+            ex.run_fig2(num_requests=300, executor=executor)
+        ),
         "fig4": lambda: ex.render_fig4(ex.run_fig4(num_requests=200)),
         "fig9": lambda: ex.render_fig9(ex.run_fig9()),
-        "fig10": lambda: ex.render_fig10(ex.run_fig10()),
+        "fig10": lambda: ex.render_fig10(ex.run_fig10(executor=executor)),
         "fig11": lambda: ex.render_fig11(
-            ex.run_fig11(num_arxiv=60, num_sharegpt=150)
+            ex.run_fig11(num_arxiv=60, num_sharegpt=150, executor=executor)
         ),
-        "fig12": lambda: ex.render_fig12(ex.run_fig12(num_requests=100)),
-        "fig13": lambda: ex.render_fig13(ex.run_fig13(num_requests=32)),
-        "fig14": lambda: ex.render_fig14(ex.run_fig14(num_requests=32)),
+        "fig12": lambda: ex.render_fig12(
+            ex.run_fig12(num_requests=100, executor=executor)
+        ),
+        "fig13": lambda: ex.render_fig13(
+            ex.run_fig13(num_requests=32, executor=executor)
+        ),
+        "fig14": lambda: ex.render_fig14(
+            ex.run_fig14(num_requests=32, executor=executor)
+        ),
         "fig15": lambda: ex.render_fig15(ex.run_fig15()),
         "latency": lambda: ex.render_latency_sweep(
             ex.run_latency_sweep(num_requests=40, executor=executor)

@@ -122,6 +122,13 @@ class ReplicaSim:
         while not math.isinf(self.next_event_time()):
             self._step()
 
+    def run_alone(self) -> None:
+        """Run a replica that shares no clock (the decoupled path) to its
+        event loop's end: unlike :meth:`finish`, a tail yielded after the
+        last request finished (a pipeline drain) still counts."""
+        while self._events is not None or not math.isinf(self.next_event_time()):
+            self._step()
+
     def _step(self) -> None:
         """Execute one event: resume the engine's event-loop generator."""
         if self._events is None:

@@ -57,15 +57,12 @@ class ClusterSimulator:
         self,
         engine: "BaseEngine",
         requests: TypingSequence[Request],
-        storm_preemptions: int = DEFAULT_STORM_PREEMPTIONS,
         use_heap: bool = True,
     ) -> None:
         self.engine = engine
         self.requests = list(requests)
         if not self.requests:
             raise ConfigurationError("cannot simulate an empty workload")
-        if storm_preemptions < 1:
-            raise ConfigurationError("storm_preemptions must be >= 1")
         # The policy object supplies select() and the rate context; its
         # predictive ledgers are replaced by observed views of the live
         # replica simulations, narrowed to the dispatchable membership
@@ -77,7 +74,6 @@ class ClusterSimulator:
         self.fleet, self.autoscaler = build_fleet(
             engine, self.policy.context, workload_averages(self.requests)
         )
-        self.storm_preemptions = storm_preemptions
         self.redispatched_requests = 0
         self.redispatches = 0
         # Lazy event heap over (next_event_time, replica_id, serial): the
@@ -92,10 +88,6 @@ class ClusterSimulator:
     def sims(self) -> list[ReplicaSim]:
         """Every replica simulation that exists, in replica-id order."""
         return list(self.fleet.sims())
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self.fleet.handles)
 
     # ------------------------------------------------------------------ #
     # Event heap
@@ -291,7 +283,7 @@ class ClusterSimulator:
             sim
             for sim in sims
             if sim.observed_preemptions() - sim.preemption_mark
-            >= self.storm_preemptions
+            >= DEFAULT_STORM_PREEMPTIONS
         ]
         if not storming:
             return 0

@@ -40,6 +40,7 @@ class SeesawOptions(EngineOptions):
             re-shard amortizes over a larger prefill batch
             (transition-minimizing scheduling under live traffic).
             ``None`` (the default) keeps the seed's phase behaviour.
+            Decoupled only: a coupled replica sees no planned arrivals.
     """
 
     overlap_swap: bool = True
@@ -58,6 +59,11 @@ class SeesawOptions(EngineOptions):
             raise ConfigurationError("prefill_staging_tokens must be >= 0")
         if self.arrival_rate is not None and self.arrival_rate <= 0:
             raise ConfigurationError("arrival_rate must be positive")
+        if self.arrival_rate is not None and self.coupled:
+            raise ConfigurationError(
+                "arrival_rate needs the decoupled path: the deferral waits "
+                "for planned arrivals, which a coupled replica cannot see"
+            )
 
     @property
     def staging_tokens(self) -> int:

@@ -11,7 +11,7 @@
 Seesaw itself lives in :mod:`repro.core`.
 """
 
-from repro.engines.base import BaseEngine, EngineOptions, RunHooks, split_requests
+from repro.engines.base import BaseEngine, EngineOptions, RunHooks
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
@@ -20,7 +20,6 @@ __all__ = [
     "BaseEngine",
     "EngineOptions",
     "RunHooks",
-    "split_requests",
     "VllmLikeEngine",
     "DecodePrioritizedEngine",
     "DisaggregatedEngine",

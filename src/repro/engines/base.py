@@ -2,9 +2,10 @@
 
 Every engine in this package simulates one DP replica at a time (replicas
 process disjoint request partitions concurrently; wall time is the slowest
-replica) and shares the mechanics implemented here: request partitioning,
-prefill micro-batch formation, the decode-iteration step with KV growth and
-preemption, and sequence bookkeeping.
+replica) and shares the mechanics implemented here: prefill micro-batch
+formation, the decode-iteration step with KV growth and preemption, and
+sequence bookkeeping. Requests reach the replicas through
+:mod:`repro.routing`.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ class RunHooks:
         sanitize: Runtime invariant sanitizer
             (:class:`repro.check.Sanitizer`) asserting clock monotonicity,
             event causality, token/KV conservation, request-id uniqueness
-            and fleet lifecycle legality. It checks shared-clock
-            invariants, so ``run()`` refuses it on a decoupled engine.
+            and fleet lifecycle legality, on the decoupled and coupled
+            paths alike (the disaggregated engine refuses it).
     """
 
     telemetry: object | None = None
@@ -223,24 +224,6 @@ class RunHooks:
 
 #: The hook-free bundle: every slot off.
 NO_HOOKS = RunHooks()
-
-
-def split_requests(
-    requests: TypingSequence[Request], num_parts: int
-) -> list[list[Request]]:
-    """Partition requests across DP replicas with the offline t=0 deal.
-
-    Round-robin by submission index: deterministic, and balances both
-    count and length distribution for the workload sizes the paper uses.
-    Only partition *membership* matters — :class:`ReplicaState` re-sorts
-    each partition by arrival time on construction. For online serving
-    this static deal is superseded by the :mod:`repro.routing` subsystem,
-    which dispatches each request at its arrival time under pluggable
-    policies; its ``static`` policy reproduces this split bit-exactly.
-    """
-    if num_parts < 1:
-        raise ConfigurationError("num_parts must be >= 1")
-    return [list(requests[i::num_parts]) for i in range(num_parts)]
 
 
 class ReplicaState:
@@ -371,9 +354,10 @@ class ReplicaRun:
 
     Bundles everything a replica's event loop owns — its request list,
     scheduling state, metrics and engine-specific extras (cost models,
-    phase bookkeeping, livelock guards) — so the loop can be driven either
-    to completion in one call (the decoupled path) or one event at a time
-    by the coupled cluster simulator, with new requests injected between
+    phase bookkeeping, livelock guards) — so a
+    :class:`repro.cluster.ReplicaSim` can drive the loop one event at a
+    time: alone to completion on the decoupled path, or on the coupled
+    cluster simulator's shared clock with new requests injected between
     events. Engines attach whatever extra attributes their loop needs in
     :meth:`BaseEngine._replica_setup`.
     """
@@ -439,10 +423,11 @@ class BaseEngine(abc.ABC):
 
     Each engine expresses its per-replica scheduler as an *event loop
     generator* (:meth:`_replica_loop`) that yields the virtual clock at
-    every iteration boundary. The decoupled path simply drives that
-    generator to exhaustion per replica (:meth:`_run_replica`); the
-    coupled path (:class:`repro.cluster.ClusterSimulator`) steps all
-    replicas' generators on one shared clock via :meth:`start_replica`.
+    every iteration boundary, wrapped by :meth:`start_replica` in a
+    :class:`repro.cluster.ReplicaSim`. The decoupled path runs each
+    replica's sim to completion on its own; the coupled path
+    (:class:`repro.cluster.ClusterSimulator`) steps all of them on one
+    shared clock.
     """
 
     name: str = "base"
@@ -496,11 +481,6 @@ class BaseEngine(abc.ABC):
         """
         hooks = NO_HOOKS if hooks is None else hooks
         if hooks.sanitize is not None:
-            if not self.options.coupled:
-                raise ConfigurationError(
-                    "the sanitizer checks shared-clock invariants: pass "
-                    "coupled=True (--coupled) with --sanitize"
-                )
             # Reset per-run state before the fleet fires its prewarm
             # lifecycle transitions, so one sanitizer can watch many runs.
             hooks.sanitize.begin_run()
@@ -536,21 +516,26 @@ class BaseEngine(abc.ABC):
             from repro.cluster.simulator import ClusterSimulator
 
             return ClusterSimulator(self, workload.requests).run()
-        requests = list(workload.requests)
-        plan = self.make_router(workload).route(requests)
-        parts = [list(p) for p in plan.partitions]
-        tr = self.hooks.tracing
-        if tr is not None:
+        plan = self.make_router(workload).route(list(workload.requests))
+        tr, san = self.hooks.tracing, self.hooks.sanitize
+        if tr is not None or san is not None:
             # Decoupled routing dispatches every arrival up front, at its
             # arrival instant, to the partition the plan chose.
-            for i, part in enumerate(parts):
+            for i, part in enumerate(plan.partitions):
                 for req in part:
-                    tr.note_dispatch(req.arrival_time, req.request_id, i)
-        results = [
-            self._run_replica(part, replica_id=i)
-            for i, part in enumerate(parts)
-            if part
-        ]
+                    if tr is not None:
+                        tr.note_dispatch(req.arrival_time, req.request_id, i)
+                    if san is not None:
+                        san.note_dispatch(req, i, req.arrival_time)
+        results = []
+        for i, part in enumerate(plan.partitions):
+            if not part:
+                continue
+            sim = self.start_replica(i, part)
+            sim.run_alone()
+            if san is not None:
+                san.check_drained(i, sim.run.state, sim.clock)
+            results.append(self._replica_result(sim.run, sim.clock))
         return merge_dp_results(
             results, engine=self.name, label=self.label(), router=plan.stats
         )
@@ -558,22 +543,6 @@ class BaseEngine(abc.ABC):
     def label(self) -> str:
         """Configuration label shown in reports."""
         return self.config.label()
-
-    def _run_replica(self, requests: list[Request], replica_id: int) -> EngineResult:
-        """Simulate one DP replica processing ``requests`` to completion
-        (the decoupled path: drive the event-loop generator dry)."""
-        run = self._replica_setup(list(requests), replica_id)
-        now = 0.0
-        tel = self.hooks.telemetry
-        if tel is None:
-            for now in self._replica_loop(run, 0.0):
-                pass
-        else:
-            probe = tel.probe(replica_id)
-            tick = probe.tick
-            for now in self._replica_loop(run, 0.0):
-                tick(now, run.state, run.metrics)
-        return self._replica_result(run, now)
 
     def start_replica(
         self,

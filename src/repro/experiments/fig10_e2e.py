@@ -17,11 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.autotuner.search import best_seesaw_pair, best_static_config, tune_chunk_size
-from repro.core.engine import SeesawEngine
-from repro.core.options import SeesawOptions
-from repro.engines.base import EngineOptions
-from repro.engines.vllm_like import VllmLikeEngine
+from repro.autotuner.search import compare_best
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.runtime.metrics import EngineResult
@@ -49,11 +45,6 @@ class Fig10Cell:
 class Fig10Result:
     cells: list[Fig10Cell]
 
-    def speedups(self) -> dict[str, float]:
-        return {
-            f"{c.gpu}/{c.model}/{c.dataset}": c.speedup for c in self.cells
-        }
-
     @property
     def geomean_speedup(self) -> float:
         return geomean([c.speedup for c in self.cells])
@@ -74,35 +65,20 @@ def run_fig10_cell(
     num_requests: int | None = None,
     simulate_top: int = 3,
     seed: int = 10,
+    executor=None,
 ) -> Fig10Cell:
-    """Run one (GPU, model, dataset) cell of Fig. 10."""
+    """Run one (GPU, model, dataset) cell of Fig. 10 through the shared
+    autotune-and-compare recipe (``executor`` is inline by default)."""
     model = get_model(model_name)
     cluster = make_cluster(gpu, _MODEL_GPUS[model_name])
     if dataset == "arxiv":
         workload = arxiv_workload(num_requests or 100, seed=seed)
     else:
         workload = sharegpt_workload(num_requests or 200, seed=seed)
-
-    static_cfg = best_static_config(
-        model, cluster, workload, simulate_top=simulate_top
+    vllm, seesaw = compare_best(
+        model, cluster, workload, simulate_top=simulate_top, seed=seed,
+        executor=executor,
     )
-    chunk = tune_chunk_size(model, cluster, static_cfg, workload)
-    vllm = VllmLikeEngine(
-        model,
-        cluster,
-        static_cfg,
-        EngineOptions(chunked_prefill=True, chunk_size=chunk),
-    ).run(workload)
-    # The paper reports the best vLLM variant; chunked prefill is not always
-    # a win, so compare against the plain engine too.
-    vllm_plain = VllmLikeEngine(model, cluster, static_cfg, EngineOptions()).run(
-        workload
-    )
-    if vllm_plain.throughput_rps > vllm.throughput_rps:
-        vllm = vllm_plain
-
-    cp, cd = best_seesaw_pair(model, cluster, workload, simulate_top=simulate_top)
-    seesaw = SeesawEngine(model, cluster, cp, cd, SeesawOptions()).run(workload)
     return Fig10Cell(
         gpu=gpu, model=model_name, dataset=dataset, vllm=vllm, seesaw=seesaw
     )
@@ -116,8 +92,11 @@ def run_fig10(
     full_scale: bool = False,
     num_requests: int | None = None,
     simulate_top: int = 3,
+    executor=None,
 ) -> Fig10Result:
-    """Run the full grid. ``full_scale`` uses the paper's request counts."""
+    """Run the full grid. ``full_scale`` uses the paper's request counts;
+    ``executor`` (inline by default) runs every cell, so ``--jobs`` and
+    ``--cache`` apply."""
     cells = []
     for gpu in gpus:
         for dataset in datasets:
@@ -132,6 +111,7 @@ def run_fig10(
                         dataset,
                         num_requests=n,
                         simulate_top=simulate_top,
+                        executor=executor,
                     )
                 )
     return Fig10Result(cells=cells)

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.autotuner.search import best_seesaw_pair, best_static_config, tune_chunk_size
-from repro.core.engine import SeesawEngine
-from repro.engines.base import EngineOptions
-from repro.engines.vllm_like import VllmLikeEngine
+from repro.autotuner.search import compare_best
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.runtime.metrics import EngineResult
@@ -48,7 +45,10 @@ def run_fig11(
     num_sharegpt: int = 160,
     simulate_top: int = 3,
     seed: int = 11,
+    executor=None,
 ) -> Fig11Result:
+    """Run every (dataset, interconnect) cell through the shared
+    autotune-and-compare recipe (``executor`` is inline by default)."""
     model = get_model("70b")
     clusters = {
         "pcie": make_cluster("A100-PCIE", 8),
@@ -61,25 +61,10 @@ def run_fig11(
     results: dict[tuple[str, str], dict[str, EngineResult]] = {}
     for ds_name, workload in workloads.items():
         for ic_name, cluster in clusters.items():
-            static_cfg = best_static_config(
-                model, cluster, workload, simulate_top=simulate_top
+            vllm, seesaw = compare_best(
+                model, cluster, workload, simulate_top=simulate_top, seed=seed,
+                executor=executor,
             )
-            chunk = tune_chunk_size(model, cluster, static_cfg, workload)
-            vllm = VllmLikeEngine(
-                model,
-                cluster,
-                static_cfg,
-                EngineOptions(chunked_prefill=True, chunk_size=chunk),
-            ).run(workload)
-            vllm_plain = VllmLikeEngine(
-                model, cluster, static_cfg, EngineOptions()
-            ).run(workload)
-            if vllm_plain.throughput_rps > vllm.throughput_rps:
-                vllm = vllm_plain
-            cp, cd = best_seesaw_pair(
-                model, cluster, workload, simulate_top=simulate_top
-            )
-            seesaw = SeesawEngine(model, cluster, cp, cd).run(workload)
             results[(ds_name, ic_name)] = {"vllm": vllm, "seesaw": seesaw}
     return Fig11Result(results=results)
 

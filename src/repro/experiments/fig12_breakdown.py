@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.autotuner.search import tune_chunk_size
-from repro.core.engine import SeesawEngine
+from repro.core.options import SeesawOptions
 from repro.engines.base import EngineOptions
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.parallel.config import parse_config
@@ -33,9 +32,6 @@ from repro.workloads.spec import WorkloadSpec
 @dataclass(frozen=True)
 class Fig12Result:
     runs: dict[str, EngineResult]
-
-    def segment(self, run: str, phase: str) -> float:
-        return self.runs[run].phase_time.get(phase, 0.0)
 
     def other_time(self, run: str) -> float:
         r = self.runs[run]
@@ -50,24 +46,34 @@ def run_fig12(
     *,
     num_requests: int = 120,
     seed: int = 12,
+    executor=None,
 ) -> Fig12Result:
     model = get_model("34b")
     cluster = make_cluster("A10", 4)
     workload = workload or arxiv_workload(num_requests, seed=seed)
 
-    runs: dict[str, EngineResult] = {}
-    runs["tp4"] = VllmLikeEngine(model, cluster, parse_config("T4")).run(workload)
-    runs["pp4"] = VllmLikeEngine(model, cluster, parse_config("P4")).run(workload)
-    runs["p4->t4"] = SeesawEngine(
-        model, cluster, parse_config("P4"), parse_config("T4")
-    ).run(workload)
-    chunk = tune_chunk_size(model, cluster, parse_config("T2P2"), workload)
-    runs["tp2pp2+chunked"] = VllmLikeEngine(
-        model,
-        cluster,
-        parse_config("T2P2"),
-        EngineOptions(chunked_prefill=True, chunk_size=chunk),
-    ).run(workload)
+    from repro.exec import CellExecutor, CellSpec
+
+    executor = executor or CellExecutor()
+    chunk = tune_chunk_size(
+        model, cluster, parse_config("T2P2"), workload, executor=executor
+    )
+    cells = {
+        "tp4": ("vllm", "T4", EngineOptions()),
+        "pp4": ("vllm", "P4", EngineOptions()),
+        "p4->t4": ("seesaw", "P4->T4", SeesawOptions()),
+        "tp2pp2+chunked": (
+            "vllm", "T2P2", EngineOptions(chunked_prefill=True, chunk_size=chunk)
+        ),
+    }
+    results = executor.run(
+        CellSpec(
+            engine=engine, model=model, cluster=cluster, config=config,
+            options=opts, workload=workload,
+        )
+        for engine, config, opts in cells.values()
+    )
+    runs = dict(zip(cells, results, strict=True))
     return Fig12Result(runs=runs)
 
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.engine import SeesawEngine
-from repro.engines.vllm_like import VllmLikeEngine
+from repro.core.options import SeesawOptions
+from repro.engines.base import EngineOptions
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
-from repro.parallel.config import parse_config
 from repro.utils.tables import ascii_series
 from repro.workloads.synthetic import ratio_workload
 
@@ -52,21 +51,29 @@ def run_fig13(
     ratios: Sequence[float] = DEFAULT_RATIOS,
     num_requests: int = 64,
     prompt_len: int = 3000,
+    executor=None,
 ) -> Fig13Result:
+    from repro.exec import CellExecutor, CellSpec
+
     model = model or get_model("70b")
     cluster = cluster or make_cluster("A10", 8)
-    throughput: dict[str, list[float]] = {k: [] for k in STATIC_LABELS}
-    throughput[SEESAW_LABEL] = []
-
-    for ratio in ratios:
-        workload = ratio_workload(num_requests, ratio, prompt_len=prompt_len)
-        for label in STATIC_LABELS:
-            engine = VllmLikeEngine(model, cluster, parse_config(label))
-            throughput[label].append(engine.run(workload).throughput_rps)
-        seesaw = SeesawEngine(
-            model, cluster, parse_config("pp8"), parse_config("tp4pp2")
+    curves = [(label, "vllm", EngineOptions()) for label in STATIC_LABELS]
+    curves.append((SEESAW_LABEL, "seesaw", SeesawOptions()))
+    workloads = [
+        ratio_workload(num_requests, ratio, prompt_len=prompt_len) for ratio in ratios
+    ]
+    runs = (executor or CellExecutor()).run(
+        CellSpec(
+            engine=engine, model=model, cluster=cluster, config=label,
+            options=opts, workload=workload,
         )
-        throughput[SEESAW_LABEL].append(seesaw.run(workload).throughput_rps)
+        for workload in workloads
+        for label, engine, opts in curves
+    )
+    throughput = {
+        label: [r.throughput_rps for r in runs[i :: len(curves)]]
+        for i, (label, _, _) in enumerate(curves)
+    }
     return Fig13Result(ratios=tuple(ratios), throughput=throughput)
 
 

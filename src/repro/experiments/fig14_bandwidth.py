@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.autotuner.search import best_seesaw_pair
-from repro.core.engine import SeesawEngine
-from repro.engines.vllm_like import VllmLikeEngine
+from repro.core.options import SeesawOptions
+from repro.engines.base import EngineOptions
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
-from repro.parallel.config import parse_config
+from repro.parallel.config import transition_label
 from repro.utils.tables import ascii_series
 from repro.workloads.datasets import arxiv_workload
 from repro.workloads.spec import WorkloadSpec
@@ -61,23 +61,19 @@ def run_fig14(
     scales: Sequence[float] = DEFAULT_SCALES,
     num_requests: int = 64,
     seed: int = 14,
+    executor=None,
 ) -> Fig14Result:
+    from repro.exec import CellExecutor, CellSpec
+
+    executor = executor or CellExecutor()
     model = model or get_model("34b")
     base_cluster = base_cluster or make_cluster("A10", 8)
     workload = workload or arxiv_workload(num_requests, seed=seed)
 
-    throughput: dict[str, list[float]] = {k: [] for k in STATIC_LABELS}
-    throughput[SEESAW_LABEL] = []
-    throughput[SEESAW_AUTO_LABEL] = []
+    curves = list(STATIC_LABELS) + [SEESAW_LABEL, SEESAW_AUTO_LABEL]
+    specs = []
     for scale in scales:
         cluster = base_cluster.scaled_bandwidth(scale)
-        for label in STATIC_LABELS:
-            engine = VllmLikeEngine(model, cluster, parse_config(label))
-            throughput[label].append(engine.run(workload).throughput_rps)
-        seesaw = SeesawEngine(
-            model, cluster, parse_config("d2p4"), parse_config("d2t4")
-        )
-        throughput[SEESAW_LABEL].append(seesaw.run(workload).throughput_rps)
         # Seesaw's adaptive mode: re-pick the (cp, cd) pair for the fabric
         # at hand (the paper's fixed-pair curve assumes PCIe-era trade-offs;
         # re-sharding itself is what lets the engine follow the optimum —
@@ -89,9 +85,23 @@ def run_fig14(
             workload,
             simulate_top=3,
             sample_requests=min(32, workload.num_requests),
+            executor=executor,
         )
-        auto = SeesawEngine(model, cluster, cp, cd)
-        throughput[SEESAW_AUTO_LABEL].append(auto.run(workload).throughput_rps)
+        cells = [("vllm", label, EngineOptions()) for label in STATIC_LABELS]
+        cells.append(("seesaw", SEESAW_LABEL, SeesawOptions()))
+        cells.append(("seesaw", transition_label(cp, cd), SeesawOptions()))
+        specs.extend(
+            CellSpec(
+                engine=engine, model=model, cluster=cluster, config=config,
+                options=opts, workload=workload,
+            )
+            for engine, config, opts in cells
+        )
+    runs = executor.run(specs)
+    throughput = {
+        curve: [r.throughput_rps for r in runs[i :: len(curves)]]
+        for i, curve in enumerate(curves)
+    }
     return Fig14Result(scales=tuple(scales), throughput=throughput)
 
 

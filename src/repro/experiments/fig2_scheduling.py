@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
-from repro.parallel.config import ParallelConfig, parse_config
+from repro.parallel.config import ParallelConfig, parse_config, transition_label
 from repro.runtime.metrics import EngineResult
 from repro.utils.tables import ascii_table
 from repro.workloads.datasets import sharegpt_workload
@@ -34,10 +33,6 @@ from repro.workloads.spec import WorkloadSpec
 @dataclass(frozen=True)
 class Fig2Result:
     policies: dict[str, EngineResult]
-
-    @property
-    def transition_counts(self) -> dict[str, int]:
-        return {k: r.transitions for k, r in self.policies.items()}
 
     @property
     def throughputs(self) -> dict[str, float]:
@@ -52,6 +47,7 @@ def run_fig2(
     prefill_config: ParallelConfig | None = None,
     decode_config: ParallelConfig | None = None,
     num_requests: int = 600,
+    executor=None,
 ) -> Fig2Result:
     # 70B on A10s with several times more requests than GPU KV capacity:
     # decode-prioritizing must drain its batch to zero before the next
@@ -63,16 +59,21 @@ def run_fig2(
     cp = prefill_config or parse_config("P8")
     cd = decode_config or parse_config("T4P2")
 
-    policies: dict[str, EngineResult] = {}
-    policies["prefill-prioritizing"] = SeesawEngine(
-        model, cluster, cp, cd, SeesawOptions(eager_transitions=True)
-    ).run(workload)
-    policies["decode-prioritizing"] = SeesawEngine(
-        model, cluster, cp, cd, SeesawOptions(use_cpu_buffer=False)
-    ).run(workload)
-    policies["tiered+transition-minimizing"] = SeesawEngine(
-        model, cluster, cp, cd, SeesawOptions()
-    ).run(workload)
+    from repro.exec import CellExecutor, CellSpec
+
+    options = {
+        "prefill-prioritizing": SeesawOptions(eager_transitions=True),
+        "decode-prioritizing": SeesawOptions(use_cpu_buffer=False),
+        "tiered+transition-minimizing": SeesawOptions(),
+    }
+    runs = (executor or CellExecutor()).run(
+        CellSpec(
+            engine="seesaw", model=model, cluster=cluster,
+            config=transition_label(cp, cd), options=opts, workload=workload,
+        )
+        for opts in options.values()
+    )
+    policies = dict(zip(options, runs, strict=True))
     return Fig2Result(policies=policies)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.autotuner.objective import ServingObjective
-from repro.autotuner.search import best_static_config
+from repro.autotuner.search import rank_static_configs
 from repro.engines.base import EngineOptions
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
@@ -110,9 +110,7 @@ def run_slo_sweep(
             config=cfg.label(), options=opts, workload=wl, seed=seed,
         )
 
-    throughput_cfg = best_static_config(
-        model, cluster, workload, objective=ServingObjective(), executor=executor
-    )
+    throughput_cfg = rank_static_configs(model, cluster, workload)[0].config
     (offline,) = executor.run([cell(throughput_cfg, EngineOptions(), workload)])
     capacity = offline.throughput_rps
 
@@ -126,10 +124,8 @@ def run_slo_sweep(
         objective = ServingObjective(
             kind="slo", request_rate=rate, ttft_slo=ttft_slo, tpot_slo=tpot_slo
         )
-        slo_cfg = best_static_config(
-            model, cluster, workload, objective=objective, executor=executor
-        )
-        predicted = _predicted_attainment(model, cluster, slo_cfg, workload, objective)
+        top = rank_static_configs(model, cluster, workload, objective=objective)[0]
+        slo_cfg, predicted = top.config, top.predicted_attainment
         prepared.append((rate, online, slo_cfg, predicted))
     specs = []
     for _, online, slo_cfg, _ in prepared:
@@ -162,30 +158,6 @@ def run_slo_sweep(
 def _attainment(result: EngineResult, ttft_slo: float, tpot_slo: float) -> float:
     assert result.latency is not None
     return result.latency.slo_attainment(ttft_slo=ttft_slo, tpot_slo=tpot_slo)
-
-
-def _predicted_attainment(
-    model: ModelConfig,
-    cluster: ClusterSpec,
-    config,
-    workload: WorkloadSpec,
-    objective: ServingObjective,
-) -> float:
-    from repro.autotuner.predictor import predict_request_rate
-
-    n = workload.num_requests
-    rates = predict_request_rate(
-        model,
-        cluster,
-        config,
-        config,
-        workload.total_input_tokens / n,
-        workload.total_output_tokens / n,
-        concurrency=n,
-    )
-    avg_in = workload.total_input_tokens / n
-    avg_out = workload.total_output_tokens / n
-    return objective.predict(rates, avg_in, avg_out).attainment
 
 
 def render_slo_sweep(result: SLOSweepResult | None = None) -> str:

@@ -1,7 +1,7 @@
 """Cluster-level request routing across data-parallel replicas.
 
 The seed partitioned requests across DP replicas once, at t=0, with a
-round-robin deal (:func:`repro.engines.base.split_requests`) — fine for
+round-robin deal (request ``i`` to replica ``i % dp``) — fine for
 offline throughput runs, but an online cluster dispatches each request
 *when it arrives*, against the load its replicas carry at that instant.
 This subsystem provides that dispatch layer:
@@ -11,8 +11,8 @@ This subsystem provides that dispatch layer:
   against service-rate estimates, with queued/running token views and a
   predicted-preemption counter.
 - :class:`~repro.routing.policies.Router` and its policies — ``static``
-  (round-robin by submission index, bit-exact with the seed's
-  ``split_requests``), ``jsq`` (join-shortest-queue by queued prefill
+  (round-robin by submission index, bit-exact with the seed's t=0
+  deal), ``jsq`` (join-shortest-queue by queued prefill
   tokens), ``least-work`` (outstanding prefill plus predicted decode
   tokens), ``po2`` (power-of-two-choices sampling, seeded), and ``slo``
   (best predicted attainment: penalize predicted preemptions, then

@@ -8,8 +8,8 @@ threshold have their still-pending requests re-routed to the least-loaded
 survivors. The policies differ only in :meth:`Router.select`:
 
 - ``static``   — round-robin by submission index; bit-exact with the
-  seed's t=0 ``split_requests`` deal, and therefore the default (golden
-  offline numbers are preserved). Never rebalances.
+  seed's t=0 deal (request ``i`` to replica ``i % dp``), and therefore the
+  default (golden offline numbers are preserved). Never rebalances.
 - ``jsq``      — join the shortest queue, measured in queued (not yet
   prefilled) prompt tokens.
 - ``least-work`` — smallest outstanding work: queued prefill tokens plus
@@ -56,16 +56,13 @@ class Router(abc.ABC):
         num_replicas: int,
         context: RouterContext | None = None,
         seed: int | None = None,
-        storm_preemptions: int = DEFAULT_STORM_PREEMPTIONS,
     ) -> None:
         if num_replicas < 1:
             raise ConfigurationError("router needs at least one replica")
-        if storm_preemptions < 1:
-            raise ConfigurationError("storm_preemptions must be >= 1")
         self.num_replicas = num_replicas
         self.context = context if context is not None else RouterContext()
-        self.seed = seed
-        self.storm_preemptions = storm_preemptions
+        # Stochastic policies (po2) draw from this; the others never do.
+        self.rng = make_rng(seed)
         self.loads = [ReplicaLoad(i, self.context) for i in range(num_replicas)]
 
     # ------------------------------------------------------------------ #
@@ -143,7 +140,7 @@ class Router(abc.ABC):
         storming = [
             load
             for load in self.loads
-            if load.storm_preemptions >= self.storm_preemptions
+            if load.storm_preemptions >= DEFAULT_STORM_PREEMPTIONS
         ]
         calm = [load for load in self.loads if load not in storming]
         if not calm:
@@ -181,8 +178,9 @@ class StaticRouter(Router):
     """The seed's round-robin-by-index deal, expressed as a policy.
 
     Partition membership is a pure function of the submission index, so
-    offline workloads reproduce ``split_requests`` — and the pinned golden
-    numbers — bit-exactly. Load is still tracked for reporting.
+    offline workloads reproduce the seed's round-robin deal — and the
+    pinned golden numbers — bit-exactly. Load is still tracked for
+    reporting.
     """
 
     name = "static"
@@ -225,16 +223,6 @@ class Po2Router(Router):
     prefill queue. Deterministic per seed."""
 
     name = "po2"
-
-    def __init__(
-        self,
-        num_replicas: int,
-        context: RouterContext | None = None,
-        seed: int | None = None,
-        storm_preemptions: int = DEFAULT_STORM_PREEMPTIONS,
-    ) -> None:
-        super().__init__(num_replicas, context, seed, storm_preemptions)
-        self.rng = make_rng(seed)
 
     def select(self, request: Request, index: int, now: float) -> int:
         n = len(self.loads)
@@ -284,7 +272,6 @@ def make_router(
     *,
     context: RouterContext | None = None,
     seed: int | None = None,
-    storm_preemptions: int = DEFAULT_STORM_PREEMPTIONS,
 ) -> Router:
     """Instantiate a routing policy by CLI name."""
     cls = _POLICY_CLASSES.get(policy)
@@ -292,9 +279,4 @@ def make_router(
         raise ConfigurationError(
             f"unknown router policy {policy!r}; one of {ROUTER_POLICIES}"
         )
-    return cls(
-        num_replicas,
-        context=context,
-        seed=seed,
-        storm_preemptions=storm_preemptions,
-    )
+    return cls(num_replicas, context=context, seed=seed)

@@ -138,11 +138,6 @@ class RouterStats:
         return _max_over_mean(self.tokens_per_replica)
 
     @property
-    def request_imbalance(self) -> float:
-        """Max/mean dispatched request count across replicas."""
-        return _max_over_mean(self.requests_per_replica)
-
-    @property
     def peak_queue_imbalance(self) -> float:
         """Max/mean of the per-replica peak queued-prefill-token depth —
         the metric JSQ exists to flatten."""
@@ -151,12 +146,6 @@ class RouterStats:
     @property
     def max_peak_queued_tokens(self) -> float:
         return max(self.peak_queued_prefill_tokens, default=0.0)
-
-    @property
-    def mean_peak_queued_tokens(self) -> float:
-        if not self.peak_queued_prefill_tokens:
-            return 0.0
-        return sum(self.peak_queued_prefill_tokens) / self.num_replicas
 
     @property
     def total_predicted_preemptions(self) -> int:

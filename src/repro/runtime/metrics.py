@@ -100,9 +100,6 @@ class EngineResult:
         """Processed-token (input+output) throughput."""
         return (self.input_tokens + self.output_tokens) / self.total_time
 
-    def phase_fraction(self, phase: str) -> float:
-        return self.phase_time.get(phase, 0.0) / self.total_time
-
     def describe(self) -> str:
         phases = ", ".join(
             f"{k}={v:.1f}s" for k, v in sorted(self.phase_time.items()) if v > 0

@@ -10,6 +10,7 @@ from repro.autotuner.predictor import (
 from repro.autotuner.search import (
     best_seesaw_pair,
     best_static_config,
+    compare_best,
     rank_seesaw_pairs,
     rank_static_configs,
     tune_chunk_size,
@@ -115,6 +116,41 @@ class TestSearch:
             sample_requests=8,
         )
         assert size in (512, 2048)
+
+    def test_static_ranking_is_the_pair_rankings_diagonal(
+        self, model_34b, cluster_a10_8, small_arxiv
+    ):
+        """A static config ranks as the degenerate pair (c, c): the static
+        ranking is the pair ranking restricted to its diagonal."""
+        static = rank_static_configs(model_34b, cluster_a10_8, small_arxiv)
+        pairs = rank_seesaw_pairs(model_34b, cluster_a10_8, small_arxiv)
+        assert all(r.prefill_config == r.decode_config for r in static)
+        assert static == [p for p in pairs if p.prefill_config == p.decode_config]
+
+    def test_compare_best_is_the_paper_recipe(self, tiny_model, cluster_a10_4):
+        """The shared recipe: best static config with a tuned chunk size,
+        the better of chunked and plain vLLM, against the best pair."""
+        from repro.core.engine import SeesawEngine
+        from repro.engines.base import EngineOptions
+        from repro.engines.vllm_like import VllmLikeEngine
+        from repro.workloads.synthetic import constant_workload
+
+        wl = constant_workload(16, 512, 64)
+        vllm, seesaw = compare_best(tiny_model, cluster_a10_4, wl, simulate_top=2)
+        cfg = best_static_config(tiny_model, cluster_a10_4, wl, simulate_top=2)
+        chunk = tune_chunk_size(tiny_model, cluster_a10_4, cfg, wl)
+        runs = [
+            VllmLikeEngine(tiny_model, cluster_a10_4, cfg, opts).run(wl)
+            for opts in (
+                EngineOptions(chunked_prefill=True, chunk_size=chunk),
+                EngineOptions(),
+            )
+        ]
+        want = max(runs, key=lambda r: r.throughput_rps)
+        assert (vllm.label, vllm.total_time) == (want.label, want.total_time)
+        cp, cd = best_seesaw_pair(tiny_model, cluster_a10_4, wl, simulate_top=2)
+        ref = SeesawEngine(tiny_model, cluster_a10_4, cp, cd).run(wl)
+        assert (seesaw.label, seesaw.total_time) == (ref.label, ref.total_time)
 
     def test_infeasible_model_raises(self, model_70b, cluster_a10_4, small_arxiv):
         with pytest.raises(CapacityError):

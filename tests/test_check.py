@@ -396,17 +396,15 @@ class TestSanitizedRuns:
         for rule in ("S1", "S2", "S3", "S4", "S5", "S6"):
             assert san.checks[rule] > 0, rule
 
+    @staticmethod
+    def _key(result):
+        recs = tuple(dataclasses.astuple(r) for r in result.latency.records)
+        return (result.throughput_rps, result.total_time, recs)
+
     def test_sanitize_off_is_bit_exact(self, tiny_model, cluster_a10_4):
         plain = self._run(tiny_model, cluster_a10_4, None)
         checked = self._run(tiny_model, cluster_a10_4, Sanitizer())
-
-        def key(result):
-            recs = tuple(
-                dataclasses.astuple(r) for r in result.latency.records
-            )
-            return (result.throughput_rps, result.total_time, recs)
-
-        assert key(plain) == key(checked)
+        assert self._key(plain) == self._key(checked)
 
     def test_storm_redispatch_keeps_ownership(self, tiny_model, cluster_a10_4):
         san = Sanitizer()
@@ -437,8 +435,6 @@ class TestSanitizedRuns:
                 EngineOptions(**opts),
             )
 
-        with pytest.raises(ConfigurationError, match="coupled"):
-            engine().run(wl, RunHooks(sanitize=Sanitizer()))
         plan = DisaggregationPlan(parse_config("T2"), parse_config("T2"))
         with pytest.raises(ConfigurationError, match="shared clock"):
             DisaggregatedEngine(tiny_model, cluster_a10_4, plan).run(
@@ -450,6 +446,24 @@ class TestSanitizedRuns:
         san = Sanitizer()
         engine(coupled=True, fidelity="fluid").run(wl, RunHooks(sanitize=san))
         assert san.total_checks > 0
+
+    def test_decoupled_run_is_sanitized(self, tiny_model, cluster_a10_4):
+        """The decoupled path notes every planned dispatch (S2, S5), checks
+        each replica clock as it steps (S1) and sweeps each replica at
+        drain (S3, S4), and the result is the unsanitized one bit for bit."""
+        wl = poisson_arrivals(constant_workload(24, 512, 16), 6.0, seed=11)
+        engine = VllmLikeEngine(
+            tiny_model, cluster_a10_4, parse_config("D2T2"),
+            EngineOptions(router="jsq"),
+        )
+        plain = engine.run(wl)
+        san = Sanitizer()
+        checked = engine.run(wl, RunHooks(sanitize=san))
+        assert self._key(plain) == self._key(checked)
+        for rule in ("S1", "S3", "S4", "S5"):
+            assert san.checks[rule] > 0, rule
+        assert san.checks["S5"] == 24
+        assert san.checks["S3"] == san.checks["S4"] == 2  # one per replica
 
     def test_describe_reports_counts(self, tiny_model, cluster_a10_4):
         san = Sanitizer()

@@ -430,6 +430,32 @@ class TestOnlineFlags:
         assert "| slo" in out
         assert "objective: slo" in out
 
+    def test_coupled_slo_compare_leaves_seesaw_without_the_hint(self, capsys):
+        """A coupled replica has no planned arrivals for the deferral to
+        wait on; the SLO objective's rate stays off its options."""
+        rc = main(
+            [
+                "compare", "--model", "15b", "--num-gpus", "4",
+                "--dataset", "const:512x64", "--num-requests", "8",
+                "--request-rate", "1.0", "--objective", "slo",
+                "--ttft-slo", "30.0", "--coupled",
+            ]
+        )
+        assert rc == 0
+        assert "speedup:" in capsys.readouterr().out
+
+    def test_decoupled_run_is_sanitized(self, capsys):
+        rc = main(
+            [
+                "run", "--model", "15b", "--num-gpus", "4", "--config", "D2T2",
+                "--dataset", "const:512x64", "--num-requests", "8", "--sanitize",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "S3 token-conservation: 2," in out  # one sweep per replica
+        assert "S5 request-identity: 8," in out
+
     def test_run_with_slo_router(self, capsys):
         rc = main(
             [

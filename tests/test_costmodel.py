@@ -174,6 +174,29 @@ class TestStepCostModel:
         assert m.kv_swap_time(2000) == pytest.approx(2 * m.kv_swap_time(1000))
         assert m.kv_swap_time(0) == 0.0
 
+    @pytest.mark.parametrize("model_name", ["15b", "34b", "70b"])
+    @pytest.mark.parametrize("gpu", ["A10", "L4", "A100-SXM"])
+    def test_decode_fast_path_equals_reference(self, model_name, gpu):
+        """The hoisted-constant decode path is the layer-composed reference
+        bit for bit, PP > 1 and rounded-up micro-batches included."""
+        from dataclasses import astuple
+
+        from repro.hardware.cluster import make_cluster
+        from repro.models.registry import get_model
+
+        model = get_model(model_name)
+        cluster = make_cluster(gpu, 8)
+        for label in ("T1", "T2", "T8", "P2", "P8", "T2P2", "T4P2", "T2P4"):
+            m = StepCostModel(model, cluster, parse_config(label))
+            for seqs in (1, 3, 7, 64, 257):
+                for ctx_per_seq in (1, 513, 2047):
+                    ctx = seqs * ctx_per_seq + 5
+                    fast = m.decode_iteration_time(seqs, ctx)
+                    ref = m.decode_iteration_time_reference(seqs, ctx)
+                    assert [x.hex() for x in astuple(fast)] == [
+                        x.hex() for x in astuple(ref)
+                    ], (label, seqs, ctx)
+
     def test_reshard_time_zero_for_same(self, model_34b, cluster_a10_8):
         m = StepCostModel(model_34b, cluster_a10_8, parse_config("T4P2"))
         assert m.reshard_time(parse_config("T4P2")) == 0.0

@@ -251,6 +251,34 @@ class TestSeesawPairOptions:
         )
         assert seen and all(o.arrival_rate == pytest.approx(0.2) for o in seen)
 
+    def test_coupled_validation_gets_no_arrival_rate(
+        self, model_34b, cluster_a10_8, small_arxiv, monkeypatch
+    ):
+        """A coupled replica cannot see planned arrivals, so the hint stays
+        off its validation engines (the options would reject it)."""
+        import repro.core.engine as core_engine
+
+        seen = []
+        real = core_engine.SeesawEngine
+
+        class Spy(real):
+            def __init__(self, model, cluster, cp, cd, options=None):
+                seen.append(options)
+                super().__init__(model, cluster, cp, cd, options)
+
+        monkeypatch.setattr(core_engine, "SeesawEngine", Spy)
+        online = poisson_arrivals(small_arxiv, 0.2, seed=0)
+        best_seesaw_pair(
+            model_34b,
+            cluster_a10_8,
+            online,
+            simulate_top=2,
+            sample_requests=8,
+            options=SeesawOptions(coupled=True),
+            objective=ServingObjective(kind="slo", request_rate=0.2, ttft_slo=30.0),
+        )
+        assert seen and all(o.arrival_rate is None for o in seen)
+
 
 class TestErlangC:
     """The M/M/c queueing correction (satellite of the coupled-sim PR)."""

@@ -3,7 +3,7 @@
 Covers the four contracts the PR pins down:
 
 1. **Golden equivalence** — the ``static`` policy is bit-exact with the
-   seed's t=0 ``split_requests`` deal, so every pinned golden offline
+   seed's t=0 round-robin deal, so every pinned golden offline
    number survives (the engines now always route through the router).
 2. **JSQ balances** — under a bursty, round-robin-adversarial workload
    JSQ strictly reduces the max/mean queued-prefill-token imbalance and
@@ -16,7 +16,7 @@ Covers the four contracts the PR pins down:
 
 import pytest
 
-from repro.engines.base import EngineOptions, split_requests
+from repro.engines.base import EngineOptions
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError
 from repro.experiments.routing_sweep import run_routing_sweep
@@ -85,11 +85,16 @@ class TestConstruction:
             StaticRouter(2).route([])
 
 
+def seed_deal(reqs, num_parts):
+    """The seed's t=0 partition: request ``i`` to replica ``i % num_parts``."""
+    return [list(reqs[i::num_parts]) for i in range(num_parts)]
+
+
 class TestStaticEquivalence:
     def test_partitions_match_split_requests_offline(self):
         reqs = requests_at([0.0] * 11)
         plan = StaticRouter(3).route(reqs)
-        assert [list(p) for p in plan.partitions] == split_requests(reqs, 3)
+        assert [list(p) for p in plan.partitions] == seed_deal(reqs, 3)
 
     def test_partitions_match_split_requests_online(self):
         """Membership stays a pure function of the submission index even
@@ -97,7 +102,7 @@ class TestStaticEquivalence:
         wl = poisson_arrivals(constant_workload(20, 100, 10), 5.0, seed=3)
         reqs = list(wl.requests)
         plan = StaticRouter(4, context=ctx()).route(reqs)
-        assert [list(p) for p in plan.partitions] == split_requests(reqs, 4)
+        assert [list(p) for p in plan.partitions] == seed_deal(reqs, 4)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SEED))
     def test_explicit_static_router_reproduces_seed_golden(self, name):
@@ -128,7 +133,7 @@ class TestStaticEquivalence:
         reqs = requests_at([float(i) * 0.01 for i in range(40)])
         plan = StaticRouter(2, context=ctx(kv=50)).route(reqs)
         assert plan.stats.rebalanced_requests == 0
-        assert [list(p) for p in plan.partitions] == split_requests(reqs, 2)
+        assert [list(p) for p in plan.partitions] == seed_deal(reqs, 2)
 
 
 class TestJSQ:

@@ -189,6 +189,32 @@ class TestScheduling:
         with pytest.raises(ConfigurationError):
             SeesawOptions(arrival_rate=0.0)
 
+    def test_arrival_rate_rejected_on_the_coupled_path(self):
+        """A coupled replica only sees requests already dispatched to it,
+        so the deferral has no planned arrivals to wait for."""
+        with pytest.raises(ConfigurationError, match="decoupled"):
+            SeesawOptions(coupled=True, arrival_rate=2.0)
+        assert SeesawOptions(coupled=True).arrival_rate is None
+
+    def test_decoupled_deferral_saves_transitions(self):
+        """Decoupled, the hint defers re-shards while planned arrivals are
+        due, so the run re-shards less often than without it."""
+        from repro.hardware.cluster import make_cluster
+        from repro.models.registry import get_model
+        from repro.workloads.arrivals import poisson_arrivals
+
+        wl = poisson_arrivals(sharegpt_workload(40, seed=7), 2.0, seed=7)
+        mk = lambda rate: SeesawEngine(
+            get_model("15b"),
+            make_cluster("A10", 4),
+            parse_config("D2P2"),
+            parse_config("D2T2"),
+            SeesawOptions(arrival_rate=rate),
+        ).run(wl)
+        plain, deferred = mk(None), mk(2.0)
+        assert deferred.num_requests == plain.num_requests == 40
+        assert deferred.transitions < plain.transitions
+
     def test_multiple_cycles_when_cpu_small(self, model_34b, cluster_a10_8):
         """Shrinking the CPU pool forces several prefill/decode cycles."""
         from dataclasses import replace

@@ -2,30 +2,11 @@
 
 import pytest
 
-from repro.engines.base import EngineOptions, split_requests
+from repro.engines.base import EngineOptions
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import CapacityError, ConfigurationError
 from repro.parallel.config import parse_config
-from repro.runtime.request import Request
 from repro.workloads.synthetic import constant_workload
-
-
-class TestSplitRequests:
-    def reqs(self, n):
-        return [Request(request_id=i, prompt_len=10, output_len=2) for i in range(n)]
-
-    def test_round_robin(self):
-        parts = split_requests(self.reqs(7), 3)
-        assert [len(p) for p in parts] == [3, 2, 2]
-        assert parts[0][0].request_id == 0
-        assert parts[1][0].request_id == 1
-
-    def test_single_part(self):
-        assert len(split_requests(self.reqs(4), 1)[0]) == 4
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            split_requests(self.reqs(2), 0)
 
 
 class TestCompletion:
