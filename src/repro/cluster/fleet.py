@@ -45,7 +45,7 @@ from repro.costmodel.transfer import TransferModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.parallel.memory import kv_capacity_bytes_per_gpu, weight_bytes_per_gpu
 from repro.routing.load import RouterContext, _duration
-from repro.routing.stats import FleetEvent, FleetStats
+from repro.routing.stats import FleetEvent, FleetStats, RouterStats
 from repro.workloads.spec import WorkloadSpec, request_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,8 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Starts one replica at activation: ``(replica_id, start_time) -> (sim,
 #: load)``. ``sim`` answers ``clock``, ``idle_time()``,
 #: ``queued_prefill_tokens(now)``, ``outstanding_tokens(now)`` (the drain
-#: cost scale-down ranks victims by) and ``drained_by(now)``; ``load`` is
-#: the view the routing policies and the autoscaler rank.
+#: cost scale-down ranks victims by), ``drained_by(now)`` and the
+#: :meth:`ReplicaFleet.router_stats` counters (``num_requests``,
+#: ``total_tokens``, ``peak_queued_prefill_tokens``,
+#: ``observed_preemptions()``); ``load`` is the view the routing policies
+#: and the autoscaler rank.
 ReplicaStarter = Callable[[int, float], tuple[Any, Any]]
 
 _EPS = 1e-12
@@ -468,6 +471,42 @@ class ReplicaFleet:
             tail = max(0.0, h.end_time(makespan) - h.sim.clock)
             fractions.append(min(1.0, (h.sim.idle_time() + tail) / window))
         return tuple(fractions)
+
+    def router_stats(
+        self,
+        policy: str,
+        makespan: float,
+        redispatched_requests: int = 0,
+        redispatches: int = 0,
+    ) -> RouterStats:
+        """The run's measured dispatch record, one entry per handle (a
+        replica that never started reads as empty). Nothing is predicted
+        on the shared clock, so the measured preemption counter rides in
+        ``observed_preemptions``; idle fractions are per active window
+        (:meth:`idle_fractions`)."""
+        n = len(self.handles)
+
+        def per_sim(fn, default):
+            return tuple(
+                default if h.sim is None else fn(h.sim) for h in self.handles
+            )
+
+        return RouterStats(
+            policy=policy,
+            num_replicas=n,
+            requests_per_replica=per_sim(lambda s: s.num_requests, 0),
+            tokens_per_replica=per_sim(lambda s: s.total_tokens, 0),
+            peak_queued_prefill_tokens=per_sim(
+                lambda s: s.peak_queued_prefill_tokens, 0.0
+            ),
+            predicted_preemptions=(0,) * n,
+            coupled=True,
+            observed_preemptions=per_sim(lambda s: s.observed_preemptions(), 0),
+            idle_fraction=self.idle_fractions(makespan),
+            redispatched_requests=redispatched_requests,
+            redispatches=redispatches,
+            fleet=self.stats(makespan) if self.autoscaler_name != "none" else None,
+        )
 
     def stats(self, makespan: float) -> FleetStats:
         """Fold the lifecycle log into the run's fleet summary."""

@@ -53,7 +53,6 @@ from repro.cluster.fleet import build_fleet, workload_averages
 from repro.costmodel.breakdown import Breakdown
 from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.errors import ConfigurationError, SimulationError
-from repro.routing.stats import RouterStats
 from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult
 from repro.runtime.request import Request
@@ -113,7 +112,7 @@ class _FluidReplica:
         "decode_tokens_total",
         "num_requests",
         "total_tokens",
-        "peak_queued",
+        "peak_queued_prefill_tokens",
     )
 
     def __init__(self, replica_id: int, start_time: float, prefill_rate: float) -> None:
@@ -128,7 +127,7 @@ class _FluidReplica:
         self.decode_tokens_total = 0
         self.num_requests = 0
         self.total_tokens = 0
-        self.peak_queued = 0.0
+        self.peak_queued_prefill_tokens = 0.0
 
     @property
     def clock(self) -> float:
@@ -136,6 +135,9 @@ class _FluidReplica:
 
     def idle_time(self) -> float:
         return self.idle_seconds
+
+    def observed_preemptions(self) -> int:
+        return 0  # the fluid model never preempts
 
     def outstanding_tokens(self, now: float) -> float:
         """Everything dispatched here and not done by ``now`` — the
@@ -494,8 +496,8 @@ class FluidSimulator:
             replica.num_requests += 1
             replica.total_tokens += prompt_len + outputs[i]
             queued = (replica.ready - now) * pf_rate
-            if queued > replica.peak_queued:
-                replica.peak_queued = queued
+            if queued > replica.peak_queued_prefill_tokens:
+                replica.peak_queued_prefill_tokens = queued
             if self._decode_secs.shape[0] > k:
                 self._decode_secs[k] += decode_tokens * decode_tail
             sched_t[i] = sched
@@ -561,7 +563,7 @@ class FluidSimulator:
             iterations=0,
             transitions=0,
             latency=latency,
-            router=self._stats(makespan),
+            router=fleet.router_stats(self.policy_name, makespan),
         )
 
     # ------------------------------------------------------------------ #
@@ -581,31 +583,3 @@ class FluidSimulator:
                     t,
                     h.sim.queued_prefill_tokens(t),
                 )
-
-    # ------------------------------------------------------------------ #
-    # Stats
-    # ------------------------------------------------------------------ #
-
-    def _stats(self, makespan: float) -> RouterStats:
-        fleet = self.fleet
-        handles = fleet.handles
-        n = len(handles)
-
-        def per_replica(attr: str, default):
-            return tuple(
-                getattr(h.sim, attr) if h.sim is not None else default
-                for h in handles
-            )
-
-        return RouterStats(
-            policy=self.policy_name,
-            num_replicas=n,
-            requests_per_replica=per_replica("num_requests", 0),
-            tokens_per_replica=per_replica("total_tokens", 0),
-            peak_queued_prefill_tokens=per_replica("peak_queued", 0.0),
-            predicted_preemptions=(0,) * n,
-            coupled=True,
-            observed_preemptions=(0,) * n,  # the fluid model never preempts
-            idle_fraction=fleet.idle_fractions(makespan),
-            fleet=fleet.stats(makespan) if self.autoscaler is not None else None,
-        )

@@ -118,14 +118,9 @@ class ReplicaSim:
             self._step()
 
     def finish(self) -> None:
-        """Run the replica to completion (no further injections)."""
-        while not math.isinf(self.next_event_time()):
-            self._step()
-
-    def run_alone(self) -> None:
-        """Run a replica that shares no clock (the decoupled path) to its
-        event loop's end: unlike :meth:`finish`, a tail yielded after the
-        last request finished (a pipeline drain) still counts."""
+        """Run the replica to its event loop's end (no further
+        injections): a tail yielded after the last request finished (a
+        pipeline drain) still counts."""
         while self._events is not None or not math.isinf(self.next_event_time()):
             self._step()
 
@@ -233,6 +228,16 @@ class ReplicaSim:
         the in-flight work a dispatcher at ``now`` must wait behind."""
         now = self.clock if now is None else now
         return max(0.0, self.clock - now)
+
+    @property
+    def num_requests(self) -> int:
+        """Requests dispatched here (storm-stolen ones excluded)."""
+        return len(self.run.requests)
+
+    @property
+    def total_tokens(self) -> int:
+        """Prompt plus output tokens of the requests dispatched here."""
+        return self.run.total_request_tokens
 
     def observed_preemptions(self) -> int:
         """Preemptions that actually happened on this replica so far

@@ -42,7 +42,6 @@ from repro.cluster.fleet import build_fleet, workload_averages
 from repro.cluster.replica import _EPS, ReplicaSim
 from repro.errors import ConfigurationError, SimulationError
 from repro.routing.policies import DEFAULT_STORM_PREEMPTIONS
-from repro.routing.stats import RouterStats
 from repro.runtime.metrics import EngineResult, merge_dp_results
 from repro.runtime.request import Request
 
@@ -255,7 +254,12 @@ class ClusterSimulator:
             results,
             engine=self.engine.name,
             label=self.engine.label(),
-            router=self._stats(makespan),
+            router=fleet.router_stats(
+                self.policy.name,
+                makespan,
+                self.redispatched_requests,
+                self.redispatches,
+            ),
             # Partial-lifetime replicas may all have drained before the
             # fleet's last event; the cluster makespan is authoritative.
             total_time=makespan,
@@ -329,42 +333,3 @@ class ClusterSimulator:
                     (total + float(req.prompt_len + req.output_len - 1), rid, target),
                 )
         return moved
-
-    # ------------------------------------------------------------------ #
-    # Stats
-    # ------------------------------------------------------------------ #
-
-    def _stats(self, makespan: float) -> RouterStats:
-        fleet = self.fleet
-        handles = fleet.handles
-        n = len(handles)
-
-        def per_sim(fn, default):
-            return tuple(
-                fn(h.sim) if h.sim is not None else default for h in handles
-            )
-
-        return RouterStats(
-            policy=self.policy.name,
-            num_replicas=n,
-            requests_per_replica=per_sim(lambda s: len(s.run.requests), 0),
-            tokens_per_replica=per_sim(
-                lambda s: sum(r.total_tokens for r in s.run.requests), 0
-            ),
-            peak_queued_prefill_tokens=per_sim(
-                lambda s: s.peak_queued_prefill_tokens, 0.0
-            ),
-            # Nothing is *predicted* on the coupled path; the measured
-            # counter rides in observed_preemptions instead.
-            predicted_preemptions=(0,) * n,
-            coupled=True,
-            observed_preemptions=per_sim(lambda s: s.observed_preemptions(), 0),
-            # Idle is judged against each replica's *active window*: a
-            # replica that drained early and sat unused while others kept
-            # working is idle for that tail too, but a replica is not
-            # idle before it was provisioned or after it stopped.
-            idle_fraction=fleet.idle_fractions(makespan),
-            redispatched_requests=self.redispatched_requests,
-            redispatches=self.redispatches,
-            fleet=fleet.stats(makespan) if fleet.autoscaler_name != "none" else None,
-        )

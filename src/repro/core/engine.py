@@ -18,6 +18,9 @@ and a *decode phase* under ``cd``:
 
 The ablation flags in :class:`SeesawOptions` disable the tiered buffer,
 the overlap pipeline, or transition-minimizing scheduling individually.
+Without the tiered buffer a replica runs the shared batch-at-a-time loop
+(:meth:`~repro.engines.base.BaseEngine._batch_loop`, Fig. 2(b)) with a
+re-shard to ``cp`` before and to ``cd`` after every prefill wave.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class SeesawEngine(BaseEngine):
         now = start
 
         if not opts.use_cpu_buffer:
-            yield from self._no_buffer_loop(run, start)
+            yield from self._batch_loop(run, start, costs_p, costs_d)
             return
 
         while not state.all_work_done:
@@ -134,15 +137,11 @@ class SeesawEngine(BaseEngine):
 
             state.admit_arrivals(now)
             if self._can_prefill(state) and not self._defer_prefill(state):
-                now, run.current = self._reshard(
-                    now, run.current, cp, costs_p, metrics, state
-                )
+                now = self._reshard(run, now, cp)
                 now = yield from self._prefill_phase(state, costs_p, metrics, now)
 
             if state.running or state.cpu_has_sequences or state.inflight:
-                now, run.current = self._reshard(
-                    now, run.current, cd, costs_d, metrics, state
-                )
+                now = self._reshard(run, now, cd)
                 now = yield from self._decode_phase(state, costs_d, metrics, now)
             elif state.waiting and not self._can_prefill(state):
                 head = state.waiting[0]
@@ -208,26 +207,21 @@ class SeesawEngine(BaseEngine):
         expected = rate * self._transition_time()
         return len(state.waiting) < expected
 
-    def _reshard(
-        self,
-        now: float,
-        current: ParallelConfig,
-        target: ParallelConfig,
-        costs: StepCostModel,
-        metrics: RunMetrics,
-        state: SeesawState,
-    ) -> tuple[float, ParallelConfig]:
-        """Switch the cluster's sharding to ``target`` if needed.
+    def _reshard(self, run: ReplicaRun, now: float, target: ParallelConfig) -> float:
+        """Switch the replica's sharding to ``target`` if needed; returns
+        the clock.
 
         The weight reload shares the host links with KV traffic, so it
         waits for both channels to drain; reloads then run in parallel
         across GPUs.
         """
         opts: SeesawOptions = self.options  # type: ignore[assignment]
-        if current == target:
-            return now, current
+        state: SeesawState = run.state  # type: ignore[assignment]
+        metrics = run.metrics
+        if run.current == target:
+            return now
         plan = plan_reshard(
-            self.model, current, target, reuse_overlap=opts.reuse_weight_overlap
+            self.model, run.current, target, reuse_overlap=opts.reuse_weight_overlap
         )
         start = max(now, state.d2h.free_at, state.h2d.free_at)
         elapsed = (start - now) + plan.transfer_time(self.cluster)
@@ -242,7 +236,8 @@ class SeesawEngine(BaseEngine):
         now = now + elapsed
         state.d2h.idle_until(now)
         state.h2d.idle_until(now)
-        return now, target
+        run.current = target
+        return now
 
     # ------------------------------------------------------------------ #
     # Prefill phase
@@ -513,70 +508,16 @@ class SeesawEngine(BaseEngine):
             tr.note_preempt(now, victim.seq_id, stall_kind)
 
     # ------------------------------------------------------------------ #
-    # Ablation: no CPU buffer (re-sharding with decode-prioritized batches)
+    # Ablation: no CPU buffer (re-sharding around decode-prioritized batches)
     # ------------------------------------------------------------------ #
 
-    def _no_buffer_loop(self, run: ReplicaRun, start: float) -> Iterator[float]:
-        """Without tiered buffering, re-sharding can only amortize over the
-        sequences GPU memory holds at once: admit a GPU-sized batch,
-        prefill under cp, re-shard, decode it to completion, re-shard back.
+    # Without tiered buffering, re-sharding can only amortize over the
+    # sequences GPU memory holds at once: the shared batch-at-a-time loop
+    # (BaseEngine._batch_loop) admits a GPU-sized batch, which is prefilled
+    # under cp and decoded to completion under cd.
 
-        A generator over the same iteration boundaries as the buffered
-        loop (prefill waves, re-shards, decode iterations, idle jumps)."""
-        state: SeesawState = run.state  # type: ignore[assignment]
-        metrics = run.metrics
-        cp, cd = run.cp, run.cd
-        costs_p, costs_d = run.costs_p, run.costs_d
-        tr = self.hooks.tracing
-        now = start
-        while state.has_work:
-            state.admit_arrivals(now)
-            if not state.waiting and not state.running:
-                now = self.idle_advance(state, metrics, now)
-                yield now
-                continue
-            now, run.current = self._reshard(
-                now, run.current, cp, costs_p, metrics, state
-            )
-            admitted: list[Sequence] = []
-            while state.waiting and len(admitted) < self.options.max_num_seqs:
-                seq = state.waiting[0]
-                if not state.kv.can_allocate(seq.final_context_len):
-                    break
-                state.kv.allocate(seq.seq_id, seq.final_context_len)
-                state.waiting.popleft()
-                seq.mark_scheduled(now)
-                admitted.append(seq)
-            if not admitted and not state.running:
-                head = state.waiting[0]
-                raise CapacityError(
-                    f"request needs {head.final_context_len} KV tokens, "
-                    f"capacity {state.kv.capacity_tokens}"
-                )
-            microbatches = self.form_prefill_microbatches(admitted)
-            wall, device = self.prefill_time(costs_p, microbatches)
-            if tr is not None:
-                tr.note_phase(
-                    run.replica_id, "prefill", now, wall, len(admitted),
-                    sum(s.remaining_prefill for s in admitted),
-                    len(state.running) + len(admitted),
-                )
-            now += wall
-            metrics.add_phase("prefill", wall, device)
-            for seq in admitted:
-                seq.advance_prefill(seq.remaining_prefill)
-                seq.state = SequenceState.RUNNING
-                seq.prefill_end_time = now
-                seq.mark_first_token(now)
-                state.start_running(seq)
-            if tr is not None:
-                for seq in admitted:
-                    tr.note_resume(now, seq.seq_id)
-            state.finish_ready(now)
-            now, run.current = self._reshard(
-                now, run.current, cd, costs_d, metrics, state
-            )
-            yield now
-            while state.running:
-                now = self.decode_step(state, costs_d, metrics, now)
-                yield now
+    def _before_prefill(self, run: ReplicaRun, now: float) -> float:
+        return self._reshard(run, now, run.cp)
+
+    def _after_prefill(self, run: ReplicaRun, now: float) -> float:
+        return self._reshard(run, now, run.cd)

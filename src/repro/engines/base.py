@@ -2,9 +2,10 @@
 
 Every engine in this package simulates one DP replica at a time (replicas
 process disjoint request partitions concurrently; wall time is the slowest
-replica) and shares the mechanics implemented here: prefill micro-batch
-formation, the decode-iteration step with KV growth and preemption, and
-sequence bookkeeping. Requests reach the replicas through
+replica) and shares the mechanics implemented here: the whole-batch
+prefill wave, reserved (preemption-free) admission, the batch-at-a-time
+scheduling loop, the decode-iteration step with KV growth and preemption,
+and sequence bookkeeping. Requests reach the replicas through
 :mod:`repro.routing`.
 """
 
@@ -14,7 +15,7 @@ import abc
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence as TypingSequence
+from typing import Iterable, Iterator, Sequence as TypingSequence
 
 from repro.costmodel.breakdown import Breakdown
 from repro.costmodel.pipeline import pipeline_time_heterogeneous
@@ -32,7 +33,7 @@ from repro.routing import ROUTER_POLICIES, Router, RouterContext, make_router
 from repro.runtime.kvcache import KVCacheManager
 from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult, RunMetrics, merge_dp_results
-from repro.runtime.request import Request, Sequence
+from repro.runtime.request import Request, Sequence, SequenceState
 from repro.workloads.spec import WorkloadSpec, request_lengths
 
 
@@ -532,7 +533,7 @@ class BaseEngine(abc.ABC):
             if not part:
                 continue
             sim = self.start_replica(i, part)
-            sim.run_alone()
+            sim.finish()
             if san is not None:
                 san.check_drained(i, sim.run.state, sim.clock)
             results.append(self._replica_result(sim.run, sim.clock))
@@ -708,48 +709,135 @@ class BaseEngine(abc.ABC):
         metrics.add_phase("idle", target - now)
         return target
 
-    def form_prefill_microbatches(
-        self, seqs: TypingSequence[Sequence]
-    ) -> list[list[Sequence]]:
-        """Greedy micro-batch formation under the token budget.
+    def prefill_wave(
+        self,
+        state: ReplicaState,
+        costs: StepCostModel,
+        metrics: RunMetrics,
+        now: float,
+        batch: TypingSequence[Sequence],
+        resident: int,
+    ) -> float:
+        """Prefill ``batch`` whole in one pipelined wave; returns the clock
+        at the wave's end.
 
-        Sequences are packed in order; a sequence longer than the budget
-        gets a micro-batch of its own (real engines run long prompts as a
-        single pass too).
+        The batch is packed in order into greedy micro-batches under the
+        token budget (a prompt longer than the budget gets a micro-batch of
+        its own, as real engines run it in one pass) that stream through
+        the pipeline stages. The wave counts as one iteration and one
+        ``prefill`` phase span (``resident`` is the span's resident-
+        sequence count); every sequence of the batch then runs with its
+        first token, and single-token outputs retire at once.
         """
         budget = self.options.max_batched_tokens
-        batches: list[list[Sequence]] = []
-        current: list[Sequence] = []
-        used = 0
-        for seq in seqs:
-            tokens = seq.remaining_prefill
-            if current and used + tokens > budget:
-                batches.append(current)
-                current, used = [], 0
-            current.append(seq)
-            used += tokens
-        if current:
-            batches.append(current)
-        return batches
-
-    def prefill_time(
-        self, costs: StepCostModel, microbatches: TypingSequence[TypingSequence[Sequence]]
-    ) -> tuple[float, Breakdown]:
-        """Wall time and device breakdown of streaming ``microbatches``
-        through the (possibly pipelined) cluster."""
-        if not microbatches:
-            return 0.0, Breakdown()
-        stage_bds = [
-            costs.prefill_stage_time([s.remaining_prefill for s in mb])
-            for mb in microbatches
-        ]
-        wall = pipeline_time_heterogeneous(
-            [b.total for b in stage_bds], costs.config.pp
-        ) + ITERATION_OVERHEAD
+        stages: list[Breakdown] = []
+        lens: list[int] = []
+        used = tokens = 0
+        for seq in batch:
+            n = seq.remaining_prefill
+            if lens and used + n > budget:
+                stages.append(costs.prefill_stage_time(lens))
+                lens, used = [], 0
+            lens.append(n)
+            used += n
+            tokens += n
+        stages.append(costs.prefill_stage_time(lens))
+        pp = costs.config.pp
+        wall = (
+            pipeline_time_heterogeneous([b.total for b in stages], pp)
+            + ITERATION_OVERHEAD
+        )
         device = Breakdown()
-        for b in stage_bds:
-            device = device + b.scale(costs.config.pp)
-        return wall, device
+        for b in stages:
+            device = device + b.scale(pp)
+        tr = self.hooks.tracing
+        if tr is not None:
+            tr.note_phase(
+                state.replica_id, "prefill", now, wall, len(batch), tokens, resident
+            )
+        start, now = now, now + wall
+        metrics.add_phase("prefill", wall, device)
+        metrics.iterations += 1
+        for seq in batch:
+            seq.mark_scheduled(start)
+            seq.advance_prefill(seq.remaining_prefill)
+            seq.state = SequenceState.RUNNING
+            seq.prefill_end_time = now
+            seq.mark_first_token(now)
+            state.start_running(seq)
+        if tr is not None:
+            for seq in batch:
+                tr.note_resume(now, seq.seq_id)
+        state.finish_ready(now)
+        return now
+
+    def admit_reserved(self, state: ReplicaState, limit: int) -> list[Sequence]:
+        """Admit up to ``limit`` waiting sequences, in order, while each
+        one's *final* context fits — reserved whole, so they all decode
+        to completion without preemption."""
+        admitted: list[Sequence] = []
+        while state.waiting and len(admitted) < limit:
+            need = state.waiting[0].final_context_len
+            if not state.kv.can_allocate(need):
+                break
+            seq = state.waiting.popleft()
+            state.kv.allocate(seq.seq_id, need)
+            admitted.append(seq)
+        return admitted
+
+    def _batch_loop(
+        self,
+        run: ReplicaRun,
+        start: float,
+        prefill_costs: StepCostModel,
+        decode_costs: StepCostModel,
+    ) -> Iterator[float]:
+        """Batch-at-a-time scheduling (Fig. 2(b), FasterTransformer's):
+        admit a batch with reserved final contexts, prefill it in one wave,
+        decode it to completion, only then admit the next; arrivals wait
+        in the queue meanwhile. A replica event loop generator; the
+        ``_before_prefill`` / ``_after_prefill`` / ``_after_decode`` hooks
+        mark the stage switches (transition counts, re-shards)."""
+        state, metrics = run.state, run.metrics
+        now = start
+        while state.has_work:
+            state.admit_arrivals(now)
+            if not state.waiting and not state.running:
+                now = self.idle_advance(state, metrics, now)
+                yield now
+                continue
+            now = self._before_prefill(run, now)
+            batch = self.admit_reserved(state, self.options.max_num_seqs)
+            if not batch:
+                head = state.waiting[0]
+                raise CapacityError(
+                    f"request needs {head.final_context_len} tokens of KV, "
+                    f"capacity is {state.kv.capacity_tokens}"
+                )
+            now = self.prefill_wave(
+                state, prefill_costs, metrics, now, batch,
+                len(state.running) + len(batch),
+            )
+            now = self._after_prefill(run, now)
+            while state.running:
+                yield now
+                state.admit_arrivals(now)
+                now = self.decode_step(state, decode_costs, metrics, now)
+            now = self._after_decode(run, now)
+            yield now
+
+    def _before_prefill(self, run: ReplicaRun, now: float) -> float:
+        """Batch-loop hook before a batch is admitted; returns the clock."""
+        return now
+
+    def _after_prefill(self, run: ReplicaRun, now: float) -> float:
+        """Batch-loop hook after a batch's prefill wave; returns the clock."""
+        return now
+
+    def _after_decode(self, run: ReplicaRun, now: float) -> float:
+        """Batch-loop hook after a batch decoded to completion; returns
+        the clock."""
+        return now
 
     def decode_step(
         self,

@@ -96,13 +96,8 @@ class _DecodeOnlyEngine(BaseEngine):
         now = start
         while state.has_work:
             state.admit_arrivals(now)
-            while (
-                state.waiting
-                and len(state.running) < self.options.max_num_seqs
-                and state.kv.can_allocate(state.waiting[0].final_context_len)
-            ):
-                seq = state.waiting.popleft()
-                state.kv.allocate(seq.seq_id, seq.final_context_len)
+            limit = self.options.max_num_seqs - len(state.running)
+            for seq in self.admit_reserved(state, limit):
                 seq.mark_scheduled(now)
                 seq.advance_prefill(seq.remaining_prefill)
                 seq.state = SequenceState.RUNNING

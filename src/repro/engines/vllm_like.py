@@ -70,30 +70,9 @@ class VllmLikeEngine(BaseEngine):
         if self._prefill_worthwhile(state):
             admitted = self._admit_prefills(state)
         if admitted:
-            admit_time = now
-            microbatches = self.form_prefill_microbatches(admitted)
-            wall, device = self.prefill_time(costs, microbatches)
-            tr = self.hooks.tracing
-            if tr is not None:
-                tr.note_phase(
-                    state.replica_id, "prefill", now, wall, len(admitted),
-                    sum(s.remaining_prefill for s in admitted), len(state.running),
-                )
-            now += wall
-            metrics.add_phase("prefill", wall, device)
-            metrics.iterations += 1
-            for seq in admitted:
-                seq.mark_scheduled(admit_time)
-                seq.advance_prefill(seq.remaining_prefill)
-                seq.state = SequenceState.RUNNING
-                seq.prefill_end_time = now
-                seq.mark_first_token(now)
-                state.start_running(seq)
-            if tr is not None:
-                for seq in admitted:
-                    tr.note_resume(now, seq.seq_id)
-            state.finish_ready(now)  # output_len == 1 finishes at prefill
-            return now
+            return self.prefill_wave(
+                state, costs, metrics, now, admitted, len(state.running)
+            )
         if state.running:
             return self.decode_step(state, costs, metrics, now)
         # Nothing admitted and nothing running: the head prompt cannot fit.

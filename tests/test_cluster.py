@@ -94,11 +94,16 @@ class TestGoldenEquivalence:
         assert_identical(dec, cpl)
 
     def test_seesaw_offline(self, tiny_model, cluster_a10_4):
-        wl = sharegpt_workload(40, seed=7)
+        self.check_seesaw(tiny_model, cluster_a10_4, sharegpt_workload(40, seed=7))
+
+    def test_seesaw_single_token_offline(self, tiny_model, cluster_a10_4):
+        """Single-token outputs all finish before the prefill pipeline
+        drains; the coupled replica still runs its event loop's tail."""
+        self.check_seesaw(tiny_model, cluster_a10_4, constant_workload(16, 256, 1))
+
+    def check_seesaw(self, model, cluster, wl):
         cp, cd = parse_transition("D2P2->D2T2")
-        mk = lambda c: SeesawEngine(
-            tiny_model, cluster_a10_4, cp, cd, SeesawOptions(coupled=c)
-        )
+        mk = lambda c: SeesawEngine(model, cluster, cp, cd, SeesawOptions(coupled=c))
         assert_identical(mk(False).run(wl), mk(True).run(wl))
 
     def test_disaggregated_offline(self, tiny_model, cluster_a10_4):

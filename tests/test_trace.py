@@ -3,14 +3,17 @@
 import pytest
 
 from repro.core.engine import SeesawEngine
+from repro.core.options import SeesawOptions
 from repro.engines.base import EngineOptions, RunHooks
+from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.slots import VECTORIZE_MIN_SEQS
 from repro.engines.slots import np as slots_np
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import SimulationError
 from repro.obs import PhaseSpan, Tracer, phase_segments, render_timeline
-from repro.parallel.config import parse_config
+from repro.parallel.config import parse_config, parse_transition
 from repro.workloads.arrivals import poisson_arrivals
+from repro.workloads.datasets import sharegpt_workload
 from repro.workloads.synthetic import constant_workload
 
 
@@ -196,3 +199,40 @@ class TestPhaseTracks:
             assert of_kind(spans, PREFILL) and of_kind(spans, DECODE)
             starts = [e.start for e in spans]
             assert starts == sorted(starts)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m, c, o: VllmLikeEngine(m, c, parse_config("D2P2"), EngineOptions(**o)),
+            lambda m, c, o: VllmLikeEngine(
+                m, c, parse_config("D2T2"),
+                EngineOptions(chunked_prefill=True, chunk_size=512, **o),
+            ),
+            lambda m, c, o: DecodePrioritizedEngine(
+                m, c, parse_config("D2T2"), EngineOptions(**o)
+            ),
+            lambda m, c, o: SeesawEngine(
+                m, c, *parse_transition("D2P2->D2T2"),
+                SeesawOptions(use_cpu_buffer=False, **o),
+            ),
+        ],
+        ids=["vllm", "vllm-chunked", "decode-prio", "seesaw-no-buffer"],
+    )
+    def test_iterations_count_compute_spans(
+        self, tiny_model, cluster_a10_4, make, coupled
+    ):
+        """Every scheduler iteration is one prefill/decode/mixed phase
+        span, so the result's iteration count equals the compute spans
+        over every replica track. (Buffered Seesaw is excluded: its
+        pipeline-drain ramp is a prefill span but not an iteration.)"""
+        wl = poisson_arrivals(sharegpt_workload(40, seed=7), 4.0, seed=7)
+        engine = make(tiny_model, cluster_a10_4, {"coupled": coupled})
+        result, tracer = traced_run(engine, wl, sampling="all")
+        spans = [
+            e
+            for rid in tracer.phase_replicas()
+            for e in tracer.phases(rid)
+            if e.kind in (PREFILL, DECODE, "mixed")
+        ]
+        assert result.iterations == len(spans)
