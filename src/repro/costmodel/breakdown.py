@@ -87,5 +87,3 @@ class Breakdown:
         out["total"] = self.total
         return out
 
-
-ZERO_BREAKDOWN = Breakdown()

@@ -7,12 +7,17 @@ answers, in seconds-with-breakdown:
   pipeline stage (L/PP layers at TP degree ``tp``);
 - ``prefill_pass_time(seq_lens)``    — the same micro-batch through all
   stages (a single micro-batch gets no pipelining benefit);
-- ``decode_iteration_time(n, ctx)``  — every in-flight sequence advances
-  one token (PP micro-batches through the pipeline in steady state);
-- ``mixed_pass_time(...)``           — a chunked-prefill batch combining a
-  prompt chunk with piggybacked decodes (Sarathi-style baselines);
+- ``mixed_iteration_time(...)``      — one engine iteration: a prompt
+  chunk with piggybacked decodes (Sarathi-style baselines), PP
+  micro-batches through the pipeline in steady state;
+- ``decode_iteration_time(n, ctx)``  — its chunk-free case: every
+  in-flight sequence advances one token;
 - ``kv_swap_time(tokens)``           — tiered-KV transfer over host links;
 - ``reshard_time(dst)``              — weight reload for a config switch.
+
+Both iteration calls share one roofline kernel fed by hoisted per-config
+constants; the ``*_reference`` methods compose the same numbers layer by
+layer and are the test oracles it matches bit for bit.
 
 All per-replica quantities assume the engine has already divided work
 across DP replicas.
@@ -29,7 +34,7 @@ from repro.costmodel.roofline import ATTN_COMPUTE_EFFICIENCY, layer_time
 from repro.costmodel.transfer import KVLayout, TransferModel
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.interconnect import p2p_time
+from repro.hardware.interconnect import allreduce_time, p2p_time
 from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig
 from repro.parallel.resharding import plan_reshard
@@ -122,12 +127,41 @@ class StepCostModel:
         )
         return self._stage(per_layer, num_seqs)
 
-    def _decode_consts(self) -> tuple:
-        """Per-config constants of the decode roofline, hoisted out of the
-        per-iteration path. Keyed on (tp, pp) so a mutated config cannot
-        serve stale numbers."""
+    def decode_iteration_time(self, num_seqs: int, context_tokens: int) -> Breakdown:
+        """Advance every sequence of one DP replica by one token.
+
+        The replica's batch splits into PP mutually-exclusive micro-batches
+        (paper Section 3.1); in steady state the iteration takes PP stage
+        periods, so each device re-streams its weights once per micro-batch
+        — the weight-transfer amplification that makes PP slow at decode.
+        The chunk-free case of :meth:`mixed_iteration_time`.
+        """
+        return self._iteration(0, 0, num_seqs, context_tokens)
+
+    def decode_iteration_time_reference(
+        self, num_seqs: int, context_tokens: int
+    ) -> Breakdown:
+        """The layer-composed reference the kernel must match bit-exactly
+        (kept as the oracle for the equivalence test)."""
+        if num_seqs <= 0:
+            return Breakdown()
+        pp = self.config.pp
+        micro_seqs = -(-num_seqs // pp)
+        micro_ctx = -(-context_tokens // pp)
+        stage = self.decode_stage_time(micro_seqs, micro_ctx)
+        period = steady_state_period(1.0, pp)  # = pp stage slots
+        return stage.scale(period)
+
+    # ------------------------------------------------------------------ #
+    # Iterations: one roofline kernel for mixed and decode batches
+    # ------------------------------------------------------------------ #
+
+    def _iteration_consts(self) -> tuple:
+        """Per-config constants of the iteration roofline, hoisted out of
+        the per-iteration path. Keyed on (tp, pp) so a mutated config
+        cannot serve stale numbers."""
         key = (self.config.tp, self.config.pp)
-        cached = getattr(self, "_decode_cache", None)
+        cached = getattr(self, "_iteration_cache", None)
         if cached is not None and cached[0] == key:
             return cached[1]
         tp, pp = key
@@ -145,8 +179,10 @@ class StepCostModel:
         overhead = (gpu.kernel_overhead * lps) * period
         lin_flops = model.linear_flops_per_token_per_layer()
         attn_eff = flops * ATTN_COMPUTE_EFFICIENCY
+        # Equals the reference's chunk 2.0 * 2.0 * H * d and decode 4.0 * H * d.
         c4 = (4.0 * model.num_heads) * model.head_dim
         kv_int = 2 * model.num_kv_heads * model.head_dim * model.dtype_bytes
+        qkv_int = kv_int + model.num_heads * model.head_dim * model.dtype_bytes
         act_bytes = model.activation_bytes_per_token()
         if tp > 1:
             ar_fixed = (2 * (tp - 1)) * fabric.latency
@@ -156,71 +192,11 @@ class StepCostModel:
             ar_fixed = ar_factor = ar_bw = 0.0
         consts = (
             tp, pp, lps, period, bw, flops, attn_eff, linear_dm, overhead,
-            lin_flops, c4, kv_int, act_bytes, ar_fixed, ar_factor, ar_bw,
-            fabric.latency, fabric.effective_link_bandwidth,
+            lin_flops, c4, kv_int, qkv_int, act_bytes, ar_fixed, ar_factor,
+            ar_bw, fabric.latency, fabric.effective_link_bandwidth,
         )
-        self._decode_cache = (key, consts)
+        self._iteration_cache = (key, consts)
         return consts
-
-    def decode_iteration_time(self, num_seqs: int, context_tokens: int) -> Breakdown:
-        """Advance every sequence of one DP replica by one token.
-
-        The replica's batch splits into PP mutually-exclusive micro-batches
-        (paper Section 3.1); in steady state the iteration takes PP stage
-        periods, so each device re-streams its weights once per micro-batch
-        — the weight-transfer amplification that makes PP slow at decode.
-
-        Hot path of every decode-heavy engine loop: computes the same
-        numbers as ``decode_stage_time(...).scale(steady_state_period)``
-        bit-exactly (pinned by a test) but from precomputed constants,
-        skipping the intermediate Breakdown objects.
-        """
-        if num_seqs <= 0:
-            return Breakdown()
-        (
-            tp, pp, lps, period, bw, flops, attn_eff, linear_dm, overhead,
-            lin_flops, c4, kv_int, act_bytes, ar_fixed, ar_factor, ar_bw,
-            p2p_lat, link_bw,
-        ) = self._decode_consts()
-        m = -(-num_seqs // pp)
-        ctx = -(-context_tokens // pp)
-        linear_comp = (lin_flops * m / tp / flops * lps) * period
-        attn_dm = (float(kv_int * ctx) / tp / bw * lps) * period
-        attn_comp = (c4 * ctx / tp / attn_eff * lps) * period
-        comm = 0.0
-        if tp > 1:
-            act = m * act_bytes
-            comm = 2 * (ar_fixed + (ar_factor * act) / ar_bw) * lps
-        if pp > 1:
-            comm = (comm + (p2p_lat + (m * act_bytes) / link_bw)) * period
-        else:
-            comm = comm * period
-        return Breakdown(
-            linear_dm=linear_dm,
-            linear_comp=linear_comp,
-            attn_dm=attn_dm,
-            attn_comp=attn_comp,
-            comm=comm,
-            overhead=overhead,
-        )
-
-    def decode_iteration_time_reference(
-        self, num_seqs: int, context_tokens: int
-    ) -> Breakdown:
-        """The layer-composed reference the fast path must match bit-exactly
-        (kept as the oracle for the equivalence test)."""
-        if num_seqs <= 0:
-            return Breakdown()
-        pp = self.config.pp
-        micro_seqs = -(-num_seqs // pp)
-        micro_ctx = -(-context_tokens // pp)
-        stage = self.decode_stage_time(micro_seqs, micro_ctx)
-        period = steady_state_period(1.0, pp)  # = pp stage slots
-        return stage.scale(period)
-
-    # ------------------------------------------------------------------ #
-    # Mixed (chunked prefill) batches
-    # ------------------------------------------------------------------ #
 
     def mixed_iteration_time(
         self,
@@ -237,7 +213,52 @@ class StepCostModel:
         PP micro-batches exactly like a decode iteration (Sarathi's uniform
         chunks are what keep those micro-batches bubble-free), so the
         iteration occupies PP stage periods.
+
+        Hot path of every engine loop: :meth:`mixed_iteration_time_reference`
+        bit for bit (pinned by tests) from hoisted constants, without the
+        intermediate Breakdowns; an absent chunk adds exact zeros.
         """
+        if chunk_tokens + decode_seqs <= 0:
+            return Breakdown()
+        (
+            tp, pp, lps, period, bw, flops, attn_eff, linear_dm, overhead,
+            lin_flops, c4, kv_int, qkv_int, act_bytes, ar_fixed, ar_factor,
+            ar_bw, p2p_lat, link_bw,
+        ) = self._iteration_consts()
+        chunk = -(-chunk_tokens // pp)
+        chunk_ctx = -(-chunk_context_tokens // pp) if chunk_tokens else 0
+        dec_ctx = -(-decode_context_tokens // pp) if decode_seqs else 0
+        m = chunk + -(-decode_seqs // pp)
+        linear_comp = (lin_flops * m / tp / flops * lps) * period
+        attn_bytes = float(qkv_int * chunk) + float(kv_int * (chunk_ctx + dec_ctx))
+        attn_dm = (attn_bytes / tp / bw * lps) * period
+        attended = chunk * (chunk_ctx + chunk / 2.0)
+        attn_comp = ((c4 * attended + c4 * dec_ctx) / tp / attn_eff * lps) * period
+        comm = 0.0
+        if tp > 1:
+            comm = 2 * (ar_fixed + (ar_factor * (m * act_bytes)) / ar_bw) * lps
+        if pp > 1:
+            comm = (comm + (p2p_lat + (m * act_bytes) / link_bw)) * period
+        else:
+            comm = comm * period
+        return Breakdown(
+            linear_dm=linear_dm,
+            linear_comp=linear_comp,
+            attn_dm=attn_dm,
+            attn_comp=attn_comp,
+            comm=comm,
+            overhead=overhead,
+        )
+
+    # Decode iterations enter here, past any wrapper on the public name.
+    _iteration = mixed_iteration_time
+
+    def mixed_iteration_time_reference(
+        self, chunk_tokens: int, chunk_context_tokens: int,
+        decode_seqs: int, decode_context_tokens: int,
+    ) -> Breakdown:
+        """The layer-composed reference the kernel must match bit-exactly
+        (kept as the oracle for the equivalence tests)."""
         if chunk_tokens + decode_seqs == 0:
             return Breakdown()
         pp = self.config.pp
@@ -289,8 +310,6 @@ class StepCostModel:
 
         comm = 0.0
         if tp > 1:
-            from repro.hardware.interconnect import allreduce_time
-
             act = new_tokens * self.model.activation_bytes_per_token()
             comm = 2 * allreduce_time(self.cluster.fabric, act, tp)
 

@@ -31,8 +31,9 @@ grow/preempt path for that iteration — preemption order stays bit-exact
 with the object path by construction.
 
 The arrays are an internal cache: with ``EngineOptions.vectorize`` off (or
-numpy absent, or tracing on) engines run the original scalar path, and the
-two paths are pinned bit-identical by the golden and property tests.
+numpy absent) engines run the original scalar path, and the two paths are
+pinned bit-identical by the golden and property tests; tracing runs on
+either.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ class RunMetrics:
     """Mutable counters an engine updates while it runs."""
 
     phase_timer: PhaseTimer = field(default_factory=PhaseTimer)
-    breakdown: Breakdown = field(default_factory=Breakdown)
     iterations: int = 0
     transitions: int = 0
     swapped_in_tokens: int = 0
@@ -51,11 +50,24 @@ class RunMetrics:
     # Preemptions this replica actually performed (recompute or swap-out);
     # the O(1) counter behind the coupled router's observed-load view.
     preemptions: int = 0
+    # Breakdown components in field order, summed in place per iteration.
+    _sums: list[float] = field(default_factory=lambda: [0.0] * 6)
+
+    @property
+    def breakdown(self) -> Breakdown:
+        """Every iteration's breakdown added so far (read-only)."""
+        return Breakdown(*self._sums)
 
     def add_phase(self, phase: str, seconds: float, breakdown: Breakdown | None = None) -> None:
         self.phase_timer.add(phase, seconds)
         if breakdown is not None:
-            self.breakdown = self.breakdown + breakdown
+            sums = self._sums
+            sums[0] += breakdown.linear_dm
+            sums[1] += breakdown.linear_comp
+            sums[2] += breakdown.attn_dm
+            sums[3] += breakdown.attn_comp
+            sums[4] += breakdown.comm
+            sums[5] += breakdown.overhead
 
 
 @dataclass(frozen=True)

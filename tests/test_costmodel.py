@@ -1,5 +1,7 @@
 """Roofline cost model: breakdowns, layer time, pipeline, transfer, step."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.costmodel.breakdown import Breakdown
@@ -13,6 +15,14 @@ from repro.costmodel.step import StepCostModel
 from repro.costmodel.transfer import KVLayout, TransferModel
 from repro.errors import ConfigurationError
 from repro.parallel.config import parse_config
+
+# TP-only, PP-only and mixed configs on 8 GPUs, for the fast-path oracles.
+LABELS = ("T1", "T2", "T8", "P2", "P8", "T2P2", "T4P2", "T2P4")
+
+
+def hexes(bd: Breakdown) -> list[str]:
+    """Every component, exactly: equal lists mean bit-identical floats."""
+    return [x.hex() for x in astuple(bd)]
 
 
 class TestBreakdown:
@@ -153,10 +163,13 @@ class TestStepCostModel:
         assert m.decode_iteration_time(0, 0).total == 0.0
 
     def test_mixed_reduces_to_decode(self, model_34b, cluster_a10_8):
-        m = StepCostModel(model_34b, cluster_a10_8, parse_config("T4P2"))
-        mixed = m.mixed_iteration_time(0, 0, 32, 32 * 1000)
-        decode = m.decode_iteration_time(32, 32 * 1000)
-        assert mixed.total == pytest.approx(decode.total, rel=0.05)
+        """A chunk-free mixed iteration is a decode iteration, every
+        component bit for bit (one kernel serves both)."""
+        for label in LABELS:
+            m = StepCostModel(model_34b, cluster_a10_8, parse_config(label))
+            mixed = m.mixed_iteration_time(0, 0, 32, 32 * 1000)
+            decode = m.decode_iteration_time(32, 32 * 1000)
+            assert hexes(mixed) == hexes(decode), label
 
     def test_mixed_piggyback_cheaper_than_separate(self, model_34b, cluster_a10_8):
         """One mixed pass must cost less than a prefill pass plus a decode
@@ -179,23 +192,41 @@ class TestStepCostModel:
     def test_decode_fast_path_equals_reference(self, model_name, gpu):
         """The hoisted-constant decode path is the layer-composed reference
         bit for bit, PP > 1 and rounded-up micro-batches included."""
-        from dataclasses import astuple
-
         from repro.hardware.cluster import make_cluster
         from repro.models.registry import get_model
 
         model = get_model(model_name)
         cluster = make_cluster(gpu, 8)
-        for label in ("T1", "T2", "T8", "P2", "P8", "T2P2", "T4P2", "T2P4"):
+        for label in LABELS:
             m = StepCostModel(model, cluster, parse_config(label))
             for seqs in (1, 3, 7, 64, 257):
                 for ctx_per_seq in (1, 513, 2047):
                     ctx = seqs * ctx_per_seq + 5
                     fast = m.decode_iteration_time(seqs, ctx)
                     ref = m.decode_iteration_time_reference(seqs, ctx)
-                    assert [x.hex() for x in astuple(fast)] == [
-                        x.hex() for x in astuple(ref)
-                    ], (label, seqs, ctx)
+                    assert hexes(fast) == hexes(ref), (label, seqs, ctx)
+
+    @pytest.mark.parametrize("model_name", ["15b", "34b", "70b"])
+    @pytest.mark.parametrize("gpu", ["A10", "L4", "A100-SXM"])
+    def test_mixed_fast_path_equals_reference(self, model_name, gpu):
+        """The hoisted-constant iteration kernel is the layer-composed
+        mixed reference bit for bit: chunk-only, decode-only and mixed
+        batches, PP > 1 and rounded-up micro-batches included."""
+        from repro.hardware.cluster import make_cluster
+        from repro.models.registry import get_model
+
+        model = get_model(model_name)
+        cluster = make_cluster(gpu, 8)
+        for label in LABELS:
+            m = StepCostModel(model, cluster, parse_config(label))
+            for chunk in (0, 1, 7, 513, 2048):
+                for chunk_ctx in (0, 1, 4097):
+                    for seqs in (0, 1, 3, 64, 257):
+                        for ctx_per_seq in (1, 2047):
+                            args = (chunk, chunk_ctx, seqs, seqs * ctx_per_seq + 5)
+                            fast = m.mixed_iteration_time(*args)
+                            ref = m.mixed_iteration_time_reference(*args)
+                            assert hexes(fast) == hexes(ref), (label, args)
 
     def test_reshard_time_zero_for_same(self, model_34b, cluster_a10_8):
         m = StepCostModel(model_34b, cluster_a10_8, parse_config("T4P2"))

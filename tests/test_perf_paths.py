@@ -23,6 +23,10 @@ Contracts:
    numpy pass equal, bit for bit, the 64-arrival list window it used to
    keep per arrival (the scalar replay below), and swapping the replay in
    leaves every fluid result unchanged.
+7. **Iteration kernel == layer-composed oracle, in the engine** — a
+   chunked-prefill run is bit-identical with
+   ``StepCostModel.mixed_iteration_time`` swapped for its layer-composed
+   reference.
 """
 
 import numpy as np
@@ -34,6 +38,7 @@ from repro.cluster import fluid
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
+from repro.costmodel.step import StepCostModel
 from repro.engines.base import EngineOptions
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.slots import DecodeSlots
@@ -316,6 +321,46 @@ class TestChunkedScalarVectorEquivalence:
             router="jsq",
             coupled=True,
         )
+
+
+class TestMixedKernelOracle:
+    """Every chunked-prefill iteration is costed by the hoisted-constant
+    kernel; swapping in the layer-composed reference changes nothing."""
+
+    def run_pair(self, make_engine, workload, monkeypatch):
+        fast = make_engine().run(workload)
+        monkeypatch.setattr(
+            StepCostModel,
+            "mixed_iteration_time",
+            StepCostModel.mixed_iteration_time_reference,
+        )
+        ref = make_engine().run(workload)
+        assert_bit_identical(fast, ref)
+        assert fast.latency.records == ref.latency.records
+        return fast
+
+    def test_online_34b_t4p2(self, monkeypatch):
+        model, cluster = get_model("34b"), make_cluster("A10", 8)
+        opts = EngineOptions(chunked_prefill=True, chunk_size=512)
+        wl = poisson_arrivals(sharegpt_workload(60, seed=3), 1.0, seed=3)
+        fast = self.run_pair(
+            lambda: VllmLikeEngine(model, cluster, parse_config("T4P2"), opts),
+            wl,
+            monkeypatch,
+        )
+        assert fast.phase_time.get("mixed", 0.0) > 0
+
+    def test_offline_pp_kv_tight(self, monkeypatch):
+        # The KV-tight P2 cell of the scalar/vector suite above: chunked
+        # batches preempt, and the kernel must cost every shape they take.
+        model, cluster = get_model("15b"), make_cluster("A10", 2)
+        opts = EngineOptions(chunked_prefill=True, chunk_size=512)
+        fast = self.run_pair(
+            lambda: VllmLikeEngine(model, cluster, parse_config("P2"), opts),
+            sharegpt_workload(150, seed=11),
+            monkeypatch,
+        )
+        assert fast.latency.total_preemptions > 0
 
 
 class TestFluidCalibration:

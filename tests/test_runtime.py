@@ -1,5 +1,9 @@
 """Runtime substrate: requests, KV cache, CPU buffer, channels, metrics."""
 
+import functools
+import operator
+import random
+from dataclasses import astuple
 
 import pytest
 
@@ -280,3 +284,22 @@ class TestMetrics:
         m.add_phase("decode", 1.0, Breakdown(linear_dm=2.0))
         assert m.breakdown.linear_dm == pytest.approx(3.0)
         assert m.phase_timer.get("decode") == pytest.approx(2.0)
+
+    def test_run_metrics_breakdown_matches_reduce_oracle(self):
+        """The in-place accumulator sums exactly like chained Breakdown
+        additions, left to right; a phase without a breakdown adds nothing."""
+        rng = random.Random(5)
+        bds = [
+            Breakdown(*(rng.uniform(0.1, 10.0) ** rng.randint(-3, 3) for _ in range(6)))
+            for _ in range(10_000)
+        ]
+        m = RunMetrics()
+        for bd in bds:
+            m.add_phase("decode", 0.5, bd)
+        before = astuple(m.breakdown)
+        m.add_phase("idle", 1.0)
+        oracle = functools.reduce(operator.add, bds, Breakdown())
+        assert [x.hex() for x in astuple(m.breakdown)] == [
+            x.hex() for x in astuple(oracle)
+        ]
+        assert astuple(m.breakdown) == before
