@@ -319,13 +319,15 @@ class ReplicaState:
         """Append ``seq`` to the running batch.
 
         The single choke point through which sequences enter ``running``:
-        it drops the vectorized slot arrays back to the object lists and
-        marks the prefill aggregates dirty, so engine loops stay oblivious
-        to both caches.
+        it appends ``seq`` to the live vectorized slot arrays too (only
+        preemption and the KV-headroom fallback drop them) and marks the
+        prefill aggregates dirty, so engine loops stay oblivious to both
+        caches.
         """
-        self.drop_slots()
         self.prefill_epoch += 1
         self.running.append(seq)
+        if self.slots is not None:
+            self.slots.append(seq, self.kv)
 
     def drop_slots(self) -> None:
         """Invalidate the vectorized decode arrays (syncing any drifted

@@ -8,7 +8,7 @@ KV allocation when the context crosses a block boundary, and retires
 sequences that produced their last token. The object path does all of that
 with per-sequence attribute access — the dominant cost of large coupled
 runs. :class:`DecodeSlots` hoists the drifting counters (generated tokens,
-remaining decode, context length, allocated blocks) into numpy int64
+remaining decode, headroom to the next block boundary) into numpy int64
 arrays indexed by the sequence's position in ``state.running`` — and since
 every slot advances by exactly one token per iteration, the arrays are
 stored as *bases* plus a shared python-int offset ``adv``:
@@ -22,13 +22,16 @@ stored as *bases* plus a shared python-int offset ``adv``:
   only on iterations where some sequence actually finishes.
 
 Only ``generated_tokens`` drifts away from the Sequence objects while the
-arrays are live; every structural mutation (admission, preemption, steal)
-goes through :meth:`ReplicaState.start_running` / ``drop_slots``, which
-syncs the drifted counters back and makes the object lists authoritative
-again. When aggregate KV headroom cannot cover an iteration's crossings
-the slots refuse to advance and the engine falls back to the scalar
-grow/preempt path for that iteration — preemption order stays bit-exact
-with the object path by construction.
+arrays are live. Admission keeps them live: :meth:`ReplicaState.start_running`
+appends the new sequence to the spare capacity in O(1), and slot order stays
+``state.running`` order because both lists append at the end. Only the
+mutations that reorder or shrink the batch outside :meth:`finish_ready`
+drop them (:meth:`ReplicaState.drop_slots` syncs the drifted counters back
+and makes the object lists authoritative again): preemption, and the
+headroom fallback — when aggregate KV headroom cannot cover an iteration's
+crossings the slots refuse to advance and the engine falls back to the
+scalar grow/preempt path for that iteration, so preemption order stays
+bit-exact with the object path by construction.
 
 The arrays are an internal cache: with ``EngineOptions.vectorize`` off (or
 numpy absent) engines run the original scalar path, and the two paths are
@@ -48,19 +51,25 @@ except ImportError:  # pragma: no cover - numpy is a baked-in dependency
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import ReplicaState
     from repro.runtime.kvcache import KVCacheManager
+    from repro.runtime.request import Sequence
 
 # Below this batch size the array bookkeeping costs more than the python
 # loop it replaces; the scalar path is used instead (identical results).
 VECTORIZE_MIN_SEQS = 4
 
+# Filler for the unused tail of the arrays' spare capacity: a slot this far
+# from its last token and its next block boundary never finishes or grows,
+# so the reductions run over whole arrays without slicing.
+_PAD = 1 << 62
+
 
 class DecodeSlots:
     """Slot-indexed counters for ``state.running``, aligned by position.
 
-    ``gen0``/``rem0``/``ctx0`` hold each slot's counters as of the last
-    rebase; the live value of slot ``i`` is ``gen0[i] + adv`` (resp.
-    ``rem0[i] - adv``, ``ctx0[i] + adv``). ``blocks`` is always current
-    (growth is applied eagerly on crossing iterations).
+    ``gen0``/``rem0``/``slack0`` hold each slot's counters rebased by the
+    shared offset ``adv``: the live value of slot ``i`` is ``gen0[i] + adv``
+    (resp. ``rem0[i] - adv``, ``slack0[i] - adv``). The arrays keep spare
+    capacity (doubled when full) so :meth:`append` writes in place.
     """
 
     def __init__(self, state: "ReplicaState") -> None:
@@ -68,37 +77,67 @@ class DecodeSlots:
         n = len(running)
         kv = state.kv
         self.seqs = list(running)
-        self.gen0 = np.fromiter(
+        self.block_size = kv.block_size
+        self.adv = 0
+        gen = np.fromiter(
             (s.generated_tokens for s in running), dtype=np.int64, count=n
         )
         out = np.fromiter(
             (s.request.output_len for s in running), dtype=np.int64, count=n
         )
-        self.rem0 = out - 1 - self.gen0
-        self.ctx0 = (
+        ctx = (
             np.fromiter((s.prompt_len for s in running), dtype=np.int64, count=n)
-            + self.gen0
+            + gen
         )
-        self.blocks = np.fromiter(
+        blocks = np.fromiter(
             (kv._blocks[s.seq_id] for s in running), dtype=np.int64, count=n
         )
-        self.block_size = kv.block_size
-        self.adv = 0
-        # Per-slot iterations of headroom inside the allocated blocks as of
-        # the last rebase; slot i crosses a block boundary on the iteration
-        # where ``adv`` reaches ``slack0[i]``.
-        self.slack0 = self.blocks * self.block_size - self.ctx0
+        cap = max(16, 2 * n)
+        self.gen0 = np.zeros(cap, dtype=np.int64)
+        self.rem0 = np.full(cap, _PAD, dtype=np.int64)
+        # Per-slot iterations of headroom inside the allocated blocks; slot
+        # i crosses a block boundary on the iteration where ``adv`` reaches
+        # ``slack0[i]``.
+        self.slack0 = np.full(cap, _PAD, dtype=np.int64)
+        self.gen0[:n] = gen
+        self.rem0[:n] = out - 1 - gen
+        self.slack0[:n] = blocks * self.block_size - ctx
         # Python ints so the cost-model inputs stay exactly the values the
         # scalar path would compute.
-        self.ctx_sum = int(self.ctx0.sum())
-        self.min_rem = int(self.rem0.min()) if n else 0
+        self.ctx_sum = int(ctx.sum())
+        self.min_rem = int(self.rem0.min())
         # Iterations until the nearest slot next crosses a block boundary
         # (allocations always cover the current context, so the gap is
         # non-negative); while positive, an iteration does no KV work.
-        self.gap = int(self.slack0.min()) if n else 0
+        self.gap = int(self.slack0.min())
 
     def __len__(self) -> int:
         return len(self.seqs)
+
+    def append(self, seq: "Sequence", kv: "KVCacheManager") -> None:
+        """Add ``seq`` (just appended to ``state.running``) as the last slot."""
+        n = len(self.seqs)
+        if n == len(self.gen0):
+            self.gen0, self.rem0, self.slack0 = (
+                np.concatenate((a, np.full(n, pad, dtype=np.int64)))
+                for a, pad in self._padded()
+            )
+        adv = self.adv
+        g = seq.generated_tokens
+        ctx = seq.prompt_len + g
+        rem = seq.request.output_len - 1 - g
+        slack = kv._blocks[seq.seq_id] * self.block_size - ctx
+        self.gen0[n] = g - adv
+        self.rem0[n] = rem + adv
+        self.slack0[n] = slack + adv
+        self.seqs.append(seq)
+        self.ctx_sum += ctx
+        self.min_rem = min(self.min_rem, rem)
+        self.gap = min(self.gap, slack)
+
+    def _padded(self):
+        """Each slot array with its tail filler."""
+        return ((self.gen0, 0), (self.rem0, _PAD), (self.slack0, _PAD))
 
     def try_advance(self, kv: "KVCacheManager") -> bool:
         """Advance every slot one token; False when KV headroom cannot
@@ -108,15 +147,13 @@ class DecodeSlots:
             self.gap -= 1
         else:
             slack0 = self.slack0
-            cross = slack0 <= self.adv
-            ncross = int(np.count_nonzero(cross))
-            if ncross > kv.free_blocks:
+            cross = (slack0 <= self.adv).nonzero()[0]
+            if len(cross) > kv.free_blocks:
                 return False
-            if ncross:
+            if len(cross):
                 slack0[cross] += self.block_size
-                self.blocks[cross] += 1
                 seqs = self.seqs
-                for i in np.nonzero(cross)[0]:
+                for i in cross.tolist():
                     kv.grow_one_block(seqs[i].seq_id)
             self.gap = int(slack0.min()) - self.adv - 1
         self.adv += 1
@@ -129,41 +166,39 @@ class DecodeSlots:
         body of :meth:`ReplicaState.finish_ready`)."""
         if self.min_rem > 0:
             return 0
-        rem = self.rem0 - self.adv
-        idx = np.nonzero(rem == 0)[0]
-        if idx.size == 0:
-            self.min_rem = int(rem.min()) if len(self.seqs) else 0
+        adv = self.adv
+        rem = self.rem0 - adv
+        idx = (rem == 0).nonzero()[0]
+        if len(idx) == 0:
+            self.min_rem = int(rem.min())
             return 0
         state.prefill_epoch += 1
-        adv = self.adv
-        gen0 = self.gen0
-        done = []
-        for i in idx.tolist():
-            s = self.seqs[i]
-            s.generated_tokens = int(gen0[i]) + adv
-            done.append(s)
-        for s in done:  # ascending slot order == running order
+        seqs, gen0 = self.seqs, self.gen0
+        for i in idx.tolist():  # ascending slot order == running order
+            s = seqs[i]
+            g = int(gen0[i]) + adv
+            s.generated_tokens = g
+            self.ctx_sum -= s.prompt_len + g
             s.mark_finished(now)
             state.kv.free(s.seq_id)
             state.running.remove(s)
             state.finished.append(s)
-        keep = np.ones(len(self.seqs), dtype=bool)
+        n = len(seqs)
+        keep = np.ones(n, dtype=bool)
         keep[idx] = False
-        self.seqs = [s for s, k in zip(self.seqs, keep, strict=True) if k]
-        self.gen0 = self.gen0[keep]
-        self.rem0 = self.rem0[keep]
-        self.ctx0 = self.ctx0[keep]
-        self.blocks = self.blocks[keep]
-        self.slack0 = self.slack0[keep]
-        n = len(self.seqs)
-        self.ctx_sum = int(self.ctx0.sum()) + adv * n
-        self.min_rem = int((self.rem0 - adv).min()) if n else 0
-        self.gap = int(self.slack0.min()) - adv if n else 0
-        return len(done)
+        self.seqs = [s for s, k in zip(seqs, keep.tolist(), strict=True) if k]
+        m = len(self.seqs)
+        for arr, pad in self._padded():
+            arr[:m] = arr[:n][keep]
+            arr[m:n] = pad
+        self.min_rem = int(self.rem0.min()) - adv
+        self.gap = int(self.slack0.min()) - adv
+        return len(idx)
 
     def sync(self) -> None:
         """Write the drifted per-slot counters back into the Sequence
         objects (called before the object lists become authoritative)."""
         adv = self.adv
-        for s, g in zip(self.seqs, self.gen0.tolist(), strict=True):
+        gen = self.gen0[: len(self.seqs)].tolist()
+        for s, g in zip(self.seqs, gen, strict=True):
             s.generated_tokens = g + adv

@@ -27,7 +27,13 @@ Contracts:
    chunked-prefill run is bit-identical with
    ``StepCostModel.mixed_iteration_time`` swapped for its layer-composed
    reference.
+8. **Slot append == rebuild** — appending an admitted sequence to live
+   :class:`DecodeSlots` leaves them equal to a fresh build from the synced
+   object lists, and a run builds slots only after preemption or the
+   headroom fallback dropped them, never once per admission.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -39,19 +45,23 @@ from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.costmodel.step import StepCostModel
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, ReplicaState
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
+from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.slots import DecodeSlots
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.parallel.config import ParallelConfig, parse_config, parse_transition
+from repro.runtime.kvcache import KVCacheManager
+from repro.runtime.request import Request, Sequence, SequenceState
 from repro.workloads.arrivals import (
     bursty_arrivals,
     diurnal_arrivals,
     poisson_arrivals,
 )
 from repro.workloads.datasets import sharegpt_workload
+from repro.workloads.synthetic import constant_workload
 
 
 def assert_bit_identical(a, b) -> None:
@@ -221,6 +231,84 @@ class TestScalarVectorEquivalence:
         )
         assert_bit_identical(mk(False).run(wl), mk(True).run(wl))
 
+    def run_live_pair(self, make_engine, workload, monkeypatch):
+        """Scalar vs slot run of ``make_engine(vectorize)``; the slot run
+        must append admissions to live slots."""
+        appends = []
+        append = DecodeSlots.append
+
+        def counted(slots, seq, kv):
+            appends.append(len(slots))
+            append(slots, seq, kv)
+
+        monkeypatch.setattr(DecodeSlots, "append", counted)
+        scalar = make_engine(False).run(workload)
+        assert not appends
+        vector = make_engine(True).run(workload)
+        assert appends
+        assert_bit_identical(scalar, vector)
+        assert scalar.latency.records == vector.latency.records
+        return scalar
+
+    def test_seesaw_kv_tight_swap_ins_and_preemption(self, monkeypatch):
+        # Long decodes overflow each 15b replica's KV: swap-ins append to
+        # live slots, and the headroom fallback drops them mid-run so that
+        # SeesawEngine.preempt can swap victims out.
+        model, cluster = get_model("15b"), make_cluster("A10", 4)
+        cp, cd = parse_transition("D2P2->D2T2")
+        wl = poisson_arrivals(constant_workload(120, 1024, 768), 8.0, seed=17)
+        live_drops = []
+        drop = ReplicaState.drop_slots
+
+        def counted(state):
+            live_drops.append(state.slots is not None)
+            drop(state)
+
+        monkeypatch.setattr(ReplicaState, "drop_slots", counted)
+        scalar = self.run_live_pair(
+            lambda vec: SeesawEngine(
+                model,
+                cluster,
+                cp,
+                cd,
+                SeesawOptions(router="jsq", coupled=True, vectorize=vec),
+            ),
+            wl,
+            monkeypatch,
+        )
+        assert any(live_drops)
+        assert scalar.latency.total_preemptions > 0
+
+    def test_decode_prio_reserved_admission(self, tiny_model, cluster_a10_4, monkeypatch):
+        # Each batch's prefill wave appends to the slots its predecessor
+        # drained to empty.
+        wl = poisson_arrivals(sharegpt_workload(120, seed=19), 6.0, seed=19)
+        self.run_live_pair(
+            lambda vec: DecodePrioritizedEngine(
+                tiny_model,
+                cluster_a10_4,
+                parse_config("D2T2"),
+                EngineOptions(
+                    router="jsq", coupled=True, max_num_seqs=32, vectorize=vec
+                ),
+            ),
+            wl,
+            monkeypatch,
+        )
+
+    def test_disaggregated_decode_pool(self, tiny_model, cluster_a10_4, monkeypatch):
+        wl = poisson_arrivals(sharegpt_workload(120, seed=21), 6.0, seed=21)
+        plan = DisaggregationPlan(
+            prefill_config=parse_config("T2"), decode_config=parse_config("T2")
+        )
+        self.run_live_pair(
+            lambda vec: DisaggregatedEngine(
+                tiny_model, cluster_a10_4, plan, EngineOptions(vectorize=vec)
+            ),
+            wl,
+            monkeypatch,
+        )
+
     def test_admission_scan_offline(self, tiny_model, cluster_a10_4):
         # Offline deal: the waiting queue is deep from t=0, so the
         # cumulative-sum admission scan is on the hot path every wave.
@@ -361,6 +449,115 @@ class TestMixedKernelOracle:
             monkeypatch,
         )
         assert fast.latency.total_preemptions > 0
+
+
+class TestSlotAppendOracle:
+    """Live slots that admissions append to == slots rebuilt from scratch."""
+
+    def test_random_walk_matches_rebuild(self):
+        rng = random.Random(22)
+        kv = KVCacheManager(capacity_tokens=1 << 22, block_size=16)
+        state = ReplicaState([], kv)
+        fresh = (
+            Sequence(Request(i, rng.randint(1, 600), rng.randint(1, 48)))
+            for i in range(10_000)
+        )
+
+        def admit():
+            seq = next(fresh)
+            seq.advance_prefill(seq.prompt_len)
+            seq.state = SequenceState.RUNNING
+            if rng.random() < 0.3:  # swapped back in mid-decode
+                seq.generated_tokens = rng.randint(0, seq.request.output_len - 1)
+            kv.allocate(seq.seq_id, seq.context_len + 1 + rng.randint(0, 40))
+            state.start_running(seq)
+
+        for _ in range(4):
+            admit()
+        slots = state.slots = DecodeSlots(state)
+        growing, target = True, 40
+        due = False  # an advance or append awaits its finish_ready
+        capacities, refills = {len(slots.gen0)}, 0
+        for _ in range(2000):
+            n = len(slots)
+            if growing and n >= target:
+                growing = False
+            elif not growing and n == 0:
+                growing, target = True, rng.randint(33, 70)
+            r = rng.random()
+            if growing and r < 0.5:
+                refills += n == 0
+                admit()
+                due = True
+            elif due and r < 0.8:
+                state.finish_ready(0.0)
+                due = False
+            elif not due:
+                assert slots.try_advance(kv)
+                due = True
+            assert state.slots is slots
+            assert len(state.running) == len(slots.seqs)
+            assert all(a is b for a, b in zip(state.running, slots.seqs, strict=True))
+            capacities.add(len(slots.gen0))
+            # Oracle: a fresh build from the synced object lists.
+            n, adv = len(slots), slots.adv
+            slots.sync()
+            oracle = DecodeSlots(state)
+            assert (slots.gen0[:n] + adv).tolist() == oracle.gen0[:n].tolist()
+            assert (slots.rem0[:n] - adv).tolist() == oracle.rem0[:n].tolist()
+            assert (slots.slack0[:n] - adv).tolist() == oracle.slack0[:n].tolist()
+            assert slots.ctx_sum == oracle.ctx_sum == state.decode_context_tokens
+            if n:  # both countdowns are vacuous on an empty batch
+                assert slots.min_rem == oracle.min_rem
+                assert slots.gap == oracle.gap
+        assert max(capacities) >= 64  # doubled past 16 and past 32 slots
+        assert refills >= 2  # compacted to 0 slots, then appended
+        assert len(state.finished) > 100
+        for s in state.finished:
+            assert s.generated_tokens == s.request.output_len - 1
+
+    def test_builds_do_not_scale_with_admissions(self, monkeypatch):
+        # The 34b T4P2 chunked Poisson cell of TestMixedKernelOracle: every
+        # completed prompt joins the decode batch. Slots are built once per
+        # replica plus once after each preemption / headroom-fallback drop,
+        # never once per admission.
+        builds, drops, appends = [], [], []
+        init, drop, start = (
+            DecodeSlots.__init__,
+            ReplicaState.drop_slots,
+            ReplicaState.start_running,
+        )
+        admitting = []
+
+        def counted_init(slots, state):
+            builds.append(len(state.running))
+            init(slots, state)
+
+        def counted_drop(state):
+            if state.slots is not None and not admitting:
+                drops.append(len(state.running))
+            drop(state)
+
+        def counted_start(state, seq):
+            appends.append(state.slots is not None)
+            admitting.append(seq)
+            try:
+                start(state, seq)
+            finally:
+                admitting.pop()
+
+        monkeypatch.setattr(DecodeSlots, "__init__", counted_init)
+        monkeypatch.setattr(ReplicaState, "drop_slots", counted_drop)
+        monkeypatch.setattr(ReplicaState, "start_running", counted_start)
+        config = parse_config("T4P2")
+        VllmLikeEngine(
+            get_model("34b"),
+            make_cluster("A10", 8),
+            config,
+            EngineOptions(chunked_prefill=True, chunk_size=512),
+        ).run(poisson_arrivals(sharegpt_workload(60, seed=3), 1.0, seed=3))
+        assert sum(appends) >= 30  # admissions into a live decode batch
+        assert len(builds) <= len(drops) + config.dp
 
 
 class TestFluidCalibration:
