@@ -39,6 +39,7 @@ from repro.autotuner.search import (
 )
 from repro.core.engine import SeesawEngine
 from repro.engines.base import EngineOptions, RunHooks
+from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError, ReproError
 from repro.hardware.cluster import make_cluster
@@ -182,7 +183,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config",
         default="T4P2",
-        help="static label (T4P2) or Seesaw transition (P8->T4P2)",
+        help="static label (T4P2), Seesaw transition (P8->T4P2) or "
+        "disaggregated prefill|decode pools (T4|T4)",
     )
     parser.add_argument("--chunked", action="store_true", help="chunked prefill")
     parser.add_argument("--chunk-size", type=int, default=2048)
@@ -551,7 +553,8 @@ def _serving_opts(args: argparse.Namespace) -> dict:
 
 
 def _build_engine(args: argparse.Namespace, objective: ServingObjective):
-    """One engine from the shared run/obs flag set (static or transition)."""
+    """One engine from the shared run/obs flag set (static, transition or
+    disaggregated)."""
     model = get_model(args.model)
     cluster = make_cluster(args.gpu, args.num_gpus)
     common = {"chunk_size": args.chunk_size, **_serving_opts(args)}
@@ -569,6 +572,9 @@ def _build_engine(args: argparse.Namespace, objective: ServingObjective):
         )
         return SeesawEngine(model, cluster, cp, cd, seesaw_opts)
     options = EngineOptions(chunked_prefill=args.chunked, **common)
+    if "|" in args.config:
+        plan = DisaggregationPlan.parse(args.config)
+        return DisaggregatedEngine(model, cluster, plan, options)
     return VllmLikeEngine(model, cluster, parse_config(args.config), options)
 
 

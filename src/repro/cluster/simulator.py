@@ -261,8 +261,9 @@ class ClusterSimulator:
                 self.redispatches,
             ),
             # Partial-lifetime replicas may all have drained before the
-            # fleet's last event; the cluster makespan is authoritative.
-            total_time=makespan,
+            # fleet's last event, so the run ends at the cluster makespan
+            # unless a replica reports a later end (an engine's own floor).
+            total_time=max(makespan, max(r.total_time for r in results)),
         )
 
     # ------------------------------------------------------------------ #

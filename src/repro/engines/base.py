@@ -183,7 +183,7 @@ class RunHooks:
             (:class:`repro.check.Sanitizer`) asserting clock monotonicity,
             event causality, token/KV conservation, request-id uniqueness
             and fleet lifecycle legality, on the decoupled and coupled
-            paths alike (the disaggregated engine refuses it).
+            paths alike (the disaggregated engine checks each pool).
     """
 
     telemetry: object | None = None
@@ -483,13 +483,23 @@ class BaseEngine(abc.ABC):
         this run only; the result is the same with or without them.
         """
         hooks = NO_HOOKS if hooks is None else hooks
+        return hooks.fold(self.simulate(workload, hooks), self.options)
+
+    def simulate(
+        self,
+        workload: WorkloadSpec | TypingSequence[Request],
+        hooks: RunHooks,
+    ) -> EngineResult:
+        """:meth:`run` without the final fold: ``hooks`` observe the run,
+        but its latency series and traces are left for the caller to fold
+        (a composite engine folds its joint result once)."""
         if hooks.sanitize is not None:
             # Reset per-run state before the fleet fires its prewarm
             # lifecycle transitions, so one sanitizer can watch many runs.
             hooks.sanitize.begin_run()
         self.hooks = hooks
         try:
-            return hooks.fold(self._run_workload(workload), self.options)
+            return self._run_workload(workload)
         finally:
             self.hooks = NO_HOOKS
 

@@ -8,6 +8,12 @@ reproduce: in resource-constrained deployments (70B on eight 40 GiB GPUs)
 the only feasible split is 4+4, the stages mismatch by ~6x, and the decode
 pool at 4 GPUs reaches only a fraction of 8-GPU decode throughput because
 the duplicated weights crowd out KV space.
+
+Each pool is an ordinary :class:`BaseEngine` replica loop, so both get
+planned routing, replica stepping, idle accounting, the sanitizer and
+tracer phase tracks. The prefill pool's KV handoff instants become the
+decode pool's arrival process; the handoff itself is free, and the two
+pools do not share one cluster clock.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+import numpy as np
+
 from repro.costmodel.pipeline import pipeline_time_heterogeneous
-from repro.costmodel.step import ITERATION_OVERHEAD, StepCostModel
+from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.engines.base import (
     NO_HOOKS,
     BaseEngine,
@@ -29,9 +37,8 @@ from repro.engines.base import (
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
-from repro.parallel.config import ParallelConfig
-from repro.parallel.memory import fits, kv_capacity_tokens
-from repro.routing import RouterContext, RoutingPlan, make_router
+from repro.parallel.config import ParallelConfig, parse_config
+from repro.parallel.memory import fits
 from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult, RunMetrics
 from repro.runtime.request import Request, SequenceState
@@ -45,6 +52,17 @@ class DisaggregationPlan:
 
     prefill_config: ParallelConfig
     decode_config: ParallelConfig
+
+    @classmethod
+    def parse(cls, label: str) -> "DisaggregationPlan":
+        """The plan a ``"<prefill>|<decode>"`` label (``"T2|T2"``) names."""
+        labels = label.split("|")
+        if len(labels) != 2:
+            raise ConfigurationError(
+                f"a disaggregation plan is '<prefill>|<decode>' like 'T2|T2', "
+                f"got {label!r}"
+            )
+        return cls(*(parse_config(part) for part in labels))
 
     @property
     def prefill_gpus(self) -> int:
@@ -77,6 +95,74 @@ class DisaggregationAnalysis:
         hi = max(self.prefill_throughput_rps, self.decode_throughput_rps)
         lo = min(self.prefill_throughput_rps, self.decode_throughput_rps)
         return hi / lo
+
+
+class _PrefillOnlyEngine(BaseEngine):
+    """Prefill pool: per replica, prompts stream through in arrival order
+    as greedy micro-batches under the token budget (the first prompt of a
+    micro-batch is exempt), one micro-batch per stage period; the pool
+    idles on an empty queue. A request's KV leaves for the decode pool
+    when its micro-batch exits the pipeline, ``pp`` stage times after it
+    started — the request's handoff, recorded as its finish."""
+
+    name = "prefill-pool"
+
+    def router_context(self, requests):
+        # The pool does no decode work: decode tokens drain instantly.
+        return replace(super().router_context(requests), decode_tokens_per_s=math.inf)
+
+    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaRun:
+        state = ReplicaState(requests, self.make_kv())
+        run = ReplicaRun(replica_id, requests, state, RunMetrics())
+        run.costs = self.make_costs()
+        run.stages = []  # stage time of every micro-batch, in order
+        # Prefilled sequences, in handoff order; they finish in the decode
+        # pool, so they never enter state.finished here.
+        run.handed_off = []
+        return run
+
+    def _replica_loop(self, run: ReplicaRun, start: float) -> Iterator[float]:
+        state, costs, metrics = run.state, run.costs, run.metrics
+        budget = self.options.max_batched_tokens
+        pp = self.replica_config.pp
+        tr = self.hooks.tracing
+        now = start
+        while state.has_work:
+            state.admit_arrivals(now)
+            if not state.waiting:
+                now = self.idle_advance(state, metrics, now)
+                yield now
+                continue
+            batch = [state.waiting.popleft()]
+            used = batch[0].prompt_len
+            while state.waiting and used + state.waiting[0].prompt_len <= budget:
+                batch.append(state.waiting.popleft())
+                used += batch[-1].prompt_len
+            stage = costs.prefill_stage_time([s.prompt_len for s in batch]).total
+            done = now + pp * stage + ITERATION_OVERHEAD
+            if tr is not None:
+                tr.note_phase(
+                    run.replica_id, "prefill", now, stage + ITERATION_OVERHEAD,
+                    len(batch), used, len(batch),
+                )
+            for seq in batch:
+                seq.mark_scheduled(now)
+                seq.advance_prefill(seq.remaining_prefill)
+                seq.mark_finished(done)
+                run.handed_off.append(seq)
+                if tr is not None:
+                    tr.note_handoff(done, seq.seq_id, run.replica_id, self.config.dp)
+            run.stages.append(stage)
+            metrics.add_phase("prefill", stage + ITERATION_OVERHEAD)
+            now = now + stage + ITERATION_OVERHEAD
+            yield now
+
+    def _replica_result(self, run: ReplicaRun, total_time: float) -> EngineResult:
+        # The replica's time is its streaming bound — every stage period
+        # plus the last micro-batch's pipeline drain — not its clock.
+        wall = pipeline_time_heterogeneous(run.stages, self.replica_config.pp)
+        wall += ITERATION_OVERHEAD * len(run.stages)
+        return self.result_from(run.requests, run.metrics, wall, finished=run.handed_off)
 
 
 class _DecodeOnlyEngine(BaseEngine):
@@ -119,6 +205,7 @@ class _DecodeOnlyEngine(BaseEngine):
             yield now
 
     def _replica_result(self, run: ReplicaRun, total_time: float) -> EngineResult:
+        # All-single-token work decodes nothing; a run still takes time.
         return self.result_from(
             run.requests, run.metrics, max(total_time, 1e-9), finished=run.state.finished
         )
@@ -144,247 +231,122 @@ class DisaggregatedEngine:
         self.cluster = cluster
         self.plan = plan
         self.options = options or EngineOptions()
-        self._prefill_cluster = replace(cluster, num_gpus=plan.prefill_gpus)
-        self._decode_cluster = replace(cluster, num_gpus=plan.decode_gpus)
+        prefill_cluster = replace(cluster, num_gpus=plan.prefill_gpus)
+        decode_cluster = replace(cluster, num_gpus=plan.decode_gpus)
         for sub_cluster, cfg, role in (
-            (self._prefill_cluster, plan.prefill_config, "prefill"),
-            (self._decode_cluster, plan.decode_config, "decode"),
+            (prefill_cluster, plan.prefill_config, "prefill"),
+            (decode_cluster, plan.decode_config, "decode"),
         ):
             if not fits(model, sub_cluster, cfg):
                 raise CapacityError(
                     f"{model.name} does not fit the {role} pool under {cfg.label()}"
                 )
+        # The prefill pool always dispatches on a plan: only the decode
+        # pool runs coupled (and elastic) when the options ask for it.
+        prefill_options = replace(
+            self.options, coupled=False, autoscaler="none", min_dp=None,
+            max_dp=None, fidelity="event",
+        )
+        self._prefill_pool = _PrefillOnlyEngine(
+            model, prefill_cluster, plan.prefill_config, prefill_options
+        )
+        self._decode_pool = _DecodeOnlyEngine(
+            model, decode_cluster, plan.decode_config, self.options
+        )
 
     def label(self) -> str:
         return self.plan.label()
 
     # ------------------------------------------------------------------ #
 
-    def _prefill_pool_plan(self, workload: WorkloadSpec) -> RoutingPlan:
-        """Route the prompts across the prefill pool's DP replicas.
-
-        The pool does no decode work, so its router context drains decode
-        tokens instantly (``inf`` rate); prefill drains at one budget-sized
-        micro-batch per stage period.
-        """
-        cfg = self.plan.prefill_config
-        replica_cfg = replace(cfg, dp=1)
-        costs = StepCostModel(self.model, self._prefill_cluster, replica_cfg)
-        budget = self.options.max_batched_tokens
-        context = RouterContext(
-            prefill_tokens_per_s=budget / costs.prefill_stage_time([budget]).total,
-            decode_tokens_per_s=math.inf,
-            kv_capacity_tokens=kv_capacity_tokens(
-                self.model, self._prefill_cluster, replica_cfg
-            ),
-            ttft_slo=self.options.ttft_slo,
-            tpot_slo=self.options.tpot_slo,
-        )
-        router = make_router(
-            self.options.router,
-            cfg.dp,
-            context=context,
-            seed=self.options.router_seed,
-        )
-        return router.route(list(workload.requests))
-
-    def prefill_pool_time(
-        self, workload: WorkloadSpec, pool_plan: RoutingPlan | None = None
-    ) -> float:
-        """Wall time for the prefill pool to process every prompt.
-
-        Prefilled KV leaves for the decode pool immediately, so the pool
-        streams micro-batches continuously; per DP replica of the pool the
-        stream pipelines across its PP stages. ``pool_plan`` lets callers
-        that already routed the workload skip re-routing it.
-        """
-        cfg = self.plan.prefill_config
-        parts = (pool_plan or self._prefill_pool_plan(workload)).partitions
-        replica_cfg = replace(cfg, dp=1)
-        costs = StepCostModel(self.model, self._prefill_cluster, replica_cfg)
-        times = []
-        for part in parts:
-            if not part:
-                continue
-            lens = [r.prompt_len for r in part]
-            budget = self.options.max_batched_tokens
-            micro: list[list[int]] = [[]]
-            used = 0
-            for ln in lens:
-                if micro[-1] and used + ln > budget:
-                    micro.append([])
-                    used = 0
-                micro[-1].append(ln)
-                used += ln
-            stage_times = [costs.prefill_stage_time(m).total for m in micro]
-            wall = pipeline_time_heterogeneous(stage_times, replica_cfg.pp)
-            wall += ITERATION_OVERHEAD * len(micro)
-            times.append(wall)
-        return max(times) if times else 0.0
+    def prefill_pool_result(
+        self, workload: WorkloadSpec, hooks: RunHooks = NO_HOOKS
+    ) -> EngineResult:
+        """Prefill-pool run (unfolded): its latency table holds each
+        request's batch start (``first_schedule``) and KV handoff
+        (``first_token`` = ``finish``); its total is the slowest replica's
+        streaming time, its ``prefill`` phase the busiest replica's
+        occupancy."""
+        return self._prefill_pool.simulate(workload, hooks)
 
     def decode_pool_result(self, workload: WorkloadSpec) -> EngineResult:
         """Decode-pool completion summary for already-prefilled requests."""
-        # The pool run is an internal building block (called more than once
-        # per disaggregated run), so it runs without hooks; only the joint
-        # result folds into the telemetry hub / tracer, in :meth:`run`.
-        engine = _DecodeOnlyEngine(
-            self.model, self._decode_cluster, self.plan.decode_config, self.options
-        )
-        return engine.run(workload)
+        return self._decode_pool.run(workload)
 
     def analyze(self, workload: WorkloadSpec) -> DisaggregationAnalysis:
-        """Per-stage throughputs (the Fig. 4 bar data)."""
-        tp_time = self.prefill_pool_time(workload)
+        """Per-stage throughputs (the Fig. 4 bar data).
+
+        The Section 3.2 stage-throughput bound is an offline quantity, so
+        a workload with arrival times is refused.
+        """
+        if (workload.arrival_time > 0).any():
+            raise ConfigurationError(
+                "the disaggregation stage analysis is an offline bound; "
+                f"workload {workload.name!r} has arrival times (run() "
+                "simulates arrivals)"
+            )
+        tp_time = self.prefill_pool_result(workload).total_time
         td = self.decode_pool_result(workload)
-        n = workload.num_requests
         return DisaggregationAnalysis(
             prefill_time=tp_time,
             decode_time=td.total_time,
-            prefill_throughput_rps=n / tp_time if tp_time > 0 else float("inf"),
+            prefill_throughput_rps=workload.num_requests / tp_time,
             decode_throughput_rps=td.throughput_rps,
         )
-
-    def _prefill_pool_schedule(
-        self, workload: WorkloadSpec, pool_plan: RoutingPlan | None = None
-    ) -> tuple[dict[int, tuple[float, float]], float]:
-        """Arrival-aware prefill-pool schedule: request_id -> (batch start,
-        prefill completion) on the joint virtual clock, plus the pool's
-        busy time (slowest replica's total stage occupancy).
-
-        Per DP replica of the pool, prompts stream through in arrival
-        order as greedy micro-batches under the token budget; a micro-batch
-        starts when the previous one retires and its prompts have arrived
-        (the pool idles on an empty queue). Completion of micro-batch ``k``
-        is the pipeline fill of the first batch plus the cumulative stage
-        times — consistent with :meth:`prefill_pool_time`'s streaming model.
-        """
-        cfg = self.plan.prefill_config
-        replica_cfg = replace(cfg, dp=1)
-        costs = StepCostModel(self.model, self._prefill_cluster, replica_cfg)
-        budget = self.options.max_batched_tokens
-        fill_stages = replica_cfg.pp - 1
-        schedule: dict[int, tuple[float, float]] = {}
-        busy_time = 0.0
-        for part in (pool_plan or self._prefill_pool_plan(workload)).partitions:
-            if not part:
-                continue
-            queue = sorted(part, key=lambda r: r.arrival_time)
-            free_at = 0.0
-            replica_busy = 0.0
-            i = 0
-            while i < len(queue):
-                start = max(free_at, queue[i].arrival_time)
-                batch = [queue[i]]
-                used = queue[i].prompt_len
-                i += 1
-                # Batch up everything that has arrived by the start time.
-                while (
-                    i < len(queue)
-                    and queue[i].arrival_time <= start + 1e-12
-                    and used + queue[i].prompt_len <= budget
-                ):
-                    batch.append(queue[i])
-                    used += queue[i].prompt_len
-                    i += 1
-                stage = costs.prefill_stage_time([r.prompt_len for r in batch]).total
-                done = start + (1 + fill_stages) * stage + ITERATION_OVERHEAD
-                free_at = start + stage + ITERATION_OVERHEAD
-                replica_busy += stage + ITERATION_OVERHEAD
-                for r in batch:
-                    schedule[r.request_id] = (start, done)
-            busy_time = max(busy_time, replica_busy)
-        return schedule, busy_time
-
-    def _joint_latency(
-        self, workload: WorkloadSpec, pool_plan: RoutingPlan | None = None
-    ) -> tuple[LatencyStats, EngineResult, float]:
-        """Simulate the two pools as a pipeline at request granularity.
-
-        Prefill completions become the decode pool's arrival process; the
-        (event-driven) decode pool then yields per-request finish times.
-        Returns the joint latency records, the gated decode-pool result,
-        and the prefill pool's busy time.
-        """
-        schedule, prefill_busy = self._prefill_pool_schedule(workload, pool_plan)
-        ids = workload.request_id.tolist()
-        done = [schedule[i][1] for i in ids]
-        gated = stamp_arrivals(workload, done, name=f"{workload.name}+prefilled")
-        decode_result = self.decode_pool_result(gated)
-        assert decode_result.latency is not None
-        decoded = decode_result.latency
-        finish = dict(
-            zip(decoded.request_id.tolist(), decoded.finish.tolist(), strict=True)
-        )
-        latency = LatencyStats.from_columns(
-            request_id=workload.request_id,
-            arrival=workload.arrival_time,
-            first_schedule=[schedule[i][0] for i in ids],
-            first_token=done,
-            finish=[max(finish[i], d) for i, d in zip(ids, done, strict=True)],
-            output_len=workload.output_len,
-        )
-        return latency, decode_result, prefill_busy
 
     def run(self, workload: WorkloadSpec, hooks: RunHooks | None = None) -> EngineResult:
         """End-to-end run: the two pools overlap as a two-stage pipeline.
 
-        Offline (every arrival at 0) the completion time keeps the seed's
-        steady-state bound — the slower pool plus the fill time of the
-        first prefill batch; per-request latency additionally comes from
-        the request-granular pipeline simulation. Under an arrival process
-        the steady-state bound no longer applies, so the run *is* the joint
-        simulation: total time is when the gated decode pool finishes the
-        last request.
+        The prefill pool runs first; its KV handoffs are the arrival
+        process of the decode pool, and a request finishes when the
+        decode pool finishes it. Under an arrival process the total time
+        is when the last request finishes. Offline (every arrival at 0)
+        the total keeps the seed's steady-state bound — the slower pool
+        plus the fill time of the first prefill batch — with the decode
+        pool's time taken from a second, ungated run.
 
-        ``hooks`` observe the joint result (telemetry folds it, tracing
-        records dispatch and KV-handoff marks); no shared clock runs here
-        for a sanitizer to check.
+        ``hooks`` observe both pool runs (telemetry only the joint
+        result): the sanitizer checks each pool, and the tracer records
+        the prefill pool's phase tracks and each request's dispatch, KV
+        handoff and decode-pool admission.
         """
         hooks = NO_HOOKS if hooks is None else hooks
-        if hooks.sanitize is not None:
-            raise ConfigurationError(
-                "the disaggregated engine has no shared clock to sanitize"
-            )
-        pool_plan = self._prefill_pool_plan(workload)
-        latency, gated_decode, prefill_busy = self._joint_latency(workload, pool_plan)
+        pool_hooks = replace(hooks, telemetry=None)
+        prefill = self.prefill_pool_result(workload, pool_hooks)
+        handoff = prefill.latency
+        at = np.searchsorted(handoff.request_id, workload.request_id)
+        gated = stamp_arrivals(
+            workload, handoff.first_token[at], name=f"{workload.name}+prefilled"
+        )
+        # The decode pool's replica ids would collide with the prefill
+        # pool's tracks, so it runs untraced.
+        decode = self._decode_pool.simulate(gated, replace(pool_hooks, tracing=None))
+        decoded = decode.latency
         tr = hooks.tracing
         if tr is not None:
-            self._note_trace_marks(tr, pool_plan, latency, gated_decode)
-        online = bool((workload.arrival_time > 0).any())
-        if online:
-            phase = dict(gated_decode.phase_time)
-            phase["prefill"] = prefill_busy
-            return hooks.fold(EngineResult(
-                engine=self.name,
-                label=self.label(),
-                num_requests=workload.num_requests,
-                total_time=max(
-                    gated_decode.total_time,
-                    float(latency.finish.max()),
-                ),
-                input_tokens=workload.total_input_tokens,
-                output_tokens=workload.total_output_tokens,
-                phase_time=phase,
-                breakdown=gated_decode.breakdown,
-                iterations=gated_decode.iterations,
-                transitions=0,
-                latency=latency,
-                # The decode pool's dispatch record (decode dominates the
-                # serving latency; the prefill pool re-routes upstream).
-                router=gated_decode.router,
-            ), self.options)
-        # Offline: the gated decode run degenerates to the seed's
-        # decode-pool run shifted by prefill completions; the seed bound
-        # still needs the unshifted decode time, simulated once here.
-        prefill_time = self.prefill_pool_time(workload, pool_plan)
-        decode_result = self.decode_pool_result(workload)
-        costs = StepCostModel(
-            self.model,
-            self._prefill_cluster,
-            replace(self.plan.prefill_config, dp=1),
+            for rid, admitted in zip(
+                decoded.request_id.tolist(), decoded.first_schedule.tolist(), strict=True
+            ):
+                tr.note_resume(admitted, rid)
+        latency = LatencyStats.from_columns(
+            request_id=handoff.request_id,
+            arrival=handoff.arrival,
+            first_schedule=handoff.first_schedule,
+            first_token=handoff.first_token,
+            finish=np.maximum(decoded.finish, handoff.first_token),
+            output_len=handoff.output_len,
         )
-        fill = costs.prefill_pass_time([int(workload.prompt_len[0])]).total
-        total = max(prefill_time, decode_result.total_time) + fill
+        if (workload.arrival_time > 0).any():
+            phase = dict(decode.phase_time)
+            phase["prefill"] = prefill.phase_time["prefill"]
+            total = max(decode.total_time, float(latency.finish.max()))
+        else:
+            decode = self.decode_pool_result(workload)
+            fill = self._prefill_pool.make_costs().prefill_pass_time(
+                [int(workload.prompt_len[0])]
+            ).total
+            total = max(prefill.total_time, decode.total_time) + fill
+            phase = {"prefill": prefill.total_time, "decode": decode.total_time}
         return hooks.fold(EngineResult(
             engine=self.name,
             label=self.label(),
@@ -392,53 +354,12 @@ class DisaggregatedEngine:
             total_time=total,
             input_tokens=workload.total_input_tokens,
             output_tokens=workload.total_output_tokens,
-            phase_time={
-                "prefill": prefill_time,
-                "decode": decode_result.total_time,
-            },
-            breakdown=decode_result.breakdown,
-            iterations=decode_result.iterations,
+            phase_time=phase,
+            breakdown=decode.breakdown,
+            iterations=decode.iterations,
             transitions=0,
             latency=latency,
-            router=decode_result.router,
+            # The decode pool's dispatch record (decode dominates the
+            # serving latency; the prefill pool routes upstream).
+            router=decode.router,
         ), self.options)
-
-    def _note_trace_marks(
-        self,
-        tr,
-        pool_plan: RoutingPlan,
-        latency: LatencyStats,
-        gated_decode: EngineResult,
-    ) -> None:
-        """Record dispatch + KV-handoff marks for the joint pipeline run.
-
-        Prefill-pool replicas are tracks ``0..dp_p-1``; the decode pool is
-        track ``dp_p``. The handoff happens at prefill completion (=first
-        token); the decode pool's admission time bounds the transfer-wait
-        segment when the gated run recorded one.
-        """
-        dp_p = self.plan.prefill_config.dp
-        prefill_replica: dict[int, int] = {}
-        for i, part in enumerate(pool_plan.partitions):
-            for r in part:
-                prefill_replica[r.request_id] = i
-        decode_sched: dict[int, float] = {}
-        gated = gated_decode.latency
-        if gated is not None:
-            decode_sched = dict(
-                zip(
-                    gated.request_id.tolist(),
-                    gated.first_schedule.tolist(),
-                    strict=True,
-                )
-            )
-        for rid, arrival, done in zip(
-            latency.request_id.tolist(),
-            latency.arrival.tolist(),
-            latency.first_token.tolist(),
-            strict=True,
-        ):
-            src = prefill_replica.get(rid, 0)
-            tr.note_dispatch(arrival, rid, src)
-            tr.note_handoff(done, rid, src, dp_p, until=decode_sched.get(rid))
-

@@ -236,11 +236,7 @@ class CellSpec:
             DisaggregationPlan,
         )
 
-        prefill_label, decode_label = self.config.split("|")
-        plan = DisaggregationPlan(
-            prefill_config=parse_config(prefill_label),
-            decode_config=parse_config(decode_label),
-        )
+        plan = DisaggregationPlan.parse(self.config)
         return DisaggregatedEngine(self.model, self.cluster, plan, options)
 
     def execute(self, hooks: RunHooks | None = None) -> EngineResult:

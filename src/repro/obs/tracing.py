@@ -313,25 +313,21 @@ class Tracer:
         self._mark(request_id, ("preempt", t, kind))
 
     def note_resume(self, t: float, request_id: int) -> None:
-        """The request made forward progress again after a preemption.
+        """The request made forward progress again after a preemption or
+        a KV handoff.
 
-        Ignored when no stall is open, so engines may call it at every
-        prefill-completion / swap-in site without tracking state.
+        Ignored when no stall or handoff is open, so engines may call it
+        at every prefill-completion / swap-in site without tracking state.
         """
         self._mark(request_id, ("resume", t))
 
     def note_handoff(
-        self,
-        t: float,
-        request_id: int,
-        src_replica: int,
-        dst_replica: int,
-        until: float | None = None,
+        self, t: float, request_id: int, src_replica: int, dst_replica: int
     ) -> None:
-        """Prefill->decode KV handoff across pools at ``t``; when the
-        decode-side admission time is known, ``until`` bounds the
-        transfer-wait segment."""
-        self._mark(request_id, ("handoff", t, src_replica, dst_replica, until))
+        """Prefill->decode KV handoff across pools at ``t``. It opens the
+        transfer-wait segment, which the request's next
+        :meth:`note_resume` (its decode-side admission) closes."""
+        self._mark(request_id, ("handoff", t, src_replica, dst_replica))
 
     def note_phase(
         self, replica: int, kind: str, start: float, duration: float,
@@ -429,6 +425,7 @@ class Tracer:
         overlays: list[tuple[str, float, float, int | None]] = []
         links: list[Link] = []
         open_stall: tuple[str, float] | None = None
+        open_handoff: tuple[float, int] | None = None
         pending_withdraw: tuple[float, int] | None = None
         for mark in marks:
             tag = mark[0]
@@ -463,16 +460,20 @@ class Tracer:
                     open_stall = (kind, t)
             elif tag == "resume":
                 _, t = mark
+                if open_handoff is not None:
+                    start, dst = open_handoff
+                    if t > start:
+                        overlays.append((KV_HANDOFF, start, t, dst))
+                    open_handoff = None
                 if open_stall is not None:
                     kind, start = open_stall
                     stall = SWAP_STALL if kind == "swap" else PREEMPT_STALL
                     overlays.append((stall, start, t, replica))
                     open_stall = None
             elif tag == "handoff":
-                _, t, src, dst, until = mark
+                _, t, src, dst = mark
                 links.append(Link("follows_from", "kv_handoff", t, src, dst))
-                if until is not None and until > t:
-                    overlays.append((KV_HANDOFF, t, until, dst))
+                open_handoff = (t, dst)
                 replica = dst
         if open_stall is not None:
             kind, start = open_stall

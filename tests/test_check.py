@@ -435,17 +435,32 @@ class TestSanitizedRuns:
                 EngineOptions(**opts),
             )
 
-        plan = DisaggregationPlan(parse_config("T2"), parse_config("T2"))
-        with pytest.raises(ConfigurationError, match="shared clock"):
-            DisaggregatedEngine(tiny_model, cluster_a10_4, plan).run(
-                wl, RunHooks(sanitize=Sanitizer())
-            )
         with pytest.raises(ConfigurationError, match="Sanitizer"):
             RunHooks(sanitize=object())
         # The fluid fidelity carries its own conservation analogs now.
         san = Sanitizer()
         engine(coupled=True, fidelity="fluid").run(wl, RunHooks(sanitize=san))
         assert san.total_checks > 0
+
+    @pytest.mark.parametrize(
+        "opts",
+        [{}, {"coupled": True, "router": "jsq"}],
+        ids=["decoupled", "coupled-jsq"],
+    )
+    def test_disaggregated_run_is_sanitized(self, tiny_model, cluster_a10_4, opts):
+        """Both pools of an online disaggregated run are sanitized (the
+        decode pool on the coupled path too), and the result is the
+        unsanitized one bit for bit."""
+        wl = poisson_arrivals(constant_workload(24, 512, 16), 6.0, seed=11)
+        plan = DisaggregationPlan(parse_config("D2"), parse_config("D2"))
+        engine = DisaggregatedEngine(
+            tiny_model, cluster_a10_4, plan, EngineOptions(**opts)
+        )
+        plain = engine.run(wl)
+        san = Sanitizer()
+        checked = engine.run(wl, RunHooks(sanitize=san))
+        assert checked == plain
+        assert san.checks["S3"] > 0 and san.checks["S4"] > 0
 
     def test_decoupled_run_is_sanitized(self, tiny_model, cluster_a10_4):
         """The decoupled path notes every planned dispatch (S2, S5), checks

@@ -456,6 +456,23 @@ class TestOnlineFlags:
         assert "S3 token-conservation: 2," in out  # one sweep per replica
         assert "S5 request-identity: 8," in out
 
+    def test_disaggregated_run_is_sanitized(self, capsys):
+        """A ``<prefill>|<decode>`` config runs the disaggregated engine:
+        both pools are sanitized and the timeline draws the prefill pool."""
+        rc = main(
+            [
+                "run", "--model", "15b", "--num-gpus", "4", "--config", "T2|T2",
+                "--dataset", "const:512x64", "--num-requests", "8",
+                "--request-rate", "2.0", "--sanitize", "--timeline",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "disagg[T2|T2]" in out
+        assert "S3 token-conservation: 2," in out  # one sweep per pool
+        assert "S5 request-identity: 16," in out  # each pool dispatches all
+        assert any(line.startswith("prefill |") for line in out.splitlines())
+
     def test_run_with_slo_router(self, capsys):
         rc = main(
             [

@@ -116,6 +116,18 @@ class TestGoldenEquivalence:
         )
         assert_identical(mk(False).run(wl), mk(True).run(wl))
 
+    def test_disaggregated_single_token(self, tiny_model, cluster_a10_4):
+        """Single-token outputs leave the decode pool no work; the coupled
+        pool still ends at the decoupled pool's positive-time floor."""
+        wl = constant_workload(16, 256, 1)
+        plan = DisaggregationPlan(
+            prefill_config=parse_config("D2"), decode_config=parse_config("D2")
+        )
+        mk = lambda c: DisaggregatedEngine(
+            tiny_model, cluster_a10_4, plan, EngineOptions(coupled=c)
+        )
+        assert_identical(mk(False).run(wl), mk(True).run(wl))
+
     def test_vllm_static_online_equivalent(self, tiny_model, cluster_a10_4):
         """Static membership is index-based, so even under live arrivals
         coupled co-simulation reproduces the decoupled replica runs."""

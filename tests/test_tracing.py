@@ -51,6 +51,7 @@ from repro.obs import (
 )
 from repro.obs.critical_path import (
     DECODE,
+    KV_HANDOFF,
     PREEMPT_STALL,
     PREFILL,
     PREFILL_WAIT,
@@ -61,7 +62,11 @@ from repro.obs.critical_path import (
     TraceInvariantError,
 )
 from repro.parallel.config import parse_config
-from repro.workloads.arrivals import diurnal_arrivals, poisson_arrivals
+from repro.workloads.arrivals import (
+    diurnal_arrivals,
+    poisson_arrivals,
+    stamp_arrivals,
+)
 from repro.workloads.datasets import sharegpt_workload
 from repro.workloads.synthetic import constant_workload
 
@@ -408,20 +413,35 @@ class TestZeroOverheadContract:
 
     def test_disagg_identical_with_handoff(self, tiny_model, cluster_a10_4):
         wl = constant_workload(16, 256, 32)
-        plan = DisaggregationPlan(
-            prefill_config=parse_config("T2"), decode_config=parse_config("T2")
-        )
-        off, on, tr = self.run_pair(
-            lambda: DisaggregatedEngine(
-                tiny_model, cluster_a10_4, plan, EngineOptions()
-            ),
-            wl,
-        )
-        assert_results_identical(off, on)
-        assert tr.traces
-        for trace in tr.traces:
-            assert_conserved(trace)
-            assert any(link.kind == "kv_handoff" for link in trace.links)
+        # The second cell caps the decode batch so handed-off requests
+        # wait for decode-pool admission (non-empty kv_handoff segments).
+        for label, options in (
+            ("T2|T2", EngineOptions()),
+            ("D2|T2", EngineOptions(max_num_seqs=4)),
+        ):
+            plan = DisaggregationPlan.parse(label)
+            engine = DisaggregatedEngine(tiny_model, cluster_a10_4, plan, options)
+            off, on, tr = self.run_pair(lambda: engine, wl)
+            assert_results_identical(off, on)
+            assert tr.traces
+            for rep in range(plan.prefill_config.dp):
+                assert any(s.kind == "prefill" for s in tr.phases(rep)), rep
+            handoff = engine.prefill_pool_result(wl).latency
+            gated = stamp_arrivals(wl, handoff.first_token)
+            decoded = engine.decode_pool_result(gated).latency
+            admitted = dict(
+                zip(decoded.request_id.tolist(), decoded.first_schedule.tolist())
+            )
+            waits = 0
+            for trace in tr.traces:
+                assert_conserved(trace)
+                assert any(link.kind == "kv_handoff" for link in trace.links)
+                for seg in trace.segments:
+                    if seg.kind == KV_HANDOFF:
+                        assert seg.end == admitted[trace.request_id]
+                        waits += 1
+            if options.max_num_seqs < len(wl.requests):
+                assert waits > 0
 
     def test_autoscaled_identical_with_warmup(self, tiny_model, cluster_a10_4):
         wl = diurnal_arrivals(constant_workload(128, 2048, 16), 16.0, 20.0, seed=3)
