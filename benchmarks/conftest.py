@@ -2,8 +2,8 @@
 
 Every benchmark regenerates one paper artifact (table or figure), times it
 via pytest-benchmark, prints the rendered ASCII artifact, and writes it to
-``benchmarks/artifacts/`` so EXPERIMENTS.md's numbers can be re-checked
-without scrolling logs.
+``benchmarks/artifacts/`` so its numbers can be re-checked without
+scrolling logs.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Ablations of Seesaw's design decisions (DESIGN.md section 4).
+"""Ablations of Seesaw's design decisions (the flags of ``SeesawOptions``).
 
 Each benchmark flips one mechanism and reports the cost of losing it:
 tiered CPU buffering, transition-minimizing scheduling, async swap overlap,

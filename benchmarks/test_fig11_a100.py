@@ -17,8 +17,8 @@ def test_fig11_a100(benchmark, fig11, save_artifact):
     # positive)...
     assert result.speedup("arxiv", "pcie") >= 1.1
     # ...and essentially ties everywhere else (the paper's +13-30% on the
-    # remaining cells attenuates under our chunked-prefill baseline; see
-    # EXPERIMENTS.md for the recorded deviation).
+    # remaining cells attenuates under our chunked-prefill baseline, a
+    # known deviation from the paper).
     assert result.speedup("arxiv", "nvlink") >= 0.95
     assert result.speedup("sharegpt", "nvlink") >= 0.95
     assert result.speedup("sharegpt", "pcie") >= 0.95

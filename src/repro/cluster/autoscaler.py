@@ -248,10 +248,9 @@ class BurnRateThresholdAutoscaler(ThresholdAutoscaler):
             # Fluid-tier replicas model no per-request queues (they carry
             # only drain horizons); the burn-rate signal degrades to the
             # plain threshold rules.
-            run = getattr(sim, "run", None)
-            if run is None:
+            state = getattr(sim, "state", None)
+            if state is None:
                 continue
-            state = run.state
             for seq in list(state.pending) + list(state.waiting):
                 t = seq.first_schedule_time
                 if t == t:  # already scheduled: TTFT is decided elsewhere

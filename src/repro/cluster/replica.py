@@ -2,7 +2,8 @@
 observed-load view.
 
 :class:`ReplicaSim` wraps an engine's per-replica event-loop generator
-(:meth:`repro.engines.base.BaseEngine._replica_loop`) behind the
+(:meth:`repro.engines.base.BaseEngine._replica_loop`), which runs over the
+replica's :class:`~repro.engines.base.ReplicaState`, behind the
 discrete-event interface the cluster simulator drives:
 
 - ``next_event_time()`` — when this replica next does something: its own
@@ -49,7 +50,7 @@ class ReplicaSim:
     ) -> None:
         self.engine = engine
         self.replica_id = replica_id
-        self.run = engine._replica_setup(list(requests or []), replica_id)
+        self.state = engine._replica_setup(list(requests or []), replica_id)
         # A replica born mid-run (an elastic scale-up) starts its clock at
         # its activation instant: idle/phase accounting then covers only
         # the window in which the replica actually existed.
@@ -88,7 +89,7 @@ class ReplicaSim:
 
     def next_event_time(self) -> float:
         """Earliest time this replica acts next (``inf`` when drained)."""
-        state = self.run.state
+        state = self.state
         if not state.unfinished:
             return math.inf
         if state.has_immediate_work:
@@ -127,17 +128,17 @@ class ReplicaSim:
     def _step(self) -> None:
         """Execute one event: resume the engine's event-loop generator."""
         if self._events is None:
-            self._events = self.engine._replica_loop(self.run, self.clock)
+            self._events = self.engine._replica_loop(self.state, self.clock)
         try:
             t = next(self._events)
             if self._san is not None:
                 self._san.note_replica_clock(self.replica_id, self.clock, t)
             self.clock = max(self.clock, t)
             if self._probe is not None:
-                self._probe.tick(self.clock, self.run.state, self.run.metrics)
+                self._probe.tick(self.clock, self.state)
         except StopIteration:
             # Drained for now; a later inject() re-arms the loop from the
-            # current clock (all state persists in self.run).
+            # current clock (all state persists in self.state).
             self._events = None
 
     # ------------------------------------------------------------------ #
@@ -146,11 +147,7 @@ class ReplicaSim:
 
     def inject(self, request: Request) -> None:
         """Dispatch ``request`` to this replica."""
-        self.run.add_request(request)
-
-    def steal_pending(self) -> list[Request]:
-        """Withdraw every request the scheduler has not yet observed."""
-        return self.run.steal_pending()
+        self.state.add_request(request)
 
     # ------------------------------------------------------------------ #
     # Observed state
@@ -175,7 +172,7 @@ class ReplicaSim:
         epoch moved (queue membership, prefill progress or running-set
         churn since the last probe); pure decode iterations leave the
         epoch alone, so steady-state probes cost one bisect."""
-        state = self.run.state
+        state = self.state
         if state.prefill_epoch == self._agg_epoch:
             return
         self._agg_epoch = state.prefill_epoch
@@ -217,7 +214,7 @@ class ReplicaSim:
     def decode_backlog_tokens(self) -> float:
         """Output tokens still to decode across every live sequence (an
         exact counter the engine loops maintain incrementally)."""
-        return float(self.run.state.decode_backlog)
+        return float(self.state.decode_backlog)
 
     def outstanding_tokens(self, now: float | None = None) -> float:
         """Unprefilled prompt plus undecoded output tokens (least-work)."""
@@ -232,22 +229,22 @@ class ReplicaSim:
     @property
     def num_requests(self) -> int:
         """Requests dispatched here (storm-stolen ones excluded)."""
-        return len(self.run.requests)
+        return len(self.state.requests)
 
     @property
     def total_tokens(self) -> int:
         """Prompt plus output tokens of the requests dispatched here."""
-        return self.run.total_request_tokens
+        return self.state.total_request_tokens
 
     def observed_preemptions(self) -> int:
         """Preemptions that actually happened on this replica so far
         (the engines' O(1) run-metrics counter — probed on every arrival,
         so scanning sequences here would make the event loop quadratic)."""
-        return self.run.metrics.preemptions
+        return self.state.metrics.preemptions
 
     def idle_time(self) -> float:
         """Wall time this replica spent sleeping on an empty queue."""
-        return self.run.metrics.phase_timer.get("idle")
+        return self.state.metrics.phase_timer.get("idle")
 
     def preempted_recently(self) -> bool:
         """Whether a preemption happened since the cluster last advanced
@@ -317,7 +314,7 @@ class ObservedLoad:
         (preemptions observed since the cluster last advanced to a new
         arrival instant — the window refreshes every arrival, so the
         penalty decays once the replica stops evicting)."""
-        state = self.sim.run.state
+        state = self.sim.state
         if state.kv.free_tokens < request.total_tokens:
             return True
         return self.sim.preempted_recently()

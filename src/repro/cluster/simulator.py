@@ -233,7 +233,7 @@ class ClusterSimulator:
             # Drain-time conservation sweep (S3 token conservation + S4
             # KV balance) over every replica that ever simulated.
             for sim in fleet.sims():
-                san.check_drained(sim.replica_id, sim.run.state, sim.clock)
+                san.check_drained(sim.replica_id, sim.state, sim.clock)
         if trc is not None:
             trc.set_warming_windows(fleet.warming_windows())
 
@@ -244,9 +244,9 @@ class ClusterSimulator:
             for t in tel.boundaries("cluster", makespan):
                 fleet.sample_cluster(tel, t)
         results = [
-            self.engine._replica_result(sim.run, sim.clock)
+            self.engine._replica_result(sim.state, sim.clock)
             for sim in fleet.sims()
-            if sim.run.requests
+            if sim.state.requests
         ]
         if not results:
             raise SimulationError("coupled run produced no replica results")
@@ -305,7 +305,7 @@ class ClusterSimulator:
         trc = self.hooks.tracing
         moved = 0
         for src in storming:
-            stolen = src.steal_pending()
+            stolen = src.state.steal_pending()
             # Re-arm the watermark whether or not anything was stealable:
             # a measured storm is a point-in-time event, and leaving the
             # mark would exclude the replica from the calm pool forever.

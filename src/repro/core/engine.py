@@ -31,7 +31,7 @@ from typing import Iterator
 from repro.core.options import SeesawOptions
 from repro.core.state import SeesawState
 from repro.costmodel.step import ITERATION_OVERHEAD, StepCostModel
-from repro.engines.base import BaseEngine, ReplicaRun, ReplicaState
+from repro.engines.base import BaseEngine, ReplicaState
 from repro.errors import CapacityError, ConfigurationError, SchedulingError
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
@@ -74,24 +74,11 @@ class SeesawEngine(BaseEngine):
     def label(self) -> str:
         return transition_label(self.prefill_config, self.decode_config)
 
-    def _decode_costs(self) -> StepCostModel:
-        """Cached decode-config cost model (used by preemption)."""
-        cached = getattr(self, "_decode_costs_cache", None)
-        if cached is None:
-            cached = StepCostModel(
-                self.model,
-                self.cluster,
-                replace(self.decode_config, dp=1),
-                kv_layout=self.options.kv_layout,
-            )
-            self._decode_costs_cache = cached
-        return cached
-
     # ------------------------------------------------------------------ #
     # Replica simulation
     # ------------------------------------------------------------------ #
 
-    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaRun:
+    def _replica_setup(self, requests: list[Request], replica_id: int) -> SeesawState:
         opts: SeesawOptions = self.options  # type: ignore[assignment]
         cp = replace(self.prefill_config, dp=1)
         cd = replace(self.decode_config, dp=1)
@@ -106,42 +93,35 @@ class SeesawEngine(BaseEngine):
             if opts.use_cpu_buffer
             else 0
         )
-        state = SeesawState(requests, kv, cpu_capacity_tokens=cpu_tokens)
-        run = ReplicaRun(replica_id, requests, state, RunMetrics())
-        run.cp, run.cd = cp, cd
-        run.costs_p = StepCostModel(
-            self.model, self.cluster, cp, kv_layout=opts.kv_layout
-        )
-        run.costs_d = StepCostModel(
-            self.model, self.cluster, cd, kv_layout=opts.kv_layout
-        )
-        run.current = cp  # initial weights are laid out for prefill
-        return run
+        state = SeesawState(requests, kv, replica_id, cpu_capacity_tokens=cpu_tokens)
+        state.cp, state.cd = cp, cd
+        state.costs_p, state.costs_d = self.make_costs(cp), self.make_costs(cd)
+        state.current = cp  # initial weights are laid out for prefill
+        return state
 
-    def _replica_loop(self, run: ReplicaRun, start: float) -> Iterator[float]:
+    def _replica_loop(self, state: SeesawState, start: float) -> Iterator[float]:
         opts: SeesawOptions = self.options  # type: ignore[assignment]
-        state: SeesawState = run.state  # type: ignore[assignment]
-        metrics = run.metrics
-        cp, cd = run.cp, run.cd
-        costs_p, costs_d = run.costs_p, run.costs_d
+        metrics = state.metrics
+        cp, cd = state.cp, state.cd
+        costs_p, costs_d = state.costs_p, state.costs_d
         now = start
 
         if not opts.use_cpu_buffer:
-            yield from self._batch_loop(run, start, costs_p, costs_d)
+            yield from self._batch_loop(state, start, costs_p, costs_d)
             return
 
         while not state.all_work_done:
-            run.guard += 1
-            if run.guard > 40 * len(run.requests) + 256:
+            state.guard += 1
+            if state.guard > 40 * len(state.requests) + 256:
                 raise SchedulingError("Seesaw phase loop made no progress")
 
             state.admit_arrivals(now)
             if self._can_prefill(state) and not self._defer_prefill(state):
-                now = self._reshard(run, now, cp)
+                now = self._reshard(state, now, cp)
                 now = yield from self._prefill_phase(state, costs_p, metrics, now)
 
             if state.running or state.cpu_has_sequences or state.inflight:
-                now = self._reshard(run, now, cd)
+                now = self._reshard(state, now, cd)
                 now = yield from self._decode_phase(state, costs_d, metrics, now)
             elif state.waiting and not self._can_prefill(state):
                 head = state.waiting[0]
@@ -207,7 +187,7 @@ class SeesawEngine(BaseEngine):
         expected = rate * self._transition_time()
         return len(state.waiting) < expected
 
-    def _reshard(self, run: ReplicaRun, now: float, target: ParallelConfig) -> float:
+    def _reshard(self, state: SeesawState, now: float, target: ParallelConfig) -> float:
         """Switch the replica's sharding to ``target`` if needed; returns
         the clock.
 
@@ -216,12 +196,11 @@ class SeesawEngine(BaseEngine):
         across GPUs.
         """
         opts: SeesawOptions = self.options  # type: ignore[assignment]
-        state: SeesawState = run.state  # type: ignore[assignment]
-        metrics = run.metrics
-        if run.current == target:
+        metrics = state.metrics
+        if state.current == target:
             return now
         plan = plan_reshard(
-            self.model, run.current, target, reuse_overlap=opts.reuse_weight_overlap
+            self.model, state.current, target, reuse_overlap=opts.reuse_weight_overlap
         )
         start = max(now, state.d2h.free_at, state.h2d.free_at)
         elapsed = (start - now) + plan.transfer_time(self.cluster)
@@ -236,7 +215,7 @@ class SeesawEngine(BaseEngine):
         now = now + elapsed
         state.d2h.idle_until(now)
         state.h2d.idle_until(now)
-        run.current = target
+        state.current = target
         return now
 
     # ------------------------------------------------------------------ #
@@ -495,7 +474,7 @@ class SeesawEngine(BaseEngine):
         if state.cpu.fits(tokens):
             victim.state = SequenceState.PREFILLED_CPU
             state.park_in_cpu(victim, tokens)
-            swap_t = self._decode_costs().kv_swap_time(tokens)
+            swap_t = state.costs_d.kv_swap_time(tokens)
             state.d2h.submit(now, swap_t)
             metrics.swapped_out_tokens += tokens
             stall_kind = "swap"
@@ -516,8 +495,8 @@ class SeesawEngine(BaseEngine):
     # (BaseEngine._batch_loop) admits a GPU-sized batch, which is prefilled
     # under cp and decoded to completion under cd.
 
-    def _before_prefill(self, run: ReplicaRun, now: float) -> float:
-        return self._reshard(run, now, run.cp)
+    def _before_prefill(self, state: SeesawState, now: float) -> float:
+        return self._reshard(state, now, state.cp)
 
-    def _after_prefill(self, run: ReplicaRun, now: float) -> float:
-        return self._reshard(run, now, run.cd)
+    def _after_prefill(self, state: SeesawState, now: float) -> float:
+        return self._reshard(state, now, state.cd)

@@ -1,8 +1,8 @@
 """Seesaw-specific options, extending the shared engine options.
 
-Every flag here corresponds to a design decision called out in DESIGN.md's
-ablation list; the defaults reproduce the paper's system, and the
-benchmarks flip them one at a time.
+Every flag here switches off one of the paper's design decisions; the
+defaults reproduce the paper's system, and the ablation benchmarks flip
+them one at a time.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ class SeesawOptions(EngineOptions):
         reuse_weight_overlap: Skip reloading weight bytes a GPU already
             holds after the switch (shard-reuse optimization; the paper's
             implementation reloads the full shard from CPU memory).
-        prefill_staging_tokens: GPU KV tokens kept free for the prefill
-            working set while decode sequences stay resident. ``None``
-            defaults to 2x the prefill micro-batch token budget.
         arrival_rate: Predicted offered request rate (req/s) of the live
             traffic, as estimated by the autotuner's serving objective.
             When set, the phase loop consults it before re-sharding to
@@ -47,16 +44,10 @@ class SeesawOptions(EngineOptions):
     use_cpu_buffer: bool = True
     eager_transitions: bool = False
     reuse_weight_overlap: bool = False
-    prefill_staging_tokens: int | None = None
     arrival_rate: float | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if (
-            self.prefill_staging_tokens is not None
-            and self.prefill_staging_tokens < 0
-        ):
-            raise ConfigurationError("prefill_staging_tokens must be >= 0")
         if self.arrival_rate is not None and self.arrival_rate <= 0:
             raise ConfigurationError("arrival_rate must be positive")
         if self.arrival_rate is not None and self.coupled:
@@ -67,6 +58,6 @@ class SeesawOptions(EngineOptions):
 
     @property
     def staging_tokens(self) -> int:
-        if self.prefill_staging_tokens is not None:
-            return self.prefill_staging_tokens
+        """GPU KV tokens kept free for the prefill working set while decode
+        sequences stay resident: two prefill micro-batch token budgets."""
         return 2 * self.max_batched_tokens

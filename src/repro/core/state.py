@@ -8,8 +8,6 @@ in-flight prefetches.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.engines.base import ReplicaState
 from repro.errors import SimulationError
 from repro.runtime.channel import TransferChannel
@@ -23,11 +21,12 @@ class SeesawState(ReplicaState):
 
     def __init__(
         self,
-        requests: Iterable[Request],
+        requests: list[Request],
         kv: KVCacheManager,
+        replica_id: int,
         cpu_capacity_tokens: int,
     ) -> None:
-        super().__init__(requests, kv)
+        super().__init__(requests, kv, replica_id)
         self.cpu = CPUKVBuffer(capacity_tokens=cpu_capacity_tokens)
         self.d2h = TransferChannel("d2h")
         self.h2d = TransferChannel("h2d")

@@ -228,7 +228,9 @@ NO_HOOKS = RunHooks()
 
 
 class ReplicaState:
-    """Mutable per-replica scheduling state shared by engine loops.
+    """Everything one replica's event loop owns: its requests, queues, KV
+    cache and :class:`RunMetrics`, plus the extras engines attach in
+    :meth:`BaseEngine._replica_setup` (cost models, phase bookkeeping).
 
     Requests are arrival-gated: a request sits in :attr:`pending` until the
     virtual clock reaches its ``arrival_time``, at which point
@@ -240,9 +242,18 @@ class ReplicaState:
 
     def __init__(
         self,
-        requests: Iterable[Request],
+        requests: list[Request],
         kv: KVCacheManager,
+        replica_id: int = 0,
     ) -> None:
+        self.requests = requests
+        self.metrics = RunMetrics()
+        # The DP replica this state belongs to; phase spans are recorded
+        # on its track.
+        self.replica_id = replica_id
+        # Loop iterations so far, for the engines' livelock guards.
+        self.guard = 0
+        self.total_request_tokens = sum(r.prompt_len + r.output_len for r in requests)
         seqs = [Sequence(r) for r in requests]
         # Stable sort: simultaneous arrivals keep their submission order.
         seqs.sort(key=lambda s: s.arrival_time)
@@ -264,9 +275,6 @@ class ReplicaState:
         # Vectorized decode slot arrays (engines/slots.py); None = the
         # object lists are authoritative.
         self.slots = None
-        # The DP replica this state belongs to (stamped by ReplicaRun);
-        # phase spans are recorded on its track.
-        self.replica_id = 0
         self.admit_arrivals(0.0)
 
     def admit_arrivals(self, now: float) -> int:
@@ -277,6 +285,43 @@ class ReplicaState:
             self.waiting.append(self.pending.popleft())
             admitted += 1
         return admitted
+
+    def add_request(self, request: Request) -> Sequence:
+        """Inject a request dispatched to this replica mid-simulation.
+
+        The sequence enters the pending queue in arrival order (dispatches
+        arrive in arrival order, so this is an append except for storm
+        re-dispatches of earlier arrivals); the replica's scheduler admits
+        it the next time its clock reaches the arrival time.
+        """
+        seq = Sequence(request)
+        self.requests.append(request)
+        self.total_request_tokens += request.prompt_len + request.output_len
+        self.decode_backlog += max(0, request.output_len - 1)
+        self.prefill_epoch += 1
+        idx = len(self.pending)
+        while idx > 0 and self.pending[idx - 1].arrival_time > request.arrival_time + 1e-12:
+            idx -= 1
+        self.pending.insert(idx, seq)
+        return seq
+
+    def steal_pending(self) -> list[Request]:
+        """Remove and return every still-pending (never admitted) request.
+
+        Only requests the replica's scheduler has not yet observed are
+        stealable — the coupled storm re-dispatcher moves these to a calm
+        replica without perturbing any in-flight state."""
+        stolen = [seq.request for seq in self.pending]
+        if stolen:
+            self.pending.clear()
+            self.decode_backlog -= sum(max(0, r.output_len - 1) for r in stolen)
+            self.prefill_epoch += 1
+            ids = {r.request_id for r in stolen}
+            self.requests = [r for r in self.requests if r.request_id not in ids]
+            self.total_request_tokens -= sum(
+                r.prompt_len + r.output_len for r in stolen
+            )
+        return stolen
 
     @property
     def next_arrival_time(self) -> float:
@@ -350,75 +395,6 @@ class ReplicaState:
             self.running.remove(s)
             self.finished.append(s)
         return len(done)
-
-
-class ReplicaRun:
-    """Mutable context of one replica simulation.
-
-    Bundles everything a replica's event loop owns — its request list,
-    scheduling state, metrics and engine-specific extras (cost models,
-    phase bookkeeping, livelock guards) — so a
-    :class:`repro.cluster.ReplicaSim` can drive the loop one event at a
-    time: alone to completion on the decoupled path, or on the coupled
-    cluster simulator's shared clock with new requests injected between
-    events. Engines attach whatever extra attributes their loop needs in
-    :meth:`BaseEngine._replica_setup`.
-    """
-
-    def __init__(
-        self,
-        replica_id: int,
-        requests: list[Request],
-        state: ReplicaState,
-        metrics: RunMetrics,
-    ) -> None:
-        self.replica_id = replica_id
-        self.requests = requests
-        self.state = state
-        self.metrics = metrics
-        state.replica_id = replica_id
-        self.guard = 0
-        self.total_request_tokens = sum(r.prompt_len + r.output_len for r in requests)
-
-    def add_request(self, request: Request) -> Sequence:
-        """Inject a request dispatched to this replica mid-simulation.
-
-        The sequence enters the pending queue in arrival order (dispatches
-        arrive in arrival order, so this is an append except for storm
-        re-dispatches of earlier arrivals); the replica's scheduler admits
-        it the next time its clock reaches the arrival time.
-        """
-        seq = Sequence(request)
-        self.requests.append(request)
-        self.total_request_tokens += request.prompt_len + request.output_len
-        self.state.decode_backlog += max(0, request.output_len - 1)
-        self.state.prefill_epoch += 1
-        pending = self.state.pending
-        idx = len(pending)
-        while idx > 0 and pending[idx - 1].arrival_time > request.arrival_time + 1e-12:
-            idx -= 1
-        pending.insert(idx, seq)
-        return seq
-
-    def steal_pending(self) -> list[Request]:
-        """Remove and return every still-pending (never admitted) request.
-
-        Only requests the replica's scheduler has not yet observed are
-        stealable — the coupled storm re-dispatcher moves these to a calm
-        replica without perturbing any in-flight state."""
-        stolen = [seq.request for seq in self.state.pending]
-        if stolen:
-            self.state.pending.clear()
-            self.state.decode_backlog -= sum(
-                max(0, r.output_len - 1) for r in stolen
-            )
-            self.state.prefill_epoch += 1
-            ids = {r.request_id for r in stolen}
-            self.requests = [r for r in self.requests if r.request_id not in ids]
-            self.total_request_tokens -= sum(
-                r.prompt_len + r.output_len for r in stolen
-            )
-        return stolen
 
 
 class BaseEngine(abc.ABC):
@@ -547,8 +523,8 @@ class BaseEngine(abc.ABC):
             sim = self.start_replica(i, part)
             sim.finish()
             if san is not None:
-                san.check_drained(i, sim.run.state, sim.clock)
-            results.append(self._replica_result(sim.run, sim.clock))
+                san.check_drained(i, sim.state, sim.clock)
+            results.append(self._replica_result(sim.state, sim.clock))
         return merge_dp_results(
             results, engine=self.name, label=self.label(), router=plan.stats
         )
@@ -574,25 +550,28 @@ class BaseEngine(abc.ABC):
 
         return ReplicaSim(self, replica_id, list(requests), start_time=start_time)
 
-    @abc.abstractmethod
-    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaRun:
-        """Build the mutable context one replica's event loop runs over."""
+    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaState:
+        """Build the state one replica's event loop runs over: the
+        replica's KV cache and one cost model for its configuration."""
+        state = ReplicaState(requests, self.make_kv(), replica_id)
+        state.costs = self.make_costs()
+        return state
 
     @abc.abstractmethod
-    def _replica_loop(self, run: ReplicaRun, start: float):
+    def _replica_loop(self, state: ReplicaState, start: float):
         """One replica's scheduler as a generator over iteration boundaries.
 
         Yields the virtual clock after every scheduling event (iteration,
         phase step, or idle jump); the clock never decreases across
         yields. The generator exits when the replica has no unfinished
         work; if requests are injected afterwards, the caller restarts it
-        from the current clock (all state lives in ``run``).
+        from the current clock (all state lives in ``state``).
         """
 
-    def _replica_result(self, run: ReplicaRun, total_time: float) -> EngineResult:
+    def _replica_result(self, state: ReplicaState, total_time: float) -> EngineResult:
         """Summarize one finished replica simulation."""
         return self.result_from(
-            run.requests, run.metrics, total_time, finished=run.state.finished
+            state.requests, state.metrics, total_time, finished=state.finished
         )
 
     # ------------------------------------------------------------------ #
@@ -733,27 +712,16 @@ class BaseEngine(abc.ABC):
         """Prefill ``batch`` whole in one pipelined wave; returns the clock
         at the wave's end.
 
-        The batch is packed in order into greedy micro-batches under the
-        token budget (a prompt longer than the budget gets a micro-batch of
-        its own, as real engines run it in one pass) that stream through
-        the pipeline stages. The wave counts as one iteration and one
-        ``prefill`` phase span (``resident`` is the span's resident-
-        sequence count); every sequence of the batch then runs with its
-        first token, and single-token outputs retire at once.
+        The batch is packed in order into greedy micro-batches
+        (:meth:`micro_batches`) that stream through the pipeline stages.
+        The wave counts as one iteration and one ``prefill`` phase span
+        (``resident`` is the span's resident-sequence count); every
+        sequence of the batch then runs with its first token, and
+        single-token outputs retire at once.
         """
-        budget = self.options.max_batched_tokens
-        stages: list[Breakdown] = []
-        lens: list[int] = []
-        used = tokens = 0
-        for seq in batch:
-            n = seq.remaining_prefill
-            if lens and used + n > budget:
-                stages.append(costs.prefill_stage_time(lens))
-                lens, used = [], 0
-            lens.append(n)
-            used += n
-            tokens += n
-        stages.append(costs.prefill_stage_time(lens))
+        lens = [seq.remaining_prefill for seq in batch]
+        stages = [costs.prefill_stage_time(mb) for mb in self.micro_batches(lens)]
+        tokens = sum(lens)
         pp = costs.config.pp
         wall = (
             pipeline_time_heterogeneous([b.total for b in stages], pp)
@@ -783,6 +751,22 @@ class BaseEngine(abc.ABC):
         state.finish_ready(now)
         return now
 
+    def micro_batches(self, lens: Iterable[int]) -> Iterator[list[int]]:
+        """Pack prompt lengths, in order, into greedy micro-batches under
+        the token budget; a prompt longer than the budget gets one of its
+        own, as real engines run it in one pass."""
+        budget = self.options.max_batched_tokens
+        group: list[int] = []
+        used = 0
+        for n in lens:
+            if group and used + n > budget:
+                yield group
+                group, used = [], 0
+            group.append(n)
+            used += n
+        if group:
+            yield group
+
     def admit_reserved(self, state: ReplicaState, limit: int) -> list[Sequence]:
         """Admit up to ``limit`` waiting sequences, in order, while each
         one's *final* context fits — reserved whole, so they all decode
@@ -799,7 +783,7 @@ class BaseEngine(abc.ABC):
 
     def _batch_loop(
         self,
-        run: ReplicaRun,
+        state: ReplicaState,
         start: float,
         prefill_costs: StepCostModel,
         decode_costs: StepCostModel,
@@ -810,7 +794,7 @@ class BaseEngine(abc.ABC):
         in the queue meanwhile. A replica event loop generator; the
         ``_before_prefill`` / ``_after_prefill`` / ``_after_decode`` hooks
         mark the stage switches (transition counts, re-shards)."""
-        state, metrics = run.state, run.metrics
+        metrics = state.metrics
         now = start
         while state.has_work:
             state.admit_arrivals(now)
@@ -818,7 +802,7 @@ class BaseEngine(abc.ABC):
                 now = self.idle_advance(state, metrics, now)
                 yield now
                 continue
-            now = self._before_prefill(run, now)
+            now = self._before_prefill(state, now)
             batch = self.admit_reserved(state, self.options.max_num_seqs)
             if not batch:
                 head = state.waiting[0]
@@ -830,23 +814,23 @@ class BaseEngine(abc.ABC):
                 state, prefill_costs, metrics, now, batch,
                 len(state.running) + len(batch),
             )
-            now = self._after_prefill(run, now)
+            now = self._after_prefill(state, now)
             while state.running:
                 yield now
                 state.admit_arrivals(now)
                 now = self.decode_step(state, decode_costs, metrics, now)
-            now = self._after_decode(run, now)
+            now = self._after_decode(state, now)
             yield now
 
-    def _before_prefill(self, run: ReplicaRun, now: float) -> float:
+    def _before_prefill(self, state: ReplicaState, now: float) -> float:
         """Batch-loop hook before a batch is admitted; returns the clock."""
         return now
 
-    def _after_prefill(self, run: ReplicaRun, now: float) -> float:
+    def _after_prefill(self, state: ReplicaState, now: float) -> float:
         """Batch-loop hook after a batch's prefill wave; returns the clock."""
         return now
 
-    def _after_decode(self, run: ReplicaRun, now: float) -> float:
+    def _after_decode(self, state: ReplicaState, now: float) -> float:
         """Batch-loop hook after a batch decoded to completion; returns
         the clock."""
         return now

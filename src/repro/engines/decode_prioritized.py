@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.engines.base import BaseEngine, ReplicaRun, ReplicaState
-from repro.runtime.metrics import RunMetrics
-from repro.runtime.request import Request
+from repro.engines.base import BaseEngine, ReplicaState
 
 
 class DecodePrioritizedEngine(BaseEngine):
@@ -26,18 +24,12 @@ class DecodePrioritizedEngine(BaseEngine):
 
     name = "decode-prio"
 
-    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaRun:
-        state = ReplicaState(requests, self.make_kv())
-        run = ReplicaRun(replica_id, requests, state, RunMetrics())
-        run.costs = self.make_costs()
-        return run
+    def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
+        return self._batch_loop(state, start, state.costs, state.costs)
 
-    def _replica_loop(self, run: ReplicaRun, start: float) -> Iterator[float]:
-        return self._batch_loop(run, start, run.costs, run.costs)
-
-    def _after_prefill(self, run: ReplicaRun, now: float) -> float:
+    def _after_prefill(self, state: ReplicaState, now: float) -> float:
         # One transition per stage switch: into decode, and back out.
-        run.metrics.transitions += 1
+        state.metrics.transitions += 1
         return now
 
     _after_decode = _after_prefill

@@ -30,7 +30,6 @@ from repro.engines.base import (
     NO_HOOKS,
     BaseEngine,
     EngineOptions,
-    ReplicaRun,
     ReplicaState,
     RunHooks,
 )
@@ -40,7 +39,7 @@ from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig, parse_config
 from repro.parallel.memory import fits
 from repro.runtime.latency import LatencyStats
-from repro.runtime.metrics import EngineResult, RunMetrics
+from repro.runtime.metrics import EngineResult
 from repro.runtime.request import Request, SequenceState
 from repro.workloads.arrivals import stamp_arrivals
 from repro.workloads.spec import WorkloadSpec
@@ -111,19 +110,16 @@ class _PrefillOnlyEngine(BaseEngine):
         # The pool does no decode work: decode tokens drain instantly.
         return replace(super().router_context(requests), decode_tokens_per_s=math.inf)
 
-    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaRun:
-        state = ReplicaState(requests, self.make_kv())
-        run = ReplicaRun(replica_id, requests, state, RunMetrics())
-        run.costs = self.make_costs()
-        run.stages = []  # stage time of every micro-batch, in order
+    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaState:
+        state = super()._replica_setup(requests, replica_id)
+        state.stages = []  # stage time of every micro-batch, in order
         # Prefilled sequences, in handoff order; they finish in the decode
         # pool, so they never enter state.finished here.
-        run.handed_off = []
-        return run
+        state.handed_off = []
+        return state
 
-    def _replica_loop(self, run: ReplicaRun, start: float) -> Iterator[float]:
-        state, costs, metrics = run.state, run.costs, run.metrics
-        budget = self.options.max_batched_tokens
+    def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
+        costs, metrics = state.costs, state.metrics
         pp = self.replica_config.pp
         tr = self.hooks.tracing
         now = start
@@ -133,36 +129,36 @@ class _PrefillOnlyEngine(BaseEngine):
                 now = self.idle_advance(state, metrics, now)
                 yield now
                 continue
-            batch = [state.waiting.popleft()]
-            used = batch[0].prompt_len
-            while state.waiting and used + state.waiting[0].prompt_len <= budget:
-                batch.append(state.waiting.popleft())
-                used += batch[-1].prompt_len
-            stage = costs.prefill_stage_time([s.prompt_len for s in batch]).total
+            lens = next(self.micro_batches(s.prompt_len for s in state.waiting))
+            batch = [state.waiting.popleft() for _ in lens]
+            used = sum(lens)
+            stage = costs.prefill_stage_time(lens).total
             done = now + pp * stage + ITERATION_OVERHEAD
             if tr is not None:
                 tr.note_phase(
-                    run.replica_id, "prefill", now, stage + ITERATION_OVERHEAD,
+                    state.replica_id, "prefill", now, stage + ITERATION_OVERHEAD,
                     len(batch), used, len(batch),
                 )
             for seq in batch:
                 seq.mark_scheduled(now)
                 seq.advance_prefill(seq.remaining_prefill)
                 seq.mark_finished(done)
-                run.handed_off.append(seq)
+                state.handed_off.append(seq)
                 if tr is not None:
-                    tr.note_handoff(done, seq.seq_id, run.replica_id, self.config.dp)
-            run.stages.append(stage)
+                    tr.note_handoff(done, seq.seq_id, state.replica_id, self.config.dp)
+            state.stages.append(stage)
             metrics.add_phase("prefill", stage + ITERATION_OVERHEAD)
             now = now + stage + ITERATION_OVERHEAD
             yield now
 
-    def _replica_result(self, run: ReplicaRun, total_time: float) -> EngineResult:
+    def _replica_result(self, state: ReplicaState, total_time: float) -> EngineResult:
         # The replica's time is its streaming bound — every stage period
         # plus the last micro-batch's pipeline drain — not its clock.
-        wall = pipeline_time_heterogeneous(run.stages, self.replica_config.pp)
-        wall += ITERATION_OVERHEAD * len(run.stages)
-        return self.result_from(run.requests, run.metrics, wall, finished=run.handed_off)
+        wall = pipeline_time_heterogeneous(state.stages, self.replica_config.pp)
+        wall += ITERATION_OVERHEAD * len(state.stages)
+        return self.result_from(
+            state.requests, state.metrics, wall, finished=state.handed_off
+        )
 
 
 class _DecodeOnlyEngine(BaseEngine):
@@ -171,14 +167,8 @@ class _DecodeOnlyEngine(BaseEngine):
 
     name = "decode-pool"
 
-    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaRun:
-        state = ReplicaState(requests, self.make_kv())
-        run = ReplicaRun(replica_id, requests, state, RunMetrics())
-        run.costs = self.make_costs()
-        return run
-
-    def _replica_loop(self, run: ReplicaRun, start: float) -> Iterator[float]:
-        state, costs, metrics = run.state, run.costs, run.metrics
+    def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
+        costs, metrics = state.costs, state.metrics
         now = start
         while state.has_work:
             state.admit_arrivals(now)
@@ -204,10 +194,10 @@ class _DecodeOnlyEngine(BaseEngine):
                 now = self.decode_step(state, costs, metrics, now)
             yield now
 
-    def _replica_result(self, run: ReplicaRun, total_time: float) -> EngineResult:
+    def _replica_result(self, state: ReplicaState, total_time: float) -> EngineResult:
         # All-single-token work decodes nothing; a run still takes time.
         return self.result_from(
-            run.requests, run.metrics, max(total_time, 1e-9), finished=run.state.finished
+            state.requests, state.metrics, max(total_time, 1e-9), finished=state.finished
         )
 
 

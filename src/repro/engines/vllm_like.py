@@ -16,11 +16,11 @@ from itertools import islice
 from typing import Iterator
 
 from repro.costmodel.step import ITERATION_OVERHEAD
-from repro.engines.base import BaseEngine, ReplicaRun, ReplicaState
+from repro.engines.base import BaseEngine, ReplicaState
 from repro.engines.slots import VECTORIZE_MIN_SEQS, np as _np
 from repro.errors import CapacityError, SchedulingError
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.request import Request, Sequence, SequenceState
+from repro.runtime.request import Sequence, SequenceState
 
 
 class VllmLikeEngine(BaseEngine):
@@ -36,18 +36,12 @@ class VllmLikeEngine(BaseEngine):
     # Replica loop
     # ------------------------------------------------------------------ #
 
-    def _replica_setup(self, requests: list[Request], replica_id: int) -> ReplicaRun:
-        state = ReplicaState(requests, self.make_kv())
-        run = ReplicaRun(replica_id, requests, state, RunMetrics())
-        run.costs = self.make_costs()
-        return run
-
-    def _replica_loop(self, run: ReplicaRun, start: float) -> Iterator[float]:
-        state, costs, metrics = run.state, run.costs, run.metrics
+    def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
+        costs, metrics = state.costs, state.metrics
         now = start
         while state.has_work:
-            run.guard += 1
-            if run.guard > 80 * run.total_request_tokens:
+            state.guard += 1
+            if state.guard > 80 * state.total_request_tokens:
                 raise SchedulingError("scheduler made no progress (livelock guard)")
             state.admit_arrivals(now)
             if not state.waiting and not state.running:
@@ -193,7 +187,9 @@ class VllmLikeEngine(BaseEngine):
         budget = max(0, self.options.chunk_size - len(state.running))
         chunk_tokens = 0
         chunk_ctx_weighted = 0.0
+        # On the state, so the decode half can evict a completing prompt.
         completing: list[Sequence] = []
+        state.completing = completing
 
         while budget > 0 and state.waiting:
             seq = state.waiting[0]
@@ -209,7 +205,13 @@ class VllmLikeEngine(BaseEngine):
             chunk_ctx_weighted += take * seq.prefilled_tokens
             seq.mark_scheduled(now)
             seq.state = SequenceState.PREFILLING
-            seq.advance_prefill(take)
+            if will_complete:
+                seq.advance_prefill(take)
+            else:
+                # A recompute victim's target runs past its prompt, where
+                # advance_prefill clamps: a partial chunk there must still
+                # count, or a tail longer than the budget never completes.
+                seq.prefilled_tokens += take
             state.prefill_epoch += 1
             chunk_tokens += take
             budget -= take
@@ -257,6 +259,32 @@ class VllmLikeEngine(BaseEngine):
                 tr.note_resume(now, seq.seq_id)
         state.finish_ready(now)
         return now
+
+    def _pick_victim(
+        self, state: ReplicaState, exclude: Sequence
+    ) -> Sequence | None:
+        """The youngest running sequence; with chunked prefill and none to
+        spare, the youngest prompt holding prefill KV (partially prefilled
+        in the queue, or completing its prefill in this iteration)."""
+        victim = super()._pick_victim(state, exclude)
+        if victim is None and self.options.chunked_prefill:
+            held = state.completing + [
+                s for s in state.waiting if s.state is SequenceState.PREFILLING
+            ]
+            victim = held[-1] if held else None
+        return victim
+
+    def preempt(
+        self, state: ReplicaState, victim: Sequence, now: float, metrics: RunMetrics
+    ) -> None:
+        """Recompute preemption; a prompt still in prefill is evicted the
+        same way, as if it were running: its KV is dropped and it waits at
+        the queue's head."""
+        if victim.state is SequenceState.PREFILLING:
+            held = state.completing if victim in state.completing else state.waiting
+            held.remove(victim)
+            state.running.append(victim)
+        super().preempt(state, victim, now, metrics)
 
     def _ensure_chunk_space(
         self, state: ReplicaState, seq: Sequence, need_tokens: int

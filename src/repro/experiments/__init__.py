@@ -3,8 +3,9 @@
 Every module exposes a ``run_*`` function returning a structured result and
 a ``render`` helper producing the ASCII equivalent of the paper's artifact.
 Request counts default to scaled-down values so the full suite runs in
-seconds; pass ``full_scale=True`` (or explicit counts) for the paper's
-sizes. EXPERIMENTS.md records paper-vs-measured for each.
+seconds; pass explicit counts (or, for Fig. 10, ``full_scale=True``) for
+the paper's sizes. The benchmark suite writes each rendered artifact to
+``benchmarks/artifacts/``.
 """
 
 from repro.experiments.table1_hw import run_table1, render_table1

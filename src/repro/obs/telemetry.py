@@ -175,7 +175,7 @@ class ReplicaProbe:
         self._kv = tel.series_list(prefix + "kv_util")
         self._preempt = tel.series_list(prefix + "preemptions")
 
-    def tick(self, now: float, state, metrics) -> None:
+    def tick(self, now: float, state) -> None:
         if now < self._next_t:
             return
         # Queued prefill depth with the dispatcher's visibility: unstarted
@@ -201,7 +201,7 @@ class ReplicaProbe:
         running = float(len(state.running))
         cap = state.kv.capacity_tokens
         kv_util = 1.0 - state.kv.free_tokens / cap if cap > 0 else 0.0
-        preemptions = float(metrics.preemptions)
+        preemptions = float(state.metrics.preemptions)
         t = self._next_t
         step = self._interval
         while t <= now + _EPS:

@@ -4,7 +4,7 @@ Every engine produces an :class:`EngineResult`: end-to-end wall time,
 request/token throughput, per-phase time (prefill / decode / mixed /
 re-shard / swap stall / idle), the accumulated cost-model breakdown, and
 counters (iterations, transitions, swapped tokens). The Fig. 12 speedup
-breakdown and the EXPERIMENTS.md tables are produced straight from these
+breakdown and the benchmark artifacts are produced straight from these
 records.
 """
 

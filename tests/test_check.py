@@ -339,28 +339,28 @@ class TestSanitizerConservation:
     def test_s3_clean_drain_passes(self, tiny_model, cluster_a10_4):
         sim = self._drained_sim(tiny_model, cluster_a10_4)
         san = Sanitizer()
-        san.check_drained(0, sim.run.state, sim.clock)
+        san.check_drained(0, sim.state, sim.clock)
         assert san.checks["S3"] == 1 and san.checks["S4"] == 1
 
     def test_s3_undrained_request_caught(self, tiny_model, cluster_a10_4):
         sim = self._drained_sim(tiny_model, cluster_a10_4)
         sim.inject(Request(1, 256, 8, arrival_time=sim.clock + 1.0))
         with pytest.raises(SanitizerError) as exc:
-            Sanitizer().check_drained(0, sim.run.state, sim.clock)
+            Sanitizer().check_drained(0, sim.state, sim.clock)
         assert exc.value.rule == "S3"
 
     def test_s3_token_mismatch_caught(self, tiny_model, cluster_a10_4):
         sim = self._drained_sim(tiny_model, cluster_a10_4)
-        seq = sim.run.state.finished[0]
+        seq = sim.state.finished[0]
         seq.generated_tokens += 1  # fake an extra decoded token
         with pytest.raises(SanitizerError) as exc:
-            Sanitizer().check_drained(0, sim.run.state, sim.clock)
+            Sanitizer().check_drained(0, sim.state, sim.clock)
         assert exc.value.rule == "S3"
         seq.generated_tokens -= 1
 
     def test_s4_leaked_block_caught(self, tiny_model, cluster_a10_4):
         sim = self._drained_sim(tiny_model, cluster_a10_4)
-        kv = sim.run.state.kv
+        kv = sim.state.kv
         kv.allocate(99, 128)  # a sequence the drain never freed
         with pytest.raises(SanitizerError) as exc:
             Sanitizer().check_kv(kv, 0, sim.clock)
@@ -369,7 +369,7 @@ class TestSanitizerConservation:
 
     def test_s4_unbalanced_books_caught(self, tiny_model, cluster_a10_4):
         sim = self._drained_sim(tiny_model, cluster_a10_4)
-        kv = sim.run.state.kv
+        kv = sim.state.kv
         kv._used += 1  # emulate a double-free re-credit
         with pytest.raises(SanitizerError) as exc:
             Sanitizer().check_kv(kv, 0, sim.clock)
@@ -419,7 +419,7 @@ class TestSanitizedRuns:
         for r in reqs[:3]:
             san.note_dispatch(r, src.replica_id, r.arrival_time)  # as run() does
             src.inject(r)
-        src.run.metrics.preemptions = DEFAULT_STORM_PREEMPTIONS
+        src.state.metrics.preemptions = DEFAULT_STORM_PREEMPTIONS
         moved = sim._redispatch_storms(5.0)
         assert moved == 3
         # Ownership followed the re-dispatch: all three ids now live on

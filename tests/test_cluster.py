@@ -217,7 +217,7 @@ class TestSteppingInterface:
         assert sim.next_event_time() == pytest.approx(drained_clock + 5.0)
         sim.finish()
         assert sim.clock > drained_clock + 5.0
-        assert len(sim.run.state.finished) == 2
+        assert len(sim.state.finished) == 2
         assert sim.idle_time() > 0  # both arrival gaps were slept through
 
     def test_clock_monotone_under_advance(self, tiny_model, cluster_a10_4):
@@ -253,13 +253,13 @@ class TestObservedStorms:
         for r in reqs[:3]:
             src.inject(r)
         # Mark the replica as storming via the engines' measured counter.
-        src.run.metrics.preemptions = DEFAULT_STORM_PREEMPTIONS
+        src.state.metrics.preemptions = DEFAULT_STORM_PREEMPTIONS
         moved = sim._redispatch_storms(0.0)
         assert moved == 3
-        assert not src.run.state.pending
-        assert not src.run.requests
+        assert not src.state.pending
+        assert not src.state.requests
         target = sim.sims[1]
-        assert len(target.run.requests) == 3
+        assert len(target.state.requests) == 3
         assert target.redispatched_in == 3
         # The watermark reset: the same preemptions do not re-trigger.
         assert sim._redispatch_storms(0.0) == 0

@@ -212,7 +212,7 @@ class TestDrainSemantics:
             s.finish()
         fleet.reap_drained()
         assert victim.state is ReplicaLifecycle.STOPPED
-        assert len(victim.sim.run.state.finished) == 2
+        assert len(victim.sim.state.finished) == 2
         assert victim.stopped_at == victim.sim.clock
         assert victim.sim.clock > 0
 

@@ -1,8 +1,7 @@
 """Integration tests of the paper's headline claims (shape, not absolutes).
 
 Each test corresponds to a quantitative statement in the paper; these are
-the acceptance criteria of the reproduction. EXPERIMENTS.md records the
-measured values next to the paper's.
+the acceptance criteria of the reproduction.
 """
 
 import pytest

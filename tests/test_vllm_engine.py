@@ -118,3 +118,46 @@ class TestChunkedPrefill:
             EngineOptions(chunked_prefill=True, chunk_size=64),
         ).run(small_arxiv)
         assert tiny.total_time > big.total_time
+
+
+class TestChunkedUnderKVPressure:
+    """Chunked prefill completes the KV-bound runs the non-chunked engine
+    completes, with every token and KV block accounted for."""
+
+    @pytest.mark.parametrize(
+        "gpus,label,chunk,prompt,output,n,rate",
+        [
+            # A recompute victim's tail past its prompt outgrows the chunk.
+            (2, "T2", 512, 2048, 2048, 8, 0.0),
+            # The KV sits with a partially prefilled queued prompt.
+            (2, "T2", 2048, 2048, 2048, 12, 0.0),
+            # The KV sits with a prompt whose prefill completes this
+            # iteration.
+            (8, "D4T2", 512, 12000, 1000, 40, 1.0),
+        ],
+        ids=["victim-tail", "partial-prefill", "completing-prefill"],
+    )
+    def test_completes_clean(self, gpus, label, chunk, prompt, output, n, rate):
+        from repro.check import Sanitizer
+        from repro.engines.base import RunHooks
+        from repro.hardware.cluster import make_cluster
+        from repro.models.registry import get_model
+        from repro.workloads.arrivals import poisson_arrivals
+
+        wl = constant_workload(n, prompt, output)
+        if rate:
+            wl = poisson_arrivals(wl, rate, seed=4)
+        opts = EngineOptions(
+            chunked_prefill=True, chunk_size=chunk, router="jsq" if rate else "static"
+        )
+        san = Sanitizer()
+        r = VllmLikeEngine(
+            get_model("13b"), make_cluster("A10", gpus), parse_config(label), opts
+        ).run(wl, RunHooks(sanitize=san))
+        assert r.num_requests == n
+        assert r.output_tokens == n * output
+        assert r.latency.num_requests == n
+        assert (r.latency.finish > 0).all()
+        assert r.latency.num_preemptions.sum() > 0
+        assert san.summary()["S3"] > 0
+        assert san.summary()["S4"] > 0
