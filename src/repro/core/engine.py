@@ -30,7 +30,7 @@ from typing import Iterator
 
 from repro.core.options import SeesawOptions
 from repro.core.state import SeesawState
-from repro.costmodel.step import ITERATION_OVERHEAD, StepCostModel
+from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.engines.base import BaseEngine, ReplicaState
 from repro.errors import CapacityError, ConfigurationError, SchedulingError
 from repro.hardware.cluster import ClusterSpec
@@ -39,7 +39,6 @@ from repro.parallel.config import ParallelConfig, transition_label
 from repro.parallel.memory import kv_capacity_tokens
 from repro.parallel.resharding import plan_reshard
 from repro.runtime.kvcache import KVCacheManager
-from repro.runtime.metrics import RunMetrics
 from repro.runtime.request import Request, Sequence, SequenceState
 
 
@@ -65,9 +64,12 @@ class SeesawEngine(BaseEngine):
             raise ConfigurationError(
                 "prefill and decode configurations must occupy the same GPUs"
             )
+        if options is not None and not isinstance(options, SeesawOptions):
+            raise ConfigurationError(
+                "SeesawEngine needs SeesawOptions (got "
+                f"{type(options).__name__}; its knobs would be dropped)"
+            )
         super().__init__(model, cluster, decode_config, options or SeesawOptions())
-        if not isinstance(self.options, SeesawOptions):
-            self.options = SeesawOptions()  # pragma: no cover - defensive
         self.prefill_config = prefill_config
         self.decode_config = decode_config
 
@@ -96,21 +98,21 @@ class SeesawEngine(BaseEngine):
         state = SeesawState(requests, kv, replica_id, cpu_capacity_tokens=cpu_tokens)
         state.cp, state.cd = cp, cd
         state.costs_p, state.costs_d = self.make_costs(cp), self.make_costs(cd)
-        state.current = cp  # initial weights are laid out for prefill
+        # Initial weights are laid out for prefill; ``_reshard`` switches
+        # the sharding and its cost model together.
+        state.current, state.costs = cp, state.costs_p
         return state
 
     def _replica_loop(self, state: SeesawState, start: float) -> Iterator[float]:
         opts: SeesawOptions = self.options  # type: ignore[assignment]
-        metrics = state.metrics
         cp, cd = state.cp, state.cd
-        costs_p, costs_d = state.costs_p, state.costs_d
         now = start
 
         if not opts.use_cpu_buffer:
-            yield from self._batch_loop(state, start, costs_p, costs_d)
+            yield from self._batch_loop(state, start)
             return
 
-        while not state.all_work_done:
+        while state.unfinished:
             state.guard += 1
             if state.guard > 40 * len(state.requests) + 256:
                 raise SchedulingError("Seesaw phase loop made no progress")
@@ -118,11 +120,11 @@ class SeesawEngine(BaseEngine):
             state.admit_arrivals(now)
             if self._can_prefill(state) and not self._defer_prefill(state):
                 now = self._reshard(state, now, cp)
-                now = yield from self._prefill_phase(state, costs_p, metrics, now)
+                now = yield from self._prefill_phase(state, now)
 
             if state.running or state.cpu_has_sequences or state.inflight:
                 now = self._reshard(state, now, cd)
-                now = yield from self._decode_phase(state, costs_d, metrics, now)
+                now = yield from self._decode_phase(state, now)
             elif state.waiting and not self._can_prefill(state):
                 head = state.waiting[0]
                 raise CapacityError(
@@ -136,7 +138,7 @@ class SeesawEngine(BaseEngine):
                 # worth growing), keep the current sharding and sleep until
                 # the next arrival (re-sharding now could only add a
                 # transition the arrival may not need).
-                now = self.idle_advance(state, metrics, now)
+                now = self.idle_advance(state, now)
                 yield now
 
     # ------------------------------------------------------------------ #
@@ -188,8 +190,8 @@ class SeesawEngine(BaseEngine):
         return len(state.waiting) < expected
 
     def _reshard(self, state: SeesawState, now: float, target: ParallelConfig) -> float:
-        """Switch the replica's sharding to ``target`` if needed; returns
-        the clock.
+        """Switch the replica's sharding to ``target``, and ``state.costs``
+        to its cost model, if needed; returns the clock.
 
         The weight reload shares the host links with KV traffic, so it
         waits for both channels to drain; reloads then run in parallel
@@ -204,27 +206,20 @@ class SeesawEngine(BaseEngine):
         )
         start = max(now, state.d2h.free_at, state.h2d.free_at)
         elapsed = (start - now) + plan.transfer_time(self.cluster)
-        tr = self.hooks.tracing
-        if tr is not None:
-            tr.note_phase(
-                state.replica_id, "reshard", now, elapsed, 0, 0, len(state.running)
-            )
-        metrics.add_phase("reshard", elapsed)
+        now = self.phase(state, "reshard", now, elapsed, resident=len(state.running))
         metrics.transitions += 1
         metrics.resharded_bytes += plan.total_transfer_bytes
-        now = now + elapsed
         state.d2h.idle_until(now)
         state.h2d.idle_until(now)
         state.current = target
+        state.costs = state.costs_p if target == state.cp else state.costs_d
         return now
 
     # ------------------------------------------------------------------ #
     # Prefill phase
     # ------------------------------------------------------------------ #
 
-    def _prefill_phase(
-        self, state: SeesawState, costs: StepCostModel, metrics: RunMetrics, now: float
-    ) -> Iterator[float]:
+    def _prefill_phase(self, state: SeesawState, now: float) -> Iterator[float]:
         """Stream prefill micro-batches until the CPU pool fills (or GPU
         staging or the request queue runs out). KV swap-outs ride the d2h
         channel; with the async pipeline the phase only waits for them at
@@ -233,8 +228,8 @@ class SeesawEngine(BaseEngine):
         A generator: yields the clock at every micro-batch boundary (and
         once more at the phase end) and returns the final clock."""
         opts: SeesawOptions = self.options  # type: ignore[assignment]
+        costs, metrics = state.costs, state.metrics
         tr = self.hooks.tracing
-        replica = state.replica_id
         pp = costs.config.pp
         last_stage_total = 0.0
         processed_any = False
@@ -255,14 +250,10 @@ class SeesawEngine(BaseEngine):
             stage = costs.prefill_stage_time(lens)
             last_stage_total = stage.total
             # Steady-state stream: one micro-batch retires per stage time.
-            elapsed = stage.total + ITERATION_OVERHEAD
-            if tr is not None:
-                tr.note_phase(
-                    replica, "prefill", now, elapsed, len(microbatch), sum(lens),
-                    len(state.running),
-                )
-            now += elapsed
-            metrics.add_phase("prefill", elapsed, stage.scale(pp))
+            now = self.phase(
+                state, "prefill", now, stage.total + ITERATION_OVERHEAD,
+                stage.scale(pp), len(microbatch), sum(lens), len(state.running),
+            )
             metrics.iterations += 1
             processed_any = True
 
@@ -296,7 +287,8 @@ class SeesawEngine(BaseEngine):
             swap_t = costs.kv_swap_time(swap_tokens)
             if swap_tokens and tr is not None:
                 tr.note_phase(
-                    replica, "swap_out", now, swap_t, len(microbatch), swap_tokens
+                    state.replica_id, "swap_out", now, swap_t, len(microbatch),
+                    swap_tokens,
                 )
             if opts.overlap_swap:
                 state.d2h.submit(now, swap_t)
@@ -310,17 +302,10 @@ class SeesawEngine(BaseEngine):
 
         if processed_any and pp > 1:
             # Drain the pipeline for the final micro-batch.
-            ramp = (pp - 1) * last_stage_total
-            if tr is not None:
-                tr.note_phase(replica, "prefill", now, ramp)
-            now += ramp
-            metrics.add_phase("prefill", ramp)
+            now = self.phase(state, "prefill", now, (pp - 1) * last_stage_total)
         if opts.overlap_swap and state.d2h.free_at > now:
             # Swap-outs that outlived compute stall the transition.
-            stall = state.d2h.free_at - now
-            if tr is not None:
-                tr.note_phase(replica, "stall", now, stall)
-            metrics.add_phase("swap_stall", stall)
+            self.phase(state, "stall", now, state.d2h.free_at - now)
             now = state.d2h.free_at
         yield now
         return now
@@ -358,9 +343,7 @@ class SeesawEngine(BaseEngine):
     # Decode phase
     # ------------------------------------------------------------------ #
 
-    def _decode_phase(
-        self, state: SeesawState, costs: StepCostModel, metrics: RunMetrics, now: float
-    ) -> Iterator[float]:
+    def _decode_phase(self, state: SeesawState, now: float) -> Iterator[float]:
         """Continuous batching with the swap-in prefetcher until the CPU
         pool drains (then back to prefill if work remains) or every
         resident sequence finishes.
@@ -373,7 +356,7 @@ class SeesawEngine(BaseEngine):
 
         while True:
             state.admit_arrivals(now)
-            now = self._launch_prefetches(state, costs, metrics, now)
+            now = self._launch_prefetches(state, now)
             for seq in state.arrived_inflight(now):
                 seq.state = SequenceState.RUNNING
                 state.start_running(seq)
@@ -385,9 +368,7 @@ class SeesawEngine(BaseEngine):
                 if state.inflight:
                     stall = state.next_arrival - now
                     if stall > 0:
-                        if tr is not None:
-                            tr.note_phase(state.replica_id, "stall", now, stall)
-                        metrics.add_phase("swap_stall", stall)
+                        self.phase(state, "stall", now, stall)
                         now = state.next_arrival
                     continue
                 if state.cpu_has_sequences:
@@ -396,7 +377,7 @@ class SeesawEngine(BaseEngine):
                     )
                 break
 
-            now = self.decode_step(state, costs, metrics, now)
+            now = self.decode_step(state, now)
             yield now
 
             if (
@@ -414,9 +395,7 @@ class SeesawEngine(BaseEngine):
         yield now
         return now
 
-    def _launch_prefetches(
-        self, state: SeesawState, costs: StepCostModel, metrics: RunMetrics, now: float
-    ) -> float:
+    def _launch_prefetches(self, state: SeesawState, now: float) -> float:
         """Start swap-ins for CPU-pooled sequences while GPU blocks last.
 
         Admission keeps :attr:`SeesawOptions.staging_tokens` free so the
@@ -440,26 +419,22 @@ class SeesawEngine(BaseEngine):
             seq, _ = state.pop_cpu_head()
             state.kv.allocate(seq.seq_id, need)
             seq.state = SequenceState.SWAPPING_IN
-            swap_t = costs.kv_swap_time(tokens)
+            swap_t = state.costs.kv_swap_time(tokens)
             if tr is not None:
                 tr.note_phase(state.replica_id, "swap_in", now, swap_t, 1, tokens)
             arrival = state.h2d.submit(now, swap_t)
             if not opts.overlap_swap:
-                if tr is not None:
-                    tr.note_phase(state.replica_id, "stall", now, arrival - now, 1)
-                metrics.add_phase("swap_stall", arrival - now)
+                self.phase(state, "stall", now, arrival - now, num_seqs=1)
                 now = arrival
             state.inflight.append((seq, arrival))
-            metrics.swapped_in_tokens += tokens
+            state.metrics.swapped_in_tokens += tokens
         return now
 
     # ------------------------------------------------------------------ #
     # Preemption: swap out to the CPU pool instead of recompute
     # ------------------------------------------------------------------ #
 
-    def preempt(
-        self, state: ReplicaState, victim: Sequence, now: float, metrics: RunMetrics
-    ) -> None:
+    def preempt(self, state: ReplicaState, victim: Sequence, now: float) -> None:
         """Seesaw preempts by swapping the victim's KV back to the CPU pool
         (it rejoins FIFO later); recompute is the fallback if the pool is
         full."""
@@ -470,13 +445,13 @@ class SeesawEngine(BaseEngine):
         state.kv.free(victim.seq_id)
         state.running.remove(victim)
         victim.num_preemptions += 1
-        metrics.preemptions += 1
+        state.metrics.preemptions += 1
         if state.cpu.fits(tokens):
             victim.state = SequenceState.PREFILLED_CPU
             state.park_in_cpu(victim, tokens)
             swap_t = state.costs_d.kv_swap_time(tokens)
             state.d2h.submit(now, swap_t)
-            metrics.swapped_out_tokens += tokens
+            state.metrics.swapped_out_tokens += tokens
             stall_kind = "swap"
         else:
             victim.preempt_recompute()

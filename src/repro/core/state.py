@@ -55,16 +55,6 @@ class SeesawState(ReplicaState):
         return not self.cpu.is_empty
 
     @property
-    def all_work_done(self) -> bool:
-        return (
-            not self.pending
-            and not self.waiting
-            and not self.running
-            and not self.inflight
-            and self.cpu.is_empty
-        )
-
-    @property
     def has_immediate_work(self) -> bool:
         """Seesaw can also act on CPU-parked and in-flight sequences."""
         return bool(
@@ -73,7 +63,12 @@ class SeesawState(ReplicaState):
 
     @property
     def unfinished(self) -> bool:
-        return not self.all_work_done
+        """Work also remains while sequences sit in the CPU pool or in
+        flight back to the GPU."""
+        return bool(
+            self.pending or self.waiting or self.running or self.inflight
+            or not self.cpu.is_empty
+        )
 
     def live_sequences(self):
         yield from super().live_sequences()

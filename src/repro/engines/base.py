@@ -5,8 +5,10 @@ process disjoint request partitions concurrently; wall time is the slowest
 replica) and shares the mechanics implemented here: the whole-batch
 prefill wave, reserved (preemption-free) admission, the batch-at-a-time
 scheduling loop, the decode-iteration step with KV growth and preemption,
-and sequence bookkeeping. Requests reach the replicas through
-:mod:`repro.routing`.
+sequence bookkeeping, and :meth:`BaseEngine.phase`, the one recorder of
+timed phase spans. The step helpers take the replica's
+:class:`ReplicaState` alone: its ``metrics`` and ``costs`` travel with it.
+Requests reach the replicas through :mod:`repro.routing`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig
 from repro.parallel.memory import kv_capacity_tokens
-from repro.engines.slots import DecodeSlots, VECTORIZE_MIN_SEQS
-from repro.engines.slots import np as _np
+from repro.engines import slots as decode_slots
 from repro.routing import ROUTER_POLICIES, Router, RouterContext, make_router
 from repro.runtime.kvcache import KVCacheManager
 from repro.runtime.latency import LatencyStats
@@ -102,10 +103,6 @@ class EngineOptions:
     # picks fluid when requests x replica ceiling crosses
     # AUTO_FLUID_WORK_ITEMS. Decoupled runs ignore this knob.
     fidelity: str = "event"
-    # Vectorized decode bookkeeping (numpy slot arrays), for plain decode
-    # iterations and the decode half of chunked-prefill mixed ones. The
-    # scalar path is kept as the bit-exactness oracle.
-    vectorize: bool = True
 
     def __post_init__(self) -> None:
         if self.max_num_seqs < 1 or self.max_batched_tokens < 1 or self.chunk_size < 1:
@@ -230,7 +227,8 @@ NO_HOOKS = RunHooks()
 class ReplicaState:
     """Everything one replica's event loop owns: its requests, queues, KV
     cache and :class:`RunMetrics`, plus the extras engines attach in
-    :meth:`BaseEngine._replica_setup` (cost models, phase bookkeeping).
+    :meth:`BaseEngine._replica_setup`: ``costs``, the cost model of the
+    replica's current sharding, and any engine-specific bookkeeping.
 
     Requests are arrival-gated: a request sits in :attr:`pending` until the
     virtual clock reaches its ``arrival_time``, at which point
@@ -570,9 +568,7 @@ class BaseEngine(abc.ABC):
 
     def _replica_result(self, state: ReplicaState, total_time: float) -> EngineResult:
         """Summarize one finished replica simulation."""
-        return self.result_from(
-            state.requests, state.metrics, total_time, finished=state.finished
-        )
+        return self.result_from(state, total_time, state.finished)
 
     # ------------------------------------------------------------------ #
     # Shared construction helpers
@@ -655,11 +651,13 @@ class BaseEngine(abc.ABC):
 
     def result_from(
         self,
-        requests: list[Request],
-        metrics: RunMetrics,
+        state: ReplicaState,
         total_time: float,
-        finished: TypingSequence[Sequence] | None = None,
+        finished: TypingSequence[Sequence],
     ) -> EngineResult:
+        """The result of ``state``'s replica after ``total_time``, with
+        latency records for ``finished``."""
+        requests, metrics = state.requests, state.metrics
         latency = LatencyStats.from_sequences(finished) if finished else None
         return EngineResult(
             engine=self.name,
@@ -681,7 +679,37 @@ class BaseEngine(abc.ABC):
     # Shared step mechanics
     # ------------------------------------------------------------------ #
 
-    def idle_advance(self, state: ReplicaState, metrics: RunMetrics, now: float) -> float:
+    def phase(
+        self,
+        state: ReplicaState,
+        kind: str,
+        now: float,
+        elapsed: float,
+        breakdown: Breakdown | None = None,
+        num_seqs: int = 0,
+        tokens: int = 0,
+        resident: int = 0,
+    ) -> float:
+        """Record that ``state``'s replica spent ``[now, now + elapsed)``
+        in phase ``kind``; returns ``now + elapsed``.
+
+        The one recorder of timed phases: the span goes to the replica's
+        :class:`RunMetrics` (a ``stall`` is booked as ``swap_stall``
+        phase time, ``breakdown`` into the run breakdown) and to the
+        tracer's phase track (see :class:`repro.obs.PhaseSpan` for the
+        counts).
+        """
+        tr = self.hooks.tracing
+        if tr is not None:
+            tr.note_phase(
+                state.replica_id, kind, now, elapsed, num_seqs, tokens, resident
+            )
+        state.metrics.add_phase(
+            "swap_stall" if kind == "stall" else kind, elapsed, breakdown
+        )
+        return now + elapsed
+
+    def idle_advance(self, state: ReplicaState, now: float) -> float:
         """Jump the virtual clock to the next arrival.
 
         Called when nothing is admissible and nothing is running — the
@@ -692,19 +720,12 @@ class BaseEngine(abc.ABC):
         target = state.next_arrival_time
         if target <= now:
             raise SimulationError("idle_advance with an admissible arrival")
-        tr = self.hooks.tracing
-        if tr is not None:
-            tr.note_phase(
-                state.replica_id, "idle", now, target - now, 0, 0, len(state.running)
-            )
-        metrics.add_phase("idle", target - now)
+        self.phase(state, "idle", now, target - now, resident=len(state.running))
         return target
 
     def prefill_wave(
         self,
         state: ReplicaState,
-        costs: StepCostModel,
-        metrics: RunMetrics,
         now: float,
         batch: TypingSequence[Sequence],
         resident: int,
@@ -719,6 +740,7 @@ class BaseEngine(abc.ABC):
         sequence of the batch then runs with its first token, and
         single-token outputs retire at once.
         """
+        costs = state.costs
         lens = [seq.remaining_prefill for seq in batch]
         stages = [costs.prefill_stage_time(mb) for mb in self.micro_batches(lens)]
         tokens = sum(lens)
@@ -730,14 +752,10 @@ class BaseEngine(abc.ABC):
         device = Breakdown()
         for b in stages:
             device = device + b.scale(pp)
-        tr = self.hooks.tracing
-        if tr is not None:
-            tr.note_phase(
-                state.replica_id, "prefill", now, wall, len(batch), tokens, resident
-            )
-        start, now = now, now + wall
-        metrics.add_phase("prefill", wall, device)
-        metrics.iterations += 1
+        start, now = now, self.phase(
+            state, "prefill", now, wall, device, len(batch), tokens, resident
+        )
+        state.metrics.iterations += 1
         for seq in batch:
             seq.mark_scheduled(start)
             seq.advance_prefill(seq.remaining_prefill)
@@ -745,6 +763,7 @@ class BaseEngine(abc.ABC):
             seq.prefill_end_time = now
             seq.mark_first_token(now)
             state.start_running(seq)
+        tr = self.hooks.tracing
         if tr is not None:
             for seq in batch:
                 tr.note_resume(now, seq.seq_id)
@@ -781,25 +800,18 @@ class BaseEngine(abc.ABC):
             admitted.append(seq)
         return admitted
 
-    def _batch_loop(
-        self,
-        state: ReplicaState,
-        start: float,
-        prefill_costs: StepCostModel,
-        decode_costs: StepCostModel,
-    ) -> Iterator[float]:
+    def _batch_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
         """Batch-at-a-time scheduling (Fig. 2(b), FasterTransformer's):
         admit a batch with reserved final contexts, prefill it in one wave,
         decode it to completion, only then admit the next; arrivals wait
         in the queue meanwhile. A replica event loop generator; the
         ``_before_prefill`` / ``_after_prefill`` / ``_after_decode`` hooks
         mark the stage switches (transition counts, re-shards)."""
-        metrics = state.metrics
         now = start
         while state.has_work:
             state.admit_arrivals(now)
             if not state.waiting and not state.running:
-                now = self.idle_advance(state, metrics, now)
+                now = self.idle_advance(state, now)
                 yield now
                 continue
             now = self._before_prefill(state, now)
@@ -811,14 +823,13 @@ class BaseEngine(abc.ABC):
                     f"capacity is {state.kv.capacity_tokens}"
                 )
             now = self.prefill_wave(
-                state, prefill_costs, metrics, now, batch,
-                len(state.running) + len(batch),
+                state, now, batch, len(state.running) + len(batch)
             )
             now = self._after_prefill(state, now)
             while state.running:
                 yield now
                 state.admit_arrivals(now)
-                now = self.decode_step(state, decode_costs, metrics, now)
+                now = self.decode_step(state, now)
             now = self._after_decode(state, now)
             yield now
 
@@ -835,31 +846,20 @@ class BaseEngine(abc.ABC):
         the clock."""
         return now
 
-    def decode_step(
-        self,
-        state: ReplicaState,
-        costs: StepCostModel,
-        metrics: RunMetrics,
-        now: float,
-        phase: str = "decode",
-    ) -> float:
+    def decode_step(self, state: ReplicaState, now: float) -> float:
         """One decode iteration over the running batch; returns the new
         time (cost via :meth:`decode_context`, step via
         :meth:`advance_running`)."""
         if not state.running:
             raise ConfigurationError("decode_step with no running sequences")
         num_seqs = len(state.running)
-        bd = costs.decode_iteration_time(num_seqs, self.decode_context(state))
-        elapsed = bd.total + ITERATION_OVERHEAD
-        tr = self.hooks.tracing
-        if tr is not None:
-            tr.note_phase(
-                state.replica_id, "decode", now, elapsed, num_seqs, num_seqs, num_seqs
-            )
-        now += elapsed
-        metrics.add_phase(phase, elapsed, bd)
-        metrics.iterations += 1
-        self.advance_running(state, now, metrics)
+        bd = state.costs.decode_iteration_time(num_seqs, self.decode_context(state))
+        now = self.phase(
+            state, "decode", now, bd.total + ITERATION_OVERHEAD, bd,
+            num_seqs, num_seqs, num_seqs,
+        )
+        state.metrics.iterations += 1
+        self.advance_running(state, now)
         state.finish_ready(now)
         return now
 
@@ -867,26 +867,18 @@ class BaseEngine(abc.ABC):
         """Cached tokens one decode advance of ``state.running`` attends
         over — the cost-model input of every decode half-iteration.
 
-        Builds the vectorized slot arrays first when the batch qualifies
-        (``EngineOptions.vectorize``, numpy present, at least
-        ``VECTORIZE_MIN_SEQS`` running) and then reads their exact
-        running sum instead of walking the batch.
+        Builds the vectorized slot arrays first when at least
+        ``slots.VECTORIZE_MIN_SEQS`` sequences run, and then reads their
+        exact running sum instead of walking the batch.
         """
         slots = state.slots
-        if (
-            slots is None
-            and _np is not None
-            and len(state.running) >= VECTORIZE_MIN_SEQS
-            and self.options.vectorize
-        ):
-            slots = state.slots = DecodeSlots(state)
+        if slots is None and len(state.running) >= decode_slots.VECTORIZE_MIN_SEQS:
+            slots = state.slots = decode_slots.DecodeSlots(state)
         if slots is None:
             return state.decode_context_tokens
         return slots.ctx_sum
 
-    def advance_running(
-        self, state: ReplicaState, now: float, metrics: RunMetrics
-    ) -> None:
+    def advance_running(self, state: ReplicaState, now: float) -> None:
         """Advance every running sequence one token (the decode half of an
         iteration, plain or mixed with a prefill chunk).
 
@@ -922,7 +914,7 @@ class BaseEngine(abc.ABC):
                     victim = self._pick_victim(state, exclude=s)
                     if victim is None:
                         raise
-                    self.preempt(state, victim, now, metrics)
+                    self.preempt(state, victim, now)
 
     def _pick_victim(
         self, state: ReplicaState, exclude: Sequence
@@ -934,9 +926,7 @@ class BaseEngine(abc.ABC):
                 return s
         return None
 
-    def preempt(
-        self, state: ReplicaState, victim: Sequence, now: float, metrics: RunMetrics
-    ) -> None:
+    def preempt(self, state: ReplicaState, victim: Sequence, now: float) -> None:
         """Default preemption: recompute. The victim's KV is dropped and it
         re-enters the waiting queue; its next prefill covers prompt plus
         already-generated tokens (vLLM's recompute path)."""
@@ -946,7 +936,7 @@ class BaseEngine(abc.ABC):
         state.running.remove(victim)
         victim.preempt_recompute()
         victim.num_preemptions += 1
-        metrics.preemptions += 1
+        state.metrics.preemptions += 1
         state.waiting.appendleft(victim)
         tr = self.hooks.tracing
         if tr is not None:

@@ -25,7 +25,7 @@ class DecodePrioritizedEngine(BaseEngine):
     name = "decode-prio"
 
     def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
-        return self._batch_loop(state, start, state.costs, state.costs)
+        return self._batch_loop(state, start)
 
     def _after_prefill(self, state: ReplicaState, now: float) -> float:
         # One transition per stage switch: into decode, and back out.

@@ -119,26 +119,24 @@ class _PrefillOnlyEngine(BaseEngine):
         return state
 
     def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
-        costs, metrics = state.costs, state.metrics
         pp = self.replica_config.pp
         tr = self.hooks.tracing
         now = start
         while state.has_work:
             state.admit_arrivals(now)
             if not state.waiting:
-                now = self.idle_advance(state, metrics, now)
+                now = self.idle_advance(state, now)
                 yield now
                 continue
             lens = next(self.micro_batches(s.prompt_len for s in state.waiting))
             batch = [state.waiting.popleft() for _ in lens]
-            used = sum(lens)
-            stage = costs.prefill_stage_time(lens).total
+            stage = state.costs.prefill_stage_time(lens).total
             done = now + pp * stage + ITERATION_OVERHEAD
-            if tr is not None:
-                tr.note_phase(
-                    state.replica_id, "prefill", now, stage + ITERATION_OVERHEAD,
-                    len(batch), used, len(batch),
-                )
+            # The clock below adds left to right, as ``done`` does.
+            self.phase(
+                state, "prefill", now, stage + ITERATION_OVERHEAD,
+                num_seqs=len(batch), tokens=sum(lens), resident=len(batch),
+            )
             for seq in batch:
                 seq.mark_scheduled(now)
                 seq.advance_prefill(seq.remaining_prefill)
@@ -147,7 +145,6 @@ class _PrefillOnlyEngine(BaseEngine):
                 if tr is not None:
                     tr.note_handoff(done, seq.seq_id, state.replica_id, self.config.dp)
             state.stages.append(stage)
-            metrics.add_phase("prefill", stage + ITERATION_OVERHEAD)
             now = now + stage + ITERATION_OVERHEAD
             yield now
 
@@ -156,9 +153,7 @@ class _PrefillOnlyEngine(BaseEngine):
         # plus the last micro-batch's pipeline drain — not its clock.
         wall = pipeline_time_heterogeneous(state.stages, self.replica_config.pp)
         wall += ITERATION_OVERHEAD * len(state.stages)
-        return self.result_from(
-            state.requests, state.metrics, wall, finished=state.handed_off
-        )
+        return self.result_from(state, wall, state.handed_off)
 
 
 class _DecodeOnlyEngine(BaseEngine):
@@ -168,7 +163,6 @@ class _DecodeOnlyEngine(BaseEngine):
     name = "decode-pool"
 
     def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
-        costs, metrics = state.costs, state.metrics
         now = start
         while state.has_work:
             state.admit_arrivals(now)
@@ -186,19 +180,17 @@ class _DecodeOnlyEngine(BaseEngine):
                         f"request needs {head.final_context_len} KV tokens, "
                         f"capacity {state.kv.capacity_tokens}"
                     )
-                now = self.idle_advance(state, metrics, now)
+                now = self.idle_advance(state, now)
                 yield now
                 continue
             state.finish_ready(now)
             if state.running:
-                now = self.decode_step(state, costs, metrics, now)
+                now = self.decode_step(state, now)
             yield now
 
     def _replica_result(self, state: ReplicaState, total_time: float) -> EngineResult:
         # All-single-token work decodes nothing; a run still takes time.
-        return self.result_from(
-            state.requests, state.metrics, max(total_time, 1e-9), finished=state.finished
-        )
+        return self.result_from(state, max(total_time, 1e-9), state.finished)
 
 
 class DisaggregatedEngine:

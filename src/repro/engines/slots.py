@@ -33,8 +33,11 @@ crossings the slots refuse to advance and the engine falls back to the
 scalar grow/preempt path for that iteration, so preemption order stays
 bit-exact with the object path by construction.
 
-The arrays are an internal cache: with ``EngineOptions.vectorize`` off (or
-numpy absent) engines run the original scalar path, and the two paths are
+The arrays are an internal cache with no knob of their own: below
+:data:`VECTORIZE_MIN_SEQS` running sequences (and, for the cumulative-sum
+admission scan, queued prompts) engines take the original scalar path.
+That path is the oracle: tests force it by raising the threshold to
+``math.inf`` (engines read it through this module), and the two paths are
 pinned bit-identical by the golden and property tests; tracing runs on
 either.
 """
@@ -43,10 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised implicitly by every vectorized run
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import ReplicaState

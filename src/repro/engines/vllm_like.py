@@ -15,11 +15,12 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
+import numpy as np
+
 from repro.costmodel.step import ITERATION_OVERHEAD
+from repro.engines import slots
 from repro.engines.base import BaseEngine, ReplicaState
-from repro.engines.slots import VECTORIZE_MIN_SEQS, np as _np
 from repro.errors import CapacityError, SchedulingError
-from repro.runtime.metrics import RunMetrics
 from repro.runtime.request import Sequence, SequenceState
 
 
@@ -37,7 +38,6 @@ class VllmLikeEngine(BaseEngine):
     # ------------------------------------------------------------------ #
 
     def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
-        costs, metrics = state.costs, state.metrics
         now = start
         while state.has_work:
             state.guard += 1
@@ -46,29 +46,25 @@ class VllmLikeEngine(BaseEngine):
             state.admit_arrivals(now)
             if not state.waiting and not state.running:
                 # Event-driven idle: jump to the next arrival.
-                now = self.idle_advance(state, metrics, now)
+                now = self.idle_advance(state, now)
             elif self.options.chunked_prefill:
-                now = self._chunked_iteration(state, costs, metrics, now)
+                now = self._chunked_iteration(state, now)
             else:
-                now = self._prefill_prioritized_iteration(state, costs, metrics, now)
+                now = self._prefill_prioritized_iteration(state, now)
             yield now
 
     # ------------------------------------------------------------------ #
     # Non-chunked: eager prefill, whole prompts
     # ------------------------------------------------------------------ #
 
-    def _prefill_prioritized_iteration(
-        self, state: ReplicaState, costs, metrics: RunMetrics, now: float
-    ) -> float:
+    def _prefill_prioritized_iteration(self, state: ReplicaState, now: float) -> float:
         admitted = []
         if self._prefill_worthwhile(state):
             admitted = self._admit_prefills(state)
         if admitted:
-            return self.prefill_wave(
-                state, costs, metrics, now, admitted, len(state.running)
-            )
+            return self.prefill_wave(state, now, admitted, len(state.running))
         if state.running:
-            return self.decode_step(state, costs, metrics, now)
+            return self.decode_step(state, now)
         # Nothing admitted and nothing running: the head prompt cannot fit.
         head = state.waiting[0]
         raise CapacityError(
@@ -109,11 +105,7 @@ class VllmLikeEngine(BaseEngine):
         budget = self.options.max_batched_tokens * self.replica_config.pp
         if not state.running:
             budget = max(budget, state.kv.capacity_tokens)
-        if (
-            self.options.vectorize
-            and _np is not None
-            and len(state.waiting) >= VECTORIZE_MIN_SEQS
-        ):
+        if len(state.waiting) >= slots.VECTORIZE_MIN_SEQS:
             return self._admit_prefills_vectorized(state, budget)
         return self._admit_prefills_scalar(state, budget)
 
@@ -155,15 +147,15 @@ class VllmLikeEngine(BaseEngine):
         window = max(0, min(len(state.waiting), cap, kv.free_blocks))
         if window == 0:
             return []
-        prefills = _np.fromiter(
+        prefills = np.fromiter(
             (seq.remaining_prefill for seq in islice(state.waiting, window)),
-            dtype=_np.int64,
+            dtype=np.int64,
             count=window,
         )
         bs = kv.block_size
         blocks = (prefills + bs) // bs  # == blocks_for(remaining_prefill + 1)
-        cum_blocks = _np.cumsum(blocks)
-        cum_prefills = _np.cumsum(prefills)
+        cum_blocks = np.cumsum(blocks)
+        cum_prefills = np.cumsum(prefills)
         used_before = cum_prefills - prefills
         ok = (cum_blocks <= kv.free_blocks) & (used_before < budget)
         over = used_before + prefills > budget
@@ -181,9 +173,7 @@ class VllmLikeEngine(BaseEngine):
     # Chunked prefill (Sarathi-style mixed batches)
     # ------------------------------------------------------------------ #
 
-    def _chunked_iteration(
-        self, state: ReplicaState, costs, metrics: RunMetrics, now: float
-    ) -> float:
+    def _chunked_iteration(self, state: ReplicaState, now: float) -> float:
         budget = max(0, self.options.chunk_size - len(state.running))
         chunk_tokens = 0
         chunk_ctx_weighted = 0.0
@@ -230,30 +220,26 @@ class VllmLikeEngine(BaseEngine):
 
         decode_seqs = len(state.running)
         eff_ctx = int(chunk_ctx_weighted / chunk_tokens) if chunk_tokens else 0
-        bd = costs.mixed_iteration_time(
+        bd = state.costs.mixed_iteration_time(
             chunk_tokens, eff_ctx, decode_seqs, self.decode_context(state)
         )
-        elapsed = bd.total + ITERATION_OVERHEAD
         phase = "mixed" if (chunk_tokens and decode_seqs) else (
             "prefill" if chunk_tokens else "decode"
         )
-        tr = self.hooks.tracing
-        if tr is not None:
-            tr.note_phase(
-                state.replica_id, phase, now, elapsed, decode_seqs + len(completing),
-                chunk_tokens + decode_seqs, decode_seqs,
-            )
-        now += elapsed
-        metrics.add_phase(phase, elapsed, bd)
-        metrics.iterations += 1
+        now = self.phase(
+            state, phase, now, bd.total + ITERATION_OVERHEAD, bd,
+            decode_seqs + len(completing), chunk_tokens + decode_seqs, decode_seqs,
+        )
+        state.metrics.iterations += 1
 
         if decode_seqs:
-            self.advance_running(state, now, metrics)
+            self.advance_running(state, now)
         for seq in completing:
             seq.state = SequenceState.RUNNING
             seq.prefill_end_time = now
             seq.mark_first_token(now)
             state.start_running(seq)
+        tr = self.hooks.tracing
         if tr is not None:
             for seq in completing:
                 tr.note_resume(now, seq.seq_id)
@@ -274,9 +260,7 @@ class VllmLikeEngine(BaseEngine):
             victim = held[-1] if held else None
         return victim
 
-    def preempt(
-        self, state: ReplicaState, victim: Sequence, now: float, metrics: RunMetrics
-    ) -> None:
+    def preempt(self, state: ReplicaState, victim: Sequence, now: float) -> None:
         """Recompute preemption; a prompt still in prefill is evicted the
         same way, as if it were running: its KV is dropped and it waits at
         the queue's head."""
@@ -284,7 +268,7 @@ class VllmLikeEngine(BaseEngine):
             held = state.completing if victim in state.completing else state.waiting
             held.remove(victim)
             state.running.append(victim)
-        super().preempt(state, victim, now, metrics)
+        super().preempt(state, victim, now)
 
     def _ensure_chunk_space(
         self, state: ReplicaState, seq: Sequence, need_tokens: int

@@ -67,6 +67,11 @@ def _canonical_value(value: object) -> object:
     )
 
 
+def _compact_json(value: dict) -> str:
+    """Sorted-key compact JSON (the preimage every spec digest hashes)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _workload_digest(workload: WorkloadSpec) -> dict:
     """The workload's canonical form: name, count, and a sha256 over both
     and the little-endian bytes of the four request columns (arrival
@@ -167,9 +172,7 @@ class CellSpec:
 
     @cached_property
     def _canonical_json(self) -> str:
-        return json.dumps(
-            self.canonical_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return _compact_json(self.canonical_dict())
 
     def canonical_json(self) -> str:
         """Sorted-key compact JSON — the cache-key preimage."""
@@ -198,13 +201,18 @@ class CellSpec:
         """Options with spec-derived child seeds filled in.
 
         A po2 router left unseeded would fall back to the process-default
-        RNG seed; deriving it from (cell seed, cell key) via ``spawn_rng``
-        keeps it deterministic *and* decorrelated across the cells of a
-        sweep, identically at ``--jobs 1`` and ``--jobs N``.
+        RNG seed; deriving it via ``spawn_rng`` from the cell seed and the
+        canonical form keeps it deterministic *and* decorrelated across
+        the cells of a sweep, identically at ``--jobs 1`` and ``--jobs N``.
+        The options are left out of that key, so adding or dropping an
+        options field does not re-route every unseeded po2 cell.
         """
         opts = self.options
         if opts.router == "po2" and opts.router_seed is None:
-            child = spawn_rng(make_rng(self.seed), self.cell_key)
+            identity = self.canonical_dict()
+            del identity["options"]
+            key = hashlib.sha256(_compact_json(identity).encode()).hexdigest()
+            child = spawn_rng(make_rng(self.seed), key)
             opts = replace(opts, router_seed=int(child.integers(0, 2**31)))
         return opts
 

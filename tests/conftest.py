@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import pytest
 
+from repro.engines import slots
 from repro.hardware.cluster import make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
@@ -74,3 +78,18 @@ def cfg_t4p2() -> ParallelConfig:
 @pytest.fixture(scope="session")
 def cfg_p8() -> ParallelConfig:
     return ParallelConfig(tp=1, pp=8)
+
+
+@pytest.fixture
+def scalar_oracle():
+    """A context manager forcing the engines' scalar decode and admission
+    paths for its block (the numpy slot arrays' bit-exactness oracle):
+    no batch or queue ever reaches ``slots.VECTORIZE_MIN_SEQS``."""
+
+    @contextlib.contextmanager
+    def forced():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(slots, "VECTORIZE_MIN_SEQS", math.inf)
+            yield
+
+    return forced

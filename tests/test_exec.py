@@ -120,6 +120,27 @@ class TestCellSpec:
         )
         assert other._resolved_options().router_seed != first.router_seed
 
+    def test_po2_derived_seed_ignores_the_options_schema(
+        self, tiny_model, cluster_a10_4
+    ):
+        """The derived seed keys on the cell minus its options, so a knob
+        added or dropped from the options schema does not re-route
+        unseeded po2 cells; the cell seed and workload still decorrelate."""
+        wl = poisson_arrivals(constant_workload(12, 256, 16), 4.0, seed=3)
+
+        def seed_of(**overrides):
+            cell = {"options": EngineOptions(router="po2"), "workload": wl}
+            spec = _spec(
+                tiny_model, cluster_a10_4, config="D2T2", **{**cell, **overrides}
+            )
+            return spec._resolved_options().router_seed
+
+        base = seed_of()
+        assert seed_of(options=EngineOptions(router="po2", max_num_seqs=7)) == base
+        assert seed_of(seed=1) != base
+        other_wl = poisson_arrivals(constant_workload(12, 256, 16), 4.0, seed=4)
+        assert seed_of(workload=other_wl) != base
+
 
 def _mixed_cells(tiny_model, cluster_a10_4) -> list[CellSpec]:
     """Small cells covering all four engines plus coupled/fluid and a

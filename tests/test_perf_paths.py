@@ -7,8 +7,8 @@ Contracts:
    :class:`EngineResult`s to the exhaustive next-event scan
    (``use_heap=False``), across engines, routers and autoscalers: the
    heap is pure dispatch mechanics, never policy.
-2. **Vector == scalar** — the numpy decode-slot path
-   (``EngineOptions.vectorize``) is bit-identical to the object path on
+2. **Vector == scalar** — the numpy decode-slot path is bit-identical to
+   the object path (forced by the ``scalar_oracle`` fixture) on
    online coupled cells, including preemption-heavy ones, and on
    chunked-prefill mixed iterations (offline, online and coupled).
 3. **Fluid calibration** — the mean-field fast path tracks the event
@@ -62,6 +62,10 @@ from repro.workloads.arrivals import (
 )
 from repro.workloads.datasets import sharegpt_workload
 from repro.workloads.synthetic import constant_workload
+
+
+#: Online cells of the scalar/vector pairs: coupled, JSQ-routed.
+COUPLED_JSQ = EngineOptions(router="jsq", coupled=True)
 
 
 def assert_bit_identical(a, b) -> None:
@@ -186,16 +190,21 @@ class TestHeapEventLoop:
 class TestScalarVectorEquivalence:
     """The numpy decode-slot path never changes a single result."""
 
+    @pytest.fixture(autouse=True)
+    def _oracle(self, scalar_oracle):
+        self.scalar_oracle = scalar_oracle
+
     def run_pair(self, make_engine, workload):
-        scalar = make_engine(EngineOptions(router="jsq", coupled=True, vectorize=False))
-        vector = make_engine(EngineOptions(router="jsq", coupled=True, vectorize=True))
-        return scalar.run(workload), vector.run(workload)
+        """(scalar oracle run, slot run) of ``make_engine()``."""
+        with self.scalar_oracle():
+            scalar = make_engine().run(workload)
+        return scalar, make_engine().run(workload)
 
     def test_vllm_online(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(sharegpt_workload(150, seed=7), 8.0, seed=7)
         scalar, vector = self.run_pair(
-            lambda o: VllmLikeEngine(
-                tiny_model, cluster_a10_4, parse_config("D2T2"), o
+            lambda: VllmLikeEngine(
+                tiny_model, cluster_a10_4, parse_config("D2T2"), COUPLED_JSQ
             ),
             wl,
         )
@@ -210,7 +219,7 @@ class TestScalarVectorEquivalence:
             sharegpt_workload(120, seed=23), 12.0, burstiness=8.0, seed=23
         )
         scalar, vector = self.run_pair(
-            lambda o: VllmLikeEngine(tiny_model, cluster, parse_config("T1"), o),
+            lambda: VllmLikeEngine(tiny_model, cluster, parse_config("T1"), COUPLED_JSQ),
             wl,
         )
         if scalar.router is not None:
@@ -222,18 +231,18 @@ class TestScalarVectorEquivalence:
     def test_seesaw_online(self, tiny_model, cluster_a10_4):
         wl = poisson_arrivals(sharegpt_workload(80, seed=29), 6.0, seed=29)
         cp, cd = parse_transition("D2P2->D2T2")
-        mk = lambda vec: SeesawEngine(
+        mk = lambda: SeesawEngine(
             tiny_model,
             cluster_a10_4,
             cp,
             cd,
-            SeesawOptions(router="jsq", coupled=True, vectorize=vec),
+            SeesawOptions(router="jsq", coupled=True),
         )
-        assert_bit_identical(mk(False).run(wl), mk(True).run(wl))
+        assert_bit_identical(*self.run_pair(mk, wl))
 
     def run_live_pair(self, make_engine, workload, monkeypatch):
-        """Scalar vs slot run of ``make_engine(vectorize)``; the slot run
-        must append admissions to live slots."""
+        """Scalar vs slot run of ``make_engine()``; the slot run must
+        append admissions to live slots."""
         appends = []
         append = DecodeSlots.append
 
@@ -242,9 +251,10 @@ class TestScalarVectorEquivalence:
             append(slots, seq, kv)
 
         monkeypatch.setattr(DecodeSlots, "append", counted)
-        scalar = make_engine(False).run(workload)
+        with self.scalar_oracle():
+            scalar = make_engine().run(workload)
         assert not appends
-        vector = make_engine(True).run(workload)
+        vector = make_engine().run(workload)
         assert appends
         assert_bit_identical(scalar, vector)
         assert scalar.latency.records == vector.latency.records
@@ -266,12 +276,12 @@ class TestScalarVectorEquivalence:
 
         monkeypatch.setattr(ReplicaState, "drop_slots", counted)
         scalar = self.run_live_pair(
-            lambda vec: SeesawEngine(
+            lambda: SeesawEngine(
                 model,
                 cluster,
                 cp,
                 cd,
-                SeesawOptions(router="jsq", coupled=True, vectorize=vec),
+                SeesawOptions(router="jsq", coupled=True),
             ),
             wl,
             monkeypatch,
@@ -284,13 +294,11 @@ class TestScalarVectorEquivalence:
         # drained to empty.
         wl = poisson_arrivals(sharegpt_workload(120, seed=19), 6.0, seed=19)
         self.run_live_pair(
-            lambda vec: DecodePrioritizedEngine(
+            lambda: DecodePrioritizedEngine(
                 tiny_model,
                 cluster_a10_4,
                 parse_config("D2T2"),
-                EngineOptions(
-                    router="jsq", coupled=True, max_num_seqs=32, vectorize=vec
-                ),
+                EngineOptions(router="jsq", coupled=True, max_num_seqs=32),
             ),
             wl,
             monkeypatch,
@@ -302,9 +310,7 @@ class TestScalarVectorEquivalence:
             prefill_config=parse_config("T2"), decode_config=parse_config("T2")
         )
         self.run_live_pair(
-            lambda vec: DisaggregatedEngine(
-                tiny_model, cluster_a10_4, plan, EngineOptions(vectorize=vec)
-            ),
+            lambda: DisaggregatedEngine(tiny_model, cluster_a10_4, plan),
             wl,
             monkeypatch,
         )
@@ -313,13 +319,8 @@ class TestScalarVectorEquivalence:
         # Offline deal: the waiting queue is deep from t=0, so the
         # cumulative-sum admission scan is on the hot path every wave.
         wl = sharegpt_workload(120, seed=13)
-        mk = lambda vec: VllmLikeEngine(
-            tiny_model,
-            cluster_a10_4,
-            parse_config("T2P2"),
-            EngineOptions(vectorize=vec),
-        )
-        assert_bit_identical(mk(False).run(wl), mk(True).run(wl))
+        mk = lambda: VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T2P2"))
+        assert_bit_identical(*self.run_pair(mk, wl))
 
     def test_admission_scan_budget_and_kv_breaks(self, tiny_model):
         # A cramped single replica exercises every break arm of the
@@ -329,13 +330,13 @@ class TestScalarVectorEquivalence:
         wl = bursty_arrivals(
             sharegpt_workload(100, seed=31), 16.0, burstiness=8.0, seed=31
         )
-        mk = lambda vec: VllmLikeEngine(
+        mk = lambda: VllmLikeEngine(
             tiny_model,
             cluster,
             parse_config("T1"),
-            EngineOptions(vectorize=vec, max_num_seqs=24, max_batched_tokens=2048),
+            EngineOptions(max_num_seqs=24, max_batched_tokens=2048),
         )
-        assert_bit_identical(mk(False).run(wl), mk(True).run(wl))
+        assert_bit_identical(*self.run_pair(mk, wl))
 
     def test_admission_scan_below_window_uses_scalar(self, tiny_model, cluster_a10_4):
         # Tiny queues stay on the scalar path (VECTORIZE_MIN_SEQS gate)
@@ -343,18 +344,17 @@ class TestScalarVectorEquivalence:
         from repro.workloads.synthetic import constant_workload
 
         wl = constant_workload(3, 256, 16)
-        mk = lambda vec: VllmLikeEngine(
-            tiny_model,
-            cluster_a10_4,
-            parse_config("T2P2"),
-            EngineOptions(vectorize=vec),
-        )
-        assert_bit_identical(mk(False).run(wl), mk(True).run(wl))
+        mk = lambda: VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T2P2"))
+        assert_bit_identical(*self.run_pair(mk, wl))
 
 
 class TestChunkedScalarVectorEquivalence:
     """Chunked-prefill mixed iterations advance their decode half on the
     slot arrays too, and never change a single result."""
+
+    @pytest.fixture(autouse=True)
+    def _oracle(self, scalar_oracle):
+        self.scalar_oracle = scalar_oracle
 
     def run_pair(self, make_engine, workload, monkeypatch, **opts):
         advances = []
@@ -365,13 +365,11 @@ class TestChunkedScalarVectorEquivalence:
             return try_advance(slots, kv)
 
         monkeypatch.setattr(DecodeSlots, "try_advance", counted)
-        scalar = make_engine(
-            EngineOptions(chunked_prefill=True, vectorize=False, **opts)
-        ).run(workload)
+        options = EngineOptions(chunked_prefill=True, **opts)
+        with self.scalar_oracle():
+            scalar = make_engine(options).run(workload)
         assert not advances
-        vector = make_engine(
-            EngineOptions(chunked_prefill=True, vectorize=True, **opts)
-        ).run(workload)
+        vector = make_engine(options).run(workload)
         assert advances  # the slot arrays really drove decode steps
         assert_bit_identical(scalar, vector)
         assert scalar.latency.records == vector.latency.records

@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
+from repro.engines.base import EngineOptions
 from repro.errors import ConfigurationError
-from repro.parallel.config import parse_config
+from repro.hardware.cluster import make_cluster
+from repro.models.registry import get_model
+from repro.parallel.config import parse_config, parse_transition
 from repro.workloads.datasets import arxiv_workload, sharegpt_workload
 from repro.workloads.synthetic import constant_workload
 
@@ -21,6 +24,17 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             SeesawEngine(
                 model_34b, cluster_a10_8, parse_config("P4"), parse_config("T4P2")
+            )
+
+    def test_foreign_options_rejected(self):
+        """Plain EngineOptions are refused, not swapped for Seesaw's
+        defaults (which would drop the router, coupling and limits)."""
+        with pytest.raises(ConfigurationError, match="SeesawOptions"):
+            SeesawEngine(
+                get_model("15b"),
+                make_cluster("A10", 4),
+                *parse_transition("D2P2->D2T2"),
+                EngineOptions(router="jsq", coupled=True, max_num_seqs=7),
             )
 
     def test_label(self, model_34b, cluster_a10_8):

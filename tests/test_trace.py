@@ -4,10 +4,9 @@ import pytest
 
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
-from repro.engines.base import EngineOptions, RunHooks
+from repro.engines.base import BaseEngine, EngineOptions, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.slots import VECTORIZE_MIN_SEQS
-from repro.engines.slots import np as slots_np
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import SimulationError
 from repro.obs import PhaseSpan, Tracer, phase_segments, render_timeline
@@ -154,25 +153,23 @@ class TestEngineTracing:
 
 
 class TestPhaseTracks:
-    @pytest.mark.skipif(slots_np is None, reason="vectorized slots need numpy")
     @pytest.mark.parametrize("chunked", [False, True])
     def test_vectorized_decode_matches_scalar_oracle(
-        self, tiny_model, cluster_a10_4, chunked
+        self, tiny_model, cluster_a10_4, chunked, scalar_oracle
     ):
         """Vectorized decode records its spans too: a decode-heavy cell
         with the slot arrays on gives the scalar path's phase track and
         result exactly (the scalar path is the oracle)."""
         wl = constant_workload(16 * VECTORIZE_MIN_SEQS, 128, 96)
 
-        def run(vectorize):
-            opts = EngineOptions(
-                vectorize=vectorize, chunked_prefill=chunked, chunk_size=512
-            )
+        def run():
+            opts = EngineOptions(chunked_prefill=chunked, chunk_size=512)
             engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T4"), opts)
             return traced_run(engine, wl)
 
-        fast, fast_tr = run(True)
-        oracle, oracle_tr = run(False)
+        fast, fast_tr = run()
+        with scalar_oracle():
+            oracle, oracle_tr = run()
         spans = fast_tr.phases(0)
         assert spans == oracle_tr.phases(0)
         assert max(e.num_seqs for e in of_kind(spans, DECODE)) >= VECTORIZE_MIN_SEQS
@@ -236,3 +233,65 @@ class TestPhaseTracks:
             if e.kind in (PREFILL, DECODE, "mixed")
         ]
         assert result.iterations == len(spans)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m, c, o: VllmLikeEngine(m, c, parse_config("D2P2"), EngineOptions(**o)),
+            lambda m, c, o: VllmLikeEngine(
+                m, c, parse_config("D2T2"),
+                EngineOptions(chunked_prefill=True, chunk_size=512, **o),
+            ),
+            lambda m, c, o: DecodePrioritizedEngine(
+                m, c, parse_config("D2T2"), EngineOptions(**o)
+            ),
+            *(
+                lambda m, c, o, kw=kw: SeesawEngine(
+                    m, c, *parse_transition("D2P2->D2T2"), SeesawOptions(**kw, **o)
+                )
+                for kw in (
+                    {},
+                    {"use_cpu_buffer": False},
+                    {"overlap_swap": False},
+                    {"eager_transitions": True},
+                )
+            ),
+        ],
+        ids=[
+            "vllm", "vllm-chunked", "decode-prio", "seesaw", "seesaw-no-buffer",
+            "seesaw-sync-swap", "seesaw-eager",
+        ],
+    )
+    def test_phase_tracks_conserve_phase_time(
+        self, tiny_model, cluster_a10_4, make, coupled, monkeypatch
+    ):
+        """Each timed phase span is recorded once, for both the tracer and
+        the phase time: per replica, the track's durations summed per
+        kind in recorded order (a stall books as ``swap_stall``; the
+        overlapped swap_in/swap_out transfers take no phase time) equal
+        the replica's phase time exactly, and their max over replicas is
+        the result's."""
+        booked = {}
+        replica_result = BaseEngine._replica_result
+
+        def capture(engine, state, total_time):
+            booked[state.replica_id] = dict(state.metrics.phase_timer.phases)
+            return replica_result(engine, state, total_time)
+
+        monkeypatch.setattr(BaseEngine, "_replica_result", capture)
+        wl = poisson_arrivals(sharegpt_workload(40, seed=7), 4.0, seed=7)
+        engine = make(tiny_model, cluster_a10_4, {"router": "jsq", "coupled": coupled})
+        result, tracer = traced_run(engine, wl, sampling="all")
+        assert set(tracer.phase_replicas()) <= set(booked)
+        merged = {}
+        for rid, phases in booked.items():
+            spans = {}
+            for e in tracer.phases(rid):
+                if e.kind not in (SWAP_IN, SWAP_OUT):
+                    kind = "swap_stall" if e.kind == "stall" else e.kind
+                    spans[kind] = spans.get(kind, 0.0) + e.duration
+            assert spans == phases
+            for kind, t in phases.items():
+                merged[kind] = max(merged.get(kind, 0.0), t)
+        assert merged == result.phase_time
