@@ -199,11 +199,15 @@ def best_static_config(
     ).config
 
 
-def _with_rate_hint(
+def with_rate_hint(
     options: "SeesawOptions", objective: ServingObjective
 ) -> "SeesawOptions":
     """``options`` told the objective's arrival rate, unless they are
-    coupled (no planned arrivals to wait for) or already carry a rate."""
+    coupled (no planned arrivals to wait for) or already carry a rate.
+
+    The rate lets Seesaw's phase loop weigh waiting for predicted
+    arrivals against re-sharding at once. Applying it twice is a no-op.
+    """
     hint = objective.arrival_rate_hint
     if hint is None or options.coupled or options.arrival_rate is not None:
         return options
@@ -238,7 +242,7 @@ def best_seesaw_pair(
         from repro.core.options import SeesawOptions
         from repro.exec import CellSpec
 
-        options = _with_rate_hint(options or SeesawOptions(), objective)
+        options = with_rate_hint(options or SeesawOptions(), objective)
         sample = workload.subset(min(sample_requests, workload.num_requests))
         best = _simulated_best(
             ranked[:simulate_top],
@@ -315,7 +319,7 @@ def compare_best(
     objective = objective or ServingObjective()
     executor = executor or CellExecutor()
     options = options or EngineOptions()
-    seesaw_options = _with_rate_hint(seesaw_options or SeesawOptions(), objective)
+    seesaw_options = with_rate_hint(seesaw_options or SeesawOptions(), objective)
     static_cfg = best_static_config(
         model, cluster, workload, simulate_top=simulate_top, options=options,
         objective=objective, executor=executor,

@@ -33,11 +33,9 @@ from typing import Callable
 import numpy as np
 
 from repro.engines.base import EngineOptions, RunHooks
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import SimulationError
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
-from repro.parallel.config import ParallelConfig
 from repro.workloads.arrivals import diurnal_arrivals, poisson_arrivals
 from repro.workloads.datasets import sharegpt_workload
 
@@ -86,17 +84,28 @@ def calibration_spin() -> float:
 # --------------------------------------------------------------------- #
 
 
+def _reference_run(
+    workload, options: EngineOptions, hooks: RunHooks | None = None,
+    *, config: str = "D4T2", num_gpus: int = 8,
+):
+    """The timed run of a 15b-on-A10 vLLM reference cell. The engine is
+    built from its :class:`~repro.exec.CellSpec` here, outside the
+    timed region."""
+    from repro.exec import CellSpec
+
+    engine = CellSpec(
+        engine="vllm", model=get_model("15b"),
+        cluster=make_cluster("A10", num_gpus), config=config,
+        options=options, workload=workload,
+    ).build_engine()
+    return lambda: engine.run(workload, hooks)
+
+
 def _cell_offline_static(scale: float):
     """Offline engine inner loop: no arrivals, decoupled static deal."""
     n = max(16, int(2000 * scale))
     wl = sharegpt_workload(num_requests=n, seed=7)
-    eng = VllmLikeEngine(
-        get_model("15b"),
-        make_cluster("A10", 8),
-        ParallelConfig(dp=4, tp=2, pp=1),
-        EngineOptions(router="static"),
-    )
-    return lambda: eng.run(wl), "iterations"
+    return _reference_run(wl, EngineOptions(router="static")), "iterations"
 
 
 def _cell_coupled_jsq(scale: float, hooks: RunHooks | None = None):
@@ -105,13 +114,8 @@ def _cell_coupled_jsq(scale: float, hooks: RunHooks | None = None):
     tracing overhead gates)."""
     n = max(16, int(2000 * scale))
     wl = poisson_arrivals(sharegpt_workload(num_requests=n, seed=7), rate_rps=8.0, seed=7)
-    eng = VllmLikeEngine(
-        get_model("15b"),
-        make_cluster("A10", 8),
-        ParallelConfig(dp=4, tp=2, pp=1),
-        EngineOptions(router="jsq", coupled=True),
-    )
-    return lambda: eng.run(wl, hooks), "iterations"
+    options = EngineOptions(router="jsq", coupled=True)
+    return _reference_run(wl, options, hooks), "iterations"
 
 
 def _cell_autoscaled_diurnal(scale: float):
@@ -123,15 +127,10 @@ def _cell_autoscaled_diurnal(scale: float):
         period_s=240.0,
         seed=11,
     )
-    eng = VllmLikeEngine(
-        get_model("15b"),
-        make_cluster("A10", 8),
-        ParallelConfig(dp=4, tp=2, pp=1),
-        EngineOptions(
-            router="jsq", coupled=True, autoscaler="threshold", min_dp=1, max_dp=4
-        ),
+    options = EngineOptions(
+        router="jsq", coupled=True, autoscaler="threshold", min_dp=1, max_dp=4
     )
-    return lambda: eng.run(wl), "iterations"
+    return _reference_run(wl, options), "iterations"
 
 
 def _cell_fluid_million(scale: float):
@@ -144,20 +143,15 @@ def _cell_fluid_million(scale: float):
         period_s=8640.0,
         seed=3,
     )
-    eng = VllmLikeEngine(
-        get_model("15b"),
-        make_cluster("A10", 400),
-        ParallelConfig(dp=200, tp=2, pp=1),
-        EngineOptions(
-            router="jsq",
-            coupled=True,
-            fidelity="fluid",
-            autoscaler="threshold",
-            min_dp=20,
-            max_dp=200,
-        ),
+    options = EngineOptions(
+        router="jsq",
+        coupled=True,
+        fidelity="fluid",
+        autoscaler="threshold",
+        min_dp=20,
+        max_dp=200,
     )
-    return lambda: eng.run(wl), "requests"
+    return _reference_run(wl, options, config="D200T2", num_gpus=400), "requests"
 
 
 def run_sweep_parallel(scale: float = 1.0, jobs: int = 2) -> dict:

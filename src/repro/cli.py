@@ -13,6 +13,12 @@ Commands:
 - ``trace``    — per-request critical-path report from a repro-trace-v1
   artifact or a live run with tracing enabled.
 
+The single-cell commands (``run``, ``obs --live``, ``trace --live``) map
+their shared flags to one :class:`~repro.exec.CellSpec` and call
+``CellSpec.execute(hooks)``; the multi-cell ones (``compare``, ``sweep``,
+``reproduce``, ``check goldens``) run their cells through a
+:class:`~repro.exec.CellExecutor`.
+
 All commands are deterministic given ``--seed``.
 """
 
@@ -36,11 +42,9 @@ from repro.autotuner.search import (
     best_seesaw_pair,
     compare_best,
     rank_static_configs,
+    with_rate_hint,
 )
-from repro.core.engine import SeesawEngine
 from repro.engines.base import EngineOptions, RunHooks
-from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError, ReproError
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
@@ -454,14 +458,16 @@ def _make_telemetry(args: argparse.Namespace):
 def _make_tracer(args: argparse.Namespace):
     """The request tracer the CLI flags ask for, or ``None`` (the default
     — the zero-overhead path). ``--trace-out``/``--trace-chrome`` imply
-    ``--tracing all``."""
+    ``--tracing all``; ``--timeline`` alone traces ``p99_exemplars`` for
+    the tracer's phase track."""
     sampling = getattr(args, "tracing", None)
     if sampling is None:
-        if not (
-            getattr(args, "trace_out", None) or getattr(args, "trace_chrome", None)
-        ):
+        if getattr(args, "trace_out", None) or getattr(args, "trace_chrome", None):
+            sampling = "all"
+        elif getattr(args, "timeline", False):
+            sampling = "p99_exemplars"
+        else:
             return None
-        sampling = "all"
     from repro.obs import Tracer, parse_sampling
 
     mode, _ = parse_sampling(sampling)  # validates the mode early
@@ -510,14 +516,6 @@ def _export_telemetry(tel, path: str) -> None:
     print(f"telemetry written to {path}")
 
 
-def _run_hooks(args: argparse.Namespace, telemetry=None, tracing=None) -> RunHooks:
-    """The hooks of one CLI run: the given hub and tracer plus the
-    sanitizer ``--sanitize`` asks for."""
-    return RunHooks(
-        telemetry=telemetry, tracing=tracing, sanitize=_make_sanitizer(args)
-    )
-
-
 def _print_timeline(tracer) -> None:
     """The ``--timeline`` schedule: the phase track of the lowest-id
     replica that recorded one."""
@@ -552,58 +550,60 @@ def _serving_opts(args: argparse.Namespace) -> dict:
     }
 
 
-def _build_engine(args: argparse.Namespace, objective: ServingObjective):
-    """One engine from the shared run/obs flag set (static, transition or
-    disaggregated)."""
+def _run_cell(args: argparse.Namespace) -> tuple[EngineResult, RunHooks]:
+    """Run the one :class:`~repro.exec.CellSpec` of ``repro run``, ``obs
+    --live`` or ``trace --live`` under the hooks its flags ask for: a
+    ``->`` config is a Seesaw transition, a ``|`` config disaggregated
+    pools, and any other label a static vLLM config. Flag errors surface
+    in a fixed order: workload, objective, hooks, then the cell."""
+    from repro.core.options import SeesawOptions
+    from repro.exec import CellSpec
+
+    workload = _make_workload(args)
+    objective = _serving_objective(args, workload)
+    hooks = RunHooks(
+        telemetry=_make_telemetry(args),
+        tracing=_make_tracer(args),
+        sanitize=_make_sanitizer(args),
+    )
     model = get_model(args.model)
     cluster = make_cluster(args.gpu, args.num_gpus)
     common = {"chunk_size": args.chunk_size, **_serving_opts(args)}
     if "->" in args.config:
-        from repro.core.options import SeesawOptions
-
-        cp, cd = parse_transition(args.config)
-        seesaw_opts = SeesawOptions(
-            chunked_prefill=False,
-            # The SLO objective lets Seesaw's phase loop weigh waiting for
-            # predicted arrivals against re-sharding immediately (decoupled
-            # replicas only: a coupled one cannot see planned arrivals).
-            arrival_rate=None if args.coupled else objective.arrival_rate_hint,
-            **common,
+        engine = "seesaw"
+        options = with_rate_hint(
+            SeesawOptions(chunked_prefill=False, **common), objective
         )
-        return SeesawEngine(model, cluster, cp, cd, seesaw_opts)
-    options = EngineOptions(chunked_prefill=args.chunked, **common)
-    if "|" in args.config:
-        plan = DisaggregationPlan.parse(args.config)
-        return DisaggregatedEngine(model, cluster, plan, options)
-    return VllmLikeEngine(model, cluster, parse_config(args.config), options)
+    else:
+        engine = "disagg" if "|" in args.config else "vllm"
+        options = EngineOptions(chunked_prefill=args.chunked, **common)
+    spec = CellSpec(
+        engine=engine, model=model, cluster=cluster, config=args.config,
+        options=options, workload=workload, seed=args.seed,
+    )
+    return spec.execute(hooks), hooks
+
+
+def _report_sanitizer(hooks: RunHooks) -> None:
+    if hooks.sanitize is not None:
+        print(f"sanitizer: {hooks.sanitize.describe()}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    workload = _make_workload(args)
-    objective = _serving_objective(args, workload)
-    tel = _make_telemetry(args)
-    tracer = _make_tracer(args)
-    report_traces = tracer is not None
-    if tracer is None and args.timeline:
-        # The timeline is the tracer's phase track: trace the run for it
-        # alone, without a tracing report.
-        from repro.obs import Tracer
-
-        tracer = Tracer("p99_exemplars")
-    hooks = _run_hooks(args, telemetry=tel, tracing=tracer)
-    result = _build_engine(args, objective).run(workload, hooks)
+    result, hooks = _run_cell(args)
     _print_result(result, ttft_slo=args.ttft_slo, tpot_slo=args.tpot_slo)
-    if hooks.sanitize is not None:
-        print(f"sanitizer: {hooks.sanitize.describe()}")
+    _report_sanitizer(hooks)
+    tel = hooks.telemetry
     if tel is not None:
         print()
         print(telemetry_table(tel, title="telemetry"))
         if args.telemetry_out:
             _export_telemetry(tel, args.telemetry_out)
-    if report_traces:
-        _report_traces(tracer, args)
+    # A tracer --timeline alone asked for draws the timeline, no report.
+    if args.tracing is not None or args.trace_out or args.trace_chrome:
+        _report_traces(hooks.tracing, args)
     if args.timeline:
-        _print_timeline(tracer)
+        _print_timeline(hooks.tracing)
     return 0
 
 
@@ -648,12 +648,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
     if args.artifact is not None:
         tel = load_jsonl(args.artifact)
     elif args.live:
-        from repro.obs import Telemetry
-
-        workload = _make_workload(args)
-        objective = _serving_objective(args, workload)
-        tel = Telemetry(interval_s=args.telemetry_interval)
-        _build_engine(args, objective).run(workload, _run_hooks(args, telemetry=tel))
+        _, hooks = _run_cell(args)
+        _report_sanitizer(hooks)
+        tel = hooks.telemetry
         if args.telemetry_out:
             _export_telemetry(tel, args.telemetry_out)
     else:
@@ -681,14 +678,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         num_requests = artifact.num_requests
         dropped = artifact.dropped_requests
     elif args.live:
-        workload = _make_workload(args)
-        objective = _serving_objective(args, workload)
-        tracer = _make_tracer(args)
-        if tracer is None:
-            from repro.obs import Tracer
-
-            tracer = Tracer("all")
-        _build_engine(args, objective).run(workload, _run_hooks(args, tracing=tracer))
+        _, hooks = _run_cell(args)
+        _report_sanitizer(hooks)
+        tracer = hooks.tracing
         if args.trace_out:
             from repro.obs import write_trace_jsonl
 
@@ -805,10 +797,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for label in labels
     )
     results.update(zip(labels, static_runs, strict=True))
-    seesaw_opts = SeesawOptions(
-        **_serving_opts(args),
-        arrival_rate=None if args.coupled else objective.arrival_rate_hint,
-    )
+    seesaw_opts = with_rate_hint(SeesawOptions(**_serving_opts(args)), objective)
     cp, cd = best_seesaw_pair(
         model, cluster, workload, simulate_top=3,
         options=seesaw_opts, objective=objective, executor=executor,
@@ -1058,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_obs)
     _add_engine_flags(p_obs)
     _add_telemetry_flags(p_obs)
-    p_obs.set_defaults(func=cmd_obs)
+    p_obs.set_defaults(func=cmd_obs, telemetry=True)
 
     p_trace = sub.add_parser(
         "trace",
@@ -1105,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_trace)
     _add_engine_flags(p_trace)
     _add_tracing_flags(p_trace)
-    p_trace.set_defaults(func=cmd_trace)
+    p_trace.set_defaults(func=cmd_trace, tracing="all")
 
     p_cmp = sub.add_parser("compare", help="vLLM-best vs Seesaw-best")
     _add_common(p_cmp)

@@ -137,7 +137,7 @@ class CellSpec:
         elif self.engine == "disagg":
             if self.config.count("|") != 1:
                 raise ConfigurationError(
-                    f"disagg cells need a '<prefill>|<decode>' config like "
+                    f"a disaggregation plan is '<prefill>|<decode>' like "
                     f"'T2|T2', got {self.config!r}"
                 )
         elif "->" in self.config or "|" in self.config:

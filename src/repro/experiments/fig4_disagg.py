@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.engines.base import EngineOptions
-from repro.engines.disaggregated import (
-    DisaggregatedEngine,
-    DisaggregationPlan,
-    _DecodeOnlyEngine,
-)
+from repro.engines.disaggregated import DisaggregationPlan, _DecodeOnlyEngine
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
@@ -94,14 +90,12 @@ def run_fig4(
     splits = feasible_disaggregation_splits(model, cluster)
     split_sizes = sorted({(p.prefill_gpus, p.decode_gpus) for p in splits})
 
-    engine = DisaggregatedEngine(
-        model,
-        cluster,
-        DisaggregationPlan(
-            prefill_config=parse_config("P4"), decode_config=parse_config("T4")
-        ),
-    )
-    analysis = engine.analyze(workload)
+    from repro.exec import CellSpec
+
+    analysis = CellSpec(
+        engine="disagg", model=model, cluster=cluster, config="P4|T4",
+        options=EngineOptions(), workload=workload,
+    ).build_engine().analyze(workload)
 
     decode_8 = _DecodeOnlyEngine(
         model, cluster, parse_config("T4P2"), EngineOptions()

@@ -666,3 +666,121 @@ class TestFleetCli:
             ["run", "--coupled", "--request-rate", "1", "--min-dp", "2"],
             "only apply with an autoscaler",
         )
+
+
+class TestSingleCell:
+    """``repro run``, ``obs --live`` and ``trace --live`` all run one
+    :class:`~repro.exec.CellSpec` built from the shared run flags."""
+
+    CELL = [
+        "--model", "15b", "--num-gpus", "4", "--config", "D2T2",
+        "--dataset", "const:512x64", "--num-requests", "16",
+        "--request-rate", "2.0", "--arrival", "bursty", "--router", "jsq",
+        "--coupled",
+    ]
+
+    @pytest.mark.parametrize("command", ["run", "obs", "trace"])
+    def test_sanitizer_summary_is_printed_by_every_single_cell_command(
+        self, command, capsys
+    ):
+        live = [] if command == "run" else ["--live"]
+        assert main([command, *live, *self.CELL, "--sanitize"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summaries = [line for line in lines if line.startswith("sanitizer: ")]
+        assert len(summaries) == 1
+        assert "checks passed" in summaries[0]
+
+    def test_trace_live_defaults_to_tracing_all(self, capsys):
+        assert main(["trace", "--live", *self.CELL, "--top", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "16 of 16 requests traced (mode all)"
+        assert "sanitizer:" not in out
+
+    def test_trace_reads_back_what_run_wrote(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        assert main(["run", *self.CELL, "--trace-out", str(path)]) == 0
+        run_out = capsys.readouterr().out
+        assert "tracing: 16 of 16 requests traced (mode all)" in run_out
+        assert main(["trace", str(path), "--top", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "16 of 16 requests traced (mode all)"
+
+
+def _hand_spec(engine, config, options, workload=None):
+    from repro.exec import CellSpec
+    from repro.hardware.cluster import make_cluster
+    from repro.models.registry import get_model
+    from repro.workloads.synthetic import constant_workload
+
+    return CellSpec(
+        engine=engine, model=get_model("34b"), cluster=make_cluster("A10", 8),
+        config=config, options=options,
+        workload=workload or constant_workload(8, 512, 64), seed=0,
+    )
+
+
+def _flag_cases():
+    from repro.core.options import SeesawOptions
+    from repro.engines.base import EngineOptions
+    from repro.workloads.arrivals import poisson_arrivals
+    from repro.workloads.synthetic import constant_workload
+
+    # The CLI always seeds the router with --seed and passes --chunk-size.
+    cli = {"router_seed": 0, "chunk_size": 2048}
+    online = poisson_arrivals(constant_workload(8, 512, 64), 0.5, seed=0)
+    slo = ["--objective", "slo", "--request-rate", "0.5"]
+    coupled = {**cli, "coupled": True}
+    return [
+        pytest.param([], _hand_spec("vllm", "T4P2", EngineOptions(**cli)), id="static"),
+        pytest.param(
+            ["--chunked", "--chunk-size", "512"],
+            _hand_spec(
+                "vllm", "T4P2",
+                EngineOptions(router_seed=0, chunked_prefill=True, chunk_size=512),
+            ),
+            id="chunked",
+        ),
+        pytest.param(
+            ["--config", "P8->T4P2"],
+            _hand_spec("seesaw", "P8->T4P2", SeesawOptions(**cli)),
+            id="seesaw",
+        ),
+        pytest.param(
+            ["--config", "P8->T4P2", *slo],
+            _hand_spec(
+                "seesaw", "P8->T4P2", SeesawOptions(**cli, arrival_rate=0.5), online
+            ),
+            id="seesaw-slo-rate-hint",
+        ),
+        pytest.param(
+            ["--config", "P8->T4P2", *slo, "--coupled"],
+            _hand_spec("seesaw", "P8->T4P2", SeesawOptions(**coupled), online),
+            id="seesaw-slo-coupled-no-hint",
+        ),
+        pytest.param(
+            ["--config", "T4|T4"],
+            _hand_spec("disagg", "T4|T4", EngineOptions(**cli)),
+            id="disagg",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("flags, expected", _flag_cases())
+def test_run_flags_map_to_one_cell_spec(flags, expected, monkeypatch):
+    """The run helper turns the shared flags into the CellSpec a caller
+    would write by hand: ``->`` is seesaw (with the objective's rate hint
+    unless coupled), ``|`` is disagg, anything else vllm."""
+    from repro.cli import _run_cell
+    from repro.exec import CellSpec
+
+    built = []
+    monkeypatch.setattr(
+        CellSpec, "execute", lambda self, hooks=None: built.append(self)
+    )
+    args = build_parser().parse_args(
+        ["run", "--dataset", "const:512x64", "--num-requests", "8", *flags]
+    )
+    _run_cell(args)
+    (spec,) = built
+    assert spec.options == expected.options
+    assert spec.cell_key == expected.cell_key
