@@ -686,6 +686,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
             n = write_trace_jsonl(tracer, args.trace_out)
             print(f"{n} traces written to {args.trace_out}")
+        if args.trace_chrome:
+            n = write_chrome_trace(tracer.traces, args.trace_chrome)
+            print(f"chrome trace ({n} events) written to {args.trace_chrome}")
         traces = tracer.traces
         sampling = tracer.sampling
         num_requests = tracer.num_requests

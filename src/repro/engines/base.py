@@ -270,8 +270,8 @@ class ReplicaState:
         # makes per-arrival dispatch decisions O(log S) instead of O(S).
         self.decode_backlog = sum(max(0, r.output_len - 1) for r in requests)
         self.prefill_epoch = 0
-        # Vectorized decode slot arrays (engines/slots.py); None = the
-        # object lists are authoritative.
+        # Calendar decode slots (engines/slots.py); None = the object
+        # lists are authoritative.
         self.slots = None
         self.admit_arrivals(0.0)
 
@@ -362,8 +362,8 @@ class ReplicaState:
         """Append ``seq`` to the running batch.
 
         The single choke point through which sequences enter ``running``:
-        it appends ``seq`` to the live vectorized slot arrays too (only
-        preemption and the KV-headroom fallback drop them) and marks the
+        it appends ``seq`` to the live decode slots too (only preemption
+        and the KV-headroom fallback drop them) and marks the
         prefill aggregates dirty, so engine loops stay oblivious to both
         caches.
         """
@@ -373,8 +373,8 @@ class ReplicaState:
             self.slots.append(seq, self.kv)
 
     def drop_slots(self) -> None:
-        """Invalidate the vectorized decode arrays (syncing any drifted
-        per-sequence counters back into the Sequence objects first)."""
+        """Invalidate the decode slots (syncing any drifted per-sequence
+        counters back into the Sequence objects first)."""
         if self.slots is not None:
             self.slots.sync()
             self.slots = None
@@ -867,7 +867,7 @@ class BaseEngine(abc.ABC):
         """Cached tokens one decode advance of ``state.running`` attends
         over — the cost-model input of every decode half-iteration.
 
-        Builds the vectorized slot arrays first when at least
+        Builds the decode slots first when at least
         ``slots.VECTORIZE_MIN_SEQS`` sequences run, and then reads their
         exact running sum instead of walking the batch.
         """
@@ -885,9 +885,9 @@ class BaseEngine(abc.ABC):
         Handles KV growth with preemption: when the cache cannot grow, the
         youngest running sequence is evicted via :meth:`preempt` (subclass
         hook — recompute for static engines, swap-out for Seesaw). Live
-        slot arrays take the whole step as scalar arithmetic unless this
-        iteration's block crossings outrun the free pool. Retirement is
-        left to the caller's ``finish_ready``.
+        decode slots take the whole step in O(1) plus one bulk KV grow,
+        unless this iteration's block crossings outrun the free pool.
+        Retirement is left to the caller's ``finish_ready``.
         """
         slots = state.slots
         if slots is not None:

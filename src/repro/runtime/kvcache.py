@@ -12,6 +12,7 @@ each cached token, so replica capacity is the per-GPU capacity).
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.errors import CapacityError, SimulationError
@@ -112,18 +113,24 @@ class KVCacheManager:
         self._blocks[seq_id] = need
         self._used += extra
 
-    def grow_one_block(self, seq_id: int) -> None:
-        """Extend a sequence by exactly one block.
+    def grow_one_block(self, seq_ids: Collection[int]) -> None:
+        """Extend each sequence of ``seq_ids`` by exactly one block.
 
-        Trusted hook for the vectorized decode path, which detects block
-        boundary crossings itself (context grows one token per iteration, so
-        a crossing needs exactly one new block) and pre-checks aggregate
-        headroom before applying any growth.
+        Bulk hook for the decode slots, which detect block boundary
+        crossings themselves (context grows one token per iteration, so a
+        crossing needs exactly one new block). Raises, growing nothing,
+        when the free pool cannot cover every sequence: the slots' headroom
+        check.
         """
-        if self._used >= self.total_blocks:
-            raise CapacityError(f"sequence {seq_id}: cannot grow by 1 block (0 free)")
-        self._blocks[seq_id] += 1
-        self._used += 1
+        n = len(seq_ids)
+        if n > self.free_blocks:
+            raise CapacityError(
+                f"cannot grow {n} sequences by 1 block ({self.free_blocks} free)"
+            )
+        blocks = self._blocks
+        for seq_id in seq_ids:
+            blocks[seq_id] += 1
+        self._used += n
 
     def free(self, seq_id: int) -> int:
         """Release a finished/evicted sequence; returns blocks freed."""

@@ -83,7 +83,8 @@ def cfg_p8() -> ParallelConfig:
 @pytest.fixture
 def scalar_oracle():
     """A context manager forcing the engines' scalar decode and admission
-    paths for its block (the numpy slot arrays' bit-exactness oracle):
+    paths for its block (the bit-exactness oracle of the decode slots and
+    the admission scan):
     no batch or queue ever reaches ``slots.VECTORIZE_MIN_SEQS``."""
 
     @contextlib.contextmanager

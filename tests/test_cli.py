@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -704,6 +705,16 @@ class TestSingleCell:
         assert main(["trace", str(path), "--top", "1"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "16 of 16 requests traced (mode all)"
+
+    def test_trace_live_writes_trace_chrome(self, tmp_path, capsys):
+        path = tmp_path / "chrome.json"
+        argv = ["trace", "--live", *self.CELL, "--top", "1", "--trace-chrome", str(path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        events = doc["traceEvents"]
+        assert events and all("ph" in e and "ts" in e for e in events)
+        assert f"chrome trace ({len(events)} events) written to {path}" in out
 
 
 def _hand_spec(engine, config, options, workload=None):

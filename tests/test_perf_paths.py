@@ -7,10 +7,11 @@ Contracts:
    :class:`EngineResult`s to the exhaustive next-event scan
    (``use_heap=False``), across engines, routers and autoscalers: the
    heap is pure dispatch mechanics, never policy.
-2. **Vector == scalar** — the numpy decode-slot path is bit-identical to
-   the object path (forced by the ``scalar_oracle`` fixture) on
-   online coupled cells, including preemption-heavy ones, and on
-   chunked-prefill mixed iterations (offline, online and coupled).
+2. **Vector == scalar** — the calendar decode-slot path is bit-identical
+   to the object path (forced by the ``scalar_oracle`` fixture) on
+   online coupled cells, including preemption-heavy ones, on
+   chunked-prefill mixed iterations (offline, online and coupled), and
+   on the offline 34b arxiv shape ``repro compare`` autotunes.
 3. **Fluid calibration** — the mean-field fast path tracks the event
    path on the calibration cells: p99 TTFT within 10%, makespan within
    10% on the fixed fleet; on the autoscaled cell the scale decisions
@@ -27,12 +28,16 @@ Contracts:
    chunked-prefill run is bit-identical with
    ``StepCostModel.mixed_iteration_time`` swapped for its layer-composed
    reference.
-8. **Slot append == rebuild** — appending an admitted sequence to live
-   :class:`DecodeSlots` leaves them equal to a fresh build from the synced
-   object lists, and a run builds slots only after preemption or the
-   headroom fallback dropped them, never once per admission.
+8. **Slot walk == scalar walk** — live :class:`DecodeSlots` fed prompt,
+   reserved and swap-in appends, advances and retirements track the
+   scalar object path step by step (tokens, KV blocks, context sum,
+   retirement order); at the KV headroom boundary they advance or refuse
+   whole, and the engine then evicts the scalar path's victim; a run
+   builds slots only after preemption or the headroom fallback dropped
+   them, never once per admission.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -60,7 +65,7 @@ from repro.workloads.arrivals import (
     diurnal_arrivals,
     poisson_arrivals,
 )
-from repro.workloads.datasets import sharegpt_workload
+from repro.workloads.datasets import arxiv_workload, sharegpt_workload
 from repro.workloads.synthetic import constant_workload
 
 
@@ -409,6 +414,42 @@ class TestChunkedScalarVectorEquivalence:
         )
 
 
+class TestCompareShapedEquivalence:
+    """The shape ``repro compare`` autotunes (34b on 8xA10, arxiv,
+    offline): batches of several KV blocks' worth of sequences, so most
+    decode iterations cross a block boundary somewhere in the batch."""
+
+    @pytest.mark.parametrize(
+        "opts",
+        [EngineOptions(), EngineOptions(chunked_prefill=True, chunk_size=512)],
+        ids=["plain", "chunked"],
+    )
+    def test_slots_match_scalar(self, opts, scalar_oracle, monkeypatch):
+        grows, advances = [], []
+        grow, try_advance = KVCacheManager.grow_one_block, DecodeSlots.try_advance
+
+        def counted_grow(kv, seq_ids):
+            grows.append(len(seq_ids))
+            grow(kv, seq_ids)
+
+        def counted_advance(slots, kv):
+            advances.append(len(slots))
+            return try_advance(slots, kv)
+
+        monkeypatch.setattr(KVCacheManager, "grow_one_block", counted_grow)
+        monkeypatch.setattr(DecodeSlots, "try_advance", counted_advance)
+        wl = arxiv_workload(150, seed=0)
+        mk = lambda: VllmLikeEngine(
+            get_model("34b"), make_cluster("A10", 8), parse_config("D2T2P2"), opts
+        )
+        with scalar_oracle():
+            scalar = mk().run(wl)
+        assert not advances
+        assert_bit_identical(scalar, mk().run(wl))
+        assert max(advances) >= 2 * 16
+        assert len(grows) > len(advances) / 2  # KV grows on most advances
+
+
 class TestMixedKernelOracle:
     """Every chunked-prefill iteration is costed by the hoisted-constant
     kernel; swapping in the layer-composed reference changes nothing."""
@@ -450,33 +491,63 @@ class TestMixedKernelOracle:
 
 
 class TestSlotAppendOracle:
-    """Live slots that admissions append to == slots rebuilt from scratch."""
+    """Live decode slots that admissions append to == the scalar object
+    path, step by step."""
 
-    def test_random_walk_matches_rebuild(self):
+    def test_random_walk_matches_scalar(self):
+        # Two replicas fed the same admissions: one decodes on live slots,
+        # the other on the scalar advance/grow/retire loop of the engines.
         rng = random.Random(22)
-        kv = KVCacheManager(capacity_tokens=1 << 22, block_size=16)
-        state = ReplicaState([], kv)
-        fresh = (
-            Sequence(Request(i, rng.randint(1, 600), rng.randint(1, 48)))
-            for i in range(10_000)
-        )
+        worlds = []
+        for _ in range(2):
+            kv = KVCacheManager(capacity_tokens=1 << 22, block_size=16)
+            worlds.append(ReplicaState([], kv))
+        fast, slow = worlds
+        kinds = {"prompt": 0, "reserved": 0, "swap_in": 0}
+        ids = itertools.count()
 
         def admit():
-            seq = next(fresh)
-            seq.advance_prefill(seq.prompt_len)
-            seq.state = SequenceState.RUNNING
-            if rng.random() < 0.3:  # swapped back in mid-decode
-                seq.generated_tokens = rng.randint(0, seq.request.output_len - 1)
-            kv.allocate(seq.seq_id, seq.context_len + 1 + rng.randint(0, 40))
-            state.start_running(seq)
+            req = Request(next(ids), rng.randint(1, 600), rng.randint(1, 48))
+            kind = rng.choice(sorted(kinds))
+            gen = rng.randint(0, req.output_len - 1) if kind == "swap_in" else 0
+            kinds[kind] += 1
+            for state in worlds:
+                seq = Sequence(req)
+                seq.advance_prefill(seq.prompt_len)
+                seq.state = SequenceState.RUNNING
+                seq.generated_tokens = gen
+                if kind == "reserved":  # admit_reserved: the final context
+                    need = seq.final_context_len
+                else:  # a completed prompt, or a swap-in mid-block
+                    need = seq.context_len + 1
+                state.kv.allocate(seq.seq_id, need)
+                state.start_running(seq)
+
+        def scalar_advance():
+            for s in slow.running:
+                s.advance_decode()
+                slow.kv.grow(s.seq_id, s.context_len)
+
+        def assert_same():
+            slots.sync()
+            assert [s.seq_id for s in fast.running] == [s.seq_id for s in slow.running]
+            assert [s.generated_tokens for s in fast.running] == [
+                s.generated_tokens for s in slow.running
+            ]
+            assert [s.seq_id for s in fast.finished] == [s.seq_id for s in slow.finished]
+            assert fast.kv._blocks == slow.kv._blocks
+            assert fast.kv.used_blocks == slow.kv.used_blocks
+            assert sum(fast.kv._blocks.values()) == fast.kv._used
+            assert slots.ctx_sum == slow.decode_context_tokens
+            assert len(slots) == len(fast.running)
 
         for _ in range(4):
             admit()
-        slots = state.slots = DecodeSlots(state)
+        slots = fast.slots = DecodeSlots(fast)
         growing, target = True, 40
         due = False  # an advance or append awaits its finish_ready
-        capacities, refills = {len(slots.gen0)}, 0
-        for _ in range(2000):
+        late = refills = 0
+        for _ in range(3000):
             n = len(slots)
             if growing and n >= target:
                 growing = False
@@ -488,31 +559,76 @@ class TestSlotAppendOracle:
                 admit()
                 due = True
             elif due and r < 0.8:
-                state.finish_ready(0.0)
+                fast.finish_ready(0.0)
+                slow.finish_ready(0.0)
                 due = False
             elif not due:
-                assert slots.try_advance(kv)
+                late += len(slots.first.get(slots.adv, ()))
+                assert slots.try_advance(fast.kv)
+                scalar_advance()
                 due = True
-            assert state.slots is slots
-            assert len(state.running) == len(slots.seqs)
-            assert all(a is b for a, b in zip(state.running, slots.seqs, strict=True))
-            capacities.add(len(slots.gen0))
-            # Oracle: a fresh build from the synced object lists.
-            n, adv = len(slots), slots.adv
-            slots.sync()
-            oracle = DecodeSlots(state)
-            assert (slots.gen0[:n] + adv).tolist() == oracle.gen0[:n].tolist()
-            assert (slots.rem0[:n] - adv).tolist() == oracle.rem0[:n].tolist()
-            assert (slots.slack0[:n] - adv).tolist() == oracle.slack0[:n].tolist()
-            assert slots.ctx_sum == oracle.ctx_sum == state.decode_context_tokens
-            if n:  # both countdowns are vacuous on an empty batch
-                assert slots.min_rem == oracle.min_rem
-                assert slots.gap == oracle.gap
-        assert max(capacities) >= 64  # doubled past 16 and past 32 slots
-        assert refills >= 2  # compacted to 0 slots, then appended
-        assert len(state.finished) > 100
-        for s in state.finished:
+            assert fast.slots is slots
+            assert_same()
+        assert min(kinds.values()) > 100
+        assert late > 0  # first crossings past a whole block of slack
+        assert refills >= 2  # drained to 0 slots, then appended
+        assert len(fast.finished) > 300
+        for s in fast.finished:
             assert s.generated_tokens == s.request.output_len - 1
+
+    def test_headroom_boundary(self, tiny_model, cluster_a10_4):
+        # Eight slots whose contexts fill their allocations exactly: all
+        # eight cross a block boundary on the next advance.
+        def replica(free_blocks, scalar):
+            kv = KVCacheManager(capacity_tokens=(16 + free_blocks) * 16, block_size=16)
+            state = ReplicaState([], kv)
+            for i in range(8):
+                seq = Sequence(Request(i, 32, 40))
+                seq.advance_prefill(32)
+                seq.state = SequenceState.RUNNING
+                kv.allocate(seq.seq_id, 32)
+                state.start_running(seq)
+            if not scalar:
+                state.slots = DecodeSlots(state)
+            return state
+
+        state = replica(8, scalar=False)
+        assert state.slots.try_advance(state.kv)
+        assert state.kv.free_blocks == 0
+        assert state.kv._blocks == {i: 3 for i in range(8)}
+
+        state = replica(7, scalar=False)
+        slots, kv = state.slots, state.kv
+
+        def snapshot():
+            return (
+                dict(kv._blocks), kv._used, slots.adv, slots.ctx_sum,
+                [set(b) for b in slots.crossings],
+                {k: set(v) for k, v in slots.first.items()},
+                {k: list(v) for k, v in slots.due.items()},
+            )
+
+        before = snapshot()
+        assert not slots.try_advance(kv)
+        assert snapshot() == before
+
+        # The engine falls back to the scalar grow/preempt path and evicts
+        # the victim the scalar path evicts.
+        engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("D2T2"))
+        outcomes = []
+        for state in (replica(7, scalar=False), replica(7, scalar=True)):
+            engine.advance_running(state, 1.0)
+            state.finish_ready(1.0)
+            assert state.slots is None
+            outcomes.append((
+                [s.seq_id for s in state.running],
+                [s.generated_tokens for s in state.running],
+                [(s.seq_id, s.prefill_target) for s in state.waiting],
+                dict(state.kv._blocks),
+                state.metrics.preemptions,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == [(6, 33)]  # the second youngest, recomputed
 
     def test_builds_do_not_scale_with_admissions(self, monkeypatch):
         # The 34b T4P2 chunked Poisson cell of TestMixedKernelOracle: every
