@@ -116,7 +116,7 @@ class ReplicaSim:
             t = self.next_event_time()
             if math.isinf(t) or t + _EPS >= until:
                 return
-            self._step()
+            self._step(until)
 
     def finish(self) -> None:
         """Run the replica to its event loop's end (no further
@@ -125,10 +125,21 @@ class ReplicaSim:
         while self._events is not None or not math.isinf(self.next_event_time()):
             self._step()
 
-    def _step(self) -> None:
-        """Execute one event: resume the engine's event-loop generator."""
+    def _step(self, until: float = math.inf) -> None:
+        """Execute one event: resume the engine's event-loop generator.
+
+        A resume may run a decode stretch (several iterations,
+        :meth:`~repro.engines.base.BaseEngine.decode_step`); its horizon
+        is ``until`` or the telemetry probe's next sample instant,
+        whichever comes first, so every iteration that starts there is
+        one this loop, or a sample, would have seen on its own."""
+        state = self.state
         if self._events is None:
-            self._events = self.engine._replica_loop(self.state, self.clock)
+            self._events = self.engine._replica_loop(state, self.clock)
+        probe = self._probe
+        if probe is not None and probe.next_sample_time < until:
+            until = probe.next_sample_time
+        state.horizon = until
         try:
             t = next(self._events)
             if self._san is not None:

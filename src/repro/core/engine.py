@@ -377,7 +377,9 @@ class SeesawEngine(BaseEngine):
                     )
                 break
 
-            now = self.decode_step(state, now)
+            # One iteration per call: the prefetcher and the transition
+            # test below run between every two.
+            now = self.decode_step(state, now, stretch=False)
             yield now
 
             if (

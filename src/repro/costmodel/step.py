@@ -17,7 +17,9 @@ answers, in seconds-with-breakdown:
 
 Both iteration calls share one roofline kernel fed by hoisted per-config
 constants; the ``*_reference`` methods compose the same numbers layer by
-layer and are the test oracles it matches bit for bit.
+layer and are the test oracles it matches bit for bit. The kernel's
+attention formula is also what ``decode_attention()`` hands a decode
+stretch, whose later iterations change nothing else.
 
 All per-replica quantities assume the engine has already divided work
 across DP replicas.
@@ -26,7 +28,7 @@ across DP replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.costmodel.breakdown import Breakdown
 from repro.costmodel.pipeline import steady_state_period
@@ -190,8 +192,17 @@ class StepCostModel:
             ar_bw = fabric.collective_bandwidth(tp)
         else:
             ar_fixed = ar_factor = ar_bw = 0.0
+
+        def attention(attn_bytes: float, attn_flops: float) -> tuple[float, float]:
+            """``(attn_dm, attn_comp)`` of one iteration from its per-layer
+            attention bytes and FLOPs: the one attention formula."""
+            return (
+                (attn_bytes / tp / bw * lps) * period,
+                (attn_flops / tp / attn_eff * lps) * period,
+            )
+
         consts = (
-            tp, pp, lps, period, bw, flops, attn_eff, linear_dm, overhead,
+            tp, pp, lps, period, bw, flops, attention, linear_dm, overhead,
             lin_flops, c4, kv_int, qkv_int, act_bytes, ar_fixed, ar_factor,
             ar_bw, fabric.latency, fabric.effective_link_bandwidth,
         )
@@ -221,7 +232,7 @@ class StepCostModel:
         if chunk_tokens + decode_seqs <= 0:
             return Breakdown()
         (
-            tp, pp, lps, period, bw, flops, attn_eff, linear_dm, overhead,
+            tp, pp, lps, period, bw, flops, attention, linear_dm, overhead,
             lin_flops, c4, kv_int, qkv_int, act_bytes, ar_fixed, ar_factor,
             ar_bw, p2p_lat, link_bw,
         ) = self._iteration_consts()
@@ -230,10 +241,11 @@ class StepCostModel:
         dec_ctx = -(-decode_context_tokens // pp) if decode_seqs else 0
         m = chunk + -(-decode_seqs // pp)
         linear_comp = (lin_flops * m / tp / flops * lps) * period
-        attn_bytes = float(qkv_int * chunk) + float(kv_int * (chunk_ctx + dec_ctx))
-        attn_dm = (attn_bytes / tp / bw * lps) * period
         attended = chunk * (chunk_ctx + chunk / 2.0)
-        attn_comp = ((c4 * attended + c4 * dec_ctx) / tp / attn_eff * lps) * period
+        attn_dm, attn_comp = attention(
+            float(qkv_int * chunk) + float(kv_int * (chunk_ctx + dec_ctx)),
+            c4 * attended + c4 * dec_ctx,
+        )
         comm = 0.0
         if tp > 1:
             comm = 2 * (ar_fixed + (ar_factor * (m * act_bytes)) / ar_bw) * lps
@@ -252,6 +264,26 @@ class StepCostModel:
 
     # Decode iterations enter here, past any wrapper on the public name.
     _iteration = mixed_iteration_time
+
+    def decode_attention(self) -> Callable[[int], tuple[float, float]]:
+        """The per-step kernel of a decode stretch.
+
+        Over a run of decode iterations whose batch does not change, only
+        the attended context moves, so only the two attention terms do.
+        The returned function maps the batch's total cached tokens to
+        ``(attn_dm, attn_comp)``, exactly the terms
+        :meth:`decode_iteration_time` computes for it: a chunk-free
+        iteration's attention bytes are ``float(kv_int * dec_ctx)`` and its
+        FLOPs ``c4 * dec_ctx`` (adding the absent chunk's zeros is exact).
+        """
+        consts = self._iteration_consts()
+        pp, attention, c4, kv_int = consts[1], consts[6], consts[10], consts[11]
+
+        def step(decode_context_tokens: int) -> tuple[float, float]:
+            dec_ctx = -(-decode_context_tokens // pp)
+            return attention(float(kv_int * dec_ctx), c4 * dec_ctx)
+
+        return step
 
     def mixed_iteration_time_reference(
         self, chunk_tokens: int, chunk_context_tokens: int,

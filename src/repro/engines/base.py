@@ -4,9 +4,10 @@ Every engine in this package simulates one DP replica at a time (replicas
 process disjoint request partitions concurrently; wall time is the slowest
 replica) and shares the mechanics implemented here: the whole-batch
 prefill wave, reserved (preemption-free) admission, the batch-at-a-time
-scheduling loop, the decode-iteration step with KV growth and preemption,
-sequence bookkeeping, and :meth:`BaseEngine.phase`, the one recorder of
-timed phase spans. The step helpers take the replica's
+scheduling loop, the decode step (a stretch of retirement-free decode
+iterations) with KV growth and preemption, sequence bookkeeping, and
+:meth:`BaseEngine.phase`, the recorder of timed phase spans. The step
+helpers take the replica's
 :class:`ReplicaState` alone: its ``metrics`` and ``costs`` travel with it.
 Requests reach the replicas through :mod:`repro.routing`.
 """
@@ -273,6 +274,9 @@ class ReplicaState:
         # Calendar decode slots (engines/slots.py); None = the object
         # lists are authoritative.
         self.slots = None
+        # No decode stretch runs an iteration that starts at or past this
+        # instant; the driving ReplicaSim sets it on every resume.
+        self.horizon = math.inf
         self.admit_arrivals(0.0)
 
     def admit_arrivals(self, now: float) -> int:
@@ -693,11 +697,12 @@ class BaseEngine(abc.ABC):
         """Record that ``state``'s replica spent ``[now, now + elapsed)``
         in phase ``kind``; returns ``now + elapsed``.
 
-        The one recorder of timed phases: the span goes to the replica's
+        The recorder of timed phases: the span goes to the replica's
         :class:`RunMetrics` (a ``stall`` is booked as ``swap_stall``
         phase time, ``breakdown`` into the run breakdown) and to the
         tracer's phase track (see :class:`repro.obs.PhaseSpan` for the
-        counts).
+        counts). Only a decode stretch's later iterations bypass it, to
+        book the same additions in bulk (:meth:`_decode_stretch`).
         """
         tr = self.hooks.tracing
         if tr is not None:
@@ -846,10 +851,27 @@ class BaseEngine(abc.ABC):
         the clock."""
         return now
 
-    def decode_step(self, state: ReplicaState, now: float) -> float:
-        """One decode iteration over the running batch; returns the new
-        time (cost via :meth:`decode_context`, step via
-        :meth:`advance_running`)."""
+    def decode_step(
+        self, state: ReplicaState, now: float, stretch: bool = True
+    ) -> float:
+        """A decode stretch over the running batch; returns the new time.
+
+        The first iteration is costed via :meth:`decode_context` and
+        stepped via :meth:`advance_running`. With ``stretch`` and live
+        decode slots, further iterations follow in the same call while
+        the batch stays fixed (see :meth:`_decode_stretch`); without
+        them the call is exactly one iteration.
+
+        A caller may stretch only if nothing it does between two decode
+        iterations can change the batch unless one of the stretch's stop
+        conditions fires first. The shared callers qualify: between two
+        iterations they admit arrivals (a stop condition) and at most
+        attempt an admission, and inside a stretch the running set is
+        fixed and free KV only shrinks, so an admission that failed
+        before the stretch's first iteration keeps failing until it ends.
+        Seesaw's decode phase runs its prefetcher and transition test
+        between iterations, so it passes ``stretch=False``.
+        """
         if not state.running:
             raise ConfigurationError("decode_step with no running sequences")
         num_seqs = len(state.running)
@@ -860,6 +882,81 @@ class BaseEngine(abc.ABC):
         )
         state.metrics.iterations += 1
         self.advance_running(state, now)
+        if state.finish_ready(now) or not stretch or state.slots is None:
+            return now
+        return self._decode_stretch(state, now, bd)
+
+    def _decode_stretch(
+        self, state: ReplicaState, now: float, first: Breakdown
+    ) -> float:
+        """The iterations after a stretch's first one (``first`` is its
+        breakdown); returns the clock at the last one's end.
+
+        Each iteration is the one :meth:`decode_step` would run next: only
+        its two attention terms move with the context, and they come from
+        :meth:`StepCostModel.decode_attention`; the clock, the ``decode``
+        phase time and the six breakdown sums take the same additions in
+        the same order. The stretch stops before an iteration that would
+        start at or past the next pending arrival (``<= now + 1e-12``
+        admits it) or ``state.horizon``, and after one that retires a
+        sequence or whose block crossings the free KV pool cannot cover
+        (that iteration then takes the scalar grow/preempt fallback).
+        """
+        stop = state.horizon
+        if state.pending:
+            stop = min(stop, state.pending[0].arrival_time)
+        if not now + 1e-12 < stop:
+            return now
+        slots, kv, metrics = state.slots, state.kv, state.metrics
+        due = slots.due
+        n = len(state.running)
+        attention = state.costs.decode_attention()
+        linear_dm, linear_comp = first.linear_dm, first.linear_comp
+        comm, overhead = first.comm, first.overhead
+        linear = max(linear_dm, linear_comp)
+        phases = metrics.phase_timer.phases
+        spent = phases["decode"]
+        # The run breakdown's sums, added in place (RunMetrics.add_phase
+        # order), held in locals for the stretch.
+        sums = metrics._sums
+        s0, s1, s2, s3, s4, s5 = sums
+        tr = self.hooks.tracing
+        rows = [] if tr is not None else None
+        steps = 0
+        refused = False
+        while now + 1e-12 < stop:
+            attn_dm, attn_comp = attention(slots.ctx_sum)
+            elapsed = (
+                linear + max(attn_dm, attn_comp) + comm + overhead
+                + ITERATION_OVERHEAD
+            )
+            if rows is not None:
+                rows.append(("decode", now, elapsed, n, n, n))
+            spent += elapsed
+            s0 += linear_dm
+            s1 += linear_comp
+            s2 += attn_dm
+            s3 += attn_comp
+            s4 += comm
+            s5 += overhead
+            now += elapsed
+            steps += 1
+            if not slots.try_advance(kv):
+                refused = True
+                break
+            if slots.adv in due:
+                break
+        phases["decode"] = spent
+        sums[:] = (s0, s1, s2, s3, s4, s5)
+        metrics.iterations += steps
+        if tr is not None:
+            tr.note_phases(state.replica_id, rows)
+        if refused:
+            state.decode_backlog -= n * (steps - 1)
+            state.drop_slots()
+            self._advance_objects(state, now)
+        else:
+            state.decode_backlog -= n * steps
         state.finish_ready(now)
         return now
 
@@ -887,7 +984,9 @@ class BaseEngine(abc.ABC):
         hook — recompute for static engines, swap-out for Seesaw). Live
         decode slots take the whole step in O(1) plus one bulk KV grow,
         unless this iteration's block crossings outrun the free pool.
-        Retirement is left to the caller's ``finish_ready``.
+        Retirement is left to the caller's ``finish_ready``. A decode
+        stretch advances its later iterations on the slots itself and
+        falls back the same way.
         """
         slots = state.slots
         if slots is not None:
@@ -898,7 +997,11 @@ class BaseEngine(abc.ABC):
             # crossings: fall back to the scalar grow/preempt path so the
             # eviction order stays bit-exact with the object path.
             state.drop_slots()
+        self._advance_objects(state, now)
 
+    def _advance_objects(self, state: ReplicaState, now: float) -> None:
+        """:meth:`advance_running` on the object lists: the scalar path,
+        which grows KV and preempts sequence by sequence."""
         for s in state.running:
             s.advance_decode()
         state.decode_backlog -= len(state.running)

@@ -32,6 +32,11 @@ An advance therefore costs O(1) plus one bulk grow on crossing iterations,
 and a retirement O(running) once per iteration that retires anything.
 Engines run :meth:`finish_ready` after every advance and every batch of
 appends, before the next advance, so no retirement offset is skipped.
+The calendar also says how long the batch stays fixed: a decode stretch
+(:meth:`~repro.engines.base.BaseEngine.decode_step`) runs iteration after
+iteration in one call, paying per iteration only the two attention terms
+of the cost model, the accounting additions and :meth:`try_advance`, and
+stops at the first offset in ``due`` or the first refused advance.
 
 Only ``generated_tokens`` drifts away from the Sequence objects while the
 slots are live. Admission keeps them live: :meth:`ReplicaState.start_running`

@@ -42,7 +42,11 @@ class VllmLikeEngine(BaseEngine):
         while state.has_work:
             state.guard += 1
             if state.guard > 80 * state.total_request_tokens:
-                raise SchedulingError("scheduler made no progress (livelock guard)")
+                raise SchedulingError(
+                    f"scheduler made no progress (livelock guard) at "
+                    f"t={now!r} s on replica {state.replica_id} of "
+                    f"{self.name}[{self.label()}]"
+                )
             state.admit_arrivals(now)
             if not state.waiting and not state.running:
                 # Event-driven idle: jump to the next arrival.
@@ -64,6 +68,9 @@ class VllmLikeEngine(BaseEngine):
         if admitted:
             return self.prefill_wave(state, now, admitted, len(state.running))
         if state.running:
+            # A decode stretch: the admission that just failed keeps
+            # failing while it runs (the batch is fixed and free KV only
+            # shrinks), so skipping these attempts changes nothing.
             return self.decode_step(state, now)
         # Nothing admitted and nothing running: the head prompt cannot fit.
         head = state.waiting[0]
@@ -211,21 +218,25 @@ class VllmLikeEngine(BaseEngine):
             else:
                 break  # budget exhausted mid-prompt
 
-        if chunk_tokens == 0 and not state.running:
-            head = state.waiting[0]
-            raise CapacityError(
-                f"prompt of {head.remaining_prefill} tokens exceeds KV capacity "
-                f"{state.kv.capacity_tokens} under {self.config.label()}"
-            )
+        if chunk_tokens == 0:
+            if not state.running:
+                head = state.waiting[0]
+                raise CapacityError(
+                    f"prompt of {head.remaining_prefill} tokens exceeds KV "
+                    f"capacity {state.kv.capacity_tokens} under "
+                    f"{self.config.label()}"
+                )
+            # No chunk fits: a decode stretch. The chunk that failed here
+            # keeps failing while it runs (the batch is fixed and free KV
+            # only shrinks), so skipping these attempts changes nothing.
+            return self.decode_step(state, now)
 
         decode_seqs = len(state.running)
-        eff_ctx = int(chunk_ctx_weighted / chunk_tokens) if chunk_tokens else 0
+        eff_ctx = int(chunk_ctx_weighted / chunk_tokens)
         bd = state.costs.mixed_iteration_time(
             chunk_tokens, eff_ctx, decode_seqs, self.decode_context(state)
         )
-        phase = "mixed" if (chunk_tokens and decode_seqs) else (
-            "prefill" if chunk_tokens else "decode"
-        )
+        phase = "mixed" if decode_seqs else "prefill"
         now = self.phase(
             state, phase, now, bd.total + ITERATION_OVERHEAD, bd,
             decode_seqs + len(completing), chunk_tokens + decode_seqs, decode_seqs,

@@ -175,6 +175,12 @@ class ReplicaProbe:
         self._kv = tel.series_list(prefix + "kv_util")
         self._preempt = tel.series_list(prefix + "preemptions")
 
+    @property
+    def next_sample_time(self) -> float:
+        """The next grid instant :meth:`tick` samples at (the first tick
+        at or past it reads the state)."""
+        return self._next_t
+
     def tick(self, now: float, state) -> None:
         if now < self._next_t:
             return
@@ -189,15 +195,16 @@ class ReplicaProbe:
             left = s.prefill_target - s.prefilled_tokens
             if left > 0:
                 queued += left
+        # Only prefills ending after the first sample instant can count
+        # at any sample below (a NaN end, never scheduled, compares False).
+        first = self._next_t + _EPS
         inflight: list[tuple[float, int]] = []
         for s in state.running:
             left = s.prefill_target - s.prefilled_tokens
             if left > 0:
                 queued += left
-            else:
-                end = s.prefill_end_time
-                if end == end:  # NaN = never scheduled with a known end
-                    inflight.append((end, s.prefill_target))
+            elif s.prefill_end_time > first:
+                inflight.append((s.prefill_end_time, s.prefill_target))
         running = float(len(state.running))
         cap = state.kv.capacity_tokens
         kv_util = 1.0 - state.kv.free_tokens / cap if cap > 0 else 0.0

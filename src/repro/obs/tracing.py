@@ -344,6 +344,23 @@ class Tracer:
             track = self._phases[replica] = []
         track.append((kind, start, duration, num_seqs, tokens, resident_seqs))
 
+    def note_phases(self, replica: int, rows: list[tuple]) -> None:
+        """Record ``rows``, each a :meth:`note_phase` argument tuple
+        ``(kind, start, duration, num_seqs, tokens, resident_seqs)``, on
+        ``replica``'s track: the same track and ``dropped_phases`` as one
+        :meth:`note_phase` call per row, at the cost of one."""
+        room = max(0, MAX_PHASE_SPANS - self._num_phases)
+        if len(rows) > room:
+            self.dropped_phases += len(rows) - room
+            rows = rows[:room]
+        if not rows:
+            return
+        self._num_phases += len(rows)
+        track = self._phases.get(replica)
+        if track is None:
+            track = self._phases[replica] = []
+        track.extend(rows)
+
     def phase_replicas(self) -> list[int]:
         """Ids of the replicas that recorded at least one phase span."""
         return sorted(self._phases)

@@ -208,6 +208,28 @@ class TestStepCostModel:
 
     @pytest.mark.parametrize("model_name", ["15b", "34b", "70b"])
     @pytest.mark.parametrize("gpu", ["A10", "L4", "A100-SXM"])
+    def test_decode_attention_equals_reference(self, model_name, gpu):
+        """A decode stretch's per-step kernel gives the reference decode
+        iteration's two attention terms bit for bit."""
+        from repro.hardware.cluster import make_cluster
+        from repro.models.registry import get_model
+
+        model = get_model(model_name)
+        cluster = make_cluster(gpu, 8)
+        for label in LABELS:
+            m = StepCostModel(model, cluster, parse_config(label))
+            attention = m.decode_attention()
+            for seqs in (1, 3, 64, 257):
+                for ctx_per_seq in (1, 513, 2047):
+                    ctx = seqs * ctx_per_seq + 5
+                    ref = m.decode_iteration_time_reference(seqs, ctx)
+                    got = attention(ctx)
+                    assert [x.hex() for x in got] == [
+                        ref.attn_dm.hex(), ref.attn_comp.hex()
+                    ], (label, seqs, ctx)
+
+    @pytest.mark.parametrize("model_name", ["15b", "34b", "70b"])
+    @pytest.mark.parametrize("gpu", ["A10", "L4", "A100-SXM"])
     def test_mixed_fast_path_equals_reference(self, model_name, gpu):
         """The hoisted-constant iteration kernel is the layer-composed
         mixed reference bit for bit: chunk-only, decode-only and mixed

@@ -35,6 +35,12 @@ Contracts:
    whole, and the engine then evicts the scalar path's victim; a run
    builds slots only after preemption or the headroom fallback dropped
    them, never once per admission.
+9. **Decode stretch == one iteration per resume** — a decode stretch
+   (several retirement-free decode iterations in one generator resume)
+   gives the scalar oracle's result, latency columns, telemetry series,
+   phase tracks and trace exports, hooks off and on: on a coupled JSQ
+   cell, on a decoupled cell whose arrivals cut stretches short, and on
+   a chunked cell that decodes with a queue head that cannot fit.
 """
 
 import itertools
@@ -44,19 +50,23 @@ import numpy as np
 import pytest
 
 from repro.bench import CELLS, check_measurement, run_cell
+from repro.check import Sanitizer
 from repro.cluster import ClusterSimulator
 from repro.cluster import fluid
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
+from repro.cluster.replica import ReplicaSim
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.costmodel.step import StepCostModel
-from repro.engines.base import EngineOptions, ReplicaState
+from repro.engines.base import BaseEngine, EngineOptions, ReplicaState, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.slots import DecodeSlots
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
+from repro.obs import Telemetry, Tracer, write_chrome_trace, write_jsonl, write_trace_jsonl
+from repro.obs import tracing as tracing_mod
 from repro.parallel.config import ParallelConfig, parse_config, parse_transition
 from repro.runtime.kvcache import KVCacheManager
 from repro.runtime.request import Request, Sequence, SequenceState
@@ -193,7 +203,7 @@ class TestHeapEventLoop:
 
 
 class TestScalarVectorEquivalence:
-    """The numpy decode-slot path never changes a single result."""
+    """The calendar decode-slot path never changes a single result."""
 
     @pytest.fixture(autouse=True)
     def _oracle(self, scalar_oracle):
@@ -355,7 +365,7 @@ class TestScalarVectorEquivalence:
 
 class TestChunkedScalarVectorEquivalence:
     """Chunked-prefill mixed iterations advance their decode half on the
-    slot arrays too, and never change a single result."""
+    decode slots too, and never change a single result."""
 
     @pytest.fixture(autouse=True)
     def _oracle(self, scalar_oracle):
@@ -375,7 +385,7 @@ class TestChunkedScalarVectorEquivalence:
             scalar = make_engine(options).run(workload)
         assert not advances
         vector = make_engine(options).run(workload)
-        assert advances  # the slot arrays really drove decode steps
+        assert advances  # the decode slots really drove decode steps
         assert_bit_identical(scalar, vector)
         assert scalar.latency.records == vector.latency.records
         return scalar, vector
@@ -448,6 +458,157 @@ class TestCompareShapedEquivalence:
         assert_bit_identical(scalar, mk().run(wl))
         assert max(advances) >= 2 * 16
         assert len(grows) > len(advances) / 2  # KV grows on most advances
+
+
+class TestDecodeStretchOracle:
+    """A decode stretch runs the iterations the one-iteration-per-resume
+    loop would run, and every observer sees the same run. The scalar
+    oracle has no decode slots, so it never stretches."""
+
+    @pytest.fixture(autouse=True)
+    def _counters(self, scalar_oracle, monkeypatch, tmp_path):
+        self.scalar_oracle = scalar_oracle
+        self.tmp_path = tmp_path
+        # Generator resumes; per stretch, whether it ran an iteration,
+        # whether prompts were waiting and whether an arrival ended it;
+        # per replica, the decode backlog at drain.
+        self.resumes = 0
+        self.stretches = []
+        self.backlogs = []
+        step, stretch = ReplicaSim._step, BaseEngine._decode_stretch
+        replica_result = BaseEngine._replica_result
+
+        def counted_step(sim, *args):
+            self.resumes += 1
+            step(sim, *args)
+
+        def observed_stretch(engine, state, now, first):
+            waiting = bool(state.waiting)
+            end = stretch(engine, state, now, first)
+            cut = bool(state.pending) and state.pending[0].arrival_time <= end + 1e-12
+            self.stretches.append((end > now, waiting, cut))
+            return end
+
+        def drained(engine, state, total_time):
+            self.backlogs.append((state.replica_id, state.decode_backlog))
+            return replica_result(engine, state, total_time)
+
+        monkeypatch.setattr(ReplicaSim, "_step", counted_step)
+        monkeypatch.setattr(BaseEngine, "_decode_stretch", observed_stretch)
+        monkeypatch.setattr(BaseEngine, "_replica_result", drained)
+
+    def observed(self, make_engine, workload, hooks_on, tag):
+        """Run ``make_engine()``; everything a reader of the run sees."""
+        self.resumes = 0
+        self.backlogs = []
+        hooks = None
+        if hooks_on:
+            hooks = RunHooks(
+                telemetry=Telemetry(), tracing=Tracer("all"), sanitize=Sanitizer()
+            )
+        result = make_engine().run(workload, hooks)
+        seen = {
+            "result": result,
+            "records": result.latency.records,
+            # The decode backlog the observed-load routers read, at drain.
+            "backlogs": sorted(self.backlogs),
+        }
+        if hooks_on:
+            tel, tr, san = hooks.telemetry, hooks.tracing, hooks.sanitize
+            base = self.tmp_path / tag
+            write_jsonl(tel, f"{base}.obs.jsonl")
+            write_trace_jsonl(tr, f"{base}.trace.jsonl")
+            write_chrome_trace(tr.traces, f"{base}.chrome.json")
+            for ext in ("obs.jsonl", "trace.jsonl", "chrome.json"):
+                with open(f"{base}.{ext}", "rb") as fh:
+                    seen[ext] = fh.read()
+            seen["series"] = tel.series
+            seen["tracks"] = {r: tr.phases(r) for r in tr.phase_replicas()}
+            seen["dropped"] = (tr.dropped_phases, tr.dropped_requests)
+            # S1 is checked once per replica resume, so only it may fall.
+            seen["checks"] = {k: v for k, v in san.checks.items() if k != "S1"}
+            seen["s1"] = san.checks["S1"]
+        return seen, self.resumes
+
+    def assert_matches_oracle(self, make_engine, workload, hooks_on):
+        with self.scalar_oracle():
+            oracle, oracle_resumes = self.observed(make_engine, workload, hooks_on, "o")
+        assert not self.stretches
+        fast, fast_resumes = self.observed(make_engine, workload, hooks_on, "f")
+        assert_bit_identical(oracle["result"], fast["result"])
+        s1 = (oracle.pop("s1", 0), fast.pop("s1", 0))
+        assert fast.keys() == oracle.keys()
+        for key in oracle:
+            assert fast[key] == oracle[key], key
+        # The fast path really stretched: fewer resumes than iterations.
+        iterations = fast["result"].iterations
+        assert oracle_resumes >= iterations > fast_resumes
+        assert s1[1] < s1[0] or not hooks_on
+        assert any(ran for ran, _, _ in self.stretches)
+        return fast
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_coupled_jsq_poisson(self, tiny_model, cluster_a10_4, hooks_on):
+        wl = poisson_arrivals(sharegpt_workload(150, seed=7), 8.0, seed=7)
+        self.assert_matches_oracle(
+            lambda: VllmLikeEngine(
+                tiny_model, cluster_a10_4, parse_config("D2T2"), COUPLED_JSQ
+            ),
+            wl,
+            hooks_on,
+        )
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_decoupled_arrivals_mid_stretch(self, tiny_model, cluster_a10_4, hooks_on):
+        wl = poisson_arrivals(sharegpt_workload(120, seed=13), 3.0, seed=13)
+        self.assert_matches_oracle(
+            lambda: VllmLikeEngine(
+                tiny_model, cluster_a10_4, parse_config("D2T2"),
+                EngineOptions(router="jsq"),
+            ),
+            wl,
+            hooks_on,
+        )
+        assert any(ran and cut for ran, _, cut in self.stretches)
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_chunked_decode_with_blocked_queue(self, hooks_on):
+        # Two A10s under P2 leave little KV for a 15b model: the queue
+        # head's chunk often cannot fit, so the chunked loop decodes with
+        # prompts waiting (and preempts under pressure).
+        model, cluster = get_model("15b"), make_cluster("A10", 2)
+        fast = self.assert_matches_oracle(
+            lambda: VllmLikeEngine(
+                model, cluster, parse_config("P2"),
+                EngineOptions(chunked_prefill=True, chunk_size=512),
+            ),
+            sharegpt_workload(150, seed=11),
+            hooks_on,
+        )
+        assert any(ran and waiting for ran, waiting, _ in self.stretches)
+        assert fast["result"].latency.total_preemptions > 0
+
+    def test_phase_cap_inside_a_stretch(self, tiny_model, cluster_a10_4, monkeypatch):
+        # Put the tracer's span cap one span into the first multi-span
+        # bulk recording: the tracks and the drop count still match.
+        bulks = []
+        note_phases = Tracer.note_phases
+
+        def observed_bulk(tracer, replica, rows):
+            bulks.append((tracer._num_phases, len(rows)))
+            note_phases(tracer, replica, rows)
+
+        monkeypatch.setattr(Tracer, "note_phases", observed_bulk)
+        mk = lambda: VllmLikeEngine(
+            tiny_model, cluster_a10_4, parse_config("D2T2"), COUPLED_JSQ
+        )
+        wl = poisson_arrivals(sharegpt_workload(150, seed=7), 8.0, seed=7)
+        mk().run(wl, RunHooks(tracing=Tracer("all")))
+        before = next(n for n, rows in bulks if rows >= 2)
+        monkeypatch.setattr(tracing_mod, "MAX_PHASE_SPANS", before + 1)
+        self.stretches.clear()
+        fast = self.assert_matches_oracle(mk, wl, hooks_on=True)
+        assert fast["dropped"][0] > 0
 
 
 class TestMixedKernelOracle:

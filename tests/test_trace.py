@@ -75,6 +75,33 @@ class TestTraceBasics:
         assert len(t.phases(0)) + len(t.phases(1)) == 3
         assert t.dropped_phases == 2
 
+    @pytest.mark.parametrize("cap", [0, 1, 2, 4, 5, 6, 9, 10, 11, 50])
+    def test_bulk_spans_match_single_spans_at_the_cap(self, monkeypatch, cap):
+        """A decode stretch records its spans in one note_phases call:
+        the tracks and drop count equal one note_phase call per span,
+        wherever the cap falls (before, inside or after a bulk call)."""
+        import repro.obs.tracing as tracing_mod
+
+        monkeypatch.setattr(tracing_mod, "MAX_PHASE_SPANS", cap)
+        batches = [(0, 2), (1, 3), (0, 0), (2, 4), (1, 1), (3, 0)]
+        single, bulk = Tracer(), Tracer()
+        t = 0.0
+        for replica, n in batches:
+            rows = []
+            for _ in range(n):
+                rows.append((DECODE, t, 0.5, 4, 4, 4))
+                t += 0.5
+            for row in rows:
+                single.note_phase(replica, *row)
+            bulk.note_phases(replica, rows)
+        for tracer in (single, bulk):  # both keep counting past the cap
+            tracer.note_phase(3, PREFILL, t, 1.0, 1, 64)
+        assert bulk.phase_replicas() == single.phase_replicas()
+        for replica in range(4):
+            assert bulk.phases(replica) == single.phases(replica)
+        assert bulk.dropped_phases == single.dropped_phases
+        assert single.dropped_phases == max(0, 11 - cap)
+
     def test_segments_coalesce(self):
         spans = [
             PhaseSpan(DECODE, 0.0, 1.0),
@@ -157,9 +184,9 @@ class TestPhaseTracks:
     def test_vectorized_decode_matches_scalar_oracle(
         self, tiny_model, cluster_a10_4, chunked, scalar_oracle
     ):
-        """Vectorized decode records its spans too: a decode-heavy cell
-        with the slot arrays on gives the scalar path's phase track and
-        result exactly (the scalar path is the oracle)."""
+        """Slot decode records its spans too: a decode-heavy cell on the
+        decode slots, decode stretches included, gives the scalar path's
+        phase track and result exactly (the scalar path is the oracle)."""
         wl = constant_workload(16 * VECTORIZE_MIN_SEQS, 128, 96)
 
         def run():

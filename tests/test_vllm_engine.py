@@ -4,8 +4,9 @@ import pytest
 
 from repro.engines.base import EngineOptions
 from repro.engines.vllm_like import VllmLikeEngine
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import CapacityError, ConfigurationError, SchedulingError
 from repro.parallel.config import parse_config
+from repro.runtime.request import Request
 from repro.workloads.synthetic import constant_workload
 
 
@@ -46,6 +47,27 @@ class TestCompletion:
         wl = constant_workload(8, 200, 16)
         eng = lambda: VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T2P2"))
         assert eng().run(wl).total_time == pytest.approx(eng().run(wl).total_time)
+
+
+    def test_livelock_guard_names_time_replica_and_engine(
+        self, tiny_model, cluster_a10_4, monkeypatch
+    ):
+        # An iteration that never makes progress: the guard fires with the
+        # virtual time, the replica and the engine label in its message.
+        monkeypatch.setattr(
+            VllmLikeEngine, "_chunked_iteration", lambda self, state, now: now
+        )
+        engine = VllmLikeEngine(
+            tiny_model, cluster_a10_4, parse_config("D2T2"),
+            EngineOptions(chunked_prefill=True),
+        )
+        requests = [Request(i, 16, 4, arrival_time=1.5) for i in range(2)]
+        with pytest.raises(SchedulingError) as exc:
+            engine.run(requests)
+        assert str(exc.value) == (
+            "scheduler made no progress (livelock guard) at t=1.5 s on "
+            "replica 0 of vllm[D2T2+chunked]"
+        )
 
 
 class TestScheduling:
