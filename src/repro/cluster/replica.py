@@ -128,8 +128,8 @@ class ReplicaSim:
     def _step(self, until: float = math.inf) -> None:
         """Execute one event: resume the engine's event-loop generator.
 
-        A resume may run a decode stretch (several iterations,
-        :meth:`~repro.engines.base.BaseEngine.decode_step`); its horizon
+        A resume may run a stretch (several iterations,
+        :meth:`~repro.engines.base.BaseEngine._stretch`); its horizon
         is ``until`` or the telemetry probe's next sample instant,
         whichever comes first, so every iteration that starts there is
         one this loop, or a sample, would have seen on its own."""

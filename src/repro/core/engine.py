@@ -115,7 +115,10 @@ class SeesawEngine(BaseEngine):
         while state.unfinished:
             state.guard += 1
             if state.guard > 40 * len(state.requests) + 256:
-                raise SchedulingError("Seesaw phase loop made no progress")
+                raise SchedulingError(
+                    f"Seesaw phase loop made no progress at t={now!r} s on "
+                    f"replica {state.replica_id} of {self.name}[{self.label()}]"
+                )
 
             state.admit_arrivals(now)
             if self._can_prefill(state) and not self._defer_prefill(state):
@@ -348,9 +351,8 @@ class SeesawEngine(BaseEngine):
         pool drains (then back to prefill if work remains) or every
         resident sequence finishes.
 
-        A generator: yields the clock after every decode iteration (and
-        once more at the phase end) and returns the final clock."""
-        opts: SeesawOptions = self.options  # type: ignore[assignment]
+        A generator: yields the clock after every decode step (and once
+        more at the phase end) and returns the final clock."""
         tr = self.hooks.tracing
         state.h2d.idle_until(now)
 
@@ -362,7 +364,7 @@ class SeesawEngine(BaseEngine):
                 state.start_running(seq)
                 if tr is not None:
                     tr.note_resume(now, seq.seq_id)
-            state.finish_ready(now)
+            retired = state.finish_ready(now)
 
             if not state.running:
                 if state.inflight:
@@ -377,25 +379,35 @@ class SeesawEngine(BaseEngine):
                     )
                 break
 
-            # One iteration per call: the prefetcher and the transition
-            # test below run between every two.
-            now = self.decode_step(state, now, stretch=False)
+            # A decode stretch, unless this pass's retirement freed KV after
+            # the prefetch attempt above or the transition test already
+            # holds. A stretch starts with the prefetcher blocked, and it
+            # stays blocked: running plus in-flight and the CPU pool are
+            # fixed and free KV only shrinks, so _can_prefill can only turn
+            # false and a false transition test stays false. The stretch
+            # stops before the next prefetch lands (SeesawState's stop).
+            stretch = not retired and not self._leaves_decode(state)
+            now = self.decode_step(state, now, stretch=stretch)
             yield now
-
-            if (
-                not state.cpu_has_sequences
-                and not state.inflight
-                and state.waiting
-                and not opts.eager_transitions
-            ):
-                if self._can_prefill(state) and not self._defer_prefill(state):
-                    break  # transition-minimizing: pool drained, go prefill
-            if opts.eager_transitions and state.waiting and self._can_prefill(state):
-                break  # Fig. 2(a) ablation: eager hop to prefill
-            if not state.running and not state.inflight and not state.cpu_has_sequences:
+            if self._leaves_decode(state):
                 break
         yield now
         return now
+
+    def _leaves_decode(self, state: SeesawState) -> bool:
+        """The decode phase's transition test: whether it ends here."""
+        opts: SeesawOptions = self.options  # type: ignore[assignment]
+        if (
+            not state.cpu_has_sequences
+            and not state.inflight
+            and state.waiting
+            and not opts.eager_transitions
+        ):
+            if self._can_prefill(state) and not self._defer_prefill(state):
+                return True  # transition-minimizing: pool drained, go prefill
+        if opts.eager_transitions and state.waiting and self._can_prefill(state):
+            return True  # Fig. 2(a) ablation: eager hop to prefill
+        return not state.running and not state.inflight and not state.cpu_has_sequences
 
     def _launch_prefetches(self, state: SeesawState, now: float) -> float:
         """Start swap-ins for CPU-pooled sequences while GPU blocks last.

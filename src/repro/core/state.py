@@ -76,6 +76,14 @@ class SeesawState(ReplicaState):
         for seq, _ in self.inflight:
             yield seq
 
+    def stretch_stop(self) -> float:
+        """A decode stretch also stops before the earliest in-flight
+        prefetch lands (it joins the batch then)."""
+        stop = super().stretch_stop()
+        if self.inflight:
+            return min(stop, self.next_arrival)
+        return stop
+
     def arrived_inflight(self, now: float) -> list[Sequence]:
         """Pop prefetches whose transfer has completed by ``now``."""
         done = [(s, t) for (s, t) in self.inflight if t <= now + 1e-12]

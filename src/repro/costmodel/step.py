@@ -18,8 +18,9 @@ answers, in seconds-with-breakdown:
 Both iteration calls share one roofline kernel fed by hoisted per-config
 constants; the ``*_reference`` methods compose the same numbers layer by
 layer and are the test oracles it matches bit for bit. The kernel's
-attention formula is also what ``decode_attention()`` hands a decode
-stretch, whose later iterations change nothing else.
+attention formula is also what ``decode_attention(chunk)`` hands a
+stretch of fixed-batch iterations (decode, or with a fixed-size prompt
+chunk), whose later iterations change nothing else.
 
 All per-replica quantities assume the engine has already divided work
 across DP replicas.
@@ -265,25 +266,46 @@ class StepCostModel:
     # Decode iterations enter here, past any wrapper on the public name.
     _iteration = mixed_iteration_time
 
-    def decode_attention(self) -> Callable[[int], tuple[float, float]]:
-        """The per-step kernel of a decode stretch.
+    def decode_attention(
+        self, chunk_tokens: int = 0
+    ) -> Callable[[int, int], tuple[float, float]]:
+        """The per-step kernel of a stretch of fixed-batch iterations.
 
-        Over a run of decode iterations whose batch does not change, only
-        the attended context moves, so only the two attention terms do.
-        The returned function maps the batch's total cached tokens to
-        ``(attn_dm, attn_comp)``, exactly the terms
-        :meth:`decode_iteration_time` computes for it: a chunk-free
-        iteration's attention bytes are ``float(kv_int * dec_ctx)`` and its
-        FLOPs ``c4 * dec_ctx`` (adding the absent chunk's zeros is exact).
+        Over a run of iterations whose batch and chunk size do not change,
+        only the attended contexts move, so only the two attention terms
+        do. The returned function maps ``(decode_context_tokens,
+        chunk_context_tokens)`` to ``(attn_dm, attn_comp)``, exactly the
+        terms :meth:`mixed_iteration_time` computes for a chunk of
+        ``chunk_tokens`` with those contexts. A decode iteration is the
+        chunk-0 case: its attention bytes are ``float(kv_int * dec_ctx)``
+        and its FLOPs ``c4 * dec_ctx`` (adding the absent chunk's zeros is
+        exact), and its chunk context is ignored.
         """
         consts = self._iteration_consts()
-        pp, attention, c4, kv_int = consts[1], consts[6], consts[10], consts[11]
+        pp, attention = consts[1], consts[6]
+        c4, kv_int, qkv_int = consts[10], consts[11], consts[12]
+        if not chunk_tokens:
 
-        def step(decode_context_tokens: int) -> tuple[float, float]:
+            def step(decode_context_tokens: int, _: int) -> tuple[float, float]:
+                dec_ctx = -(-decode_context_tokens // pp)
+                return attention(float(kv_int * dec_ctx), c4 * dec_ctx)
+
+            return step
+        chunk = -(-chunk_tokens // pp)
+        qkv = float(qkv_int * chunk)
+        half = chunk / 2.0
+
+        def chunk_step(
+            decode_context_tokens: int, chunk_context_tokens: int
+        ) -> tuple[float, float]:
+            chunk_ctx = -(-chunk_context_tokens // pp)
             dec_ctx = -(-decode_context_tokens // pp)
-            return attention(float(kv_int * dec_ctx), c4 * dec_ctx)
+            return attention(
+                qkv + float(kv_int * (chunk_ctx + dec_ctx)),
+                c4 * (chunk * (chunk_ctx + half)) + c4 * dec_ctx,
+            )
 
-        return step
+        return chunk_step
 
     def mixed_iteration_time_reference(
         self, chunk_tokens: int, chunk_context_tokens: int,

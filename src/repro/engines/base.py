@@ -4,8 +4,9 @@ Every engine in this package simulates one DP replica at a time (replicas
 process disjoint request partitions concurrently; wall time is the slowest
 replica) and shares the mechanics implemented here: the whole-batch
 prefill wave, reserved (preemption-free) admission, the batch-at-a-time
-scheduling loop, the decode step (a stretch of retirement-free decode
-iterations) with KV growth and preemption, sequence bookkeeping, and
+scheduling loop, the decode step with KV growth and preemption, the
+stretch (one call running a fixed batch's iterations, decode or with a
+mid-prompt chunk), sequence bookkeeping, and
 :meth:`BaseEngine.phase`, the recorder of timed phase spans. The step
 helpers take the replica's
 :class:`ReplicaState` alone: its ``metrics`` and ``costs`` travel with it.
@@ -274,10 +275,18 @@ class ReplicaState:
         # Calendar decode slots (engines/slots.py); None = the object
         # lists are authoritative.
         self.slots = None
-        # No decode stretch runs an iteration that starts at or past this
-        # instant; the driving ReplicaSim sets it on every resume.
+        # No stretch runs an iteration that starts at or past this instant;
+        # the driving ReplicaSim sets it on every resume.
         self.horizon = math.inf
         self.admit_arrivals(0.0)
+
+    def stretch_stop(self) -> float:
+        """The instant no stretched iteration may start at or past: the
+        horizon or the next pending arrival, whichever comes first
+        (subclasses with more events between iterations add theirs)."""
+        if self.pending:
+            return min(self.horizon, self.pending[0].arrival_time)
+        return self.horizon
 
     def admit_arrivals(self, now: float) -> int:
         """Move every pending request that has arrived by ``now`` into the
@@ -701,8 +710,8 @@ class BaseEngine(abc.ABC):
         :class:`RunMetrics` (a ``stall`` is booked as ``swap_stall``
         phase time, ``breakdown`` into the run breakdown) and to the
         tracer's phase track (see :class:`repro.obs.PhaseSpan` for the
-        counts). Only a decode stretch's later iterations bypass it, to
-        book the same additions in bulk (:meth:`_decode_stretch`).
+        counts). Only a stretch's later iterations bypass it, to book the
+        same additions in bulk (:meth:`_stretch`).
         """
         tr = self.hooks.tracing
         if tr is not None:
@@ -859,8 +868,8 @@ class BaseEngine(abc.ABC):
         The first iteration is costed via :meth:`decode_context` and
         stepped via :meth:`advance_running`. With ``stretch`` and live
         decode slots, further iterations follow in the same call while
-        the batch stays fixed (see :meth:`_decode_stretch`); without
-        them the call is exactly one iteration.
+        the batch stays fixed (see :meth:`_stretch`); without them the
+        call is exactly one iteration.
 
         A caller may stretch only if nothing it does between two decode
         iterations can change the batch unless one of the stretch's stop
@@ -869,8 +878,10 @@ class BaseEngine(abc.ABC):
         attempt an admission, and inside a stretch the running set is
         fixed and free KV only shrinks, so an admission that failed
         before the stretch's first iteration keeps failing until it ends.
-        Seesaw's decode phase runs its prefetcher and transition test
-        between iterations, so it passes ``stretch=False``.
+        Seesaw's decode phase stretches on the passes whose prefetcher is
+        blocked and whose transition test is false; its state also stops
+        the stretch before the next in-flight prefetch lands (see
+        ``SeesawEngine._decode_phase``).
         """
         if not state.running:
             raise ConfigurationError("decode_step with no running sequences")
@@ -884,54 +895,83 @@ class BaseEngine(abc.ABC):
         self.advance_running(state, now)
         if state.finish_ready(now) or not stretch or state.slots is None:
             return now
-        return self._decode_stretch(state, now, bd)
+        return self._stretch(state, now, bd, "decode")
 
-    def _decode_stretch(
-        self, state: ReplicaState, now: float, first: Breakdown
+    def _stretch(
+        self,
+        state: ReplicaState,
+        now: float,
+        first: Breakdown,
+        kind: str,
+        head: Sequence | None = None,
+        take: int = 0,
     ) -> float:
-        """The iterations after a stretch's first one (``first`` is its
-        breakdown); returns the clock at the last one's end.
+        """The iterations after a stretch's first one; returns the clock
+        at the last one's end.
 
-        Each iteration is the one :meth:`decode_step` would run next: only
-        its two attention terms move with the context, and they come from
-        :meth:`StepCostModel.decode_attention`; the clock, the ``decode``
-        phase time and the six breakdown sums take the same additions in
-        the same order. The stretch stops before an iteration that would
-        start at or past the next pending arrival (``<= now + 1e-12``
-        admits it) or ``state.horizon``, and after one that retires a
-        sequence or whose block crossings the free KV pool cannot cover
-        (that iteration then takes the scalar grow/preempt fallback).
+        A stretch is a run of iterations over a fixed batch: every running
+        sequence decodes one token, and with a ``head`` the queue head also
+        prefills a mid-prompt chunk of ``take`` tokens, as the first
+        iteration did (``first`` is its breakdown, ``kind`` its phase).
+        Each iteration is the one the caller's loop would run next: only
+        its two attention terms move with the contexts, and they come from
+        :meth:`StepCostModel.decode_attention`; the clock, the phase time,
+        the six breakdown sums, ``prefilled_tokens``, ``prefill_epoch``,
+        ``decode_backlog`` and the tracer's rows take the same additions
+        in the same order.
+
+        The stretch stops before an iteration that would start at or past
+        :meth:`ReplicaState.stretch_stop` (``<= now + 1e-12`` admits an
+        arrival), or whose chunk would complete the head's prompt or
+        cannot grow its KV; and after one that retires a sequence or whose
+        block crossings the free KV pool cannot cover (that iteration then
+        takes the scalar grow/preempt fallback). A batch advances on live
+        decode slots; an empty one (a prefill-only chunk run) has nothing
+        to advance.
         """
-        stop = state.horizon
-        if state.pending:
-            stop = min(stop, state.pending[0].arrival_time)
+        stop = state.stretch_stop()
         if not now + 1e-12 < stop:
             return now
         slots, kv, metrics = state.slots, state.kv, state.metrics
-        due = slots.due
         n = len(state.running)
-        attention = state.costs.decode_attention()
+        due = slots.due if n else ()
+        attention = state.costs.decode_attention(take)
         linear_dm, linear_comp = first.linear_dm, first.linear_comp
         comm, overhead = first.comm, first.overhead
         linear = max(linear_dm, linear_comp)
         phases = metrics.phase_timer.phases
-        spent = phases["decode"]
+        spent = phases[kind]
         # The run breakdown's sums, added in place (RunMetrics.add_phase
         # order), held in locals for the stretch.
         sums = metrics._sums
         s0, s1, s2, s3, s4, s5 = sums
         tr = self.hooks.tracing
         rows = [] if tr is not None else None
+        tokens = take + n
+        ctx = slots.ctx_sum if n else 0
+        prefilled = 0
         steps = 0
         refused = False
         while now + 1e-12 < stop:
-            attn_dm, attn_comp = attention(slots.ctx_sum)
+            if head is not None:
+                # The chunk loop's next pass: the head's next chunk, unless
+                # it completes the prompt or its KV cannot grow.
+                prefilled = head.prefilled_tokens
+                if take >= head.prefill_target - prefilled:
+                    break
+                try:
+                    kv.grow(head.seq_id, prefilled + take)
+                except CapacityError:
+                    break
+                head.prefilled_tokens = prefilled + take
+                state.prefill_epoch += 1
+            attn_dm, attn_comp = attention(ctx, prefilled)
             elapsed = (
                 linear + max(attn_dm, attn_comp) + comm + overhead
                 + ITERATION_OVERHEAD
             )
             if rows is not None:
-                rows.append(("decode", now, elapsed, n, n, n))
+                rows.append((kind, now, elapsed, n, tokens, n))
             spent += elapsed
             s0 += linear_dm
             s1 += linear_comp
@@ -941,12 +981,14 @@ class BaseEngine(abc.ABC):
             s5 += overhead
             now += elapsed
             steps += 1
-            if not slots.try_advance(kv):
-                refused = True
-                break
-            if slots.adv in due:
-                break
-        phases["decode"] = spent
+            if n:
+                if not slots.try_advance(kv):
+                    refused = True
+                    break
+                ctx = slots.ctx_sum
+                if slots.adv in due:
+                    break
+        phases[kind] = spent
         sums[:] = (s0, s1, s2, s3, s4, s5)
         metrics.iterations += steps
         if tr is not None:
@@ -957,7 +999,8 @@ class BaseEngine(abc.ABC):
             self._advance_objects(state, now)
         else:
             state.decode_backlog -= n * steps
-        state.finish_ready(now)
+        if steps:
+            state.finish_ready(now)
         return now
 
     def decode_context(self, state: ReplicaState) -> int:

@@ -32,11 +32,12 @@ An advance therefore costs O(1) plus one bulk grow on crossing iterations,
 and a retirement O(running) once per iteration that retires anything.
 Engines run :meth:`finish_ready` after every advance and every batch of
 appends, before the next advance, so no retirement offset is skipped.
-The calendar also says how long the batch stays fixed: a decode stretch
-(:meth:`~repro.engines.base.BaseEngine.decode_step`) runs iteration after
-iteration in one call, paying per iteration only the two attention terms
-of the cost model, the accounting additions and :meth:`try_advance`, and
-stops at the first offset in ``due`` or the first refused advance.
+The calendar also says how long the batch stays fixed: a stretch
+(:meth:`~repro.engines.base.BaseEngine._stretch`) runs iteration after
+iteration in one call, decode-only or with the queue head's mid-prompt
+chunk, paying per iteration only the two attention terms of the cost
+model, the accounting additions and :meth:`try_advance`, and stops at the
+first offset in ``due`` or the first refused advance.
 
 Only ``generated_tokens`` drifts away from the Sequence objects while the
 slots are live. Admission keeps them live: :meth:`ReplicaState.start_running`
@@ -51,16 +52,17 @@ grow/preempt path for that iteration, so preemption order stays bit-exact
 with the object path by construction.
 
 The slots are an internal cache with no knob of their own: below
-:data:`VECTORIZE_MIN_SEQS` running sequences (and, for the cumulative-sum
-admission scan, queued prompts) engines take the original scalar path.
-That path is the oracle: tests force it by raising the threshold to
-``math.inf`` (engines read it through this module), and the two paths are
-pinned bit-identical by the golden and property tests; tracing runs on
-either.
+:data:`VECTORIZE_MIN_SEQS` running sequences engines take the original
+scalar path, one iteration per call. That path is the oracle: tests force
+it by raising the threshold to ``math.inf`` (engines read it through this
+module), which also turns off every stretch (:func:`stretchable`), and
+the two paths are pinned bit-identical by the golden and property tests;
+tracing runs on either.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.errors import CapacityError
@@ -70,11 +72,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.kvcache import KVCacheManager
     from repro.runtime.request import Sequence
 
-# Batches and queues below this size take the scalar paths: the decode
-# slots' and the admission scan's set-up costs more than a short python
-# loop. Raising it to ``math.inf`` selects the scalar oracle everywhere
-# (identical results).
+# Batches below this size take the scalar path: the decode slots' set-up
+# costs more than a short python loop. Raising it to ``math.inf`` selects
+# the scalar oracle everywhere (identical results).
 VECTORIZE_MIN_SEQS = 4
+
+
+def stretchable(state: "ReplicaState") -> bool:
+    """Whether a stretch may advance ``state``'s batch: on live slots, or
+    with nothing to advance when no sequence runs. Under the scalar oracle
+    (``VECTORIZE_MIN_SEQS = math.inf``) nothing stretches."""
+    if state.slots is not None:
+        return True
+    return not state.running and VECTORIZE_MIN_SEQS < math.inf
 
 
 class DecodeSlots:

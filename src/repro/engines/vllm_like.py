@@ -12,10 +12,7 @@ remainder with a chunk of the next prompt (vLLM 0.5.4's behaviour with
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
-
-import numpy as np
 
 from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.engines import slots
@@ -112,13 +109,6 @@ class VllmLikeEngine(BaseEngine):
         budget = self.options.max_batched_tokens * self.replica_config.pp
         if not state.running:
             budget = max(budget, state.kv.capacity_tokens)
-        if len(state.waiting) >= slots.VECTORIZE_MIN_SEQS:
-            return self._admit_prefills_vectorized(state, budget)
-        return self._admit_prefills_scalar(state, budget)
-
-    def _admit_prefills_scalar(
-        self, state: ReplicaState, budget: int
-    ) -> list[Sequence]:
         admitted: list[Sequence] = []
         used = 0
         while state.waiting:
@@ -136,44 +126,6 @@ class VllmLikeEngine(BaseEngine):
             used += seq.remaining_prefill
             if used >= budget:
                 break
-        return admitted
-
-    def _admit_prefills_vectorized(
-        self, state: ReplicaState, budget: int
-    ) -> list[Sequence]:
-        """The scalar scan as cumulative sums: prompt j is admitted iff its
-        cumulative block demand fits the free pool and the tokens admitted
-        before it leave budget headroom (the first prompt may exceed the
-        budget alone, exactly like the scalar loop). Bit-exact because no
-        admission in this path ever holds a reservation, so the scalar
-        loop's rolling ``can_allocate`` is a pure prefix sum."""
-        kv = state.kv
-        cap = self.options.max_num_seqs - len(state.running)
-        # Every admission consumes >= 1 block, so free_blocks bounds the
-        # admissible prefix as tightly as the seq-count cap does.
-        window = max(0, min(len(state.waiting), cap, kv.free_blocks))
-        if window == 0:
-            return []
-        prefills = np.fromiter(
-            (seq.remaining_prefill for seq in islice(state.waiting, window)),
-            dtype=np.int64,
-            count=window,
-        )
-        bs = kv.block_size
-        blocks = (prefills + bs) // bs  # == blocks_for(remaining_prefill + 1)
-        cum_blocks = np.cumsum(blocks)
-        cum_prefills = np.cumsum(prefills)
-        used_before = cum_prefills - prefills
-        ok = (cum_blocks <= kv.free_blocks) & (used_before < budget)
-        over = used_before + prefills > budget
-        over[0] = False
-        ok &= ~over
-        k = window if bool(ok.all()) else int(ok.argmin())
-        admitted: list[Sequence] = []
-        for _ in range(k):
-            seq = state.waiting.popleft()
-            kv.allocate(seq.seq_id, seq.remaining_prefill + 1)
-            admitted.append(seq)
         return admitted
 
     # ------------------------------------------------------------------ #
@@ -254,8 +206,13 @@ class VllmLikeEngine(BaseEngine):
         if tr is not None:
             for seq in completing:
                 tr.note_resume(now, seq.seq_id)
-        state.finish_ready(now)
-        return now
+        if state.finish_ready(now) or completing or not slots.stretchable(state):
+            return now
+        # Only a mid-prompt chunk of the queue head ran, and the chunk loop
+        # broke there without reading the prompts behind it: while the
+        # running set is fixed, the head's next chunk takes the same
+        # budget, and free KV only shrinks. A chunk stretch.
+        return self._stretch(state, now, bd, phase, state.waiting[0], chunk_tokens)
 
     def _pick_victim(
         self, state: ReplicaState, exclude: Sequence

@@ -60,7 +60,9 @@ class KVCacheManager:
 
     @property
     def free_blocks(self) -> int:
-        return self.total_blocks - self.used_blocks
+        # total_blocks - used_blocks, inlined: every KV grow and admission
+        # check reads it.
+        return self.capacity_tokens // self.block_size - self._used
 
     @property
     def free_tokens(self) -> int:

@@ -82,10 +82,10 @@ def cfg_p8() -> ParallelConfig:
 
 @pytest.fixture
 def scalar_oracle():
-    """A context manager forcing the engines' scalar decode and admission
-    paths for its block (the bit-exactness oracle of the decode slots and
-    the admission scan):
-    no batch or queue ever reaches ``slots.VECTORIZE_MIN_SEQS``."""
+    """A context manager forcing the engines' scalar decode path for its
+    block (the bit-exactness oracle of the decode slots and stretches): no
+    batch ever reaches ``slots.VECTORIZE_MIN_SEQS``, so every call runs one
+    iteration, prefill-only chunk runs included."""
 
     @contextlib.contextmanager
     def forced():

@@ -209,8 +209,9 @@ class TestStepCostModel:
     @pytest.mark.parametrize("model_name", ["15b", "34b", "70b"])
     @pytest.mark.parametrize("gpu", ["A10", "L4", "A100-SXM"])
     def test_decode_attention_equals_reference(self, model_name, gpu):
-        """A decode stretch's per-step kernel gives the reference decode
-        iteration's two attention terms bit for bit."""
+        """A stretch's per-step kernel gives the reference iteration's two
+        attention terms bit for bit: decode iterations (chunk 0) and mixed
+        ones, PP 1, 2, 4 and 8, zero chunk and decode contexts included."""
         from repro.hardware.cluster import make_cluster
         from repro.models.registry import get_model
 
@@ -218,15 +219,21 @@ class TestStepCostModel:
         cluster = make_cluster(gpu, 8)
         for label in LABELS:
             m = StepCostModel(model, cluster, parse_config(label))
-            attention = m.decode_attention()
-            for seqs in (1, 3, 64, 257):
-                for ctx_per_seq in (1, 513, 2047):
-                    ctx = seqs * ctx_per_seq + 5
-                    ref = m.decode_iteration_time_reference(seqs, ctx)
-                    got = attention(ctx)
-                    assert [x.hex() for x in got] == [
-                        ref.attn_dm.hex(), ref.attn_comp.hex()
-                    ], (label, seqs, ctx)
+            for chunk in (0, 1, 511, 512, 2048):
+                attention = m.decode_attention(chunk)
+                for chunk_ctx in (0, 1, 4097):
+                    for seqs in (0, 1, 3, 64, 257):
+                        for ctx_per_seq in (0, 1, 513, 2047):
+                            ctx = seqs * ctx_per_seq + (5 if seqs else 0)
+                            args = (chunk, chunk_ctx, seqs, ctx)
+                            ref = m.mixed_iteration_time_reference(*args)
+                            got = attention(ctx, chunk_ctx)
+                            assert [x.hex() for x in got] == [
+                                ref.attn_dm.hex(), ref.attn_comp.hex()
+                            ], (label, args)
+                            if not chunk and seqs:
+                                dec = m.decode_iteration_time_reference(seqs, ctx)
+                                assert got == (dec.attn_dm, dec.attn_comp)
 
     @pytest.mark.parametrize("model_name", ["15b", "34b", "70b"])
     @pytest.mark.parametrize("gpu", ["A10", "L4", "A100-SXM"])

@@ -35,16 +35,21 @@ Contracts:
    whole, and the engine then evicts the scalar path's victim; a run
    builds slots only after preemption or the headroom fallback dropped
    them, never once per admission.
-9. **Decode stretch == one iteration per resume** — a decode stretch
-   (several retirement-free decode iterations in one generator resume)
-   gives the scalar oracle's result, latency columns, telemetry series,
-   phase tracks and trace exports, hooks off and on: on a coupled JSQ
-   cell, on a decoupled cell whose arrivals cut stretches short, and on
-   a chunked cell that decodes with a queue head that cannot fit.
+9. **Stretch == one iteration per resume** — a stretch (several
+   fixed-batch iterations in one generator resume) gives the scalar
+   oracle's result, latency columns, telemetry series, phase tracks,
+   trace exports and drain counters, hooks off and on: decode stretches
+   on a coupled JSQ cell, on a decoupled cell whose arrivals cut them
+   short and on a chunked cell whose queue head cannot fit; chunk
+   stretches on arxiv prompts, offline and Poisson (prefill-only runs
+   included) and where the head's KV cannot grow; Seesaw's decode phase
+   with a prefetch landing, swap-preemption fallback, eager transitions,
+   deferred prefill and a retirement at the loop's top.
 """
 
 import itertools
 import random
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -55,14 +60,17 @@ from repro.cluster import ClusterSimulator
 from repro.cluster import fluid
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
 from repro.cluster.replica import ReplicaSim
+from repro.core import engine as core_engine
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
+from repro.core.state import SeesawState
 from repro.costmodel.step import StepCostModel
 from repro.engines.base import BaseEngine, EngineOptions, ReplicaState, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.slots import DecodeSlots
 from repro.engines.vllm_like import VllmLikeEngine
+from repro.errors import CapacityError
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.obs import Telemetry, Tracer, write_chrome_trace, write_jsonl, write_trace_jsonl
@@ -332,15 +340,15 @@ class TestScalarVectorEquivalence:
 
     def test_admission_scan_offline(self, tiny_model, cluster_a10_4):
         # Offline deal: the waiting queue is deep from t=0, so the
-        # cumulative-sum admission scan is on the hot path every wave.
+        # admission scan runs every wave while the slots decode.
         wl = sharegpt_workload(120, seed=13)
         mk = lambda: VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T2P2"))
         assert_bit_identical(*self.run_pair(mk, wl))
 
     def test_admission_scan_budget_and_kv_breaks(self, tiny_model):
         # A cramped single replica exercises every break arm of the
-        # scalar scan: seq cap, budget overflow (first prompt exempt),
-        # and KV-block exhaustion mid-window.
+        # admission scan: seq cap, budget overflow (first prompt exempt),
+        # and KV exhaustion mid-queue.
         cluster = make_cluster("A10", 1)
         wl = bursty_arrivals(
             sharegpt_workload(100, seed=31), 16.0, burstiness=8.0, seed=31
@@ -354,8 +362,8 @@ class TestScalarVectorEquivalence:
         assert_bit_identical(*self.run_pair(mk, wl))
 
     def test_admission_scan_below_window_uses_scalar(self, tiny_model, cluster_a10_4):
-        # Tiny queues stay on the scalar path (VECTORIZE_MIN_SEQS gate)
-        # and still match a forced-scalar run.
+        # Batches too small for decode slots (below VECTORIZE_MIN_SEQS)
+        # run the same scalar decode path with or without the oracle.
         from repro.workloads.synthetic import constant_workload
 
         wl = constant_workload(3, 256, 16)
@@ -460,42 +468,107 @@ class TestCompareShapedEquivalence:
         assert len(grows) > len(advances) / 2  # KV grows on most advances
 
 
+@dataclass(frozen=True)
+class StretchSeen:
+    """What one stretch call did."""
+
+    ran: bool  # it ran at least one iteration
+    kind: str  # its phase: decode, mixed or prefill
+    chunk: bool  # it carried the queue head's prefill chunks
+    waiting: bool  # prompts were waiting when it started
+    cut: bool  # a pending arrival ended it
+    landed: bool  # an in-flight prefetch lands where it ended
+    grow_refused: bool  # the head's next chunk could not grow its KV
+    swapped: bool  # its last iteration swapped a victim out
+    deferred: bool  # Seesaw was deferring a prefill re-shard
+
+
+#: Chunked prefill with prompts longer than one chunk.
+CHUNKED_512 = EngineOptions(chunked_prefill=True, chunk_size=512)
+
+
 class TestDecodeStretchOracle:
-    """A decode stretch runs the iterations the one-iteration-per-resume
-    loop would run, and every observer sees the same run. The scalar
-    oracle has no decode slots, so it never stretches."""
+    """A stretch runs the iterations the one-iteration-per-resume loop
+    would run, and every observer sees the same run: decode stretches,
+    chunk stretches (vLLM's mid-prompt chunks, with or without decodes)
+    and Seesaw's buffered decode phase. The scalar oracle has no decode
+    slots and stretches nothing, not even a prefill-only chunk run."""
 
     @pytest.fixture(autouse=True)
     def _counters(self, scalar_oracle, monkeypatch, tmp_path):
         self.scalar_oracle = scalar_oracle
         self.tmp_path = tmp_path
-        # Generator resumes; per stretch, whether it ran an iteration,
-        # whether prompts were waiting and whether an arrival ended it;
-        # per replica, the decode backlog at drain.
+        # Generator resumes; one StretchSeen per stretch call; per
+        # replica, the decode backlog and prefill epoch at drain.
         self.resumes = 0
         self.stretches = []
         self.backlogs = []
-        step, stretch = ReplicaSim._step, BaseEngine._decode_stretch
+        self.head = None
+        self.head_refused = False
+        step, stretch = ReplicaSim._step, BaseEngine._stretch
         replica_result = BaseEngine._replica_result
+        grow = KVCacheManager.grow
 
         def counted_step(sim, *args):
             self.resumes += 1
             step(sim, *args)
 
-        def observed_stretch(engine, state, now, first):
+        def observed_grow(kv, seq_id, tokens):
+            try:
+                grow(kv, seq_id, tokens)
+            except CapacityError:
+                # Only the stretch's own chunk grows the head's KV: the
+                # fallback grows running sequences alone.
+                if self.head is not None and seq_id == self.head.seq_id:
+                    self.head_refused = True
+                raise
+
+        def observed_stretch(engine, state, now, first, kind, head=None, take=0):
+            metrics = state.metrics
+            iterations, swapped_out = metrics.iterations, metrics.swapped_out_tokens
             waiting = bool(state.waiting)
-            end = stretch(engine, state, now, first)
+            deferred = isinstance(engine, SeesawEngine) and engine._defer_prefill(state)
+            self.head, self.head_refused = head, False
+            end = stretch(engine, state, now, first, kind, head, take)
+            self.head = None
             cut = bool(state.pending) and state.pending[0].arrival_time <= end + 1e-12
-            self.stretches.append((end > now, waiting, cut))
+            landed = (
+                isinstance(state, SeesawState)
+                and bool(state.inflight)
+                and state.next_arrival <= end + 1e-12
+            )
+            self.stretches.append(
+                StretchSeen(
+                    ran=metrics.iterations > iterations,
+                    kind=kind,
+                    chunk=head is not None,
+                    waiting=waiting,
+                    cut=cut,
+                    landed=landed,
+                    grow_refused=self.head_refused,
+                    swapped=metrics.swapped_out_tokens > swapped_out,
+                    deferred=deferred,
+                )
+            )
             return end
 
         def drained(engine, state, total_time):
-            self.backlogs.append((state.replica_id, state.decode_backlog))
+            self.backlogs.append(
+                (state.replica_id, state.decode_backlog, state.prefill_epoch)
+            )
             return replica_result(engine, state, total_time)
 
         monkeypatch.setattr(ReplicaSim, "_step", counted_step)
-        monkeypatch.setattr(BaseEngine, "_decode_stretch", observed_stretch)
+        monkeypatch.setattr(KVCacheManager, "grow", observed_grow)
+        monkeypatch.setattr(BaseEngine, "_stretch", observed_stretch)
         monkeypatch.setattr(BaseEngine, "_replica_result", drained)
+
+    def ran(self, **want) -> bool:
+        """Whether a stretch ran an iteration and matched ``want``."""
+        return any(
+            s.ran and all(getattr(s, k) == v for k, v in want.items())
+            for s in self.stretches
+        )
 
     def observed(self, make_engine, workload, hooks_on, tag):
         """Run ``make_engine()``; everything a reader of the run sees."""
@@ -510,7 +583,7 @@ class TestDecodeStretchOracle:
         seen = {
             "result": result,
             "records": result.latency.records,
-            # The decode backlog the observed-load routers read, at drain.
+            # The counters the observed-load routers read, at drain.
             "backlogs": sorted(self.backlogs),
         }
         if hooks_on:
@@ -544,7 +617,7 @@ class TestDecodeStretchOracle:
         iterations = fast["result"].iterations
         assert oracle_resumes >= iterations > fast_resumes
         assert s1[1] < s1[0] or not hooks_on
-        assert any(ran for ran, _, _ in self.stretches)
+        assert self.ran()
         return fast
 
     @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
@@ -569,7 +642,7 @@ class TestDecodeStretchOracle:
             wl,
             hooks_on,
         )
-        assert any(ran and cut for ran, _, cut in self.stretches)
+        assert self.ran(cut=True)
 
     @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
     def test_chunked_decode_with_blocked_queue(self, hooks_on):
@@ -578,15 +651,146 @@ class TestDecodeStretchOracle:
         # prompts waiting (and preempts under pressure).
         model, cluster = get_model("15b"), make_cluster("A10", 2)
         fast = self.assert_matches_oracle(
-            lambda: VllmLikeEngine(
-                model, cluster, parse_config("P2"),
-                EngineOptions(chunked_prefill=True, chunk_size=512),
-            ),
+            lambda: VllmLikeEngine(model, cluster, parse_config("P2"), CHUNKED_512),
             sharegpt_workload(150, seed=11),
             hooks_on,
         )
-        assert any(ran and waiting for ran, waiting, _ in self.stretches)
+        assert self.ran(kind="decode", waiting=True)
         assert fast["result"].latency.total_preemptions > 0
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_chunked_arxiv_offline(self, hooks_on):
+        # Arxiv prompts span several 512-token chunks: each mid-prompt
+        # chunk after the first of a run rides a chunk stretch.
+        model, cluster = get_model("15b"), make_cluster("A10", 4)
+        self.assert_matches_oracle(
+            lambda: VllmLikeEngine(model, cluster, parse_config("D2T2"), CHUNKED_512),
+            arxiv_workload(40, seed=3),
+            hooks_on,
+        )
+        assert self.ran(kind="mixed", chunk=True)
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_chunked_arxiv_poisson(self, hooks_on):
+        # Arrivals cut chunk stretches short, and a replica that drained
+        # chunks a fresh prompt with nothing running (prefill-only runs).
+        model, cluster = get_model("15b"), make_cluster("A10", 4)
+        wl = poisson_arrivals(arxiv_workload(40, seed=3), 1.0, seed=3)
+        self.assert_matches_oracle(
+            lambda: VllmLikeEngine(
+                model, cluster, parse_config("D2T2"),
+                replace(CHUNKED_512, router="jsq"),
+            ),
+            wl,
+            hooks_on,
+        )
+        assert self.ran(kind="mixed", chunk=True, cut=True)
+        assert self.ran(kind="prefill", chunk=True)
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_chunk_grow_refused_mid_stretch(self, hooks_on):
+        # Little KV on two A10s: a chunk stretch reaches a chunk whose KV
+        # cannot grow and stops before it; the next resume decodes.
+        model, cluster = get_model("15b"), make_cluster("A10", 2)
+        fast = self.assert_matches_oracle(
+            lambda: VllmLikeEngine(model, cluster, parse_config("P2"), CHUNKED_512),
+            arxiv_workload(40, seed=3),
+            hooks_on,
+        )
+        assert self.ran(chunk=True, grow_refused=True)
+        assert fast["result"].latency.total_preemptions > 0
+
+    @staticmethod
+    def seesaw(model, cluster, transition, **opts):
+        cp, cd = parse_transition(transition)
+        return lambda: SeesawEngine(model, cluster, cp, cd, SeesawOptions(**opts))
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_seesaw_prefetch_lands_mid_stretch(self, hooks_on):
+        # Long arxiv swap-ins queue on the h2d channel: a decode stretch
+        # stops before the next prefetch lands and joins the batch.
+        wl = poisson_arrivals(arxiv_workload(60, seed=3), 0.5, seed=3)
+        self.assert_matches_oracle(
+            self.seesaw(get_model("15b"), make_cluster("A10", 4), "D2P2->D2T2"),
+            wl,
+            hooks_on,
+        )
+        assert self.ran(landed=True)
+        assert self.ran(cut=True)
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_seesaw_swap_preemption_fallback(self, hooks_on):
+        # Long decodes overflow each replica's KV: a stretch's refused
+        # advance takes the scalar fallback, which swaps a victim out.
+        wl = poisson_arrivals(constant_workload(120, 1024, 768), 8.0, seed=17)
+        fast = self.assert_matches_oracle(
+            self.seesaw(
+                get_model("15b"), make_cluster("A10", 4), "D2P2->D2T2",
+                router="jsq", coupled=True,
+            ),
+            wl,
+            hooks_on,
+        )
+        assert self.ran(swapped=True)
+        assert fast["result"].swapped_out_tokens > 0
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_seesaw_eager_transitions(self, tiny_model, cluster_a10_4, hooks_on):
+        wl = poisson_arrivals(sharegpt_workload(80, seed=29), 6.0, seed=29)
+        fast = self.assert_matches_oracle(
+            self.seesaw(tiny_model, cluster_a10_4, "D2P2->D2T2", eager_transitions=True),
+            wl,
+            hooks_on,
+        )
+        assert fast["result"].transitions > 2
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_seesaw_deferred_prefill(self, tiny_model, cluster_a10_4, hooks_on):
+        # With a predicted arrival rate the phase loop defers re-sharding
+        # to prefill while arrivals are pending: stretches run then, and
+        # the next arrival ends them.
+        wl = poisson_arrivals(sharegpt_workload(80, seed=29), 6.0, seed=29)
+        self.assert_matches_oracle(
+            self.seesaw(
+                tiny_model, cluster_a10_4, "D2P2->D2T2", arrival_rate=6.0, router="jsq"
+            ),
+            wl,
+            hooks_on,
+        )
+        assert self.ran(deferred=True, cut=True)
+
+    @pytest.mark.parametrize("hooks_on", [False, True], ids=["hooks-off", "hooks-on"])
+    def test_seesaw_no_stretch_after_loop_top_retirement(
+        self, tiny_model, monkeypatch, hooks_on
+    ):
+        # On a 4096-token replica, a swap-out victim can be one that just
+        # produced its last token. Its prefetch lands at the decode loop's
+        # top and it retires there, after that pass's prefetch attempt:
+        # the KV it frees can let the next pass launch a prefetch, so the
+        # pass must step one iteration.
+        monkeypatch.setattr(core_engine, "kv_capacity_tokens", lambda *args: 4096)
+        retired_on_landing = []
+        arrived = SeesawState.arrived_inflight
+
+        def observed_arrivals(state, now):
+            landed = arrived(state, now)
+            retired_on_landing.extend(s for s in landed if s.remaining_decode == 0)
+            return landed
+
+        monkeypatch.setattr(SeesawState, "arrived_inflight", observed_arrivals)
+        rng = random.Random(5)
+        requests = [
+            Request(i, rng.randint(16, 200), rng.randint(2, 1000)) for i in range(40)
+        ]
+        fast = self.assert_matches_oracle(
+            self.seesaw(
+                tiny_model, make_cluster("A10", 2), "P2->T2", max_batched_tokens=256
+            ),
+            requests,
+            hooks_on,
+        )
+        assert retired_on_landing
+        assert fast["result"].swapped_out_tokens > 0
 
     def test_phase_cap_inside_a_stretch(self, tiny_model, cluster_a10_4, monkeypatch):
         # Put the tracer's span cap one span into the first multi-span

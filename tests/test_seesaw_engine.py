@@ -5,10 +5,11 @@ import pytest
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.engines.base import EngineOptions
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.parallel.config import parse_config, parse_transition
+from repro.runtime.request import Request
 from repro.workloads.datasets import arxiv_workload, sharegpt_workload
 from repro.workloads.synthetic import constant_workload
 
@@ -104,6 +105,27 @@ class TestExecution:
             model_70b, cluster_a10_8, parse_config("P8"), parse_config("T4P2")
         ).run(wl)
         assert r.num_requests == 20
+
+    def test_phase_loop_guard_names_time_replica_and_engine(
+        self, tiny_model, cluster_a10_4, monkeypatch
+    ):
+        # A prefill phase that never makes progress: the guard fires with
+        # the virtual time, the replica and the engine label in its message.
+        def stuck(engine, state, now):
+            return now
+            yield  # a generator that yields nothing
+
+        monkeypatch.setattr(SeesawEngine, "_prefill_phase", stuck)
+        engine = SeesawEngine(
+            tiny_model, cluster_a10_4, *parse_transition("D2P2->D2T2")
+        )
+        requests = [Request(i, 16, 4, arrival_time=1.5) for i in range(2)]
+        with pytest.raises(SchedulingError) as exc:
+            engine.run(requests)
+        assert str(exc.value) == (
+            "Seesaw phase loop made no progress at t=1.5 s on replica 0 of "
+            "seesaw[D2P2->D2T2]"
+        )
 
 
 class TestScheduling:
