@@ -55,6 +55,9 @@ class Autoscaler(abc.ABC):
     """Shared cadence logic; subclasses implement :meth:`target_dp`."""
 
     name: str = "base"
+    # Whether :meth:`note_arrival` records anything: a per-arrival loop
+    # may skip the call for policies that never read their arrivals.
+    observes_arrivals: bool = False
 
     def __init__(
         self,
@@ -73,6 +76,13 @@ class Autoscaler(abc.ABC):
         # triggering signal, its window values and the chosen target.
         # Consumed by the fleet's scale events (FleetEvent.reason).
         self.last_reason = ""
+
+    @property
+    def last_eval_at(self) -> float | None:
+        """When :meth:`decide` last evaluated (``None`` before the first
+        evaluation); :meth:`decide` answers ``None`` at any ``now`` with
+        ``now - last_eval_at < interval_s``."""
+        return self._last_eval_at
 
     def note_arrival(self, now: float) -> None:
         """Observe one arrival (predictive rate estimation hook)."""
@@ -200,6 +210,7 @@ class BurnRateThresholdAutoscaler(ThresholdAutoscaler):
     """
 
     name = "threshold:burn_rate"
+    observes_arrivals = True
 
     def __init__(
         self,
@@ -288,6 +299,7 @@ class PredictiveAutoscaler(Autoscaler):
     """
 
     name = "predictive"
+    observes_arrivals = True
 
     def __init__(
         self,

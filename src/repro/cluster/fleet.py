@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.parallel.memory import kv_capacity_bytes_per_gpu, weight_bytes_per_gpu
 from repro.routing.load import RouterContext, _duration
 from repro.routing.stats import FleetEvent, FleetStats, RouterStats
-from repro.workloads.spec import WorkloadSpec, request_lengths
+from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import BaseEngine
@@ -317,6 +317,21 @@ class ReplicaFleet:
             ]
         return activated
 
+    def next_transition_at(self) -> float:
+        """Earliest instant :meth:`poll` has a transition to commit
+        (``inf`` with nothing pending): a poll at ``now`` changes nothing
+        unless this is ``<= now + 1e-12``. Valid until the next poll or
+        scale-up."""
+        return min(
+            (
+                h.weights_ready_at
+                if h.state is ReplicaLifecycle.PROVISIONING
+                else h.active_at
+                for h in self.pending
+            ),
+            default=math.inf,
+        )
+
     def reap_drained(self, now: float = math.inf) -> None:
         """Stop draining replicas whose in-flight work has completed by
         ``now`` (by default, at all: the end-of-run sweep)."""
@@ -556,9 +571,14 @@ def workload_averages(
     requests: WorkloadSpec | Sequence["Request"],
 ) -> tuple[float, float]:
     """Mean prompt and output length of a non-empty workload."""
-    prompts, outputs = request_lengths(requests)
-    n = len(prompts)
-    return sum(prompts) / n, sum(outputs) / n
+    if isinstance(requests, WorkloadSpec):
+        n = requests.num_requests
+        return requests.total_input_tokens / n, requests.total_output_tokens / n
+    n = len(requests)
+    return (
+        sum(r.prompt_len for r in requests) / n,
+        sum(r.output_len for r in requests) / n,
+    )
 
 
 def build_fleet(

@@ -34,6 +34,29 @@ for every arrival in one numpy pass over the sorted arrival times
 :meth:`~repro.runtime.latency.LatencyStats.from_columns` as columns, so
 the per-arrival loop builds no window and no per-request record.
 
+Each arrival does only the work its router and autoscaler read:
+
+- ``jsq`` and ``slo`` pick the head of a heap of ``(ready, position)``
+  pairs, one ``heapreplace`` per dispatch (the same pick as an
+  ``argmin`` over the ready times, ties to the lower position); the
+  other policies keep :meth:`FluidSimulator._select`, and the numpy
+  mirrors it reads are written only for the policies that read them;
+- the fleet is polled only once its earliest pending transition is
+  due, the autoscaler's ``decide`` is called only when its evaluation
+  interval has passed (its own test), and ``note_arrival`` only for the
+  policies that observe arrivals;
+- the decode operating point is re-solved only when the per-replica
+  rate leaves the bucket :meth:`FluidSimulator._tpot` keys its cache on;
+- the per-replica dispatch counters nothing reads during the loop are
+  folded after it from a column of destination replicas
+  (:func:`_fold_counters`).
+
+The oracle is ``TestFluidDispatchOracle`` in ``tests/test_perf_paths.py``:
+the heap pick against the ``argmin`` (by emptying
+:data:`_HEAP_POLICIES`), and the whole run against the per-arrival
+``decide``/``_tpot``/counter loop, bit for bit, across routers,
+autoscalers, arrival shapes and hooks.
+
 What the model deliberately drops: KV-pressure preemptions (and with
 them storm re-dispatch), per-iteration scheduling detail, and tracing.
 The calibration tests pin the residual error — fluid p99 TTFT and billed
@@ -45,11 +68,12 @@ being interactive.
 
 from __future__ import annotations
 
+from heapq import heapify, heapreplace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.fleet import build_fleet, workload_averages
+from repro.cluster.fleet import _EPS, build_fleet, workload_averages
 from repro.costmodel.breakdown import Breakdown
 from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.errors import ConfigurationError, SimulationError
@@ -70,6 +94,11 @@ AUTO_FLUID_WORK_ITEMS = 500_000
 # decode operating point (mirrors the predictive autoscaler's window).
 _RATE_WINDOW = 64
 
+# Routers whose pick is the argmin of the replicas' ready times, answered
+# from a heap instead of a scan. A test seam, not an option: emptying it
+# sends these routers through :meth:`FluidSimulator._select`'s argmin.
+_HEAP_POLICIES = frozenset({"jsq", "slo"})
+
 
 def _offered_rates(times: np.ndarray) -> np.ndarray:
     """Offered rate seen at each of the sorted arrival ``times``.
@@ -86,6 +115,44 @@ def _offered_rates(times: np.ndarray) -> np.ndarray:
     rates = np.zeros_like(times)
     np.divide(j - lo, span, out=rates, where=span > 0.0)
     return rates
+
+
+def _fold_counters(
+    replicas: list[_FluidReplica],
+    dest: list[int],
+    prompt_len: np.ndarray,
+    output_len: np.ndarray,
+    prefill_rate: float,
+) -> None:
+    """Book the dispatch counters of ``replicas`` from the destination
+    column: ``dest[pos]`` is the id of the replica the ``pos``-th dispatch
+    went to (-1 if it never went anywhere), and ``prompt_len`` and
+    ``output_len`` are in the same dispatch order.
+
+    ``np.bincount`` adds each bin's weights in row order, the order a
+    per-dispatch ``+=`` adds them in, so the sums are bit-identical. A row
+    left at -1 is in no count, so the sanitizer's conservation check still
+    sees a missed dispatch.
+    """
+    ids = np.asarray(dest, dtype=np.intp)
+    sent = ids >= 0
+    ids = ids[sent]
+    prompts, outputs = prompt_len[sent], output_len[sent]
+    size = max((r.replica_id for r in replicas), default=-1) + 1
+
+    def per_replica(weights=None) -> list:
+        return np.bincount(ids, weights=weights, minlength=size).tolist()
+
+    requests = per_replica()
+    busy = per_replica(prompts / prefill_rate)
+    decode = per_replica(outputs - 1)
+    tokens = per_replica(prompts + outputs)
+    for r in replicas:
+        rid = r.replica_id
+        r.num_requests = requests[rid]
+        r.prefill_busy = busy[rid]
+        r.decode_tokens_total = int(decode[rid])
+        r.total_tokens = int(tokens[rid])
 
 
 # Per-replica telemetry series are only sampled for fleets up to this
@@ -210,16 +277,23 @@ class FluidSimulator:
             (avg_in, avg_out),
             start=self._start_replica,
         )
-        # The dispatchable replicas in id order, with numpy mirrors of
-        # their ready times (the ranking key every queue-depth policy
-        # reduces to) and least-work decode backlogs: rebuilt when the
-        # fleet's membership changes, updated in place on dispatch.
-        self.active: list[_FluidReplica] = [
-            h.sim for h in self.fleet.active_handles()
-        ]
-        self._ready = np.array([r.ready for r in self.active], dtype=np.float64)
-        self._decode_secs = np.zeros(len(self.active), dtype=np.float64)
+        # The dispatchable replicas in id order, and the dispatch state
+        # the router reads over them: a heap of (ready, position) for the
+        # argmin-of-ready policies, numpy mirrors of the ready times for
+        # the others that rank by them, and the least-work decode
+        # backlogs. Rebuilt when the fleet's membership changes, updated
+        # in place on dispatch; a policy that reads none of them keeps
+        # them empty.
+        name = options.router
+        self._heap_pick = name in _HEAP_POLICIES
+        self._mirror_ready = not self._heap_pick and name != "static"
+        self._track_decode = name == "least-work"
+        self.active: list[_FluidReplica] = []
+        self._heap: list[tuple[float, int]] = []
+        self._ready = np.zeros(0, dtype=np.float64)
+        self._decode_secs = np.zeros(0, dtype=np.float64)
         self._decode_last = 0.0
+        self._rebuild_arrays(0.0)
 
     # ------------------------------------------------------------------ #
     # Fleet membership
@@ -232,18 +306,25 @@ class FluidSimulator:
         return replica, replica
 
     def _rebuild_arrays(self, now: float) -> None:
-        """Re-read the fleet's membership; a replica that stays keeps its
-        decode backlog."""
-        self._decay_decode(now)
-        backlog = {
-            r.replica_id: s
-            for r, s in zip(self.active, self._decode_secs.tolist(), strict=True)
-        }
-        self.active = [h.sim for h in self.fleet.active_handles()]
-        self._ready = np.array([r.ready for r in self.active], dtype=np.float64)
-        self._decode_secs = np.array(
-            [backlog.get(r.replica_id, 0.0) for r in self.active], dtype=np.float64
-        )
+        """Re-read the fleet's membership and rebuild the dispatch state
+        the router reads from each replica's own ready time; a replica
+        that stays keeps its decode backlog."""
+        previous = self.active
+        self.active = active = [h.sim for h in self.fleet.active_handles()]
+        if self._heap_pick:
+            self._heap = [(r.ready, k) for k, r in enumerate(active)]
+            heapify(self._heap)
+        if self._mirror_ready:
+            self._ready = np.array([r.ready for r in active], dtype=np.float64)
+        if self._track_decode:
+            self._decay_decode(now)
+            backlog = {
+                r.replica_id: s
+                for r, s in zip(previous, self._decode_secs.tolist(), strict=True)
+            }
+            self._decode_secs = np.array(
+                [backlog.get(r.replica_id, 0.0) for r in active], dtype=np.float64
+            )
 
     def _decay_decode(self, now: float) -> None:
         dt = now - self._decode_last
@@ -340,7 +421,13 @@ class FluidSimulator:
     # ------------------------------------------------------------------ #
 
     def _select(self, index: int, now: float) -> int:
-        """Position of the chosen replica within ``self.active``."""
+        """Position of the chosen replica within ``self.active``.
+
+        ``run`` answers ``jsq`` and ``slo`` from its ready heap instead
+        (the head of the heap is this ``argmin``, ties included);
+        ``TestFluidDispatchOracle`` empties :data:`_HEAP_POLICIES` to send
+        them through here and checks that the runs agree bit for bit.
+        """
         n = len(self.active)
         if n == 1:
             return 0
@@ -378,24 +465,42 @@ class FluidSimulator:
         if bool((arrivals[1:] >= arrivals[:-1]).all()):
             order = range(n)
             rates = _offered_rates(arrivals).tolist()
+            prompt_col, output_col = workload.prompt_len, workload.output_len
         else:
             order_arr = np.argsort(arrivals, kind="stable")
             rates = _offered_rates(arrivals[order_arr]).tolist()
             order = order_arr.tolist()
+            prompt_col = workload.prompt_len[order_arr]
+            output_col = workload.output_len[order_arr]
         pf_rate = self.prefill_rate
         fleet = self.fleet
         active = self.active
+        heap = self._heap
         ready_arr = self._ready
+        decode_secs = self._decode_secs
+        heap_pick = self._heap_pick
+        mirror_ready = self._mirror_ready
+        track_decode = self._track_decode
+        n_active = max(1, len(active))
         autoscaler = self.autoscaler
+        if autoscaler is not None:
+            observes = autoscaler.observes_arrivals
+            interval = autoscaler.interval_s
+            eval_at = autoscaler.last_eval_at
+        poll_at = fleet.next_transition_at()
         decode_tail = 1.0 / self.decode_rate
         budget_tokens = float(self.engine.options.max_batched_tokens)
 
         sched_t = [0.0] * n
         first_t = [0.0] * n
         finish_t = [0.0] * n
+        # Destination replica id of each dispatch, in dispatch order.
+        dest = [-1] * n
 
         arrivals_end = times[order[-1]]
         tpot, tpot_drain = self._tpot_now = self._tpot(0.0)
+        tpot_bucket = 0  # the bucket _tpot keys the pair above on
+        tpot_cache = self._tpot_cache
         # Hooks. Telemetry samples the event path's series schema on a
         # widened grid so a million-request day stays a few-hundred-point
         # artifact (per-replica series only for small fleets; cluster.*
@@ -419,29 +524,49 @@ class FluidSimulator:
             sample_step = max(tel.interval_s, arrivals_end / MAX_WINDOWS)
         for pos, i in enumerate(order):
             now = times[i]
-            if fleet.pending and fleet.poll(now):
-                self._rebuild_arrays(now)
-                active = self.active
-                ready_arr = self._ready
+            rebuilt = False
+            # poll() commits nothing before the fleet's next transition.
+            if poll_at <= now + _EPS:
+                if fleet.poll(now):
+                    self._rebuild_arrays(now)
+                    rebuilt = True
+                poll_at = fleet.next_transition_at()
             if autoscaler is not None:
-                autoscaler.note_arrival(now)
-                target = autoscaler.decide(now, fleet)
-                if target is not None:
-                    self._resize(target, now, reason=autoscaler.last_reason)
-                    active = self.active
-                    ready_arr = self._ready
+                if observes:
+                    autoscaler.note_arrival(now)
+                # decide()'s own cadence test: it answers None otherwise.
+                if eval_at is None or not (now - eval_at < interval):
+                    target = autoscaler.decide(now, fleet)
+                    eval_at = autoscaler.last_eval_at
+                    if target is not None:
+                        self._resize(target, now, reason=autoscaler.last_reason)
+                        poll_at = fleet.next_transition_at()
+                        rebuilt = True
+            if rebuilt:
+                active = self.active
+                if not active:
+                    raise SimulationError("fluid fleet has no dispatchable replica")
+                heap = self._heap
+                ready_arr = self._ready
+                decode_secs = self._decode_secs
+                n_active = max(1, len(active))
             # The operating point follows every arrival under an autoscaler,
-            # and is refreshed periodically on a fixed fleet.
+            # and is refreshed periodically on a fixed fleet. It moves only
+            # when the rate leaves the bucket _tpot keys its cache on, and
+            # _tpot solves only a bucket it has not seen.
             if autoscaler is not None or (i & 0x3F) == 0:
-                tpot, tpot_drain = self._tpot_now = self._tpot(
-                    rates[pos] / max(1, len(active))
-                )
-            if not active:
-                raise SimulationError("fluid fleet has no dispatchable replica")
+                lam = rates[pos] / n_active
+                bucket = int(lam * 16.0)
+                if bucket != tpot_bucket:
+                    tpot_bucket = bucket
+                    pair = tpot_cache.get(bucket)
+                    if pair is None:
+                        pair = self._tpot(lam)
+                    tpot, tpot_drain = self._tpot_now = pair
             if tel is not None:
                 for t in tel.boundaries("cluster", now, sample_step):
                     self._sample(tel, t)
-            k = self._select(i, now)
+            k = heap[0][1] if heap_pick else self._select(i, now)
             replica = active[k]
             if trc is not None:
                 trc.note_dispatch(now, ids[i], replica.replica_id)
@@ -472,7 +597,8 @@ class FluidSimulator:
             # which also carries prompts queued behind it up to the token
             # budget — half a pass of carry-over at depth, nothing on an
             # empty queue.
-            carry = 0.5 * min(queued_before, budget_tokens) / pf_rate
+            carried = queued_before if queued_before <= budget_tokens else budget_tokens
+            carry = 0.5 * carried / pf_rate
             first = sched + prefill_s + carry
             decode_tokens = outputs[i] - 1
             finish = first + decode_tokens * tpot
@@ -487,19 +613,20 @@ class FluidSimulator:
                     + head_tokens * tpot
                     + (decode_tokens - head_tokens) * tpot_drain
                 )
-            replica.ready = ready + prefill_s
-            ready_arr[k] = replica.ready
+            ready += prefill_s
+            replica.ready = ready
+            if heap_pick:
+                heapreplace(heap, (ready, k))
+            elif mirror_ready:
+                ready_arr[k] = ready
             if finish > replica.decode_done:
                 replica.decode_done = finish
-            replica.prefill_busy += prefill_s
-            replica.decode_tokens_total += decode_tokens
-            replica.num_requests += 1
-            replica.total_tokens += prompt_len + outputs[i]
-            queued = (replica.ready - now) * pf_rate
+            dest[pos] = replica.replica_id
+            queued = (ready - now) * pf_rate
             if queued > replica.peak_queued_prefill_tokens:
                 replica.peak_queued_prefill_tokens = queued
-            if self._decode_secs.shape[0] > k:
-                self._decode_secs[k] += decode_tokens * decode_tail
+            if track_decode:
+                decode_secs[k] += decode_tokens * decode_tail
             sched_t[i] = sched
             first_t[i] = first
             finish_t[i] = finish
@@ -525,6 +652,7 @@ class FluidSimulator:
             trc.set_warming_windows(fleet.warming_windows())
 
         replicas = list(fleet.sims())
+        _fold_counters(replicas, dest, prompt_col, output_col, pf_rate)
         if san is not None:
             san.check_fluid_conservation(
                 num_requests=n,

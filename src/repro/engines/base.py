@@ -37,7 +37,7 @@ from repro.runtime.kvcache import KVCacheManager
 from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult, RunMetrics, merge_dp_results
 from repro.runtime.request import Request, Sequence, SequenceState
-from repro.workloads.spec import WorkloadSpec, request_lengths
+from repro.workloads.spec import WorkloadSpec, mean_context
 
 
 @dataclass(frozen=True)
@@ -625,10 +625,7 @@ class BaseEngine(abc.ABC):
         costs = self.make_costs()
         budget = self.options.max_batched_tokens
         prefill_rate = budget / costs.prefill_stage_time([budget]).total
-        prompts, outputs = request_lengths(requests)
-        avg_ctx = sum(
-            p + o / 2.0 for p, o in zip(prompts, outputs, strict=True)
-        ) / len(prompts)
+        avg_ctx = mean_context(requests)
         capacity = kv_capacity_tokens(self.model, self.cluster, self.replica_config)
         batch = max(
             1, min(int(capacity / avg_ctx), self.options.max_num_seqs)

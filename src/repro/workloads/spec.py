@@ -239,14 +239,18 @@ def _validate(name: str, cols: tuple[np.ndarray, ...]) -> None:
             )
 
 
-def request_lengths(
-    source: WorkloadSpec | TypingSequence[Request],
-) -> tuple[list[int], list[int]]:
-    """``(prompt lengths, output lengths)`` as Python int lists, read from
-    a workload's columns or from a sequence of requests."""
+def mean_context(source: WorkloadSpec | TypingSequence[Request]) -> float:
+    """Mean of ``prompt_len + output_len / 2`` (the mean context a request
+    carries over its decode) of a non-empty workload.
+
+    Every term is a multiple of 0.5 and every partial sum is far below
+    2**52, so the sum is exact in any order: the column path's pairwise
+    ``np.sum`` equals the request path's left-to-right ``sum``.
+    """
     if isinstance(source, WorkloadSpec):
-        return source.prompt_len.tolist(), source.output_len.tolist()
-    return [r.prompt_len for r in source], [r.output_len for r in source]
+        total = float(np.sum(source.prompt_len + source.output_len / 2.0))
+        return total / source.num_requests
+    return sum(r.prompt_len + r.output_len / 2.0 for r in source) / len(source)
 
 
 @dataclass(frozen=True)

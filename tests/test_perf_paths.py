@@ -45,6 +45,17 @@ Contracts:
    included) and where the head's KV cannot grow; Seesaw's decode phase
    with a prefetch landing, swap-preemption fallback, eager transitions,
    deferred prefill and a retirement at the loop's top.
+10. **Fluid dispatch == per-arrival loop** — each fluid arrival does only
+    the work its router and autoscaler read (a ready heap for ``jsq``
+    and ``slo``, ``decide`` only when due, ``_tpot`` only off the last
+    bucket, counters folded after the loop), and the run equals, bit
+    for bit, both the ``argmin`` pick (``fluid._HEAP_POLICIES``
+    emptied) and the former per-arrival loop (:func:`per_arrival_run`):
+    result repr, latency columns and ``phase_time`` in hex, telemetry
+    JSONL, trace rows and sanitizer counts, for every router and
+    autoscaler over diurnal, Poisson, unsorted and simultaneous
+    arrivals, hooks off and on. A dispatch missing from the folded
+    counters fails the sanitizer's conservation check.
 """
 
 import itertools
@@ -55,28 +66,34 @@ import numpy as np
 import pytest
 
 from repro.bench import CELLS, check_measurement, run_cell
-from repro.check import Sanitizer
+from repro.check import Sanitizer, SanitizerError
 from repro.cluster import ClusterSimulator
+from repro.cluster import fleet as fleet_mod
 from repro.cluster import fluid
+from repro.cluster.autoscaler import Autoscaler
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
 from repro.cluster.replica import ReplicaSim
 from repro.core import engine as core_engine
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.core.state import SeesawState
+from repro.costmodel.breakdown import Breakdown
 from repro.costmodel.step import StepCostModel
 from repro.engines.base import BaseEngine, EngineOptions, ReplicaState, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
 from repro.engines.slots import DecodeSlots
 from repro.engines.vllm_like import VllmLikeEngine
-from repro.errors import CapacityError
+from repro.errors import CapacityError, SimulationError
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.obs import Telemetry, Tracer, write_chrome_trace, write_jsonl, write_trace_jsonl
 from repro.obs import tracing as tracing_mod
+from repro.obs.telemetry import MAX_WINDOWS
 from repro.parallel.config import ParallelConfig, parse_config, parse_transition
 from repro.runtime.kvcache import KVCacheManager
+from repro.runtime.latency import LatencyStats
+from repro.runtime.metrics import EngineResult
 from repro.runtime.request import Request, Sequence, SequenceState
 from repro.workloads.arrivals import (
     bursty_arrivals,
@@ -84,6 +101,7 @@ from repro.workloads.arrivals import (
     poisson_arrivals,
 )
 from repro.workloads.datasets import arxiv_workload, sharegpt_workload
+from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthetic import constant_workload
 
 
@@ -1153,6 +1171,346 @@ class TestFluidOfferedRates:
         if autoscaler == "threshold":
             assert vector.router.fleet.scale_ups > 0
         assert_bit_identical(vector, scalar)
+
+
+def per_arrival_run(sim) -> "EngineResult":
+    """The fluid tier's former per-arrival loop: every arrival polls the
+    fleet, calls the autoscaler's ``note_arrival`` and ``decide``, re-reads
+    the operating point through ``_tpot``, picks through ``_select`` and
+    books every per-replica counter inline. Swapped in for
+    ``FluidSimulator.run`` by :func:`use_per_arrival_run`, which also
+    empties :data:`fluid._HEAP_POLICIES`, so
+    ``jsq``/``slo`` rank through the ``argmin`` and the simulator keeps
+    the ``_ready`` mirror for them (a policy that reads no mirror keeps it
+    empty, hence the guarded write)."""
+    workload = sim.workload
+    n = workload.num_requests
+    arrivals = workload.arrival_time
+    prompts = workload.prompt_len.tolist()
+    outputs = workload.output_len.tolist()
+    times = arrivals.tolist()
+    if bool((arrivals[1:] >= arrivals[:-1]).all()):
+        order = range(n)
+        rates = fluid._offered_rates(arrivals).tolist()
+    else:
+        order_arr = np.argsort(arrivals, kind="stable")
+        rates = fluid._offered_rates(arrivals[order_arr]).tolist()
+        order = order_arr.tolist()
+    pf_rate = sim.prefill_rate
+    fleet = sim.fleet
+    active = sim.active
+    ready_arr = sim._ready
+    autoscaler = sim.autoscaler
+    decode_tail = 1.0 / sim.decode_rate
+    budget_tokens = float(sim.engine.options.max_batched_tokens)
+    sched_t = [0.0] * n
+    first_t = [0.0] * n
+    finish_t = [0.0] * n
+    arrivals_end = times[order[-1]]
+    tpot, tpot_drain = sim._tpot_now = sim._tpot(0.0)
+    hooks = sim.engine.hooks
+    tel, trc, san = hooks.telemetry, hooks.tracing, hooks.sanitize
+    ids = workload.request_id.tolist() if trc is not None or san is not None else None
+    sample_step = 0.0
+    if tel is not None:
+        sample_step = max(tel.interval_s, arrivals_end / MAX_WINDOWS)
+    for pos, i in enumerate(order):
+        now = times[i]
+        if fleet.pending and fleet.poll(now):
+            sim._rebuild_arrays(now)
+            active = sim.active
+            ready_arr = sim._ready
+        if autoscaler is not None:
+            autoscaler.note_arrival(now)
+            target = autoscaler.decide(now, fleet)
+            if target is not None:
+                sim._resize(target, now, reason=autoscaler.last_reason)
+                active = sim.active
+                ready_arr = sim._ready
+        if autoscaler is not None or (i & 0x3F) == 0:
+            tpot, tpot_drain = sim._tpot_now = sim._tpot(
+                rates[pos] / max(1, len(active))
+            )
+        if not active:
+            raise SimulationError("fluid fleet has no dispatchable replica")
+        if tel is not None:
+            for t in tel.boundaries("cluster", now, sample_step):
+                sim._sample(tel, t)
+        k = sim._select(i, now)
+        replica = active[k]
+        if trc is not None:
+            trc.note_dispatch(now, ids[i], replica.replica_id)
+        if san is not None:
+            san.note_cluster_clock(now)
+            san.note_dispatch(
+                Request(ids[i], prompts[i], outputs[i], now), replica.replica_id, now
+            )
+        ready = replica.ready
+        if ready < now:
+            horizon = replica.decode_done if replica.decode_done > ready else ready
+            if horizon < now:
+                replica.idle_seconds += now - horizon
+            ready = now
+        queued_before = (ready - now) * pf_rate
+        sched = ready + 0.5 * tpot
+        prompt_len = prompts[i]
+        prefill_s = prompt_len / pf_rate
+        carry = 0.5 * min(queued_before, budget_tokens) / pf_rate
+        first = sched + prefill_s + carry
+        decode_tokens = outputs[i] - 1
+        finish = first + decode_tokens * tpot
+        if finish > arrivals_end and tpot_drain < tpot:
+            head_s = arrivals_end - first
+            head_tokens = head_s / tpot if head_s > 0.0 else 0.0
+            finish = (
+                first + head_tokens * tpot + (decode_tokens - head_tokens) * tpot_drain
+            )
+        replica.ready = ready + prefill_s
+        if ready_arr.shape[0] > k:
+            ready_arr[k] = replica.ready
+        if finish > replica.decode_done:
+            replica.decode_done = finish
+        replica.prefill_busy += prefill_s
+        replica.decode_tokens_total += decode_tokens
+        replica.num_requests += 1
+        replica.total_tokens += prompt_len + outputs[i]
+        queued = (replica.ready - now) * pf_rate
+        if queued > replica.peak_queued_prefill_tokens:
+            replica.peak_queued_prefill_tokens = queued
+        if sim._decode_secs.shape[0] > k:
+            sim._decode_secs[k] += decode_tokens * decode_tail
+        sched_t[i] = sched
+        first_t[i] = first
+        finish_t[i] = finish
+        if san is not None:
+            san.note_fluid_request(
+                ids[i], replica.replica_id,
+                arrival=now, sched=sched, first=first, finish=finish,
+            )
+    makespan = fleet.makespan()
+    fleet.close(makespan)
+    if tel is not None:
+        for t in tel.boundaries("cluster", makespan, sample_step):
+            sim._sample(tel, t)
+    if trc is not None:
+        trc.set_warming_windows(fleet.warming_windows())
+    replicas = list(fleet.sims())
+    if san is not None:
+        san.check_fluid_conservation(
+            num_requests=n,
+            dispatched=sum(r.num_requests for r in replicas),
+            prompt_tokens=sum(prompts),
+            served_prompt_tokens=sum(r.prefill_busy for r in replicas) * pf_rate,
+            decode_tokens=sum(r.decode_tokens_total for r in replicas),
+            expected_decode_tokens=sum(max(0, o - 1) for o in outputs),
+            total_tokens=sum(r.total_tokens for r in replicas),
+            expected_total_tokens=sum(prompts) + sum(outputs),
+            now=makespan,
+        )
+    latency = LatencyStats.from_columns(
+        request_id=workload.request_id,
+        arrival=arrivals,
+        first_schedule=sched_t,
+        first_token=first_t,
+        finish=finish_t,
+        output_len=workload.output_len,
+    )
+    phase_time = {
+        "prefill": max(r.prefill_busy for r in replicas),
+        "decode": max(r.decode_tokens_total * decode_tail for r in replicas),
+        "idle": max(r.idle_seconds for r in replicas),
+    }
+    return EngineResult(
+        engine=sim.engine.name,
+        label=f"{sim.engine.label()}+fluid",
+        num_requests=n,
+        total_time=makespan,
+        input_tokens=workload.total_input_tokens,
+        output_tokens=workload.total_output_tokens,
+        phase_time=phase_time,
+        breakdown=Breakdown(),
+        iterations=0,
+        transitions=0,
+        latency=latency,
+        router=fleet.router_stats(sim.policy_name, makespan),
+    )
+
+
+def use_per_arrival_run(mp: pytest.MonkeyPatch) -> None:
+    """Swap :func:`per_arrival_run` in for ``FluidSimulator.run``."""
+    mp.setattr(fluid, "_HEAP_POLICIES", frozenset())
+    mp.setattr(fluid.FluidSimulator, "run", per_arrival_run)
+
+
+def fluid_arrivals(shape: str) -> WorkloadSpec:
+    """The oracle's arrival shapes over one 600-request ShareGPT draw."""
+    base = sharegpt_workload(600, seed=11)
+    if shape == "diurnal":
+        return diurnal_arrivals(base, rate_rps=6.0, period_s=100.0, seed=11)
+    stamped = poisson_arrivals(base, 8.0, seed=7)
+    times = stamped.arrival_time
+    if shape == "poisson":
+        return stamped
+    if shape == "unsorted":
+        times = np.random.default_rng(3).permutation(times)
+    elif shape == "burst":
+        # Every arrival lands on a 10 s tick: bursts of simultaneous
+        # arrivals, zero-span rate windows and ready-time ties.
+        times = np.floor(times / 10.0) * 10.0
+    return WorkloadSpec(
+        shape,
+        prompt_len=base.prompt_len,
+        output_len=base.output_len,
+        arrival_time=times,
+    )
+
+
+class TestFluidDispatchOracle:
+    """Every arrival of the fluid tier does only the work its router and
+    autoscaler read, and the run is the per-arrival loop's bit for bit:
+    the heap pick against the ``argmin`` it replaces, and the whole run
+    against :func:`per_arrival_run`, on every router, autoscaler and
+    arrival shape, hooks off and on."""
+
+    AUTOSCALERS = ("none", "threshold", "predictive", "threshold:burn_rate")
+
+    @pytest.fixture(autouse=True)
+    def _tmp(self, tmp_path):
+        self.tmp_path = tmp_path
+
+    def observed(self, router, autoscaler, workload, hooks_on, tag):
+        kw = {} if autoscaler == "none" else dict(min_dp=1, max_dp=4)
+        if autoscaler == "threshold:burn_rate":
+            kw["ttft_slo"] = 2.0  # the policy refuses to run without one
+        hooks = None
+        if hooks_on:
+            hooks = RunHooks(
+                telemetry=Telemetry(), tracing=Tracer("all"), sanitize=Sanitizer()
+            )
+        result = VllmLikeEngine(
+            get_model("15b"),
+            make_cluster("A10", 8),
+            ParallelConfig(dp=4 if autoscaler == "none" else 1, tp=2, pp=1),
+            EngineOptions(
+                router=router, coupled=True, fidelity="fluid",
+                autoscaler=autoscaler, **kw,
+            ),
+        ).run(workload, hooks)
+        lat = result.latency
+        seen = {
+            # The repr carries RouterStats' per-replica tuples and FleetStats.
+            "repr": repr(result),
+            "total_time": result.total_time.hex(),
+            "phase_time": {k: v.hex() for k, v in result.phase_time.items()},
+            "latency": [
+                [x.hex() for x in col.tolist()]
+                for col in (lat.arrival, lat.first_schedule, lat.first_token, lat.finish)
+            ],
+            "request_id": lat.request_id.tolist(),
+        }
+        if hooks_on:
+            tel, tr, san = hooks.telemetry, hooks.tracing, hooks.sanitize
+            base = self.tmp_path / tag
+            write_jsonl(tel, f"{base}.obs.jsonl")
+            write_trace_jsonl(tr, f"{base}.trace.jsonl")
+            for ext in ("obs.jsonl", "trace.jsonl"):
+                with open(f"{base}.{ext}", "rb") as fh:
+                    seen[ext] = fh.read()
+            seen["checks"] = dict(san.checks)
+        return result, seen
+
+    @pytest.mark.parametrize("router", ["jsq", "slo", "least-work", "po2", "static"])
+    @pytest.mark.parametrize("shape", ["diurnal", "poisson", "unsorted", "burst"])
+    def test_matches_per_arrival_loop(self, shape, router, monkeypatch):
+        workload = fluid_arrivals(shape)
+        if shape == "burst":
+            # A scale-up ordered on a 10 s tick loads its weights exactly on
+            # the next tick and activates exactly on the one after: the
+            # fleet must be polled at arrivals equal to each transition
+            # instant, and the new replica joins mid-burst.
+            monkeypatch.setattr(fleet_mod, "provision_times", lambda engine: (10.0, 10.0))
+        ticks = set(workload.arrival_time.tolist())
+        on_tick = 0
+        scaled = 0
+        for autoscaler, hooks_on in itertools.product(self.AUTOSCALERS, (False, True)):
+            cell = (router, autoscaler, workload, hooks_on)
+            result, fast = self.observed(*cell, "fast")
+            with monkeypatch.context() as mp:
+                mp.setattr(fluid, "_HEAP_POLICIES", frozenset())
+                _, argmin = self.observed(*cell, "argmin")
+                use_per_arrival_run(mp)
+                _, oracle = self.observed(*cell, "oracle")
+            assert fast.keys() == oracle.keys() == argmin.keys()
+            for key in oracle:
+                assert argmin[key] == oracle[key], (autoscaler, hooks_on, key)
+                assert fast[key] == oracle[key], (autoscaler, hooks_on, key)
+            if hooks_on:
+                assert fast["checks"]["S3"] > 0
+            fleet = result.router.fleet
+            if fleet is not None:
+                scaled += fleet.scale_ups + fleet.scale_downs
+                on_tick += sum(
+                    e.kind == "active" and e.time in ticks for e in fleet.events
+                )
+        # The autoscaled cells changed the fleet's membership mid-run.
+        assert scaled > 0
+        assert on_tick > 0 or shape != "burst"
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(0.48, 5.4799999999999995), (3.04, 8.04)],
+        ids=["due-by-decide-only", "due-by-sum-only"],
+    )
+    def test_decide_called_exactly_when_due(self, edge, monkeypatch):
+        # ``now - last < interval`` and ``now >= last + interval`` disagree
+        # on these pairs (interval 5 s): the loop must call decide exactly
+        # when decide's own test says it is due, and never in between.
+        first, edge_t = edge
+        times = sorted({first, edge_t, *(first + 0.5 * k for k in range(1, 60))})
+        workload = WorkloadSpec(
+            "edge",
+            prompt_len=[512] * len(times),
+            output_len=[64] * len(times),
+            arrival_time=times,
+        )
+        calls = []
+        real_decide = Autoscaler.decide
+
+        def spy(scaler, now, fleet):
+            before = scaler.last_eval_at
+            verdict = real_decide(scaler, now, fleet)
+            calls.append((now, scaler.last_eval_at != before))
+            return verdict
+
+        monkeypatch.setattr(Autoscaler, "decide", spy)
+        result, fast = self.observed("jsq", "threshold", workload, False, "fast")
+        fast_calls, calls[:] = list(calls), []
+        with monkeypatch.context() as mp:
+            use_per_arrival_run(mp)
+            _, oracle = self.observed("jsq", "threshold", workload, False, "oracle")
+        assert fast == oracle
+        assert all(evaluated for _, evaluated in fast_calls)
+        assert fast_calls == [c for c in calls if c[1]]
+        # The oracle called decide at the edge arrival.
+        assert edge_t in [now for now, _ in calls]
+
+    def test_missed_dispatch_fails_conservation(self, monkeypatch):
+        # A row whose destination stays -1 is in no replica's counters,
+        # so the sanitizer's drain-time S3 sum sees the missing request.
+        fold = fluid._fold_counters
+
+        def drop_row(replicas, dest, *columns):
+            dest[17] = -1
+            fold(replicas, dest, *columns)
+
+        monkeypatch.setattr(fluid, "_fold_counters", drop_row)
+        with pytest.raises(SanitizerError, match="599 requests dispatched"):
+            VllmLikeEngine(
+                get_model("15b"),
+                make_cluster("A10", 8),
+                ParallelConfig(dp=4, tp=2, pp=1),
+                EngineOptions(router="jsq", coupled=True, fidelity="fluid"),
+            ).run(fluid_arrivals("poisson"), RunHooks(sanitize=Sanitizer()))
 
 
 class TestBenchHarness:

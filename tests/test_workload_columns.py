@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cluster.fleet import workload_averages
 from repro.cluster.fluid import FluidSimulator
 from repro.engines.base import EngineOptions
 from repro.engines.vllm_like import VllmLikeEngine
@@ -37,7 +38,7 @@ from repro.workloads.arrivals import (
     trace_arrivals,
 )
 from repro.workloads.datasets import arxiv_workload, sharegpt_workload
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import WorkloadSpec, mean_context
 from repro.workloads.synthetic import (
     bimodal_workload,
     constant_workload,
@@ -382,3 +383,30 @@ class TestSimulationPaths:
             w_num += weight * (r.prompt_len + r.output_len / 2.0)
             w_den += weight
         assert sim.resident_ctx.hex() == (w_num / w_den).hex()
+
+    @pytest.mark.parametrize(
+        "wl",
+        [
+            sharegpt_workload(3000, seed=4),
+            arxiv_workload(800, seed=4),
+            constant_workload(257, 1024, 32),
+        ],
+        ids=["sharegpt", "arxiv", "const"],
+    )
+    def test_setup_column_sums_match_generator_sums(self, wl):
+        # The column sums router_context and workload_averages read
+        # against the per-request generator sums they replaced.
+        reqs = list(wl.requests)
+        n = len(reqs)
+        ctx = sum(p + o / 2.0 for p, o in zip(
+            [r.prompt_len for r in reqs], [r.output_len for r in reqs], strict=True
+        )) / n
+        averages = (
+            sum(r.prompt_len for r in reqs) / n,
+            sum(r.output_len for r in reqs) / n,
+        )
+        assert mean_context(wl).hex() == mean_context(reqs).hex() == ctx.hex()
+        assert [a.hex() for a in workload_averages(wl)] == [a.hex() for a in averages]
+        assert [a.hex() for a in workload_averages(reqs)] == [a.hex() for a in averages]
+        eng = engine(**PATHS["fluid"])
+        assert eng.router_context(wl) == eng.router_context(reqs)
