@@ -34,6 +34,17 @@ for every arrival in one numpy pass over the sorted arrival times
 :meth:`~repro.runtime.latency.LatencyStats.from_columns` as columns, so
 the per-arrival loop builds no window and no per-request record.
 
+The loop walks its dispatch-order columns in fixed blocks of
+:data:`_BLOCK` arrivals: it turns one block at a time into Python
+scalars and writes the block's stamps and destination replicas into
+preallocated numpy columns with one slice assignment each (an unsorted
+workload's stamps are scattered back to request order once, at the
+end). Memory is O(block) in Python objects plus the numpy columns the
+run returns. The blocks are fixed-size rather than the spans between
+autoscaler evaluations: a fixed edge needs no float test that has to
+reproduce ``decide``'s own cadence test exactly, and a fixed fleet has
+no evaluations to cut at.
+
 Each arrival does only the work its router and autoscaler read:
 
 - ``jsq`` and ``slo`` pick the head of a heap of ``(ready, position)``
@@ -55,7 +66,8 @@ The oracle is ``TestFluidDispatchOracle`` in ``tests/test_perf_paths.py``:
 the heap pick against the ``argmin`` (by emptying
 :data:`_HEAP_POLICIES`), and the whole run against the per-arrival
 ``decide``/``_tpot``/counter loop, bit for bit, across routers,
-autoscalers, arrival shapes and hooks.
+autoscalers, arrival shapes and hooks, and with a 7-arrival
+:data:`_BLOCK` that puts block edges everywhere.
 
 What the model deliberately drops: KV-pressure preemptions (and with
 them storm re-dispatch), per-iteration scheduling detail, and tracing.
@@ -99,6 +111,10 @@ _RATE_WINDOW = 64
 # sends these routers through :meth:`FluidSimulator._select`'s argmin.
 _HEAP_POLICIES = frozenset({"jsq", "slo"})
 
+# Arrivals per block of :meth:`FluidSimulator.run`'s loop: the columns
+# become Python scalars one block at a time.
+_BLOCK = 4096
+
 
 def _offered_rates(times: np.ndarray) -> np.ndarray:
     """Offered rate seen at each of the sorted arrival ``times``.
@@ -119,7 +135,7 @@ def _offered_rates(times: np.ndarray) -> np.ndarray:
 
 def _fold_counters(
     replicas: list[_FluidReplica],
-    dest: list[int],
+    dest: np.ndarray,
     prompt_len: np.ndarray,
     output_len: np.ndarray,
     prefill_rate: float,
@@ -456,22 +472,20 @@ class FluidSimulator:
         workload = self.workload
         n = workload.num_requests
         arrivals = workload.arrival_time
-        prompts = workload.prompt_len.tolist()
-        outputs = workload.output_len.tolist()
-        times = arrivals.tolist()
         # Dispatch in arrival order; a stable sort, so simultaneous
         # arrivals dispatch in request order (stamped workloads arrive
-        # sorted already, and then the order is the identity).
+        # sorted already, and then the order is the identity). The
+        # columns below are in dispatch order.
         if bool((arrivals[1:] >= arrivals[:-1]).all()):
-            order = range(n)
-            rates = _offered_rates(arrivals).tolist()
+            order = None
+            time_col = arrivals
             prompt_col, output_col = workload.prompt_len, workload.output_len
         else:
-            order_arr = np.argsort(arrivals, kind="stable")
-            rates = _offered_rates(arrivals[order_arr]).tolist()
-            order = order_arr.tolist()
-            prompt_col = workload.prompt_len[order_arr]
-            output_col = workload.output_len[order_arr]
+            order = np.argsort(arrivals, kind="stable")
+            time_col = arrivals[order]
+            prompt_col = workload.prompt_len[order]
+            output_col = workload.output_len[order]
+        rate_col = _offered_rates(time_col)
         pf_rate = self.prefill_rate
         fleet = self.fleet
         active = self.active
@@ -491,13 +505,13 @@ class FluidSimulator:
         decode_tail = 1.0 / self.decode_rate
         budget_tokens = float(self.engine.options.max_batched_tokens)
 
-        sched_t = [0.0] * n
-        first_t = [0.0] * n
-        finish_t = [0.0] * n
-        # Destination replica id of each dispatch, in dispatch order.
-        dest = [-1] * n
+        sched_col = np.empty(n, dtype=np.float64)
+        first_col = np.empty(n, dtype=np.float64)
+        finish_col = np.empty(n, dtype=np.float64)
+        # Destination replica id of each dispatch.
+        dest = np.full(n, -1, dtype=np.intp)
 
-        arrivals_end = times[order[-1]]
+        arrivals_end = float(time_col[-1])
         tpot, tpot_drain = self._tpot_now = self._tpot(0.0)
         tpot_bucket = 0  # the bucket _tpot keys the pair above on
         tpot_cache = self._tpot_cache
@@ -510,11 +524,11 @@ class FluidSimulator:
         # the fleet's lifecycle transitions.
         hooks = self.engine.hooks
         tel, trc, san = hooks.telemetry, hooks.tracing, hooks.sanitize
-        ids = (
-            workload.request_id.tolist()
-            if trc is not None or san is not None
-            else None
-        )
+        id_col = None
+        if trc is not None or san is not None:
+            id_col = workload.request_id
+            if order is not None:
+                id_col = id_col[order]
         sample_step = 0.0
         if tel is not None:
             # Widened sample grid: a full day of arrivals still exports at
@@ -522,123 +536,147 @@ class FluidSimulator:
             from repro.obs.telemetry import MAX_WINDOWS
 
             sample_step = max(tel.interval_s, arrivals_end / MAX_WINDOWS)
-        for pos, i in enumerate(order):
-            now = times[i]
-            rebuilt = False
-            # poll() commits nothing before the fleet's next transition.
-            if poll_at <= now + _EPS:
-                if fleet.poll(now):
-                    self._rebuild_arrays(now)
-                    rebuilt = True
-                poll_at = fleet.next_transition_at()
-            if autoscaler is not None:
-                if observes:
-                    autoscaler.note_arrival(now)
-                # decide()'s own cadence test: it answers None otherwise.
-                if eval_at is None or not (now - eval_at < interval):
-                    target = autoscaler.decide(now, fleet)
-                    eval_at = autoscaler.last_eval_at
-                    if target is not None:
-                        self._resize(target, now, reason=autoscaler.last_reason)
-                        poll_at = fleet.next_transition_at()
+        for start in range(0, n, _BLOCK):
+            # One block of arrivals as Python scalars, and its stamps
+            # written back to the columns in one slice each.
+            block = slice(start, min(start + _BLOCK, n))
+            index = range(start, block.stop) if order is None else order[block].tolist()
+            times = time_col[block].tolist()
+            prompts = prompt_col[block].tolist()
+            outputs = output_col[block].tolist()
+            rates = rate_col[block].tolist()
+            ids = id_col[block].tolist() if id_col is not None else None
+            size = len(times)
+            sched_t = [0.0] * size
+            first_t = [0.0] * size
+            finish_t = [0.0] * size
+            dest_t = [-1] * size
+            # ``j`` is the arrival's row in the block, ``i`` its request index.
+            for j, i in enumerate(index):
+                now = times[j]
+                rebuilt = False
+                # poll() commits nothing before the fleet's next transition.
+                if poll_at <= now + _EPS:
+                    if fleet.poll(now):
+                        self._rebuild_arrays(now)
                         rebuilt = True
-            if rebuilt:
-                active = self.active
-                if not active:
-                    raise SimulationError("fluid fleet has no dispatchable replica")
-                heap = self._heap
-                ready_arr = self._ready
-                decode_secs = self._decode_secs
-                n_active = max(1, len(active))
-            # The operating point follows every arrival under an autoscaler,
-            # and is refreshed periodically on a fixed fleet. It moves only
-            # when the rate leaves the bucket _tpot keys its cache on, and
-            # _tpot solves only a bucket it has not seen.
-            if autoscaler is not None or (i & 0x3F) == 0:
-                lam = rates[pos] / n_active
-                bucket = int(lam * 16.0)
-                if bucket != tpot_bucket:
-                    tpot_bucket = bucket
-                    pair = tpot_cache.get(bucket)
-                    if pair is None:
-                        pair = self._tpot(lam)
-                    tpot, tpot_drain = self._tpot_now = pair
-            if tel is not None:
-                for t in tel.boundaries("cluster", now, sample_step):
-                    self._sample(tel, t)
-            k = heap[0][1] if heap_pick else self._select(i, now)
-            replica = active[k]
-            if trc is not None:
-                trc.note_dispatch(now, ids[i], replica.replica_id)
-            if san is not None:
-                san.note_cluster_clock(now)
-                san.note_dispatch(
-                    Request(ids[i], prompts[i], outputs[i], now),
-                    replica.replica_id,
-                    now,
+                    poll_at = fleet.next_transition_at()
+                if autoscaler is not None:
+                    if observes:
+                        autoscaler.note_arrival(now)
+                    # decide()'s own cadence test: it answers None otherwise.
+                    if eval_at is None or not (now - eval_at < interval):
+                        target = autoscaler.decide(now, fleet)
+                        eval_at = autoscaler.last_eval_at
+                        if target is not None:
+                            self._resize(target, now, reason=autoscaler.last_reason)
+                            poll_at = fleet.next_transition_at()
+                            rebuilt = True
+                if rebuilt:
+                    active = self.active
+                    if not active:
+                        raise SimulationError("fluid fleet has no dispatchable replica")
+                    heap = self._heap
+                    ready_arr = self._ready
+                    decode_secs = self._decode_secs
+                    n_active = max(1, len(active))
+                # The operating point follows every arrival under an
+                # autoscaler, and is refreshed periodically on a fixed
+                # fleet. It moves only when the rate leaves the bucket
+                # _tpot keys its cache on, and _tpot solves only a bucket
+                # it has not seen.
+                if autoscaler is not None or (i & 0x3F) == 0:
+                    lam = rates[j] / n_active
+                    bucket = int(lam * 16.0)
+                    if bucket != tpot_bucket:
+                        tpot_bucket = bucket
+                        pair = tpot_cache.get(bucket)
+                        if pair is None:
+                            pair = self._tpot(lam)
+                        tpot, tpot_drain = self._tpot_now = pair
+                if tel is not None:
+                    for t in tel.boundaries("cluster", now, sample_step):
+                        self._sample(tel, t)
+                k = heap[0][1] if heap_pick else self._select(i, now)
+                replica = active[k]
+                if trc is not None:
+                    trc.note_dispatch(now, ids[j], replica.replica_id)
+                if san is not None:
+                    san.note_cluster_clock(now)
+                    san.note_dispatch(
+                        Request(ids[j], prompts[j], outputs[j], now),
+                        replica.replica_id,
+                        now,
+                    )
+                ready = replica.ready
+                if ready < now:
+                    # Idle only once the decode tail has drained too — a
+                    # replica still emitting tokens is busy, not idle (the
+                    # threshold autoscaler's down-scale signal reads this).
+                    done = replica.decode_done
+                    horizon = done if done > ready else ready
+                    if horizon < now:
+                        replica.idle_seconds += now - horizon
+                    ready = now
+                queued_before = (ready - now) * pf_rate
+                # Half an iteration of boundary quantization: a real engine
+                # admits the arrival only when the in-flight pass finishes.
+                sched = ready + 0.5 * tpot
+                prefill_s = prompts[j] / pf_rate
+                # Pass quantization: a prompt admitted into a busy prefill
+                # wave gets its first token at the end of the *whole* pass,
+                # which also carries prompts queued behind it up to the
+                # token budget — half a pass of carry-over at depth,
+                # nothing on an empty queue.
+                carried = (
+                    queued_before if queued_before <= budget_tokens else budget_tokens
                 )
-            ready = replica.ready
-            if ready < now:
-                # Idle only once the decode tail has drained too — a
-                # replica still emitting tokens is busy, not idle (the
-                # threshold autoscaler's down-scale signal reads this).
-                horizon = replica.decode_done if replica.decode_done > ready else ready
-                if horizon < now:
-                    replica.idle_seconds += now - horizon
-                ready = now
-            queued_before = (ready - now) * pf_rate
-            # Half an iteration of boundary quantization: a real engine
-            # admits the arrival only when the in-flight pass finishes.
-            sched = ready + 0.5 * tpot
-            prompt_len = prompts[i]
-            prefill_s = prompt_len / pf_rate
-            # Pass quantization: a prompt admitted into a busy prefill
-            # wave gets its first token at the end of the *whole* pass,
-            # which also carries prompts queued behind it up to the token
-            # budget — half a pass of carry-over at depth, nothing on an
-            # empty queue.
-            carried = queued_before if queued_before <= budget_tokens else budget_tokens
-            carry = 0.5 * carried / pf_rate
-            first = sched + prefill_s + carry
-            decode_tokens = outputs[i] - 1
-            finish = first + decode_tokens * tpot
-            if finish > arrivals_end and tpot_drain < tpot:
-                # Decode that outlives the arrival stream runs with no
-                # prefill to interleave: the tail tokens come out at the
-                # bare iteration time, the way a draining fleet sprints.
-                head_s = arrivals_end - first
-                head_tokens = head_s / tpot if head_s > 0.0 else 0.0
-                finish = (
-                    first
-                    + head_tokens * tpot
-                    + (decode_tokens - head_tokens) * tpot_drain
-                )
-            ready += prefill_s
-            replica.ready = ready
-            if heap_pick:
-                heapreplace(heap, (ready, k))
-            elif mirror_ready:
-                ready_arr[k] = ready
-            if finish > replica.decode_done:
-                replica.decode_done = finish
-            dest[pos] = replica.replica_id
-            queued = (ready - now) * pf_rate
-            if queued > replica.peak_queued_prefill_tokens:
-                replica.peak_queued_prefill_tokens = queued
-            if track_decode:
-                decode_secs[k] += decode_tokens * decode_tail
-            sched_t[i] = sched
-            first_t[i] = first
-            finish_t[i] = finish
-            if san is not None:
-                san.note_fluid_request(
-                    ids[i],
-                    replica.replica_id,
-                    arrival=now,
-                    sched=sched,
-                    first=first,
-                    finish=finish,
-                )
+                carry = 0.5 * carried / pf_rate
+                first = sched + prefill_s + carry
+                decode_tokens = outputs[j] - 1
+                finish = first + decode_tokens * tpot
+                if finish > arrivals_end and tpot_drain < tpot:
+                    # Decode that outlives the arrival stream runs with no
+                    # prefill to interleave: the tail tokens come out at
+                    # the bare iteration time, the way a draining fleet
+                    # sprints.
+                    head_s = arrivals_end - first
+                    head_tokens = head_s / tpot if head_s > 0.0 else 0.0
+                    finish = (
+                        first
+                        + head_tokens * tpot
+                        + (decode_tokens - head_tokens) * tpot_drain
+                    )
+                ready += prefill_s
+                replica.ready = ready
+                if heap_pick:
+                    heapreplace(heap, (ready, k))
+                elif mirror_ready:
+                    ready_arr[k] = ready
+                if finish > replica.decode_done:
+                    replica.decode_done = finish
+                dest_t[j] = replica.replica_id
+                queued = (ready - now) * pf_rate
+                if queued > replica.peak_queued_prefill_tokens:
+                    replica.peak_queued_prefill_tokens = queued
+                if track_decode:
+                    decode_secs[k] += decode_tokens * decode_tail
+                sched_t[j] = sched
+                first_t[j] = first
+                finish_t[j] = finish
+                if san is not None:
+                    san.note_fluid_request(
+                        ids[j],
+                        replica.replica_id,
+                        arrival=now,
+                        sched=sched,
+                        first=first,
+                        finish=finish,
+                    )
+            sched_col[block] = sched_t
+            first_col[block] = first_t
+            finish_col[block] = finish_t
+            dest[block] = dest_t
 
         makespan = fleet.makespan()
         fleet.close(makespan)
@@ -654,24 +692,32 @@ class FluidSimulator:
         replicas = list(fleet.sims())
         _fold_counters(replicas, dest, prompt_col, output_col, pf_rate)
         if san is not None:
+            prompt_tokens = int(prompt_col.sum())
             san.check_fluid_conservation(
                 num_requests=n,
                 dispatched=sum(r.num_requests for r in replicas),
-                prompt_tokens=sum(prompts),
+                prompt_tokens=prompt_tokens,
                 served_prompt_tokens=sum(r.prefill_busy for r in replicas) * pf_rate,
                 decode_tokens=sum(r.decode_tokens_total for r in replicas),
-                expected_decode_tokens=sum(max(0, o - 1) for o in outputs),
+                expected_decode_tokens=int(np.maximum(output_col - 1, 0).sum()),
                 total_tokens=sum(r.total_tokens for r in replicas),
-                expected_total_tokens=sum(prompts) + sum(outputs),
+                expected_total_tokens=prompt_tokens + int(output_col.sum()),
                 now=makespan,
             )
 
+        if order is not None:
+            # Back to request order, the latency table's row order.
+            back = np.empty_like(order)
+            back[order] = np.arange(n)
+            sched_col, first_col, finish_col = (
+                sched_col[back], first_col[back], finish_col[back]
+            )
         latency = LatencyStats.from_columns(
             request_id=workload.request_id,
             arrival=arrivals,
-            first_schedule=sched_t,
-            first_token=first_t,
-            finish=finish_t,
+            first_schedule=sched_col,
+            first_token=first_col,
+            finish=finish_col,
             output_len=workload.output_len,
         )
         phase_time = {

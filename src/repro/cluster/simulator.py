@@ -139,6 +139,7 @@ class ClusterSimulator:
         reqs = self.requests
         order = sorted(range(len(reqs)), key=lambda i: (reqs[i].arrival_time, i))
         fleet = self.fleet
+        autoscaler = self.autoscaler
         use_heap = self.use_heap
         tel = self.hooks.telemetry
         trc = self.hooks.tracing
@@ -188,11 +189,15 @@ class ClusterSimulator:
                 for sim in fleet.live_sims():
                     sim.advance(now)
             fleet.reap_drained(now)
-            if self.autoscaler is not None:
-                self.autoscaler.note_arrival(now)
-                target = self.autoscaler.decide(now, fleet)
-                if target is not None:
-                    fleet.resize_to(target, now, reason=self.autoscaler.last_reason)
+            if autoscaler is not None:
+                if autoscaler.observes_arrivals:
+                    autoscaler.note_arrival(now)
+                # decide()'s own cadence test: it answers None otherwise.
+                last = autoscaler.last_eval_at
+                if last is None or not (now - last < autoscaler.interval_s):
+                    target = autoscaler.decide(now, fleet)
+                    if target is not None:
+                        fleet.resize_to(target, now, reason=autoscaler.last_reason)
             if tel is not None:
                 for t in tel.boundaries("cluster", now):
                     fleet.sample_cluster(tel, t)

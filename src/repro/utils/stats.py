@@ -64,13 +64,16 @@ def summarize(values: Sequence[float]) -> Summary:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("summarize of empty sequence")
+    # One partition for the three ranks; each equals its own
+    # ``np.percentile`` call bit for bit.
+    p50, p90, p99 = np.percentile(arr, (50, 90, 99)).tolist()
     return Summary(
         count=int(arr.size),
         mean=float(arr.mean()),
         std=float(arr.std()),
         minimum=float(arr.min()),
-        p50=float(np.percentile(arr, 50)),
-        p90=float(np.percentile(arr, 90)),
-        p99=float(np.percentile(arr, 99)),
+        p50=p50,
+        p90=p90,
+        p99=p99,
         maximum=float(arr.max()),
     )

@@ -54,12 +54,21 @@ Contracts:
     result repr, latency columns and ``phase_time`` in hex, telemetry
     JSONL, trace rows and sanitizer counts, for every router and
     autoscaler over diurnal, Poisson, unsorted and simultaneous
-    arrivals, hooks off and on. A dispatch missing from the folded
-    counters fails the sanitizer's conservation check.
+    arrivals, hooks off and on, and again with a 7-arrival block so the
+    loop's block edges fall among scale decisions and fleet polls. A
+    dispatch missing from the folded counters fails the sanitizer's
+    conservation check.
+11. **Event-tier autoscaler cadence** — the shared-clock loop calls
+    ``decide`` only when an evaluation is due and ``note_arrival`` only
+    for policies that observe arrivals, bit-identical to calling both on
+    every arrival.
+12. **Fluid memory** — ``FluidSimulator.run``'s traced peak grows by at
+    most 128 bytes per extra request.
 """
 
 import itertools
 import random
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -226,6 +235,68 @@ class TestHeapEventLoop:
             wl,
         )
         assert_bit_identical(linear, heap)
+
+
+class TestEventAutoscalerCadence:
+    """The shared-clock loop calls ``decide`` only when an evaluation is
+    due and ``note_arrival`` only for policies that observe arrivals, and
+    the run equals, bit for bit, the former loop that called both on
+    every arrival."""
+
+    def run(self, make_run, monkeypatch, gated):
+        calls = []
+        real_decide = Autoscaler.decide
+
+        def spy(scaler, now, fleet):
+            before = scaler._last_eval_at
+            verdict = real_decide(scaler, now, fleet)
+            calls.append(scaler._last_eval_at != before)
+            return verdict
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Autoscaler, "decide", spy)
+            if not gated:
+                # The former loop: no evaluation reads as due-tested, and
+                # every policy hears every arrival.
+                mp.setattr(Autoscaler, "last_eval_at", property(lambda scaler: None))
+                mp.setattr(Autoscaler, "observes_arrivals", True)
+            return make_run()(), calls
+
+    def test_threshold_cell_decides_only_when_due(self, monkeypatch):
+        # The bench's autoscaled_diurnal cell: 15b on 8xA10, 2000 arrivals.
+        def make_run():
+            return CELLS["autoscaled_diurnal"](1.0)[0]
+
+        gated, calls = self.run(make_run, monkeypatch, gated=True)
+        every, every_calls = self.run(make_run, monkeypatch, gated=False)
+        assert len(every_calls) == 2000
+        assert len(calls) == 57 == sum(every_calls)
+        assert all(calls)
+        assert_bit_identical(gated, every)
+
+    def test_predictive_scaling_cell(self, monkeypatch):
+        wl = diurnal_arrivals(
+            sharegpt_workload(num_requests=2000, seed=11),
+            rate_rps=6.0, period_s=240.0, seed=11,
+        )
+
+        def make_run():
+            engine = VllmLikeEngine(
+                get_model("15b"),
+                make_cluster("A10", 8),
+                parse_config("T2"),
+                EngineOptions(
+                    router="jsq", coupled=True, autoscaler="predictive",
+                    min_dp=1, max_dp=4,
+                ),
+            )
+            return lambda: engine.run(wl)
+
+        gated, calls = self.run(make_run, monkeypatch, gated=True)
+        every, every_calls = self.run(make_run, monkeypatch, gated=False)
+        assert all(calls) and len(calls) == sum(every_calls) < len(every_calls)
+        assert gated.router.fleet.scale_ups > 0
+        assert_bit_identical(gated, every)
 
 
 class TestScalarVectorEquivalence:
@@ -1456,6 +1527,43 @@ class TestFluidDispatchOracle:
         assert scaled > 0
         assert on_tick > 0 or shape != "burst"
 
+    @pytest.mark.parametrize("router", ["jsq", "least-work", "static"])
+    @pytest.mark.parametrize("shape", ["poisson", "unsorted", "burst"])
+    def test_matches_per_arrival_loop_across_blocks(self, shape, router, monkeypatch):
+        # The oracle workloads fit in one default block; a 7-arrival block
+        # puts block edges everywhere, so scale decisions, fleet polls and
+        # the fixed fleet's operating-point refreshes land both on a
+        # block's first arrival and inside blocks.
+        block = 7
+        monkeypatch.setattr(fluid, "_BLOCK", block)
+        workload = fluid_arrivals(shape)
+        if shape == "burst":
+            monkeypatch.setattr(fleet_mod, "provision_times", lambda engine: (10.0, 10.0))
+        times = np.sort(workload.arrival_time, kind="stable")
+        edges = set()
+        for autoscaler, hooks_on in itertools.product(
+            ("none", "threshold", "predictive"), (False, True)
+        ):
+            cell = (router, autoscaler, workload, hooks_on)
+            result, fast = self.observed(*cell, "fast")
+            with monkeypatch.context() as mp:
+                use_per_arrival_run(mp)
+                _, oracle = self.observed(*cell, "oracle")
+            assert fast.keys() == oracle.keys()
+            for key in oracle:
+                assert fast[key] == oracle[key], (autoscaler, hooks_on, key)
+            if autoscaler == "none":
+                continue
+            # Dispatch positions of the arrivals each scale decision was
+            # taken at (every arrival at that instant, for simultaneous
+            # arrivals).
+            for e in result.router.fleet.events:
+                if e.kind in ("scale-up", "scale-down"):
+                    at = np.flatnonzero(times == e.time)
+                    assert at.size > 0
+                    edges.update((at % block == 0).tolist())
+        assert edges == {True, False}
+
     @pytest.mark.parametrize(
         "edge",
         [(0.48, 5.4799999999999995), (3.04, 8.04)],
@@ -1511,6 +1619,44 @@ class TestFluidDispatchOracle:
                 ParallelConfig(dp=4, tp=2, pp=1),
                 EngineOptions(router="jsq", coupled=True, fidelity="fluid"),
             ).run(fluid_arrivals("poisson"), RunHooks(sanitize=Sanitizer()))
+
+
+class TestFluidMemory:
+    """The fluid tier's memory grows with the numpy columns it keeps and
+    returns, not with whole-day lists of Python objects: the per-request
+    slope of ``FluidSimulator.run``'s traced peak stays under a bound
+    (whole-day lists cost about 280 bytes a request)."""
+
+    @staticmethod
+    def traced_peak(n: int) -> int:
+        # perfbench's fluid_day cell shape, scaled to ``n`` requests.
+        workload = diurnal_arrivals(
+            sharegpt_workload(num_requests=n, seed=0),
+            rate_rps=140.0,
+            period_s=8640.0 * n / 1_000_000,
+            seed=0,
+        )
+        engine = VllmLikeEngine(
+            get_model("15b"),
+            make_cluster("A10", 400),
+            parse_config("D20T2"),
+            EngineOptions(
+                router="jsq", coupled=True, fidelity="fluid",
+                autoscaler="threshold", min_dp=20, max_dp=200,
+            ),
+        )
+        sim = fluid.FluidSimulator(engine, workload)
+        tracemalloc.start()
+        try:
+            sim.run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_slope_per_request(self):
+        small, large = 20_000, 80_000
+        slope = (self.traced_peak(large) - self.traced_peak(small)) / (large - small)
+        assert slope <= 128.0, f"{slope:.0f} bytes per extra request"
 
 
 class TestBenchHarness:

@@ -68,6 +68,18 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 4096, 50_001])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_percentiles_match_separate_calls(self, n, ties):
+        # summarize reads its three ranks from one np.percentile call;
+        # each must equal the call for that rank alone, bit for bit.
+        values = np.random.default_rng(n).lognormal(0.0, 1.5, n)
+        if ties:
+            values = np.round(values, 1)  # many repeated values
+        s = summarize(values)
+        for got, q in ((s.p50, 50), (s.p90, 90), (s.p99, 99)):
+            assert got.hex() == float(np.percentile(values, q)).hex(), q
+
     def test_percentile(self):
         assert percentile([0, 10], 50) == pytest.approx(5.0)
         with pytest.raises(ValueError):
