@@ -381,13 +381,15 @@ class SeesawEngine(BaseEngine):
 
             # A decode stretch, unless this pass's retirement freed KV after
             # the prefetch attempt above or the transition test already
-            # holds. A stretch starts with the prefetcher blocked, and it
-            # stays blocked: running plus in-flight and the CPU pool are
-            # fixed and free KV only shrinks, so _can_prefill can only turn
-            # false and a false transition test stays false. The stretch
-            # stops before the next prefetch lands (SeesawState's stop).
-            stretch = not retired and not self._leaves_decode(state)
-            now = self.decode_step(state, now, stretch=stretch)
+            # holds: then the horizon makes it one iteration. A stretch
+            # starts with the prefetcher blocked, and it stays blocked:
+            # running plus in-flight and the CPU pool are fixed and free KV
+            # only shrinks, so _can_prefill can only turn false and a false
+            # transition test stays false. The stretch stops before the
+            # next prefetch lands (SeesawState's stop).
+            if retired or self._leaves_decode(state):
+                state.horizon = now
+            now = self.decode_step(state, now)
             yield now
             if self._leaves_decode(state):
                 break

@@ -4,9 +4,9 @@ Every engine in this package simulates one DP replica at a time (replicas
 process disjoint request partitions concurrently; wall time is the slowest
 replica) and shares the mechanics implemented here: the whole-batch
 prefill wave, reserved (preemption-free) admission, the batch-at-a-time
-scheduling loop, the decode step with KV growth and preemption, the
-stretch (one call running a fixed batch's iterations, decode or with a
-mid-prompt chunk), sequence bookkeeping, and
+scheduling loop, the stretch (one call running a fixed batch's
+iterations, decode or with a mid-prompt chunk: every decode step is one),
+KV growth and preemption, sequence bookkeeping, and
 :meth:`BaseEngine.phase`, the recorder of timed phase spans. The step
 helpers take the replica's
 :class:`ReplicaState` alone: its ``metrics`` and ``costs`` travel with it.
@@ -275,8 +275,10 @@ class ReplicaState:
         # Calendar decode slots (engines/slots.py); None = the object
         # lists are authoritative.
         self.slots = None
-        # No stretch runs an iteration that starts at or past this instant;
-        # the driving ReplicaSim sets it on every resume.
+        # No stretch runs a later iteration that starts at or past this
+        # instant. The driving ReplicaSim sets it on every resume (lowered
+        # to the telemetry probe's next sample); Seesaw's decode phase
+        # lowers it to ``now`` for a pass that must run one iteration.
         self.horizon = math.inf
         self.admit_arrivals(0.0)
 
@@ -707,8 +709,8 @@ class BaseEngine(abc.ABC):
         :class:`RunMetrics` (a ``stall`` is booked as ``swap_stall``
         phase time, ``breakdown`` into the run breakdown) and to the
         tracer's phase track (see :class:`repro.obs.PhaseSpan` for the
-        counts). Only a stretch's later iterations bypass it, to book the
-        same additions in bulk (:meth:`_stretch`).
+        counts). Only stretches bypass it, to book the same additions for
+        a run of iterations in bulk (:meth:`_stretch`).
         """
         tr = self.hooks.tracing
         if tr is not None:
@@ -857,16 +859,14 @@ class BaseEngine(abc.ABC):
         the clock."""
         return now
 
-    def decode_step(
-        self, state: ReplicaState, now: float, stretch: bool = True
-    ) -> float:
+    def decode_step(self, state: ReplicaState, now: float) -> float:
         """A decode stretch over the running batch; returns the new time.
 
-        The first iteration is costed via :meth:`decode_context` and
-        stepped via :meth:`advance_running`. With ``stretch`` and live
-        decode slots, further iterations follow in the same call while
-        the batch stays fixed (see :meth:`_stretch`); without them the
-        call is exactly one iteration.
+        Costs the batch once (:meth:`StepCostModel.decode_iteration_time`
+        over :meth:`decode_context`, which builds the decode slots) and
+        hands it to :meth:`_stretch`, which runs the first iteration and
+        any later ones while the batch stays fixed. A caller that wants
+        exactly one iteration sets ``state.horizon = now`` first.
 
         A caller may stretch only if nothing it does between two decode
         iterations can change the batch unless one of the stretch's stop
@@ -881,63 +881,59 @@ class BaseEngine(abc.ABC):
         ``SeesawEngine._decode_phase``).
         """
         if not state.running:
-            raise ConfigurationError("decode_step with no running sequences")
-        num_seqs = len(state.running)
-        bd = state.costs.decode_iteration_time(num_seqs, self.decode_context(state))
-        now = self.phase(
-            state, "decode", now, bd.total + ITERATION_OVERHEAD, bd,
-            num_seqs, num_seqs, num_seqs,
+            raise SimulationError("decode_step with no running sequences")
+        bd = state.costs.decode_iteration_time(
+            len(state.running), self.decode_context(state)
         )
-        state.metrics.iterations += 1
-        self.advance_running(state, now)
-        if state.finish_ready(now) or not stretch or state.slots is None:
-            return now
         return self._stretch(state, now, bd, "decode")
 
     def _stretch(
         self,
         state: ReplicaState,
         now: float,
-        first: Breakdown,
+        costs: Breakdown,
         kind: str,
         head: Sequence | None = None,
         take: int = 0,
     ) -> float:
-        """The iterations after a stretch's first one; returns the clock
-        at the last one's end.
+        """Run iterations over a fixed batch; returns the clock at the
+        last one's end.
 
         A stretch is a run of iterations over a fixed batch: every running
         sequence decodes one token, and with a ``head`` the queue head also
-        prefills a mid-prompt chunk of ``take`` tokens, as the first
-        iteration did (``first`` is its breakdown, ``kind`` its phase).
-        Each iteration is the one the caller's loop would run next: only
-        its two attention terms move with the contexts, and they come from
+        prefills a mid-prompt chunk of ``take`` tokens. ``costs`` is one
+        such iteration's breakdown and ``kind`` its phase. Each iteration
+        is the one the caller's loop would run next: only its two
+        attention terms move with the contexts, and they come from
         :meth:`StepCostModel.decode_attention`; the clock, the phase time,
         the six breakdown sums, ``prefilled_tokens``, ``prefill_epoch``,
-        ``decode_backlog`` and the tracer's rows take the same additions
-        in the same order.
+        ``decode_backlog`` and the tracer's rows take the additions
+        :meth:`phase` would make, in the same order.
 
-        The stretch stops before an iteration that would start at or past
-        :meth:`ReplicaState.stretch_stop` (``<= now + 1e-12`` admits an
-        arrival), or whose chunk would complete the head's prompt or
-        cannot grow its KV; and after one that retires a sequence or whose
-        block crossings the free KV pool cannot cover (that iteration then
-        takes the scalar grow/preempt fallback). A batch advances on live
-        decode slots; an empty one (a prefill-only chunk run) has nothing
-        to advance.
+        A decode stretch (no ``head``) always runs its first iteration,
+        the one :meth:`decode_step` was called for; a chunk stretch
+        follows the mixed iteration its caller booked. No later iteration
+        starts at or past :meth:`ReplicaState.stretch_stop` (``<= now +
+        1e-12`` admits an arrival), and none whose chunk would complete
+        the head's prompt or cannot grow its KV. The stretch also ends
+        after an iteration that retires a sequence or whose block
+        crossings the free KV pool cannot cover; that iteration then
+        takes the scalar grow/preempt fallback, as every decode iteration
+        does without slots (the scalar oracle). An empty batch (a
+        prefill-only chunk run) has nothing to advance.
         """
         stop = state.stretch_stop()
-        if not now + 1e-12 < stop:
+        if head is not None and not now + 1e-12 < stop:
             return now
         slots, kv, metrics = state.slots, state.kv, state.metrics
         n = len(state.running)
-        due = slots.due if n else ()
+        due = slots.due if slots is not None else ()
         attention = state.costs.decode_attention(take)
-        linear_dm, linear_comp = first.linear_dm, first.linear_comp
-        comm, overhead = first.comm, first.overhead
+        linear_dm, linear_comp = costs.linear_dm, costs.linear_comp
+        comm, overhead = costs.comm, costs.overhead
         linear = max(linear_dm, linear_comp)
         phases = metrics.phase_timer.phases
-        spent = phases[kind]
+        spent = phases.get(kind, 0.0)
         # The run breakdown's sums, added in place (RunMetrics.add_phase
         # order), held in locals for the stretch.
         sums = metrics._sums
@@ -945,11 +941,11 @@ class BaseEngine(abc.ABC):
         tr = self.hooks.tracing
         rows = [] if tr is not None else None
         tokens = take + n
-        ctx = slots.ctx_sum if n else 0
+        ctx = state.decode_context_tokens if slots is None else slots.ctx_sum
         prefilled = 0
         steps = 0
-        refused = False
-        while now + 1e-12 < stop:
+        scalar = False
+        while True:
             if head is not None:
                 # The chunk loop's next pass: the head's next chunk, unless
                 # it completes the prompt or its KV cannot grow.
@@ -979,18 +975,20 @@ class BaseEngine(abc.ABC):
             now += elapsed
             steps += 1
             if n:
-                if not slots.try_advance(kv):
-                    refused = True
+                if slots is None or not slots.try_advance(kv):
+                    scalar = True
                     break
                 ctx = slots.ctx_sum
                 if slots.adv in due:
                     break
+            if not now + 1e-12 < stop:
+                break
         phases[kind] = spent
         sums[:] = (s0, s1, s2, s3, s4, s5)
         metrics.iterations += steps
         if tr is not None:
             tr.note_phases(state.replica_id, rows)
-        if refused:
+        if scalar:
             state.decode_backlog -= n * (steps - 1)
             state.drop_slots()
             self._advance_objects(state, now)
@@ -1002,17 +1000,17 @@ class BaseEngine(abc.ABC):
 
     def decode_context(self, state: ReplicaState) -> int:
         """Cached tokens one decode advance of ``state.running`` attends
-        over — the cost-model input of every decode half-iteration.
+        over — the cost-model input of every decode iteration.
 
-        Builds the decode slots first when at least
-        ``slots.VECTORIZE_MIN_SEQS`` sequences run, and then reads their
-        exact running sum instead of walking the batch.
+        Builds the decode slots first (unless ``slots.SCALAR_ORACLE``
+        holds) and then reads their exact running sum instead of walking
+        the batch.
         """
         slots = state.slots
-        if slots is None and len(state.running) >= decode_slots.VECTORIZE_MIN_SEQS:
-            slots = state.slots = decode_slots.DecodeSlots(state)
         if slots is None:
-            return state.decode_context_tokens
+            if decode_slots.SCALAR_ORACLE:
+                return state.decode_context_tokens
+            slots = state.slots = decode_slots.DecodeSlots(state)
         return slots.ctx_sum
 
     def advance_running(self, state: ReplicaState, now: float) -> None:
@@ -1024,9 +1022,9 @@ class BaseEngine(abc.ABC):
         hook — recompute for static engines, swap-out for Seesaw). Live
         decode slots take the whole step in O(1) plus one bulk KV grow,
         unless this iteration's block crossings outrun the free pool.
-        Retirement is left to the caller's ``finish_ready``. A decode
-        stretch advances its later iterations on the slots itself and
-        falls back the same way.
+        Retirement is left to the caller's ``finish_ready``. This is the
+        mixed iteration's decode half; a stretch advances its iterations
+        on the slots itself and falls back the same way.
         """
         slots = state.slots
         if slots is not None:

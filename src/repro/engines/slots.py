@@ -1,8 +1,9 @@
 """Calendar decode slots for the steady-state decode loop.
 
 The slots drive every decode step, whether it is a plain decode iteration
-or the decode half of a chunked-prefill mixed iteration: both go through
-:meth:`~repro.engines.base.BaseEngine.advance_running`. A decode iteration
+(advanced by a stretch, :meth:`~repro.engines.base.BaseEngine._stretch`)
+or the decode half of a chunked-prefill mixed iteration (advanced by
+:meth:`~repro.engines.base.BaseEngine.advance_running`). A decode iteration
 advances every running sequence by one token, grows its KV allocation when
 the context crosses a block boundary, and retires sequences that produced
 their last token. The object path does all of that with per-sequence
@@ -32,12 +33,12 @@ An advance therefore costs O(1) plus one bulk grow on crossing iterations,
 and a retirement O(running) once per iteration that retires anything.
 Engines run :meth:`finish_ready` after every advance and every batch of
 appends, before the next advance, so no retirement offset is skipped.
-The calendar also says how long the batch stays fixed: a stretch
-(:meth:`~repro.engines.base.BaseEngine._stretch`) runs iteration after
-iteration in one call, decode-only or with the queue head's mid-prompt
-chunk, paying per iteration only the two attention terms of the cost
-model, the accounting additions and :meth:`try_advance`, and stops at the
-first offset in ``due`` or the first refused advance.
+The calendar also says how long the batch stays fixed: a stretch runs
+iteration after iteration in one call, decode-only (every decode step is
+one) or with the queue head's mid-prompt chunk, paying per iteration only
+the two attention terms of the cost model, the accounting additions and
+:meth:`try_advance`, and stops at the first offset in ``due`` or the first
+refused advance.
 
 Only ``generated_tokens`` drifts away from the Sequence objects while the
 slots are live. Admission keeps them live: :meth:`ReplicaState.start_running`
@@ -51,18 +52,17 @@ slots refuse to advance and the engine falls back to the scalar
 grow/preempt path for that iteration, so preemption order stays bit-exact
 with the object path by construction.
 
-The slots are an internal cache with no knob of their own: below
-:data:`VECTORIZE_MIN_SEQS` running sequences engines take the original
-scalar path, one iteration per call. That path is the oracle: tests force
-it by raising the threshold to ``math.inf`` (engines read it through this
-module), which also turns off every stretch (:func:`stretchable`), and
-the two paths are pinned bit-identical by the golden and property tests;
-tracing runs on either.
+The slots are an internal cache with no knob of their own: engines build
+them for every batch they decode. The one switch, :data:`SCALAR_ORACLE`,
+is for tests: it keeps the slots unbuilt, so every decode iteration takes
+the scalar object path and no call runs more than the one iteration its
+caller asked for. That path is the oracle (engines read the switch
+through this module), and the two paths are pinned bit-identical by the
+golden and property tests; tracing runs on either.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from repro.errors import CapacityError
@@ -72,19 +72,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.kvcache import KVCacheManager
     from repro.runtime.request import Sequence
 
-# Batches below this size take the scalar path: the decode slots' set-up
-# costs more than a short python loop. Raising it to ``math.inf`` selects
-# the scalar oracle everywhere (identical results).
-VECTORIZE_MIN_SEQS = 4
-
-
-def stretchable(state: "ReplicaState") -> bool:
-    """Whether a stretch may advance ``state``'s batch: on live slots, or
-    with nothing to advance when no sequence runs. Under the scalar oracle
-    (``VECTORIZE_MIN_SEQS = math.inf``) nothing stretches."""
-    if state.slots is not None:
-        return True
-    return not state.running and VECTORIZE_MIN_SEQS < math.inf
+# Test-only: True keeps every batch on the scalar object path, one
+# iteration per call (the oracle the slots and stretches must match).
+SCALAR_ORACLE = False
 
 
 class DecodeSlots:

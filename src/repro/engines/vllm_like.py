@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.costmodel.step import ITERATION_OVERHEAD
-from repro.engines import slots
 from repro.engines.base import BaseEngine, ReplicaState
 from repro.errors import CapacityError, SchedulingError
 from repro.runtime.request import Sequence, SequenceState
@@ -206,7 +205,8 @@ class VllmLikeEngine(BaseEngine):
         if tr is not None:
             for seq in completing:
                 tr.note_resume(now, seq.seq_id)
-        if state.finish_ready(now) or completing or not slots.stretchable(state):
+        if state.finish_ready(now) or completing or state.slots is None:
+            # The batch changed, or has no slots (oracle or fallback).
             return now
         # Only a mid-prompt chunk of the queue head ran, and the chunk loop
         # broke there without reading the prompts behind it: while the

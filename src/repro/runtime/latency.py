@@ -18,8 +18,9 @@ columns, one row per request: ``request_id``, ``arrival``,
 ``first_schedule``, ``first_token``, ``finish`` (float64 seconds on the
 virtual clock), ``output_len`` and ``num_preemptions`` (int64). Producers
 fill the columns directly (:meth:`LatencyStats.from_columns`; the fluid
-tier hands over its stamp lists) or through the row-wise builders
-:meth:`LatencyStats.from_sequences` and :meth:`LatencyStats.from_records`.
+tier hands over its stamp columns, which the table keeps) or through the
+row-wise builders :meth:`LatencyStats.from_sequences` and
+:meth:`LatencyStats.from_records`.
 Validation runs as array masks and reports the first offending request
 with the same message the per-record check gives. The object pickles as
 its columns only, and ``==`` compares the columns bit for bit.
@@ -242,17 +243,19 @@ class LatencyStats:
     ) -> "LatencyStats":
         """Validated table from per-request columns: lists or 1-D arrays,
         row ``i`` of every column being one request. ``num_preemptions``
-        defaults to zeros."""
-        rid = np.array(request_id, dtype=np.int64)
+        defaults to zeros. An array column that already has the table's
+        dtype is kept, not copied, and frozen like every table column
+        (``writeable`` off): pass a copy of an array you still write."""
+        rid = np.asarray(request_id, dtype=np.int64)
         stamps = [
-            np.array(c, dtype=np.float64)
+            np.asarray(c, dtype=np.float64)
             for c in (arrival, first_schedule, first_token, finish)
         ]
-        out = np.array(output_len, dtype=np.int64)
+        out = np.asarray(output_len, dtype=np.int64)
         pre = (
             np.zeros(rid.shape, dtype=np.int64)
             if num_preemptions is None
-            else np.array(num_preemptions, dtype=np.int64)
+            else np.asarray(num_preemptions, dtype=np.int64)
         )
         cols = (rid, *stamps, out, pre)
         if any(c.ndim != 1 or c.shape != rid.shape for c in cols):

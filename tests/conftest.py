@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import math
 
 import pytest
 
@@ -83,14 +82,15 @@ def cfg_p8() -> ParallelConfig:
 @pytest.fixture
 def scalar_oracle():
     """A context manager forcing the engines' scalar decode path for its
-    block (the bit-exactness oracle of the decode slots and stretches): no
-    batch ever reaches ``slots.VECTORIZE_MIN_SEQS``, so every call runs one
-    iteration, prefill-only chunk runs included."""
+    block (the bit-exactness oracle of the decode slots and stretches): it
+    sets ``slots.SCALAR_ORACLE``, so no batch builds decode slots, every
+    decode step runs the one iteration its caller asked for on the object
+    path, and no chunk stretch runs, prefill-only chunk runs included."""
 
     @contextlib.contextmanager
     def forced():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(slots, "VECTORIZE_MIN_SEQS", math.inf)
+            mp.setattr(slots, "SCALAR_ORACLE", True)
             yield
 
     return forced

@@ -394,6 +394,28 @@ class TestColumnarConstruction:
             LatencyStats.from_columns(**columns)
         assert str(got.value) == str(want.value)
 
+    def test_from_columns_keeps_typed_arrays_and_copies_lists(self):
+        ids = np.array([3, 4], dtype=np.int64)
+        finish = np.array([6.0, 7.0])
+        listed = [0.0, 0.0]
+        stats = LatencyStats.from_columns(
+            request_id=ids, arrival=listed, first_schedule=[1.0, 1.0],
+            first_token=[2.0, 2.0], finish=finish, output_len=[5, 5],
+        )
+        assert np.shares_memory(stats.request_id, ids)
+        assert np.shares_memory(stats.finish, finish)
+        assert not finish.flags.writeable  # kept columns are frozen
+        listed[0] = 9.0
+        assert stats.arrival.tolist() == [0.0, 0.0]
+        # A column of another dtype is converted into a new array.
+        lens = np.array([5, 5], dtype=np.int32)
+        other = LatencyStats.from_columns(
+            request_id=ids, arrival=[0.0, 0.0], first_schedule=[1.0, 1.0],
+            first_token=[2.0, 2.0], finish=finish, output_len=lens,
+        )
+        assert not np.shares_memory(other.output_len, lens)
+        assert lens.flags.writeable
+
     def test_from_columns_rejects_ragged_columns(self):
         with pytest.raises(SimulationError, match="equal length"):
             LatencyStats.from_columns(

@@ -7,7 +7,8 @@ Contracts:
    :class:`EngineResult`s to the exhaustive next-event scan
    (``use_heap=False``), across engines, routers and autoscalers: the
    heap is pure dispatch mechanics, never policy.
-2. **Vector == scalar** — the calendar decode-slot path is bit-identical
+2. **Vector == scalar** — the calendar decode-slot path, which every
+   batch decodes on (one to three sequences included), is bit-identical
    to the object path (forced by the ``scalar_oracle`` fixture) on
    online coupled cells, including preemption-heavy ones, on
    chunked-prefill mixed iterations (offline, online and coupled), and
@@ -36,7 +37,9 @@ Contracts:
    builds slots only after preemption or the headroom fallback dropped
    them, never once per admission.
 9. **Stretch == one iteration per resume** — a stretch (several
-   fixed-batch iterations in one generator resume) gives the scalar
+   fixed-batch iterations in one generator resume; every decode step is
+   a stretch, and under the scalar oracle none runs past the one
+   iteration its caller asked for) gives the scalar
    oracle's result, latency columns, telemetry series, phase tracks,
    trace exports and drain counters, hooks off and on: decode stretches
    on a coupled JSQ cell, on a decoupled cell whose arrivals cut them
@@ -450,14 +453,43 @@ class TestScalarVectorEquivalence:
         )
         assert_bit_identical(*self.run_pair(mk, wl))
 
-    def test_admission_scan_below_window_uses_scalar(self, tiny_model, cluster_a10_4):
-        # Batches too small for decode slots (below VECTORIZE_MIN_SEQS)
-        # run the same scalar decode path with or without the oracle.
-        from repro.workloads.synthetic import constant_workload
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_small_batches_decode_on_slots(
+        self, tiny_model, cluster_a10_4, batch, monkeypatch
+    ):
+        # A batch of one to three sequences builds decode slots and
+        # stretches like any other, bit-identical with the oracle.
+        advances, resumes = [], []
+        try_advance, step = DecodeSlots.try_advance, ReplicaSim._step
 
-        wl = constant_workload(3, 256, 16)
+        def counted_advance(slots, kv):
+            advances.append(len(slots))
+            return try_advance(slots, kv)
+
+        def counted_step(sim, *args):
+            resumes.append(sim.replica_id)
+            step(sim, *args)
+
+        monkeypatch.setattr(DecodeSlots, "try_advance", counted_advance)
+        monkeypatch.setattr(ReplicaSim, "_step", counted_step)
+        wl = constant_workload(batch, 256, 16)
         mk = lambda: VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T2P2"))
-        assert_bit_identical(*self.run_pair(mk, wl))
+        with self.scalar_oracle():
+            scalar = mk().run(wl)
+        assert not advances
+        oracle_resumes = len(resumes)
+        resumes.clear()
+        fast = mk().run(wl)
+        assert_bit_identical(scalar, fast)
+        assert max(advances) == batch  # the slots drove the batch's decode
+        assert len(resumes) < fast.iterations <= oracle_resumes  # it stretched
+
+    def test_decode_step_without_running_is_a_simulation_error(
+        self, tiny_model, cluster_a10_4
+    ):
+        engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T4"))
+        with pytest.raises(SimulationError, match="no running sequences"):
+            engine.decode_step(engine._replica_setup([], 0), 0.0)
 
 
 class TestChunkedScalarVectorEquivalence:
@@ -561,7 +593,7 @@ class TestCompareShapedEquivalence:
 class StretchSeen:
     """What one stretch call did."""
 
-    ran: bool  # it ran at least one iteration
+    ran: bool  # it ran past the one iteration its caller asked for
     kind: str  # its phase: decode, mixed or prefill
     chunk: bool  # it carried the queue head's prefill chunks
     waiting: bool  # prompts were waiting when it started
@@ -581,7 +613,8 @@ class TestDecodeStretchOracle:
     would run, and every observer sees the same run: decode stretches,
     chunk stretches (vLLM's mid-prompt chunks, with or without decodes)
     and Seesaw's buffered decode phase. The scalar oracle has no decode
-    slots and stretches nothing, not even a prefill-only chunk run."""
+    slots and stretches nothing, not even a prefill-only chunk run: every
+    decode step runs its one iteration and stops."""
 
     @pytest.fixture(autouse=True)
     def _counters(self, scalar_oracle, monkeypatch, tmp_path):
@@ -626,9 +659,12 @@ class TestDecodeStretchOracle:
                 and bool(state.inflight)
                 and state.next_arrival <= end + 1e-12
             )
+            # A decode stretch's first iteration is the one its caller
+            # asked for; a chunk stretch follows its caller's mixed one.
+            booked = iterations + (head is None)
             self.stretches.append(
                 StretchSeen(
-                    ran=metrics.iterations > iterations,
+                    ran=metrics.iterations > booked,
                     kind=kind,
                     chunk=head is not None,
                     waiting=waiting,
@@ -695,7 +731,7 @@ class TestDecodeStretchOracle:
     def assert_matches_oracle(self, make_engine, workload, hooks_on):
         with self.scalar_oracle():
             oracle, oracle_resumes = self.observed(make_engine, workload, hooks_on, "o")
-        assert not self.stretches
+        assert self.stretches and not any(s.ran or s.chunk for s in self.stretches)
         fast, fast_resumes = self.observed(make_engine, workload, hooks_on, "f")
         assert_bit_identical(oracle["result"], fast["result"])
         s1 = (oracle.pop("s1", 0), fast.pop("s1", 0))

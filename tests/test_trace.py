@@ -6,7 +6,7 @@ from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.engines.base import BaseEngine, EngineOptions, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
-from repro.engines.slots import VECTORIZE_MIN_SEQS
+from repro.engines.slots import DecodeSlots
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import SimulationError
 from repro.obs import PhaseSpan, Tracer, phase_segments, render_timeline
@@ -182,24 +182,34 @@ class TestEngineTracing:
 class TestPhaseTracks:
     @pytest.mark.parametrize("chunked", [False, True])
     def test_vectorized_decode_matches_scalar_oracle(
-        self, tiny_model, cluster_a10_4, chunked, scalar_oracle
+        self, tiny_model, cluster_a10_4, chunked, scalar_oracle, monkeypatch
     ):
         """Slot decode records its spans too: a decode-heavy cell on the
         decode slots, decode stretches included, gives the scalar path's
         phase track and result exactly (the scalar path is the oracle)."""
-        wl = constant_workload(16 * VECTORIZE_MIN_SEQS, 128, 96)
+        advances = []
+        try_advance = DecodeSlots.try_advance
+
+        def counted(slots, kv):
+            advances.append(len(slots))
+            return try_advance(slots, kv)
+
+        monkeypatch.setattr(DecodeSlots, "try_advance", counted)
+        wl = constant_workload(64, 128, 96)
 
         def run():
             opts = EngineOptions(chunked_prefill=chunked, chunk_size=512)
             engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T4"), opts)
             return traced_run(engine, wl)
 
-        fast, fast_tr = run()
         with scalar_oracle():
             oracle, oracle_tr = run()
+        assert not advances
+        fast, fast_tr = run()
         spans = fast_tr.phases(0)
         assert spans == oracle_tr.phases(0)
-        assert max(e.num_seqs for e in of_kind(spans, DECODE)) >= VECTORIZE_MIN_SEQS
+        # The slots drove decode, over the largest batches the track shows.
+        assert max(advances) == max(e.num_seqs for e in of_kind(spans, DECODE))
         assert fast == oracle
 
     def test_coupled_jsq_tracks_every_replica_with_work(
