@@ -252,11 +252,13 @@ class SeesawEngine(BaseEngine):
             lens = [s.remaining_prefill for s in microbatch]
             stage = costs.prefill_stage_time(lens)
             last_stage_total = stage.total
-            # Steady-state stream: one micro-batch retires per stage time.
+            # Steady-state stream: one micro-batch retires per stage time;
+            # its device time is the stage over all PP stages.
             now = self.phase(
-                state, "prefill", now, stage.total + ITERATION_OVERHEAD,
-                stage.scale(pp), len(microbatch), sum(lens), len(state.running),
+                state, "prefill", now, last_stage_total + ITERATION_OVERHEAD,
+                None, len(microbatch), sum(lens), len(state.running),
             )
+            metrics.add_scaled(stage, pp)
             metrics.iterations += 1
             processed_any = True
 

@@ -16,10 +16,13 @@ answers, in seconds-with-breakdown:
 - ``reshard_time(dst)``              — weight reload for a config switch.
 
 Both iteration calls share one roofline kernel fed by hoisted per-config
-constants; the ``*_reference`` methods compose the same numbers layer by
-layer and are the test oracles it matches bit for bit. The kernel's
-attention formula is also what ``decode_attention(chunk)`` hands a
-stretch of fixed-batch iterations (decode, or with a fixed-size prompt
+constants, and ``prefill_stage_time`` is a second kernel fed from the
+same cache; the ``*_reference`` methods (``prefill_stage_time_reference``,
+``decode_iteration_time_reference``, ``mixed_iteration_time_reference``)
+compose the same numbers layer by layer through ``roofline.layer_time``
+and are the test oracles the kernels match bit for bit. The iteration
+kernel's attention formula is also what ``decode_attention(chunk)`` hands
+a stretch of fixed-batch iterations (decode, or with a fixed-size prompt
 chunk), whose later iterations change nothing else.
 
 All per-replica quantities assume the engine has already divided work
@@ -29,6 +32,7 @@ across DP replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Sequence
 
 from repro.costmodel.breakdown import Breakdown
@@ -92,7 +96,41 @@ class StepCostModel:
     # ------------------------------------------------------------------ #
 
     def prefill_stage_time(self, seq_lens: Sequence[int]) -> Breakdown:
-        """One prefill micro-batch through ONE pipeline stage."""
+        """One prefill micro-batch through ONE pipeline stage.
+
+        Hot path of every prefill wave and micro-batch: the Appendix A
+        roofline of :meth:`prefill_stage_time_reference` bit for bit
+        (pinned by tests) from hoisted constants, without the per-layer
+        and send Breakdowns.
+        """
+        new_tokens = int(sum(seq_lens))
+        if new_tokens <= 0:
+            if new_tokens < 0:
+                raise ConfigurationError("token counts must be non-negative")
+            return Breakdown()
+        sum_sq = float(sum(map(mul, seq_lens, seq_lens)))
+        (
+            tp, lps, bw, flops, attn_eff, linear_dm, overhead, lin_flops, c2,
+            qkv_int, act_bytes, ar_fixed, ar_factor, ar_bw, p2p_lat, link_bw, pp,
+        ) = self._prefill_consts()
+        act = new_tokens * act_bytes
+        comm = 0.0
+        if tp > 1:
+            comm = 2 * (ar_fixed + (ar_factor * act) / ar_bw) * lps
+        if pp > 1:
+            comm = comm + (p2p_lat + act / link_bw)
+        return Breakdown(
+            linear_dm=linear_dm,
+            linear_comp=(lin_flops * new_tokens / tp / flops) * lps,
+            attn_dm=(float(new_tokens * qkv_int) / tp / bw) * lps,
+            attn_comp=(c2 * sum_sq / tp / attn_eff) * lps,
+            comm=comm,
+            overhead=overhead,
+        )
+
+    def prefill_stage_time_reference(self, seq_lens: Sequence[int]) -> Breakdown:
+        """The layer-composed reference the kernel must match bit-exactly
+        (kept as the oracle for the equivalence tests)."""
         new_tokens = int(sum(seq_lens))
         sum_sq = float(sum(s * s for s in seq_lens))
         per_layer = layer_time(
@@ -162,7 +200,8 @@ class StepCostModel:
     def _iteration_consts(self) -> tuple:
         """Per-config constants of the iteration roofline, hoisted out of
         the per-iteration path. Keyed on (tp, pp) so a mutated config
-        cannot serve stale numbers."""
+        cannot serve stale numbers. The prefill kernel's constants are
+        built alongside (:meth:`_prefill_consts`)."""
         key = (self.config.tp, self.config.pp)
         cached = getattr(self, "_iteration_cache", None)
         if cached is not None and cached[0] == key:
@@ -207,8 +246,21 @@ class StepCostModel:
             lin_flops, c4, kv_int, qkv_int, act_bytes, ar_fixed, ar_factor,
             ar_bw, fabric.latency, fabric.effective_link_bandwidth,
         )
-        self._iteration_cache = (key, consts)
+        # One stage of a prefill micro-batch: the per-layer constants get
+        # the layer scaling only; the reference's 2.0 * H * d is c2.
+        prefill = (
+            tp, lps, bw, flops, attn_eff, ((model.layer_weight_bytes / tp) / bw) * lps,
+            gpu.kernel_overhead * lps, lin_flops, (2.0 * model.num_heads) * model.head_dim,
+            qkv_int, act_bytes, ar_fixed, ar_factor, ar_bw, fabric.latency,
+            fabric.effective_link_bandwidth, pp,
+        )
+        self._iteration_cache = (key, consts, prefill)
         return consts
+
+    def _prefill_consts(self) -> tuple:
+        """The prefill kernel's hoisted constants, from the iteration cache."""
+        self._iteration_consts()
+        return self._iteration_cache[2]
 
     def mixed_iteration_time(
         self,

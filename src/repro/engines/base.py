@@ -710,7 +710,9 @@ class BaseEngine(abc.ABC):
         phase time, ``breakdown`` into the run breakdown) and to the
         tracer's phase track (see :class:`repro.obs.PhaseSpan` for the
         counts). Only stretches bypass it, to book the same additions for
-        a run of iterations in bulk (:meth:`_stretch`).
+        a run of iterations in bulk (:meth:`_stretch`); a breakdown that
+        is a stage scaled by PP can go straight to
+        :meth:`RunMetrics.add_scaled` instead.
         """
         tr = self.hooks.tracing
         if tr is not None:
@@ -762,9 +764,17 @@ class BaseEngine(abc.ABC):
             pipeline_time_heterogeneous([b.total for b in stages], pp)
             + ITERATION_OVERHEAD
         )
-        device = Breakdown()
+        # ``sum(b.scale(pp) for b in stages)`` component by component, in
+        # the same order, without the intermediate Breakdowns.
+        ld = lc = ad = ac = cm = oh = 0.0
         for b in stages:
-            device = device + b.scale(pp)
+            ld += b.linear_dm * pp
+            lc += b.linear_comp * pp
+            ad += b.attn_dm * pp
+            ac += b.attn_comp * pp
+            cm += b.comm * pp
+            oh += b.overhead * pp
+        device = Breakdown(ld, lc, ad, ac, cm, oh)
         start, now = now, self.phase(
             state, "prefill", now, wall, device, len(batch), tokens, resident
         )

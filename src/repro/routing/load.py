@@ -9,6 +9,15 @@ service-rate estimates (:class:`RouterContext`). Advancing the virtual
 clock retires finished entries; the queued/outstanding token views the
 policies rank replicas by are prorated against those windows.
 
+Every dispatch appends one :class:`DispatchRecord`, a slotted record
+whose fields the ledger's scans read inline. Both token views are
+memoized per instant: records only join at the tail, so a second call at
+the same instant extends the previous left fold by the records appended
+since, which gives the float a full rescan would. Offline dispatch
+(every arrival at one instant) thus probes JSQ's queue and least-work's
+outstanding work in O(1) per dispatch, not O(ledger). Retirement and
+steals drop both memos.
+
 The model is deliberately first-order — one replica serves one request at
 a time at its steady-state token rates — which is exactly the fidelity a
 dispatcher in front of N black-box engines has. The engine simulations
@@ -89,7 +98,10 @@ def _tail(records: deque, start: int) -> Iterator[DispatchRecord]:
     extension by a few freshly appended records costs O(1), not O(n))."""
     if start == 0:
         return iter(records)
-    return (records[j] for j in range(start - len(records), 0))
+    first = start - len(records)
+    if first == -1:
+        return (records[-1],)  # one dispatch since the last fold
+    return (records[j] for j in range(first, 0))
 
 
 def _remaining(tokens: int, start: float, end: float, now: float) -> float:
@@ -103,9 +115,14 @@ def _remaining(tokens: int, start: float, end: float, now: float) -> float:
     return tokens * (end - now) / (end - start)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DispatchRecord:
-    """One dispatched request with its predicted processing windows."""
+    """One dispatched request with its predicted processing windows.
+
+    Slotted and unfrozen, so building one per dispatch is a plain
+    ``__init__``; nothing mutates a record once the ledger holds it, and
+    the ledger's scans read its fields inline.
+    """
 
     index: int  # submission index within the routed request list
     request: Request
@@ -140,13 +157,18 @@ class ReplicaLoad:
         self._reset_fold()
 
     def _reset_fold(self) -> None:
-        """Drop the queued-prefill memo: the fold of the first
-        ``_fold_len`` records at instant ``_fold_now`` (running sum plus
-        its compensation term)."""
+        """Drop both per-instant memos (on retirement or steal): the
+        queued-prefill fold of the first ``_fold_len`` records at instant
+        ``_fold_now`` (running sum plus its compensation term), and the
+        outstanding-work fold of the first ``_work_len`` records at
+        ``_work_now``."""
         self._fold_now: float | None = None
         self._fold_len = 0
         self._fold_sum: float = 0  # int 0 like ``sum``'s start: empty -> 0
         self._fold_comp = 0.0
+        self._work_now: float | None = None
+        self._work_len = 0
+        self._work_sum = 0.0
 
     # ------------------------------------------------------------------ #
     # Clock and load views
@@ -165,12 +187,14 @@ class ReplicaLoad:
         if now < self.clock:
             now = self.clock  # simultaneous arrivals never rewind the clock
         self.clock = now
-        if self.records and self.records[0].finished_by(now):
+        records = self.records
+        horizon = now + _EPS  # ``finished_by(now)``, inlined
+        if records and records[0].finish <= horizon:
             self._reset_fold()
-            while self.records and self.records[0].finished_by(now):
-                self.records.popleft()
-        if not self.records:
-            self.busy_until = min(self.busy_until, now)
+            while records and records[0].finish <= horizon:
+                records.popleft()
+        if not records and now < self.busy_until:
+            self.busy_until = now
 
     def queued_prefill_tokens(self, now: float | None = None) -> float:
         """Prompt tokens dispatched here but not yet prefilled (JSQ's
@@ -186,13 +210,19 @@ class ReplicaLoad:
         memo is rebuilt when ``now`` differs and dropped on retirement
         or steal.
         """
-        now = self.clock if now is None else now
-        if now != self._fold_now:
-            self._reset_fold()
-            self._fold_now = now
+        return self._queued(self.clock if now is None else now)
+
+    def _queued(self, now: float) -> float:
+        """:meth:`queued_prefill_tokens` at ``now``; :meth:`dispatch`
+        books its peak through here."""
         records = self.records
-        total, comp = self._fold_sum, self._fold_comp
-        for rec in _tail(records, self._fold_len):
+        if now == self._fold_now:
+            start = self._fold_len
+            total, comp = self._fold_sum, self._fold_comp
+        else:
+            self._fold_now = now
+            start, total, comp = 0, 0, 0.0
+        for rec in _tail(records, start):
             x = _remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
             if _COMPENSATED_SUM:
                 t = total + x
@@ -211,14 +241,27 @@ class ReplicaLoad:
 
     def outstanding_tokens(self, now: float | None = None) -> float:
         """Unprefilled prompt tokens plus predicted undecoded tokens (the
-        least-work metric); bounded like :meth:`queued_prefill_tokens`."""
+        least-work metric); bounded like :meth:`queued_prefill_tokens`.
+
+        Memoized per instant like :meth:`queued_prefill_tokens`: a plain
+        left fold from ``0.0``, so extending the previous call's fold by
+        the records appended since gives the very float a full rescan
+        would. Least-work dispatch of an offline workload (every replica
+        probed at one instant per arrival) is thus linear, not quadratic.
+        """
         now = self.clock if now is None else now
-        total = 0.0
-        for rec in self.records:
-            total += _remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
-            total += _remaining(
-                rec.request.output_len - 1, rec.prefill_done, rec.finish, now
-            )
+        records = self.records
+        if now == self._work_now:
+            start, total = self._work_len, self._work_sum
+        else:
+            self._work_now = now
+            start, total = 0, 0.0
+        for rec in _tail(records, start):
+            req = rec.request
+            total += _remaining(req.prompt_len, rec.start, rec.prefill_done, now)
+            total += _remaining(req.output_len - 1, rec.prefill_done, rec.finish, now)
+        self._work_len = len(records)
+        self._work_sum = total
         return total
 
     def resident_kv_tokens(self, now: float | None = None) -> int:
@@ -231,11 +274,12 @@ class ReplicaLoad:
         the first unstarted record.
         """
         now = self.clock if now is None else now
+        horizon = now + _EPS  # ``started_by``/``finished_by``, inlined
         total = 0
         for rec in self.records:
-            if not rec.started_by(now):
+            if rec.start > horizon:
                 break
-            if not rec.finished_by(now):
+            if rec.finish > horizon:
                 total += rec.request.total_tokens
         return total
 
@@ -267,41 +311,57 @@ class ReplicaLoad:
 
     def dispatch(self, index: int, request: Request, now: float) -> DispatchRecord:
         """Assign ``request`` to this replica at ``now``; returns the
-        predicted-schedule record appended to the ledger."""
+        predicted-schedule record appended to the ledger.
+
+        :func:`_duration` and :meth:`resident_kv_tokens` are inlined: the
+        same expressions, without a call per dispatch.
+        """
         ctx = self.context
-        start = max(now, self.busy_until)
-        prefill_done = start + _duration(request.prompt_len, ctx.prefill_tokens_per_s)
-        finish = prefill_done + _duration(
-            request.output_len - 1, ctx.decode_tokens_per_s
+        busy = self.busy_until
+        start = busy if busy > now else now
+        prompt, output = request.prompt_len, request.output_len
+        rate = ctx.prefill_tokens_per_s
+        prefill_done = start + (
+            0.0 if prompt <= 0 else math.inf if rate is None else prompt / rate
         )
-        if ctx.kv_capacity_tokens is not None:
-            resident = self.resident_kv_tokens(now) + request.total_tokens
-            if resident > ctx.kv_capacity_tokens:
+        rate = ctx.decode_tokens_per_s
+        finish = prefill_done + (
+            0.0 if output <= 1 else math.inf if rate is None else (output - 1) / rate
+        )
+        total_tokens = prompt + output
+        records = self.records
+        cap = ctx.kv_capacity_tokens
+        if cap is not None:
+            horizon = now + _EPS
+            resident = total_tokens
+            for rec in records:
+                if rec.start > horizon:
+                    break
+                if rec.finish > horizon:
+                    resident += rec.request.total_tokens
+            if resident > cap:
                 self.predicted_preemptions += 1
                 self.storm_preemptions += 1
-        rec = DispatchRecord(
-            index=index,
-            request=request,
-            start=start,
-            prefill_done=prefill_done,
-            finish=finish,
-        )
-        self.records.append(rec)
+        rec = DispatchRecord(index, request, start, prefill_done, finish)
+        records.append(rec)
         self.busy_until = finish
         self.num_dispatched += 1
-        self.dispatched_prompt_tokens += request.prompt_len
-        self.dispatched_tokens += request.total_tokens
-        self.peak_queued_prefill_tokens = max(
-            self.peak_queued_prefill_tokens, self.queued_prefill_tokens(now)
-        )
+        self.dispatched_prompt_tokens += prompt
+        self.dispatched_tokens += total_tokens
+        queued = self._queued(now)
+        if queued > self.peak_queued_prefill_tokens:
+            self.peak_queued_prefill_tokens = queued
         return rec
 
     def steal_queued(self, now: float) -> list[DispatchRecord]:
         """Remove and return every dispatched-but-unstarted entry (the
         still-pending requests a storm rebalance re-routes elsewhere).
         Resets the storm counter when anything was stolen."""
-        kept = [rec for rec in self.records if rec.started_by(now)]
-        stolen = [rec for rec in self.records if not rec.started_by(now)]
+        horizon = now + _EPS
+        kept: list[DispatchRecord] = []
+        stolen: list[DispatchRecord] = []
+        for rec in self.records:
+            (kept if rec.start <= horizon else stolen).append(rec)
         if not stolen:
             return []
         self.records = deque(kept)

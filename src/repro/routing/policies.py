@@ -86,33 +86,34 @@ class Router(abc.ABC):
         if not reqs:
             raise ConfigurationError("cannot route an empty request list")
         # Arrival order with submission order breaking ties — the same
-        # convention the replica schedulers use.
-        order = sorted(range(len(reqs)), key=lambda i: (reqs[i].arrival_time, i))
+        # convention the replica schedulers use (the sort is stable).
+        arrivals = [r.arrival_time for r in reqs]
+        order = sorted(range(len(reqs)), key=arrivals.__getitem__)
         assignments = [0] * len(reqs)
         rebalanced = 0
         rebalances = 0
+        loads, n, select = self.loads, self.num_replicas, self.select
+        rebalance = self.rebalance_on_storm and n > 1
         for i in order:
-            req = reqs[i]
-            now = req.arrival_time
-            for load in self.loads:
+            req, now = reqs[i], arrivals[i]
+            for load in loads:
                 load.advance(now)
-            rid = self.select(req, i, now)
-            if not 0 <= rid < self.num_replicas:
-                raise SimulationError(
-                    f"{self.name} selected replica {rid} of {self.num_replicas}"
-                )
+            rid = select(req, i, now)
+            if not 0 <= rid < n:
+                raise SimulationError(f"{self.name} selected replica {rid} of {n}")
             # Decoupled membership is fixed, so ids and positions coincide.
-            self.loads[rid].dispatch(i, req, now)
+            loads[rid].dispatch(i, req, now)
             assignments[i] = rid
-            if self.rebalance_on_storm and self.num_replicas > 1:
+            if rebalance:
                 moved = self._rebalance_storms(now, assignments)
                 if moved:
                     rebalanced += moved
                     rebalances += 1
-        partitions = tuple(
-            tuple(reqs[i] for i in range(len(reqs)) if assignments[i] == rid)
-            for rid in range(self.num_replicas)
-        )
+        # Each replica's requests in submission order, dealt in one pass.
+        buckets: list[list[Request]] = [[] for _ in range(n)]
+        for req, rid in zip(reqs, assignments, strict=True):
+            buckets[rid].append(req)
+        partitions = tuple(map(tuple, buckets))
         return RoutingPlan(
             assignments=tuple(assignments),
             partitions=partitions,

@@ -69,6 +69,17 @@ class RunMetrics:
             sums[4] += breakdown.comm
             sums[5] += breakdown.overhead
 
+    def add_scaled(self, breakdown: Breakdown, k: float) -> None:
+        """Add ``breakdown.scale(k)`` to the run breakdown without
+        building it: the same products, added in field order."""
+        sums = self._sums
+        sums[0] += breakdown.linear_dm * k
+        sums[1] += breakdown.linear_comp * k
+        sums[2] += breakdown.attn_dm * k
+        sums[3] += breakdown.attn_comp * k
+        sums[4] += breakdown.comm * k
+        sums[5] += breakdown.overhead * k
+
 
 @dataclass(frozen=True)
 class EngineResult:

@@ -257,6 +257,35 @@ class TestStepCostModel:
                             ref = m.mixed_iteration_time_reference(*args)
                             assert hexes(fast) == hexes(ref), (label, args)
 
+    @pytest.mark.parametrize("model_name", ["15b", "34b", "70b"])
+    @pytest.mark.parametrize("gpu", ["A10", "L4", "A100-SXM"])
+    def test_prefill_fast_path_equals_reference(self, model_name, gpu):
+        """The hoisted-constant prefill kernel is the layer-composed stage
+        (per-layer roofline, layer scaling, PP activation send) bit for
+        bit: an empty micro-batch, one 1-token prompt, one budget-sized
+        prompt, several mixed prompts and a 32k prompt."""
+        from repro.engines.base import EngineOptions
+        from repro.hardware.cluster import make_cluster
+        from repro.models.registry import get_model
+
+        model = get_model(model_name)
+        cluster = make_cluster(gpu, 8)
+        budget = EngineOptions().max_batched_tokens
+        batches = ([], [1], [budget], [3, 700, 1, 129, 4095, 2048], [32768])
+        for label in LABELS:
+            m = StepCostModel(model, cluster, parse_config(label))
+            for lens in batches:
+                fast = m.prefill_stage_time(lens)
+                ref = m.prefill_stage_time_reference(lens)
+                assert hexes(fast) == hexes(ref), (label, lens)
+                assert hexes(m.prefill_pass_time(lens)) == hexes(ref.scale(m.config.pp))
+
+    def test_prefill_rejects_negative_tokens(self, model_34b, cluster_a10_8):
+        m = StepCostModel(model_34b, cluster_a10_8, parse_config("T4P2"))
+        for fn in (m.prefill_stage_time, m.prefill_stage_time_reference):
+            with pytest.raises(ConfigurationError, match="non-negative"):
+                fn([5, -9])
+
     def test_reshard_time_zero_for_same(self, model_34b, cluster_a10_8):
         m = StepCostModel(model_34b, cluster_a10_8, parse_config("T4P2"))
         assert m.reshard_time(parse_config("T4P2")) == 0.0

@@ -67,6 +67,11 @@ Contracts:
     every arrival.
 12. **Fluid memory** — ``FluidSimulator.run``'s traced peak grows by at
     most 128 bytes per extra request.
+13. **Prefill kernel == layer-composed oracle, in the engine** — vLLM's
+    PP prefill waves, Seesaw's buffered prefill, the disaggregated
+    prefill pool and the router's service-rate context are bit-identical
+    with ``StepCostModel.prefill_stage_time`` swapped for its
+    layer-composed reference.
 """
 
 import itertools
@@ -978,6 +983,73 @@ class TestMixedKernelOracle:
             monkeypatch,
         )
         assert fast.latency.total_preemptions > 0
+
+
+class TestPrefillKernelOracle:
+    """Every prefill micro-batch is costed by the hoisted-constant prefill
+    kernel; swapping in the layer-composed reference changes nothing."""
+
+    def run_pair(self, make_engine, workload, monkeypatch):
+        fast = make_engine().run(workload)
+        calls = [0]
+        reference = StepCostModel.prefill_stage_time_reference
+
+        def counted(costs, seq_lens):
+            calls[0] += 1
+            return reference(costs, seq_lens)
+
+        monkeypatch.setattr(StepCostModel, "prefill_stage_time", counted)
+        ref = make_engine().run(workload)
+        assert calls[0] > 0
+        assert_bit_identical(fast, ref)
+        assert fast.latency.records == ref.latency.records
+        return fast
+
+    def test_vllm_pp_waves(self, monkeypatch):
+        # Offline arxiv prompts overflow the token budget, so every wave
+        # streams several micro-batches through the two PP stages.
+        model, cluster = get_model("15b"), make_cluster("A10", 4)
+        fast = self.run_pair(
+            lambda: VllmLikeEngine(model, cluster, parse_config("T2P2")),
+            arxiv_workload(40, seed=3),
+            monkeypatch,
+        )
+        assert fast.phase_time["prefill"] > 0
+
+    def test_seesaw_buffered_prefill(self, monkeypatch):
+        model, cluster = get_model("15b"), make_cluster("A10", 4)
+        cp, cd = parse_transition("P4->T2P2")
+        fast = self.run_pair(
+            lambda: SeesawEngine(model, cluster, cp, cd),
+            arxiv_workload(40, seed=3),
+            monkeypatch,
+        )
+        assert fast.transitions > 0 and fast.swapped_out_tokens > 0
+
+    def test_disaggregated_prefill_pool(self, tiny_model, cluster_a10_4, monkeypatch):
+        plan = DisaggregationPlan(
+            prefill_config=parse_config("T2"), decode_config=parse_config("T2")
+        )
+        self.run_pair(
+            lambda: DisaggregatedEngine(tiny_model, cluster_a10_4, plan),
+            poisson_arrivals(sharegpt_workload(80, seed=21), 6.0, seed=21),
+            monkeypatch,
+        )
+
+    @pytest.mark.parametrize("router", ["least-work", "slo"])
+    def test_router_context(self, tiny_model, cluster_a10_4, router, monkeypatch):
+        # The router drains its ledgers against the prefill rate the
+        # kernel prices, so dispatch itself depends on it.
+        wl = bursty_arrivals(sharegpt_workload(80, seed=5), 8.0, burstiness=8.0, seed=5)
+        opts = EngineOptions(router=router, ttft_slo=0.5)
+
+        def make():
+            return VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("D2T2"), opts)
+
+        fast_ctx = make().router_context(wl)
+        fast = self.run_pair(make, wl, monkeypatch)
+        assert make().router_context(wl) == fast_ctx
+        assert fast.router.policy == router
 
 
 class TestSlotAppendOracle:

@@ -12,10 +12,21 @@ Covers the four contracts the PR pins down:
    seed.
 4. **Storm rebalancing** — a replica predicted to thrash its KV cache
    has its still-pending requests re-routed away.
+5. **Ledger == oracle ledger** — the ledger of tuple records with inlined
+   reads and memoized folds routes exactly like the frozen-dataclass,
+   full-rescan ledger kept verbatim below (:class:`OracleReplicaLoad`),
+   and least-work dispatch of an offline workload does linear work.
 """
+
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterator
 
 import pytest
 
+import repro.routing.load as load_mod
+import repro.routing.policies as policies
 from repro.engines.base import EngineOptions
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError
@@ -32,9 +43,10 @@ from repro.routing import (
     StaticRouter,
     make_router,
 )
-from repro.routing.load import _remaining
+from repro.routing.load import _COMPENSATED_SUM, _EPS, _remaining
 from repro.runtime.request import Request
 from repro.workloads.arrivals import bursty_arrivals, poisson_arrivals
+from repro.workloads.datasets import sharegpt_workload
 from repro.workloads.synthetic import bimodal_workload, constant_workload
 
 from golden_offline import scenarios
@@ -432,10 +444,11 @@ class TestDrainClamp:
 
 
 class TestLedgerFold:
-    """The per-instant memo of ``queued_prefill_tokens`` and the early-exit
-    ``resident_kv_tokens`` scan equal the plain whole-ledger generator
-    sums with ``==`` (not approx), on randomized online ledgers with
-    simultaneous arrivals, storm steals and retirement."""
+    """The per-instant memos of ``queued_prefill_tokens`` and
+    ``outstanding_tokens`` and the early-exit ``resident_kv_tokens`` scan
+    equal the plain whole-ledger sums with ``==`` (not approx), on
+    randomized online ledgers with simultaneous arrivals, storm steals
+    and retirement."""
 
     @staticmethod
     def plain_queued(load, now):
@@ -452,12 +465,23 @@ class TestLedgerFold:
             if rec.started_by(now) and not rec.finished_by(now)
         )
 
+    @staticmethod
+    def plain_outstanding(load, now):
+        total = 0.0
+        for rec in load.records:
+            total += _remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
+            total += _remaining(
+                rec.request.output_len - 1, rec.prefill_done, rec.finish, now
+            )
+        return total
+
     def check(self, load, now):
         starts = [rec.start for rec in load.records]
         assert starts == sorted(starts)
         # Twice: the second call is answered from the memo.
         for _ in range(2):
             assert load.queued_prefill_tokens(now) == self.plain_queued(load, now)
+            assert load.outstanding_tokens(now) == self.plain_outstanding(load, now)
         assert load.resident_kv_tokens(now) == self.plain_resident(load, now)
 
     def test_randomized_ledgers(self):
@@ -532,3 +556,342 @@ class TestLedgerFold:
         assert plan.stats.rebalanced_requests > 0
         assert seen["dispatch"] == len(reqs) + plan.stats.rebalanced_requests
         assert seen["steal"] == plan.stats.rebalanced_requests
+
+
+# --------------------------------------------------------------------------- #
+# Ledger differential: the frozen-dataclass ledger with the full-rescan
+# least-work view, kept verbatim below (helpers included) as the oracle
+# the ledger (slotted records, inlined reads, memoized least-work fold)
+# must match.
+# --------------------------------------------------------------------------- #
+
+
+def _oracle_duration(tokens: int, rate: float | None) -> float:
+    """Predicted seconds to process ``tokens`` at ``rate`` tokens/s."""
+    if tokens <= 0:
+        return 0.0
+    if rate is None:
+        return math.inf
+    return tokens / rate
+
+
+def _oracle_tail(records: deque, start: int) -> Iterator["OracleDispatchRecord"]:
+    """``records[start:]``, indexed from the right end of the deque (an
+    extension by a few freshly appended records costs O(1), not O(n))."""
+    if start == 0:
+        return iter(records)
+    return (records[j] for j in range(start - len(records), 0))
+
+
+def _oracle_remaining(tokens: int, start: float, end: float, now: float) -> float:
+    """Tokens of a [start, end] processing window still ahead of ``now``,
+    prorated linearly (the whole amount while the window has not opened,
+    zero once it has closed)."""
+    if tokens <= 0 or now >= end:
+        return 0.0
+    if now <= start or math.isinf(end):
+        return float(tokens)
+    return tokens * (end - now) / (end - start)
+
+
+@dataclass(frozen=True)
+class OracleDispatchRecord:
+    """The frozen-dataclass record the oracle ledger builds."""
+
+    index: int  # submission index within the routed request list
+    request: Request
+    start: float  # predicted service start (end of queueing)
+    prefill_done: float  # predicted prefill completion
+    finish: float  # predicted last-token time
+
+    def started_by(self, now: float) -> bool:
+        return self.start <= now + _EPS
+
+    def finished_by(self, now: float) -> bool:
+        return self.finish <= now + _EPS
+
+
+class OracleReplicaLoad:
+    """The ledger before its records became tuples and its least-work
+    view a per-instant memo, kept verbatim as the oracle."""
+
+    def __init__(self, replica_id: int, context: RouterContext) -> None:
+        self.replica_id = replica_id
+        self.context = context
+        self.records: deque[OracleDispatchRecord] = deque()
+        self.clock = 0.0
+        self.busy_until = 0.0
+        # Dispatch accounting (survives record retirement; adjusted when a
+        # rebalance steals queued work back).
+        self.num_dispatched = 0
+        self.dispatched_prompt_tokens = 0
+        self.dispatched_tokens = 0
+        self.peak_queued_prefill_tokens = 0.0
+        self.predicted_preemptions = 0  # total over the run (stats)
+        self.storm_preemptions = 0  # since the last rebalance (trigger)
+        self._reset_fold()
+
+    def _reset_fold(self) -> None:
+        """Drop the queued-prefill memo: the fold of the first
+        ``_fold_len`` records at instant ``_fold_now`` (running sum plus
+        its compensation term)."""
+        self._fold_now: float | None = None
+        self._fold_len = 0
+        self._fold_sum: float = 0  # int 0 like ``sum``'s start: empty -> 0
+        self._fold_comp = 0.0
+
+    # ------------------------------------------------------------------ #
+    # Clock and load views
+    # ------------------------------------------------------------------ #
+
+    def advance(self, now: float) -> None:
+        """Move the ledger's clock to ``now``, retiring finished entries.
+
+        Drain is clamped to dispatched work: once the FIFO holds no
+        unfinished records the replica is provably idle, so ``busy_until``
+        snaps back to ``now``. Retirement tolerates an epsilon
+        (``finished_by``), and without the clamp that epsilon residue
+        leaves an idle replica reporting a stale positive
+        ``work_seconds``/``predicted_ttft`` bias forever after.
+        """
+        if now < self.clock:
+            now = self.clock  # simultaneous arrivals never rewind the clock
+        self.clock = now
+        if self.records and self.records[0].finished_by(now):
+            self._reset_fold()
+            while self.records and self.records[0].finished_by(now):
+                self.records.popleft()
+        if not self.records:
+            self.busy_until = min(self.busy_until, now)
+
+    def queued_prefill_tokens(self, now: float | None = None) -> float:
+        """Prompt tokens dispatched here but not yet prefilled (JSQ's
+        queue-length metric). ``_remaining`` bounds each record's share to
+        ``[0, tokens]``, so the depth is clamped to live dispatched work
+        by construction.
+
+        Memoized per instant: records only ever join at the tail, so a
+        call at the same ``now`` extends the previous left fold by the new
+        records' terms — the same float as ``sum`` over the whole ledger,
+        in the same order. Offline dispatch (every arrival at one
+        instant, nothing retiring) thus costs O(1) instead of O(n). The
+        memo is rebuilt when ``now`` differs and dropped on retirement
+        or steal.
+        """
+        now = self.clock if now is None else now
+        if now != self._fold_now:
+            self._reset_fold()
+            self._fold_now = now
+        records = self.records
+        total, comp = self._fold_sum, self._fold_comp
+        for rec in _oracle_tail(records, self._fold_len):
+            x = _oracle_remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
+            if _COMPENSATED_SUM:
+                t = total + x
+                if abs(total) >= abs(x):
+                    comp += (total - t) + x
+                else:
+                    comp += (x - t) + total
+                total = t
+            else:
+                total += x
+        self._fold_len = len(records)
+        self._fold_sum, self._fold_comp = total, comp
+        if comp and math.isfinite(comp):
+            return total + comp
+        return total
+
+    def outstanding_tokens(self, now: float | None = None) -> float:
+        """Unprefilled prompt tokens plus predicted undecoded tokens (the
+        least-work metric); bounded like :meth:`queued_prefill_tokens`."""
+        now = self.clock if now is None else now
+        total = 0.0
+        for rec in self.records:
+            total += _oracle_remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
+            total += _oracle_remaining(
+                rec.request.output_len - 1, rec.prefill_done, rec.finish, now
+            )
+        return total
+
+    def resident_kv_tokens(self, now: float | None = None) -> int:
+        """Predicted KV tokens resident on the replica: the final context
+        length of every request in service (reservation-style accounting,
+        matching how admission pressure builds in the engines).
+
+        Predicted starts are non-decreasing along the FIFO (each dispatch
+        starts at or after its predecessor's finish), so the scan stops at
+        the first unstarted record.
+        """
+        now = self.clock if now is None else now
+        total = 0
+        for rec in self.records:
+            if not rec.started_by(now):
+                break
+            if not rec.finished_by(now):
+                total += rec.request.total_tokens
+        return total
+
+    def work_seconds(self, now: float | None = None) -> float:
+        """Predicted seconds until this replica drains its queue."""
+        now = self.clock if now is None else now
+        return max(0.0, self.busy_until - now)
+
+    def predicted_ttft(self, request: Request, now: float | None = None) -> float:
+        """Predicted TTFT of dispatching ``request`` here at ``now``:
+        queue drain (the serial FIFO ahead of it) plus its own prefill."""
+        now = self.clock if now is None else now
+        return self.work_seconds(now) + _oracle_duration(
+            request.prompt_len, self.context.prefill_tokens_per_s
+        )
+
+    def would_preempt(self, request: Request, now: float | None = None) -> bool:
+        """Whether dispatching ``request`` here is predicted to push the
+        resident KV past capacity (always False without a capacity)."""
+        cap = self.context.kv_capacity_tokens
+        if cap is None:
+            return False
+        now = self.clock if now is None else now
+        return self.resident_kv_tokens(now) + request.total_tokens > cap
+
+    # ------------------------------------------------------------------ #
+    # Dispatch and rebalance
+    # ------------------------------------------------------------------ #
+
+    def dispatch(self, index: int, request: Request, now: float) -> OracleDispatchRecord:
+        """Assign ``request`` to this replica at ``now``; returns the
+        predicted-schedule record appended to the ledger."""
+        ctx = self.context
+        start = max(now, self.busy_until)
+        prefill_done = start + _oracle_duration(request.prompt_len, ctx.prefill_tokens_per_s)
+        finish = prefill_done + _oracle_duration(
+            request.output_len - 1, ctx.decode_tokens_per_s
+        )
+        if ctx.kv_capacity_tokens is not None:
+            resident = self.resident_kv_tokens(now) + request.total_tokens
+            if resident > ctx.kv_capacity_tokens:
+                self.predicted_preemptions += 1
+                self.storm_preemptions += 1
+        rec = OracleDispatchRecord(
+            index=index,
+            request=request,
+            start=start,
+            prefill_done=prefill_done,
+            finish=finish,
+        )
+        self.records.append(rec)
+        self.busy_until = finish
+        self.num_dispatched += 1
+        self.dispatched_prompt_tokens += request.prompt_len
+        self.dispatched_tokens += request.total_tokens
+        self.peak_queued_prefill_tokens = max(
+            self.peak_queued_prefill_tokens, self.queued_prefill_tokens(now)
+        )
+        return rec
+
+    def steal_queued(self, now: float) -> list[OracleDispatchRecord]:
+        """Remove and return every dispatched-but-unstarted entry (the
+        still-pending requests a storm rebalance re-routes elsewhere).
+        Resets the storm counter when anything was stolen."""
+        kept = [rec for rec in self.records if rec.started_by(now)]
+        stolen = [rec for rec in self.records if not rec.started_by(now)]
+        if not stolen:
+            return []
+        self.records = deque(kept)
+        self._reset_fold()
+        self.busy_until = kept[-1].finish if kept else now
+        for rec in stolen:
+            self.num_dispatched -= 1
+            self.dispatched_prompt_tokens -= rec.request.prompt_len
+            self.dispatched_tokens -= rec.request.total_tokens
+        self.storm_preemptions = 0
+        return stolen
+
+
+# A KV capacity tight enough that every dynamic policy rebalances on every
+# workload below (ShareGPT requests average about 600 tokens).
+TIGHT_KV = 2000
+
+
+def differential_workloads() -> dict[str, list[Request]]:
+    base = sharegpt_workload(160, seed=5)
+    reqs = list(base.requests)
+    return {
+        "offline": reqs,
+        "poisson": list(poisson_arrivals(base, 6.0, seed=5).requests),
+        "bursty": list(bursty_arrivals(base, 6.0, burstiness=8.0, seed=5).requests),
+        # Groups of eight at one instant: ties broken by submission index.
+        "simultaneous": [
+            Request(r.request_id, r.prompt_len, r.output_len, arrival_time=0.5 * (i // 8))
+            for i, r in enumerate(reqs)
+        ],
+    }
+
+
+class TestLedgerDifferential:
+    """Routing through the ledger equals routing through the oracle ledger:
+    identical assignments, partitions and ``RouterStats`` repr for every
+    policy, dp 1, 2 and 4, offline, Poisson, bursty and simultaneous
+    arrivals, with and without a storm-firing KV capacity."""
+
+    @staticmethod
+    def route(policy, dp, reqs, context, monkeypatch, load_cls=None):
+        with monkeypatch.context() as m:
+            if load_cls is not None:
+                m.setattr(policies, "ReplicaLoad", load_cls)
+            router = make_router(policy, dp, context=context, seed=7)
+            assert all(
+                type(load) is (load_cls or ReplicaLoad) for load in router.loads
+            )
+            return router.route(reqs)
+
+    @pytest.mark.parametrize("policy", ROUTER_POLICIES)
+    def test_routes_like_the_oracle_ledger(self, policy, monkeypatch):
+        rebalances = 0
+        for name, reqs in differential_workloads().items():
+            for dp in (1, 2, 4):
+                for kv in (None, TIGHT_KV):
+                    context = ctx(prefill=3000.0, decode=300.0, kv=kv)
+                    case = (name, dp, kv)
+                    plan = self.route(policy, dp, reqs, context, monkeypatch)
+                    ref = self.route(
+                        policy, dp, reqs, context, monkeypatch, OracleReplicaLoad
+                    )
+                    assert plan.assignments == ref.assignments, case
+                    assert plan.partitions == ref.partitions, case
+                    assert repr(plan.stats) == repr(ref.stats), case
+                    # The one-pass deal equals the per-replica rescan.
+                    assert plan.partitions == tuple(
+                        tuple(r for r, a in zip(reqs, plan.assignments, strict=True) if a == rid)
+                        for rid in range(dp)
+                    ), case
+                    rebalances += plan.stats.rebalances
+        if make_router(policy, 2).rebalance_on_storm:
+            assert rebalances > 0  # storm steals were exercised
+        else:
+            assert rebalances == 0
+
+
+class TestLeastWorkLinear:
+    """Offline least-work dispatch probes every replica at one instant per
+    arrival; the memoized fold makes the ledger's ``_remaining``
+    evaluations grow linearly in the request count (a full rescan per
+    probe grows quadratically)."""
+
+    def test_remaining_evaluations_grow_linearly(self, monkeypatch):
+        calls = [0]
+
+        def counted(tokens, start, end, now):
+            calls[0] += 1
+            return _remaining(tokens, start, end, now)
+
+        monkeypatch.setattr(load_mod, "_remaining", counted)
+        base = sharegpt_workload(4000, seed=0)
+        per_request = {}
+        for n in (500, 1000, 2000, 4000):
+            calls[0] = 0
+            router = LeastWorkRouter(4, context=ctx(prefill=3000.0, decode=300.0))
+            router.route(base.requests[:n])
+            per_request[n] = calls[0] / n
+        # One queued-prefill term and two outstanding terms per dispatch.
+        assert per_request[4000] <= 3.0, per_request
+        assert per_request[4000] <= 1.01 * per_request[500], per_request
