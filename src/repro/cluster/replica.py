@@ -16,6 +16,13 @@ discrete-event interface the cluster simulator drives:
 - ``inject(request)`` — dispatch a request to this replica; the engine's
   scheduler admits it when its clock reaches the arrival time.
 
+Every engine loop resume, decoupled or coupled, passes through
+:meth:`ReplicaSim._step`, the one no-progress watchdog: when
+:data:`NO_PROGRESS_LIMIT` resumes in a row leave the pending, waiting and
+finished counts, the decode backlog and the waiting head's prefilled
+tokens unchanged, it raises :class:`~repro.errors.SchedulingError` with
+the rule, the virtual time, the replica and the engine label.
+
 :class:`ObservedLoad` projects the replica's *actual* scheduling state
 (queued tokens, KV headroom, measured preemptions) onto the same view API
 as the decoupled :class:`repro.routing.load.ReplicaLoad` ledger, so every
@@ -29,6 +36,7 @@ import math
 from bisect import bisect_right
 from typing import TYPE_CHECKING
 
+from repro.errors import SchedulingError
 from repro.routing.load import RouterContext, _duration
 from repro.runtime.request import Request
 
@@ -36,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import BaseEngine
 
 _EPS = 1e-12
+
+#: No-progress resumes in a row that make a livelock: 32x the longest
+#: run any legitimate simulation shows (2).
+NO_PROGRESS_LIMIT = 64
 
 
 class ReplicaSim:
@@ -82,6 +94,9 @@ class ReplicaSim:
         self._agg_unstarted = 0
         self._agg_ends: list[float] = []
         self._agg_suffix: list[int] = [0]
+        # The last resume's progress fingerprint and its repeats in a row.
+        self._progress = None
+        self._stalls = 0
 
     # ------------------------------------------------------------------ #
     # Event interface
@@ -90,14 +105,12 @@ class ReplicaSim:
     def next_event_time(self) -> float:
         """Earliest time this replica acts next (``inf`` when drained)."""
         state = self.state
-        if not state.unfinished:
-            return math.inf
         if state.has_immediate_work:
             return self.clock
-        if state.pending:
-            arrival = state.pending[0].arrival_time
-            return self.clock if arrival <= self.clock + _EPS else arrival
-        return self.clock  # defensive: unfinished work of an unknown kind
+        if not state.pending:
+            return math.inf
+        arrival = state.pending[0].arrival_time
+        return self.clock if arrival <= self.clock + _EPS else arrival
 
     def drained_by(self, now: float) -> bool:
         """Whether nothing dispatched here is left to run. The cluster
@@ -151,6 +164,20 @@ class ReplicaSim:
             # Drained for now; a later inject() re-arms the loop from the
             # current clock (all state persists in self.state).
             self._events = None
+        waiting = state.waiting
+        progress = (
+            len(state.pending), len(waiting), len(state.finished),
+            state.decode_backlog, waiting[0].prefilled_tokens if waiting else -1,
+        )
+        self._stalls = self._stalls + 1 if progress == self._progress else 0
+        self._progress = progress
+        if self._stalls >= NO_PROGRESS_LIMIT:
+            raise SchedulingError(
+                f"no-progress watchdog: {NO_PROGRESS_LIMIT} resumes in a row "
+                f"left the queues, finished count, decode backlog and head "
+                f"prefill unchanged at t={self.clock!r} s on replica "
+                f"{self.replica_id} of {self.engine.name}[{self.engine.label()}]"
+            )
 
     # ------------------------------------------------------------------ #
     # Dispatch interface
@@ -245,7 +272,7 @@ class ReplicaSim:
     @property
     def total_tokens(self) -> int:
         """Prompt plus output tokens of the requests dispatched here."""
-        return self.state.total_request_tokens
+        return sum(r.prompt_len + r.output_len for r in self.state.requests)
 
     def observed_preemptions(self) -> int:
         """Preemptions that actually happened on this replica so far

@@ -32,7 +32,7 @@ from repro.core.options import SeesawOptions
 from repro.core.state import SeesawState
 from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.engines.base import BaseEngine, ReplicaState
-from repro.errors import CapacityError, ConfigurationError, SchedulingError
+from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig, transition_label
@@ -113,13 +113,6 @@ class SeesawEngine(BaseEngine):
             return
 
         while state.unfinished:
-            state.guard += 1
-            if state.guard > 40 * len(state.requests) + 256:
-                raise SchedulingError(
-                    f"Seesaw phase loop made no progress at t={now!r} s on "
-                    f"replica {state.replica_id} of {self.name}[{self.label()}]"
-                )
-
             state.admit_arrivals(now)
             if self._can_prefill(state) and not self._defer_prefill(state):
                 now = self._reshard(state, now, cp)

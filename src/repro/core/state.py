@@ -61,15 +61,6 @@ class SeesawState(ReplicaState):
             self.waiting or self.running or self.inflight or not self.cpu.is_empty
         )
 
-    @property
-    def unfinished(self) -> bool:
-        """Work also remains while sequences sit in the CPU pool or in
-        flight back to the GPU."""
-        return bool(
-            self.pending or self.waiting or self.running or self.inflight
-            or not self.cpu.is_empty
-        )
-
     def live_sequences(self):
         yield from super().live_sequences()
         yield from self.cpu_seqs.values()

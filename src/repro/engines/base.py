@@ -251,9 +251,6 @@ class ReplicaState:
         # The DP replica this state belongs to; phase spans are recorded
         # on its track.
         self.replica_id = replica_id
-        # Loop iterations so far, for the engines' livelock guards.
-        self.guard = 0
-        self.total_request_tokens = sum(r.prompt_len + r.output_len for r in requests)
         seqs = [Sequence(r) for r in requests]
         # Stable sort: simultaneous arrivals keep their submission order.
         seqs.sort(key=lambda s: s.arrival_time)
@@ -309,7 +306,6 @@ class ReplicaState:
         """
         seq = Sequence(request)
         self.requests.append(request)
-        self.total_request_tokens += request.prompt_len + request.output_len
         self.decode_backlog += max(0, request.output_len - 1)
         self.prefill_epoch += 1
         idx = len(self.pending)
@@ -331,9 +327,6 @@ class ReplicaState:
             self.prefill_epoch += 1
             ids = {r.request_id for r in stolen}
             self.requests = [r for r in self.requests if r.request_id not in ids]
-            self.total_request_tokens -= sum(
-                r.prompt_len + r.output_len for r in stolen
-            )
         return stolen
 
     @property
@@ -344,11 +337,6 @@ class ReplicaState:
         return self.pending[0].arrival_time
 
     @property
-    def has_work(self) -> bool:
-        """Whether any request is pending, admissible, or running."""
-        return bool(self.pending or self.waiting or self.running)
-
-    @property
     def has_immediate_work(self) -> bool:
         """Whether the scheduler could act right now without waiting for
         another arrival (subclasses add their extra service stages)."""
@@ -356,10 +344,9 @@ class ReplicaState:
 
     @property
     def unfinished(self) -> bool:
-        """Whether any request has not yet fully finished — the condition
-        this state's event loop runs under (subclasses with extra service
-        stages extend it alongside :attr:`has_immediate_work`)."""
-        return self.has_work
+        """Whether any request is pending or :attr:`has_immediate_work` —
+        the condition this state's event loop runs under."""
+        return bool(self.pending) or self.has_immediate_work
 
     def live_sequences(self) -> Iterable[Sequence]:
         """Every sequence currently owned and not finished — the replica
@@ -831,7 +818,7 @@ class BaseEngine(abc.ABC):
         ``_before_prefill`` / ``_after_prefill`` / ``_after_decode`` hooks
         mark the stage switches (transition counts, re-shards)."""
         now = start
-        while state.has_work:
+        while state.unfinished:
             state.admit_arrivals(now)
             if not state.waiting and not state.running:
                 now = self.idle_advance(state, now)

@@ -122,7 +122,7 @@ class _PrefillOnlyEngine(BaseEngine):
         pp = self.replica_config.pp
         tr = self.hooks.tracing
         now = start
-        while state.has_work:
+        while state.unfinished:
             state.admit_arrivals(now)
             if not state.waiting:
                 now = self.idle_advance(state, now)
@@ -164,7 +164,7 @@ class _DecodeOnlyEngine(BaseEngine):
 
     def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
         now = start
-        while state.has_work:
+        while state.unfinished:
             state.admit_arrivals(now)
             limit = self.options.max_num_seqs - len(state.running)
             for seq in self.admit_reserved(state, limit):

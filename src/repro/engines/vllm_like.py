@@ -16,7 +16,7 @@ from typing import Iterator
 
 from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.engines.base import BaseEngine, ReplicaState
-from repro.errors import CapacityError, SchedulingError
+from repro.errors import CapacityError
 from repro.runtime.request import Sequence, SequenceState
 
 
@@ -35,14 +35,7 @@ class VllmLikeEngine(BaseEngine):
 
     def _replica_loop(self, state: ReplicaState, start: float) -> Iterator[float]:
         now = start
-        while state.has_work:
-            state.guard += 1
-            if state.guard > 80 * state.total_request_tokens:
-                raise SchedulingError(
-                    f"scheduler made no progress (livelock guard) at "
-                    f"t={now!r} s on replica {state.replica_id} of "
-                    f"{self.name}[{self.label()}]"
-                )
+        while state.unfinished:
             state.admit_arrivals(now)
             if not state.waiting and not state.running:
                 # Event-driven idle: jump to the next arrival.

@@ -18,6 +18,10 @@ Contracts pinned by this PR:
 5. **Acceptance** — ``coupled_sweep`` shows observed-load routing
    beating its decoupled counterpart under bursty arrivals on at least
    one swept load point.
+6. **No-progress watchdog** — a fault that yields without progress in
+   any replica loop raises ``SchedulingError`` within
+   ``NO_PROGRESS_LIMIT`` resumes, and runs that resume often without a
+   queue change (probe-cut stretches, one chunk per resume) complete.
 """
 
 import math
@@ -25,19 +29,28 @@ import math
 import pytest
 
 from repro.cluster import ClusterSimulator
+from repro.cluster.replica import NO_PROGRESS_LIMIT
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
-from repro.engines.base import EngineOptions
+from repro.engines.base import EngineOptions, RunHooks
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
-from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
+from repro.engines.disaggregated import (
+    DisaggregatedEngine,
+    DisaggregationPlan,
+    _DecodeOnlyEngine,
+    _PrefillOnlyEngine,
+)
 from repro.engines.vllm_like import VllmLikeEngine
+from repro.errors import SchedulingError
 from repro.experiments.coupled_sweep import run_coupled_sweep
 from repro.models.registry import get_model
+from repro.obs import Telemetry
 from repro.parallel.config import parse_config, parse_transition
 from repro.routing.policies import DEFAULT_STORM_PREEMPTIONS, JSQRouter
 from repro.runtime.request import Request
 from repro.workloads.arrivals import bursty_arrivals, poisson_arrivals
 from repro.workloads.datasets import sharegpt_workload
+from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthetic import bimodal_workload, constant_workload
 
 
@@ -332,3 +345,131 @@ class TestCoupledSweepAcceptance:
             win.ttft_p99 < planned.ttft_p99
             or win.attainment(sweep.ttft_slo) > planned.attainment(sweep.ttft_slo)
         )
+
+
+def _stuck_step(calls):
+    """A scheduler step that does nothing and leaves the clock alone."""
+
+    def stuck(self, state, now):
+        calls.append(now)
+        return now
+
+    return stuck
+
+
+def _stuck_phase(calls):
+    """A Seesaw phase that yields once and does nothing."""
+
+    def stuck(self, state, now):
+        calls.append(now)
+        yield now
+        return now
+
+    return stuck
+
+
+D2P2_D2T2 = parse_transition("D2P2->D2T2")
+
+#: One no-progress fault per replica loop: (engine factory, class and
+#: method the fault replaces, fault, the message's engine label).
+WATCHDOG_FAULTS = {
+    "vllm": (
+        lambda m, c: VllmLikeEngine(m, c, parse_config("D2T2")),
+        VllmLikeEngine, "_prefill_prioritized_iteration", _stuck_step,
+        "vllm[D2T2]",
+    ),
+    "vllm-chunked": (
+        lambda m, c: VllmLikeEngine(
+            m, c, parse_config("D2T2"), EngineOptions(chunked_prefill=True)
+        ),
+        VllmLikeEngine, "_chunked_iteration", _stuck_step, "vllm[D2T2+chunked]",
+    ),
+    "decode-prio": (
+        lambda m, c: DecodePrioritizedEngine(m, c, parse_config("D2T2")),
+        DecodePrioritizedEngine, "decode_step", _stuck_step, "decode-prio[D2T2]",
+    ),
+    "seesaw-buffered": (
+        lambda m, c: SeesawEngine(m, c, *D2P2_D2T2),
+        SeesawEngine, "_prefill_phase", _stuck_phase, "seesaw[D2P2->D2T2]",
+    ),
+    "seesaw-no-buffer": (
+        lambda m, c: SeesawEngine(
+            m, c, *D2P2_D2T2, SeesawOptions(use_cpu_buffer=False)
+        ),
+        SeesawEngine, "decode_step", _stuck_step, "seesaw[D2P2->D2T2]",
+    ),
+    # An idle wake-up that never reaches the next arrival.
+    "disagg-prefill-pool": (
+        lambda m, c: DisaggregatedEngine(m, c, DisaggregationPlan.parse("T2|T2")),
+        _PrefillOnlyEngine, "idle_advance", _stuck_step, "prefill-pool[T2]",
+    ),
+    "disagg-decode-pool": (
+        lambda m, c: DisaggregatedEngine(m, c, DisaggregationPlan.parse("T2|T2")),
+        _DecodeOnlyEngine, "decode_step", _stuck_step, "decode-pool[T2]",
+    ),
+}
+
+
+class TestNoProgressWatchdog:
+    """``ReplicaSim._step`` fails a livelocked replica loop fast and loud,
+    and leaves every loop that makes progress alone."""
+
+    @pytest.mark.parametrize("case", list(WATCHDOG_FAULTS))
+    def test_injected_fault_raises_within_the_bound(
+        self, tiny_model, cluster_a10_4, monkeypatch, case
+    ):
+        make, cls, method, fault, label = WATCHDOG_FAULTS[case]
+        calls = []
+        monkeypatch.setattr(cls, method, fault(calls))
+        requests = [Request(i, 16, 4, arrival_time=1.5) for i in range(2)]
+        with pytest.raises(SchedulingError) as exc:
+            make(tiny_model, cluster_a10_4).run(
+                WorkloadSpec.from_requests("stuck", requests)
+            )
+        assert str(exc.value) == (
+            f"no-progress watchdog: {NO_PROGRESS_LIMIT} resumes in a row left "
+            "the queues, finished count, decode backlog and head prefill "
+            f"unchanged at t={calls[-1]!r} s on replica 0 of {label}"
+        )
+        # At most one resume that moved a queue, then the bound's repeats.
+        assert NO_PROGRESS_LIMIT <= len(calls) <= NO_PROGRESS_LIMIT + 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m, c: VllmLikeEngine(
+                m, c, parse_config("D2T2"), EngineOptions(coupled=True, router="jsq")
+            ),
+            lambda m, c: SeesawEngine(
+                m, c, *D2P2_D2T2, SeesawOptions(coupled=True, router="jsq")
+            ),
+        ],
+        ids=["vllm", "seesaw"],
+    )
+    def test_coupled_jsq_under_a_tiny_telemetry_interval_completes(
+        self, tiny_model, cluster_a10_4, make
+    ):
+        # A sample interval shorter than one iteration cuts every
+        # stretch at a probe horizon: many resumes, each still progress.
+        interval = 1e-3
+        wl = poisson_arrivals(sharegpt_workload(40, seed=7), 8.0, seed=7)
+        r = make(tiny_model, cluster_a10_4).run(
+            wl, RunHooks(telemetry=Telemetry(interval_s=interval))
+        )
+        assert r.num_requests == 40
+        assert r.total_time / r.iterations > interval
+
+    def test_long_chunked_prompt_one_resume_per_chunk_completes(
+        self, tiny_model, cluster_a10_4, scalar_oracle
+    ):
+        # Without chunk stretches each chunk is its own resume, and only
+        # the queue head's prefilled tokens move between them.
+        chunks, chunk = 4 * NO_PROGRESS_LIMIT, 64
+        engine = VllmLikeEngine(
+            tiny_model, cluster_a10_4, parse_config("T2"),
+            EngineOptions(chunked_prefill=True, chunk_size=chunk),
+        )
+        with scalar_oracle():
+            r = engine.run(constant_workload(1, chunks * chunk, 4))
+        assert r.num_requests == 1
+        assert r.iterations >= chunks

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.replica import NO_PROGRESS_LIMIT
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.engines.base import EngineOptions
@@ -109,11 +110,14 @@ class TestExecution:
     def test_phase_loop_guard_names_time_replica_and_engine(
         self, tiny_model, cluster_a10_4, monkeypatch
     ):
-        # A prefill phase that never makes progress: the guard fires with
-        # the virtual time, the replica and the engine label in its message.
+        # A prefill phase that yields without making progress: the replica
+        # watchdog fires with the rule, the virtual time, the replica and
+        # the engine label in its message. (A phase that never yields would
+        # never return control to any resume watchdog; every real phase
+        # yields at least once.)
         def stuck(engine, state, now):
+            yield now
             return now
-            yield  # a generator that yields nothing
 
         monkeypatch.setattr(SeesawEngine, "_prefill_phase", stuck)
         engine = SeesawEngine(
@@ -123,8 +127,9 @@ class TestExecution:
         with pytest.raises(SchedulingError) as exc:
             engine.run(requests)
         assert str(exc.value) == (
-            "Seesaw phase loop made no progress at t=1.5 s on replica 0 of "
-            "seesaw[D2P2->D2T2]"
+            f"no-progress watchdog: {NO_PROGRESS_LIMIT} resumes in a row left "
+            "the queues, finished count, decode backlog and head prefill "
+            "unchanged at t=1.5 s on replica 0 of seesaw[D2P2->D2T2]"
         )
 
 

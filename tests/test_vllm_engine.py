@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.replica import NO_PROGRESS_LIMIT
 from repro.engines.base import EngineOptions
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import CapacityError, ConfigurationError, SchedulingError
@@ -52,11 +53,16 @@ class TestCompletion:
     def test_livelock_guard_names_time_replica_and_engine(
         self, tiny_model, cluster_a10_4, monkeypatch
     ):
-        # An iteration that never makes progress: the guard fires with the
-        # virtual time, the replica and the engine label in its message.
-        monkeypatch.setattr(
-            VllmLikeEngine, "_chunked_iteration", lambda self, state, now: now
-        )
+        # An iteration that never makes progress: the replica watchdog
+        # fires at its bound with the rule, the virtual time, the replica
+        # and the engine label in its message.
+        calls = []
+
+        def stuck(self, state, now):
+            calls.append(now)
+            return now
+
+        monkeypatch.setattr(VllmLikeEngine, "_chunked_iteration", stuck)
         engine = VllmLikeEngine(
             tiny_model, cluster_a10_4, parse_config("D2T2"),
             EngineOptions(chunked_prefill=True),
@@ -65,9 +71,12 @@ class TestCompletion:
         with pytest.raises(SchedulingError) as exc:
             engine.run(requests)
         assert str(exc.value) == (
-            "scheduler made no progress (livelock guard) at t=1.5 s on "
-            "replica 0 of vllm[D2T2+chunked]"
+            f"no-progress watchdog: {NO_PROGRESS_LIMIT} resumes in a row left "
+            "the queues, finished count, decode backlog and head prefill "
+            "unchanged at t=1.5 s on replica 0 of vllm[D2T2+chunked]"
         )
+        # The admitting resume, then the bound's repeats.
+        assert len(calls) == NO_PROGRESS_LIMIT + 1
 
 
 class TestScheduling:
