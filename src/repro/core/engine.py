@@ -242,7 +242,9 @@ class SeesawEngine(BaseEngine):
                 break
             for seq in microbatch:
                 seq.mark_scheduled(now)
-            lens = [s.remaining_prefill for s in microbatch]
+            # remaining_prefill of each sequence, read once (the stamps and
+            # the phase below do not move it).
+            lens = [max(0, s.prefill_target - s.prefilled_tokens) for s in microbatch]
             stage = costs.prefill_stage_time(lens)
             last_stage_total = stage.total
             # Steady-state stream: one micro-batch retires per stage time;
@@ -256,8 +258,8 @@ class SeesawEngine(BaseEngine):
             processed_any = True
 
             swap_tokens = 0
-            for seq in microbatch:
-                seq.advance_prefill(seq.remaining_prefill)
+            for seq, n in zip(microbatch, lens, strict=True):
+                seq.advance_prefill(n)
                 seq.prefill_end_time = now
                 seq.mark_first_token(now)
                 if tr is not None:
@@ -317,7 +319,9 @@ class SeesawEngine(BaseEngine):
         cpu_pending = 0  # tokens this micro-batch will park in the CPU pool
         while state.waiting:
             seq = state.waiting[0]
-            tokens = seq.remaining_prefill
+            tokens = seq.prefill_target - seq.prefilled_tokens
+            if tokens < 0:  # remaining_prefill, clamped at 0
+                tokens = 0
             need = tokens + 1
             if microbatch and used + tokens > opts.max_batched_tokens:
                 break

@@ -6,15 +6,30 @@ run), combined by the roofline rule. Breakdowns support addition and scalar
 multiplication so engines can accumulate them across layers, micro-batches
 and iterations, and they can be *attributed* into the three categories of
 Fig. 1 (communication / compute / weight transfer).
+
+The record is built on every costed iteration and micro-batch, so it is a
+tuple underneath: construction is one tuple allocation, and the six
+components are read-only fields (assigning one raises ``AttributeError``).
+It compares as a record, not as a tuple: it equals only another
+:class:`Breakdown`, has no ordering, and ``+`` and ``*`` keep their cost
+meaning or raise (a plain tuple on the left does not concatenate, and
+``bd * k`` does not repeat: scaling is :meth:`Breakdown.scale`). Like any
+tuple it is iterable, indexable and sized, in field order: :data:`COMPONENTS`
+names the components in that order, the order of the positional
+constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
+
+#: The six components, in field order.
+COMPONENTS = ("linear_dm", "linear_comp", "attn_dm", "attn_comp", "comm", "overhead")
+
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Breakdown:
+class Breakdown(namedtuple("_Components", COMPONENTS, defaults=(0.0,) * 6)):
     """Roofline cost components, all in seconds.
 
     ``total`` applies the roofline combination at whatever granularity the
@@ -22,12 +37,7 @@ class Breakdown:
     is an approximation the paper's own model also makes — eq. 2).
     """
 
-    linear_dm: float = 0.0
-    linear_comp: float = 0.0
-    attn_dm: float = 0.0
-    attn_comp: float = 0.0
-    comm: float = 0.0
-    overhead: float = 0.0
+    __slots__ = ()
 
     @property
     def total(self) -> float:
@@ -41,25 +51,53 @@ class Breakdown:
         )
 
     def __add__(self, other: "Breakdown") -> "Breakdown":
-        return Breakdown(
-            linear_dm=self.linear_dm + other.linear_dm,
-            linear_comp=self.linear_comp + other.linear_comp,
-            attn_dm=self.attn_dm + other.attn_dm,
-            attn_comp=self.attn_comp + other.attn_comp,
-            comm=self.comm + other.comm,
-            overhead=self.overhead + other.overhead,
-        )
+        if not isinstance(other, Breakdown):
+            return NotImplemented
+        return _new(Breakdown, (
+            self.linear_dm + other.linear_dm,
+            self.linear_comp + other.linear_comp,
+            self.attn_dm + other.attn_dm,
+            self.attn_comp + other.attn_comp,
+            self.comm + other.comm,
+            self.overhead + other.overhead,
+        ))
+
+    # A plain tuple of the same numbers is not equal: both operators
+    # answer here, before tuple's own comparison could.
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Breakdown) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    # Tuple operators with no cost meaning raise instead of answering as a
+    # tuple would (a 12-tuple, a repetition, a lexicographic order).
+    def __radd__(self, other: object) -> "Breakdown":
+        # Reached only when the left operand is not a Breakdown.
+        raise TypeError(f"cannot add {type(other).__name__} and Breakdown")
+
+    def __mul__(self, other: object) -> "Breakdown":
+        raise TypeError("a Breakdown is scaled with scale(k), not *")
+
+    __rmul__ = __mul__
+
+    def __lt__(self, other: object) -> bool:
+        raise TypeError("Breakdowns are not ordered; compare their totals")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def scale(self, k: float) -> "Breakdown":
         """Multiply every component by ``k`` (e.g. layer count)."""
-        return Breakdown(
-            linear_dm=self.linear_dm * k,
-            linear_comp=self.linear_comp * k,
-            attn_dm=self.attn_dm * k,
-            attn_comp=self.attn_comp * k,
-            comm=self.comm * k,
-            overhead=self.overhead * k,
-        )
+        return _new(Breakdown, (
+            self.linear_dm * k,
+            self.linear_comp * k,
+            self.attn_dm * k,
+            self.attn_comp * k,
+            self.comm * k,
+            self.overhead * k,
+        ))
 
     def attributed(self) -> dict[str, float]:
         """Project onto Fig. 1's categories.
@@ -83,7 +121,6 @@ class Breakdown:
 
     def as_dict(self) -> dict[str, float]:
         """Raw components plus the roofline total."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(COMPONENTS, self, strict=True))
         out["total"] = self.total
         return out
-

@@ -119,13 +119,14 @@ class StepCostModel:
             comm = 2 * (ar_fixed + (ar_factor * act) / ar_bw) * lps
         if pp > 1:
             comm = comm + (p2p_lat + act / link_bw)
+        # Positional: the components in field order.
         return Breakdown(
-            linear_dm=linear_dm,
-            linear_comp=(lin_flops * new_tokens / tp / flops) * lps,
-            attn_dm=(float(new_tokens * qkv_int) / tp / bw) * lps,
-            attn_comp=(c2 * sum_sq / tp / attn_eff) * lps,
-            comm=comm,
-            overhead=overhead,
+            linear_dm,
+            (lin_flops * new_tokens / tp / flops) * lps,
+            (float(new_tokens * qkv_int) / tp / bw) * lps,
+            (c2 * sum_sq / tp / attn_eff) * lps,
+            comm,
+            overhead,
         )
 
     def prefill_stage_time_reference(self, seq_lens: Sequence[int]) -> Breakdown:
@@ -306,14 +307,7 @@ class StepCostModel:
             comm = (comm + (p2p_lat + (m * act_bytes) / link_bw)) * period
         else:
             comm = comm * period
-        return Breakdown(
-            linear_dm=linear_dm,
-            linear_comp=linear_comp,
-            attn_dm=attn_dm,
-            attn_comp=attn_comp,
-            comm=comm,
-            overhead=overhead,
-        )
+        return Breakdown(linear_dm, linear_comp, attn_dm, attn_comp, comm, overhead)
 
     # Decode iterations enter here, past any wrapper on the public name.
     _iteration = mixed_iteration_time

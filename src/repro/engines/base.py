@@ -743,7 +743,9 @@ class BaseEngine(abc.ABC):
         single-token outputs retire at once.
         """
         costs = state.costs
-        lens = [seq.remaining_prefill for seq in batch]
+        # remaining_prefill of each sequence, read once; nothing below
+        # moves it before the loop that prefills it.
+        lens = [max(0, seq.prefill_target - seq.prefilled_tokens) for seq in batch]
         stages = [costs.prefill_stage_time(mb) for mb in self.micro_batches(lens)]
         tokens = sum(lens)
         pp = costs.config.pp
@@ -766,9 +768,9 @@ class BaseEngine(abc.ABC):
             state, "prefill", now, wall, device, len(batch), tokens, resident
         )
         state.metrics.iterations += 1
-        for seq in batch:
+        for seq, n in zip(batch, lens, strict=True):
             seq.mark_scheduled(start)
-            seq.advance_prefill(seq.remaining_prefill)
+            seq.advance_prefill(n)
             seq.state = SequenceState.RUNNING
             seq.prefill_end_time = now
             seq.mark_first_token(now)

@@ -114,7 +114,10 @@ class DecodeSlots:
         ctx = seq.prompt_len + g
         self.gen0[seq] = g - adv
         self.ctx_sum += ctx
-        self.due.setdefault(adv + seq.remaining_decode, []).append(seq)
+        left = seq.request.output_len - 1 - g
+        if left < 0:  # remaining_decode, clamped at 0
+            left = 0
+        self.due.setdefault(adv + left, []).append(seq)
         sid = seq.seq_id
         # Allocations always cover the current context, so the slack is
         # non-negative and the first crossing is at or after ``adv``.

@@ -86,7 +86,9 @@ class VllmLikeEngine(BaseEngine):
         cap = pp * self.options.max_batched_tokens
         remaining = 0
         for s in state.waiting:
-            remaining += s.remaining_prefill
+            left = s.prefill_target - s.prefilled_tokens
+            if left > 0:  # remaining_prefill, clamped at 0
+                remaining += left
             if remaining >= cap:
                 break
         return state.kv.free_tokens >= min(remaining, cap)
@@ -101,21 +103,26 @@ class VllmLikeEngine(BaseEngine):
         budget = self.options.max_batched_tokens * self.replica_config.pp
         if not state.running:
             budget = max(budget, state.kv.capacity_tokens)
+        waiting, kv = state.waiting, state.kv
+        seats = self.options.max_num_seqs - len(state.running)
         admitted: list[Sequence] = []
         used = 0
-        while state.waiting:
-            seq = state.waiting[0]
-            need = seq.remaining_prefill + 1  # +1: first generated token
-            if len(state.running) + len(admitted) >= self.options.max_num_seqs:
+        while waiting:
+            seq = waiting[0]
+            tokens = seq.prefill_target - seq.prefilled_tokens
+            if tokens < 0:  # remaining_prefill, clamped at 0
+                tokens = 0
+            if len(admitted) >= seats:
                 break
-            if used + seq.remaining_prefill > budget and admitted:
+            if used + tokens > budget and admitted:
                 break
-            if not state.kv.can_allocate(need):
+            need = tokens + 1  # +1: first generated token
+            if not kv.can_allocate(need):
                 break
-            state.kv.allocate(seq.seq_id, need)
-            state.waiting.popleft()
+            kv.allocate(seq.seq_id, need)
+            waiting.popleft()
             admitted.append(seq)
-            used += seq.remaining_prefill
+            used += tokens
             if used >= budget:
                 break
         return admitted
@@ -136,14 +143,18 @@ class VllmLikeEngine(BaseEngine):
             seq = state.waiting[0]
             if len(state.running) + len(completing) + 1 > self.options.max_num_seqs:
                 break
-            take = min(budget, seq.remaining_prefill)
-            need_tokens = seq.prefilled_tokens + take
-            will_complete = take == seq.remaining_prefill
+            prefilled = seq.prefilled_tokens
+            remaining = seq.prefill_target - prefilled
+            if remaining < 0:  # remaining_prefill, clamped at 0
+                remaining = 0
+            take = min(budget, remaining)
+            need_tokens = prefilled + take
+            will_complete = take == remaining
             if will_complete:
                 need_tokens += 1  # room for the first generated token
             if not self._ensure_chunk_space(state, seq, need_tokens):
                 break
-            chunk_ctx_weighted += take * seq.prefilled_tokens
+            chunk_ctx_weighted += take * prefilled
             seq.mark_scheduled(now)
             seq.state = SequenceState.PREFILLING
             if will_complete:
@@ -152,7 +163,7 @@ class VllmLikeEngine(BaseEngine):
                 # A recompute victim's target runs past its prompt, where
                 # advance_prefill clamps: a partial chunk there must still
                 # count, or a tail longer than the budget never completes.
-                seq.prefilled_tokens += take
+                seq.prefilled_tokens = prefilled + take
             state.prefill_epoch += 1
             chunk_tokens += take
             budget -= take

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import resource
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -160,6 +159,11 @@ class CellExecutor:
         misses: Sequence[int],
         outcomes: list[CellOutcome | None],
     ) -> None:
+        # Imported here, not at module top: concurrent.futures.process pulls
+        # in multiprocessing, socket and logging, which an inline run never
+        # needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(self.jobs, len(misses))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell_worker, specs[i]) for i in misses]

@@ -36,6 +36,9 @@ class KVCacheManager:
     # Running total of allocated + reserved blocks, kept in lock-step with
     # the two dicts so ``used_blocks`` is O(1) instead of O(sequences).
     _used: int = field(default=0, repr=False)
+    # ``capacity_tokens // block_size``: both are fixed once built, and
+    # every admission and grow check reads the free count.
+    _total: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity_tokens < self.block_size:
@@ -45,6 +48,7 @@ class KVCacheManager:
         if self.block_size < 1:
             raise CapacityError("block_size must be >= 1")
         self._used = sum(self._blocks.values()) + sum(self._reserved_blocks.values())
+        self._total = self.capacity_tokens // self.block_size
 
     # ------------------------------------------------------------------ #
     # Capacity queries
@@ -52,7 +56,7 @@ class KVCacheManager:
 
     @property
     def total_blocks(self) -> int:
-        return self.capacity_tokens // self.block_size
+        return self._total
 
     @property
     def used_blocks(self) -> int:
@@ -60,13 +64,11 @@ class KVCacheManager:
 
     @property
     def free_blocks(self) -> int:
-        # total_blocks - used_blocks, inlined: every KV grow and admission
-        # check reads it.
-        return self.capacity_tokens // self.block_size - self._used
+        return self._total - self._used
 
     @property
     def free_tokens(self) -> int:
-        return self.free_blocks * self.block_size
+        return (self._total - self._used) * self.block_size
 
     @property
     def num_sequences(self) -> int:
@@ -77,7 +79,9 @@ class KVCacheManager:
         return -(-tokens // self.block_size)
 
     def can_allocate(self, tokens: int) -> bool:
-        return self.blocks_for(tokens) <= self.free_blocks
+        # blocks_for(tokens) <= free_blocks, inlined: every admission
+        # check calls it.
+        return -(-tokens // self.block_size) <= self._total - self._used
 
     # ------------------------------------------------------------------ #
     # Allocation lifecycle
@@ -87,9 +91,9 @@ class KVCacheManager:
         """Admit a sequence with ``tokens`` of context."""
         if seq_id in self._blocks:
             raise SimulationError(f"sequence {seq_id} already allocated")
-        need = self.blocks_for(tokens)
+        need = -(-tokens // self.block_size)
         reserved = self._reserved_blocks.pop(seq_id, 0)
-        if need > self.free_blocks + reserved:
+        if need > self._total - self._used + reserved:
             self._reserved_blocks[seq_id] = reserved  # restore before raising
             raise CapacityError(
                 f"sequence {seq_id}: need {need} blocks, only "
@@ -100,14 +104,14 @@ class KVCacheManager:
 
     def grow(self, seq_id: int, new_total_tokens: int) -> None:
         """Grow a sequence's allocation to cover ``new_total_tokens``."""
-        if seq_id not in self._blocks:
+        current = self._blocks.get(seq_id)
+        if current is None:
             raise SimulationError(f"sequence {seq_id} not allocated")
-        need = self.blocks_for(new_total_tokens)
-        current = self._blocks[seq_id]
+        need = -(-new_total_tokens // self.block_size)
         if need <= current:
             return
         extra = need - current
-        if extra > self.free_blocks:
+        if extra > self._total - self._used:
             raise CapacityError(
                 f"sequence {seq_id}: cannot grow by {extra} blocks "
                 f"({self.free_blocks} free)"
@@ -125,7 +129,7 @@ class KVCacheManager:
         check.
         """
         n = len(seq_ids)
-        if n > self.free_blocks:
+        if n > self._total - self._used:
             raise CapacityError(
                 f"cannot grow {n} sequences by 1 block ({self.free_blocks} free)"
             )

@@ -80,13 +80,18 @@ class Request:
         return self.prompt_len + self.output_len
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Sequence:
     """Mutable engine-side view of one request.
 
     Equality is identity — two sequences are never "the same" just because
     their counters coincide (schedulers keep sequences in lists and rely on
     identity membership).
+
+    Slotted, and it copies its request's immutable ``seq_id``,
+    ``prompt_len`` and ``arrival_time`` when it is built: engine loops read
+    them on every iteration, so they are one slot read, not a hop through
+    ``request``.
     """
 
     request: Request
@@ -102,22 +107,17 @@ class Sequence:
     first_schedule_time: float = field(default=float("nan"))
     first_token_time: float = field(default=float("nan"))
     num_preemptions: int = 0
+    seq_id: int = field(init=False, repr=False)
+    prompt_len: int = field(init=False, repr=False)
+    arrival_time: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        request = self.request
+        self.seq_id = request.request_id
+        self.prompt_len = request.prompt_len
+        self.arrival_time = request.arrival_time
         if self.prefill_target < 0:
-            self.prefill_target = self.request.prompt_len
-
-    @property
-    def seq_id(self) -> int:
-        return self.request.request_id
-
-    @property
-    def arrival_time(self) -> float:
-        return self.request.arrival_time
-
-    @property
-    def prompt_len(self) -> int:
-        return self.request.prompt_len
+            self.prefill_target = request.prompt_len
 
     @property
     def context_len(self) -> int:
@@ -173,13 +173,14 @@ class Sequence:
         Sticky: later admissions (after preemption) do not move it, so
         queue delay measures arrival to *first* service.
         """
-        if math.isnan(self.first_schedule_time):
+        # ``x != x`` is the NaN test, without a call per stamp.
+        if self.first_schedule_time != self.first_schedule_time:
             self.first_schedule_time = now
 
     def mark_first_token(self, now: float) -> None:
         """Record the first output token (end of the producing prefill
         pass). Sticky across recompute preemptions."""
-        if math.isnan(self.first_token_time):
+        if self.first_token_time != self.first_token_time:  # NaN: unset
             self.first_token_time = now
 
     def mark_finished(self, now: float) -> None:
@@ -187,7 +188,8 @@ class Sequence:
         self.finish_time = now
         # A request whose only token came from prefill finishes without a
         # separate first-token event; backfill so latency records close.
-        self.mark_first_token(now)
+        if self.first_token_time != self.first_token_time:
+            self.first_token_time = now
 
     def preempt_recompute(self) -> None:
         """Drop cached KV for recompute-style preemption: the next prefill

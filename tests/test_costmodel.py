@@ -1,10 +1,10 @@
 """Roofline cost model: breakdowns, layer time, pipeline, transfer, step."""
 
-from dataclasses import astuple
+import pickle
 
 import pytest
 
-from repro.costmodel.breakdown import Breakdown
+from repro.costmodel.breakdown import COMPONENTS, Breakdown
 from repro.costmodel.pipeline import (
     pipeline_time,
     pipeline_time_heterogeneous,
@@ -21,8 +21,9 @@ LABELS = ("T1", "T2", "T8", "P2", "P8", "T2P2", "T4P2", "T2P4")
 
 
 def hexes(bd: Breakdown) -> list[str]:
-    """Every component, exactly: equal lists mean bit-identical floats."""
-    return [x.hex() for x in astuple(bd)]
+    """Every component, read by name, exactly: equal lists mean
+    bit-identical floats."""
+    return [getattr(bd, name).hex() for name in COMPONENTS]
 
 
 class TestBreakdown:
@@ -50,6 +51,108 @@ class TestBreakdown:
 
     def test_as_dict_has_total(self):
         assert "total" in Breakdown().as_dict()
+
+
+class TestBreakdownRecord:
+    """The record's behaviour, pinned in hex: any form it takes must give
+    these bits, refuse assignment and round-trip through pickle."""
+
+    A = Breakdown(1.1, 2.2, 0.3, 0.7, 0.05, 0.013)
+    B = Breakdown(
+        linear_dm=3.3, linear_comp=0.1, attn_dm=0.9, attn_comp=0.2,
+        comm=0.17, overhead=4e-4,
+    )
+
+    def test_assignment_raises(self):
+        for name in COMPONENTS:
+            with pytest.raises(AttributeError):
+                setattr(self.A, name, 1.0)
+        with pytest.raises(AttributeError):
+            self.A.extra = 1.0
+
+    def test_add_scale_total_pinned(self):
+        assert hexes(self.A + self.B) == [
+            "0x1.199999999999ap+2", "0x1.2666666666667p+1",
+            "0x1.3333333333333p+0", "0x1.cccccccccccccp-1",
+            "0x1.c28f5c28f5c2ap-3", "0x1.b71758e219652p-7",
+        ]
+        assert hexes(self.A.scale(0.37)) == [
+            "0x1.a0c49ba5e3540p-2", "0x1.a0c49ba5e3540p-1",
+            "0x1.c6a7ef9db22d1p-4", "0x1.09374bc6a7efap-2",
+            "0x1.2f1a9fbe76c8bp-6", "0x1.3b3a68b19a416p-8",
+        ]
+        assert self.A.total.hex() == "0x1.7b4395810624ep+1"
+        assert self.B.total.hex() == "0x1.17b4a2339c0ecp+2"
+
+    def test_attributed_pinned(self):
+        def hexed(d):
+            return {k: v.hex() for k, v in d.items()}
+
+        assert hexed(self.A.attributed()) == {
+            "communication": "0x1.999999999999ap-5",
+            "compute": "0x1.74dd2f1a9fbe8p+1",
+            "weight_transfer": "0x0.0p+0",
+        }
+        assert hexed(self.B.attributed()) == {
+            "communication": "0x1.5c28f5c28f5c3p-3",
+            "compute": "0x1.cd013a92a3055p-1",
+            "weight_transfer": "0x1.a666666666666p+1",
+        }
+        assert hexed(self.A.as_dict()) == {
+            "linear_dm": "0x1.199999999999ap+0",
+            "linear_comp": "0x1.199999999999ap+1",
+            "attn_dm": "0x1.3333333333333p-2",
+            "attn_comp": "0x1.6666666666666p-1",
+            "comm": "0x1.999999999999ap-5",
+            "overhead": "0x1.a9fbe76c8b439p-7",
+            "total": "0x1.7b4395810624ep+1",
+        }
+        assert list(self.A.as_dict()) == [*COMPONENTS, "total"]
+
+    def test_repr_equality_and_pickle(self):
+        assert repr(self.A) == (
+            "Breakdown(linear_dm=1.1, linear_comp=2.2, attn_dm=0.3, "
+            "attn_comp=0.7, comm=0.05, overhead=0.013)"
+        )
+        assert repr(Breakdown()) == (
+            "Breakdown(linear_dm=0.0, linear_comp=0.0, attn_dm=0.0, "
+            "attn_comp=0.0, comm=0.0, overhead=0.0)"
+        )
+        assert self.A == Breakdown(1.1, 2.2, 0.3, 0.7, 0.05, 0.013)
+        assert self.A != self.B
+        assert hash(self.A) == hash(Breakdown(1.1, 2.2, 0.3, 0.7, 0.05, 0.013))
+        # A value, not a sequence: equal only to another Breakdown.
+        plain = (1.1, 2.2, 0.3, 0.7, 0.05, 0.013)
+        assert self.A != plain and not self.A == plain
+        assert plain != self.A and not plain == self.A
+        with pytest.raises(TypeError):
+            self.A + plain
+        back = pickle.loads(pickle.dumps(self.A))
+        assert type(back) is Breakdown and back == self.A
+        assert hexes(back) == hexes(self.A)
+
+    def test_tuple_operators_refuse(self):
+        # A plain tuple on the left would concatenate, * would repeat and
+        # < would order lexicographically; each raises as on a record.
+        plain = (1.1, 2.2, 0.3, 0.7, 0.05, 0.013)
+        for op in (
+            lambda: plain + self.A,
+            lambda: 0 + self.A,
+            lambda: sum([self.A, self.B]),
+            lambda: self.A * 2,
+            lambda: 2 * self.A,
+            lambda: self.A < self.B,
+            lambda: self.A <= self.B,
+            lambda: self.A > self.B,
+            lambda: self.A >= self.B,
+            lambda: plain < self.A,
+        ):
+            with pytest.raises(TypeError):
+                op()
+        # Iteration, indexing and len are the documented tuple surface.
+        assert list(self.A) == [getattr(self.A, n) for n in COMPONENTS]
+        assert self.A[0] == self.A.linear_dm and len(self.A) == 6
+        assert sum([self.A, self.B], Breakdown()) == self.A + self.B
 
 
 class TestLayerTime:

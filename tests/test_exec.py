@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.check.goldens import run_goldens
 from repro.check.sanitizer import Sanitizer
@@ -22,6 +28,27 @@ from repro.exec import (
 from repro.obs import Telemetry, Tracer
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.synthetic import constant_workload
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """``import repro.exec`` does not load ``concurrent.futures.process``
+    (and the multiprocessing, socket and logging modules behind it): only
+    a pooled run (``jobs > 1``) imports it, so inline runs skip its import
+    time."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "import repro.exec\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def _spec(tiny_model, cluster_a10_4, **overrides) -> CellSpec:

@@ -3,17 +3,20 @@
 import functools
 import operator
 import random
-from dataclasses import astuple
-
 import pytest
 
-from repro.costmodel.breakdown import Breakdown
+from repro.costmodel.breakdown import COMPONENTS, Breakdown
 from repro.errors import CapacityError, ConfigurationError, SimulationError
 from repro.runtime.channel import TransferChannel
 from repro.runtime.cpu_buffer import CPUKVBuffer
 from repro.runtime.kvcache import KVCacheManager
 from repro.runtime.metrics import EngineResult, PhaseTimer, RunMetrics, merge_dp_results
 from repro.runtime.request import Request, Sequence, SequenceState
+
+
+def hexes(bd: Breakdown) -> list[str]:
+    """Every component, read by name, exactly."""
+    return [getattr(bd, name).hex() for name in COMPONENTS]
 
 
 class TestRequest:
@@ -53,6 +56,19 @@ class TestSequence:
         assert s.context_len == 101
         s.advance_decode()
         assert s.remaining_decode == 0
+
+    def test_stores_request_fields(self):
+        req = Request(request_id=9, prompt_len=37, output_len=5, arrival_time=2.5)
+        s = Sequence(req)
+        assert (s.seq_id, s.prompt_len, s.arrival_time) == (
+            req.request_id, req.prompt_len, req.arrival_time
+        )
+        assert s.prefill_target == req.prompt_len
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        # The stored copies stay out of the repr, which shows the request.
+        assert "seq_id" not in repr(s) and "request_id=9" in repr(s)
 
     def test_identity_equality(self):
         a, b = self.make(), self.make()
@@ -296,10 +312,8 @@ class TestMetrics:
         m = RunMetrics()
         for bd in bds:
             m.add_phase("decode", 0.5, bd)
-        before = astuple(m.breakdown)
+        before = hexes(m.breakdown)
         m.add_phase("idle", 1.0)
         oracle = functools.reduce(operator.add, bds, Breakdown())
-        assert [x.hex() for x in astuple(m.breakdown)] == [
-            x.hex() for x in astuple(oracle)
-        ]
-        assert astuple(m.breakdown) == before
+        assert hexes(m.breakdown) == hexes(oracle)
+        assert hexes(m.breakdown) == before
