@@ -24,7 +24,8 @@ each replica's clock as it steps (S1) and sweeps each replica at drain
 - **S6 fleet-lifecycle** — replica lifecycle transitions only move along
   provisioning -> warming -> active -> draining -> stopped, and never at
   an earlier virtual time than the same replica's previous transition
-  (a drained replica cannot stop before the order that drained it).
+  (a drained replica cannot stop before the order that drained it), and
+  the fleet's kept per-state counts match a recount of its handles.
 
 Violations raise :class:`SanitizerError` carrying the rule id, the
 virtual timestamp, and the replica id. ``sanitize=None`` (the default)
@@ -313,6 +314,24 @@ class Sanitizer:
                 replica=replica,
             )
         self._transition_at[replica] = now
+
+    def check_lifecycle_counts(
+        self, kept: dict[str, int], states: list[str], replica: int, now: float
+    ) -> None:
+        """Part of each transition's S6 check: the fleet's kept
+        per-state counts against a recount of its handles' ``states``
+        (a state written around the fleet's transition shows here)."""
+        recount = dict.fromkeys(kept, 0)
+        for state in states:
+            recount[state] = recount.get(state, 0) + 1
+        if recount != kept:
+            raise SanitizerError(
+                "S6",
+                f"kept lifecycle counts {kept} != recount of the handles "
+                f"{recount}",
+                time=now,
+                replica=replica,
+            )
 
     # ------------------------------------------------------------------ #
     # S3 + S4 — drain-time conservation

@@ -135,7 +135,16 @@ class ReplicaHandle:
 
 
 class ReplicaFleet:
-    """Dynamic replica membership on the shared cluster clock."""
+    """Dynamic replica membership on the shared cluster clock.
+
+    The fleet keeps a count of handles per lifecycle state, updated where
+    a handle is created (:meth:`_new_handle`) and where its state changes
+    (:meth:`_transition`), so :attr:`active_count`,
+    :attr:`provisioning_count`, :attr:`draining_count` and
+    :attr:`target_count` read counts instead of walking every handle.
+    Their oracle is a recount of :attr:`handles`: under ``--sanitize``,
+    simsan's S6 compares the two at every transition.
+    """
 
     def __init__(
         self,
@@ -177,6 +186,8 @@ class ReplicaFleet:
         self.autoscaler_name = autoscaler_name
         self.weight_load_s, self.kv_warmup_s = provision_times(engine)
         self.handles: list[ReplicaHandle] = []
+        # Handles per lifecycle state (see the class docstring).
+        self._counts = dict.fromkeys(ReplicaLifecycle, 0)
         # Lifecycle worklists so the per-event poll/reap sweeps touch only
         # replicas that can actually transition (id-ordered, like the
         # full-handle scans they replace). ``pending`` is public so a
@@ -226,19 +237,16 @@ class ReplicaFleet:
 
     @property
     def active_count(self) -> int:
-        return sum(1 for h in self.handles if h.dispatchable)
+        return self._counts[ReplicaLifecycle.ACTIVE]
 
     @property
     def provisioning_count(self) -> int:
-        return sum(
-            1
-            for h in self.handles
-            if h.state in (ReplicaLifecycle.PROVISIONING, ReplicaLifecycle.WARMING)
-        )
+        counts = self._counts
+        return counts[ReplicaLifecycle.PROVISIONING] + counts[ReplicaLifecycle.WARMING]
 
     @property
     def draining_count(self) -> int:
-        return sum(1 for h in self.handles if h.state is ReplicaLifecycle.DRAINING)
+        return self._counts[ReplicaLifecycle.DRAINING]
 
     @property
     def target_count(self) -> int:
@@ -257,6 +265,7 @@ class ReplicaFleet:
             ready = now + self.weight_load_s
             handle = ReplicaHandle(rid, now, ready, ready + self.kv_warmup_s)
         self.handles.append(handle)
+        self._counts[handle.state] += 1
         if not prewarmed:
             self.pending.append(handle)
         return handle
@@ -264,14 +273,22 @@ class ReplicaFleet:
     def _transition(
         self, handle: ReplicaHandle, new_state: ReplicaLifecycle, now: float
     ) -> None:
-        """Every lifecycle state write funnels through here so the
-        sanitizer can assert the edge is legal (S6)."""
+        """Every lifecycle state write funnels through here, so the kept
+        counts follow it and the sanitizer can assert the edge is legal
+        and the counts match a recount of the handles (S6)."""
         san = self.engine.hooks.sanitize
         if san is not None:
             san.note_transition(
                 handle.replica_id, handle.state.value, new_state.value, now
             )
+        counts = self._counts
+        counts[handle.state] -= 1
+        counts[new_state] += 1
         handle.state = new_state
+        if san is not None:
+            kept = {state.value: k for state, k in counts.items()}
+            recount = [h.state.value for h in self.handles]
+            san.check_lifecycle_counts(kept, recount, handle.replica_id, now)
 
     def _start_engine_replica(self, replica_id: int, start_time: float):
         """The event tier's replica: the engine's steppable simulation,

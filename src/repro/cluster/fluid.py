@@ -40,24 +40,29 @@ scalars and writes the block's stamps and destination replicas into
 preallocated numpy columns with one slice assignment each (an unsorted
 workload's stamps are scattered back to request order once, at the
 end). Memory is O(block) in Python objects plus the numpy columns the
-run returns. The blocks are fixed-size rather than the spans between
-autoscaler evaluations: a fixed edge needs no float test that has to
-reproduce ``decide``'s own cadence test exactly, and a fixed fleet has
-no evaluations to cut at.
+run returns.
 
-Each arrival does only the work its router and autoscaler read:
+Each block is cut into segments at fleet events: a segment ends before
+the next arrival at which a fleet poll (``poll_at <= now + 1e-12``) or
+an autoscaler evaluation (``decide``'s own ``not (now - last_eval_at <
+interval)``) comes due. Both tests are monotone in the arrival time, so
+each edge is one bit-exact ``searchsorted`` of the block's times. The
+poll, ``note_arrival`` (over every arrival since the last evaluation)
+and ``decide`` run only at a segment's first arrival, in the per-arrival
+order. Inside a segment the membership is fixed, so each arrival's
+operating point comes from numpy columns: its rate bucket (on a fixed
+fleet, that of the last refresh, every 64th request index), its
+inter-token time from a bucket-sorted table over
+:meth:`FluidSimulator._tpot_at`'s cache, and the half-iteration and
+decode seconds from it (the drain-phase time is read from the cache only
+for decode that outlives the last arrival). What is left per arrival is
+the pick, the ready-time arithmetic, the stamps and the hooks:
 
 - ``jsq`` and ``slo`` pick the head of a heap of ``(ready, position)``
   pairs, one ``heapreplace`` per dispatch (the same pick as an
   ``argmin`` over the ready times, ties to the lower position); the
   other policies keep :meth:`FluidSimulator._select`, and the numpy
   mirrors it reads are written only for the policies that read them;
-- the fleet is polled only once its earliest pending transition is
-  due, the autoscaler's ``decide`` is called only when its evaluation
-  interval has passed (its own test), and ``note_arrival`` only for the
-  policies that observe arrivals;
-- the decode operating point is re-solved only when the per-replica
-  rate leaves the bucket :meth:`FluidSimulator._tpot` keys its cache on;
 - the per-replica dispatch counters nothing reads during the loop are
   folded after it from a column of destination replicas
   (:func:`_fold_counters`).
@@ -66,8 +71,9 @@ The oracle is ``TestFluidDispatchOracle`` in ``tests/test_perf_paths.py``:
 the heap pick against the ``argmin`` (by emptying
 :data:`_HEAP_POLICIES`), and the whole run against the per-arrival
 ``decide``/``_tpot``/counter loop, bit for bit, across routers,
-autoscalers, arrival shapes and hooks, and with a 7-arrival
-:data:`_BLOCK` that puts block edges everywhere.
+autoscalers, arrival shapes and hooks, with a 7-arrival :data:`_BLOCK`
+that puts block edges everywhere, and on the segment edges: a poll and
+an evaluation due at one arrival, and segments that span a whole block.
 
 What the model deliberately drops: KV-pressure preemptions (and with
 them storm re-dispatch), per-iteration scheduling detail, and tracing.
@@ -225,14 +231,20 @@ class _FluidReplica:
     def outstanding_tokens(self, now: float) -> float:
         """Everything dispatched here and not done by ``now`` — the
         prefill queue *and* the decode tail — as seconds of drain horizon
-        at the prefill rate: the drain cost scale-down ranks victims by."""
-        return max(0.0, self.clock - now) * self.rate
+        at the prefill rate: the drain cost scale-down ranks victims by.
 
-    def queued_prefill_tokens(self, now: float) -> float:
-        """The threshold autoscaler's queue signal. A mean-field replica
-        does not split its backlog into queues, so this is the whole
-        drain horizon (:meth:`outstanding_tokens`)."""
-        return self.outstanding_tokens(now)
+        ``max(0.0, clock - now) * rate`` written out in one frame (the
+        autoscaler and the victim scan read it for every active replica):
+        ``max`` keeps its first argument on a tie, and so do these tests.
+        """
+        ready, done = self.ready, self.decode_done
+        wait = (done if done > ready else ready) - now
+        return (wait if wait > 0.0 else 0.0) * self.rate
+
+    # The threshold autoscaler's queue signal. A mean-field replica does
+    # not split its backlog into queues, so this is the whole drain
+    # horizon.
+    queued_prefill_tokens = outstanding_tokens
 
     def drained_by(self, now: float) -> bool:
         """Mean-field work is committed at dispatch: the replica has
@@ -285,8 +297,12 @@ class FluidSimulator:
             ),
         )
         # Fixed-point (tpot, drain-tpot) cache, keyed by the bucketed
-        # per-replica rate.
+        # per-replica rate, and the tpot table _tpots reads it through. Its
+        # NaN key sorts last and equals nothing, so every finite bucket's
+        # insertion point stays inside the table.
         self._tpot_cache: dict[int, tuple[float, float]] = {}
+        self._op_keys = np.array([np.nan])
+        self._op_tpot = np.array([np.nan])
         self.fleet, self.autoscaler = build_fleet(
             engine,
             context,
@@ -386,7 +402,33 @@ class FluidSimulator:
         )
 
     def _tpot(self, lam_per_replica: float) -> tuple[float, float]:
-        """Inter-token time at the decode operating point.
+        """The operating point of a per-replica rate: its bucket's
+        :meth:`_tpot_at`."""
+        return self._tpot_at(int(lam_per_replica * 16.0))
+
+    def _tpots(self, buckets: np.ndarray) -> np.ndarray:
+        """The inter-token time of each entry of ``buckets``.
+
+        ``buckets`` holds ``floor(lam * 16)`` as floats, which for every
+        non-negative rate is :meth:`_tpot`'s ``int`` key. The times come
+        from a table sorted by bucket; a bucket the table lacks is solved
+        by :meth:`_tpot_at` and inserted.
+        """
+        keys = self._op_keys
+        at = keys.searchsorted(buckets)
+        missing = keys[at] != buckets
+        if missing.any():
+            new = sorted(set(buckets[missing].tolist()))
+            tpots = [self._tpot_at(int(bucket))[0] for bucket in new]
+            where = keys.searchsorted(new)
+            self._op_keys = keys = np.insert(keys, where, new)
+            self._op_tpot = np.insert(self._op_tpot, where, tpots)
+            at = keys.searchsorted(buckets)
+        return self._op_tpot[at]
+
+    def _tpot_at(self, bucket: int) -> tuple[float, float]:
+        """Inter-token time at the decode operating point of the per-replica
+        rates in ``bucket`` (``int(lam * 16)``), solved once per bucket.
 
         The replica must emit ``lam x E[out-1]`` tokens/s to keep up with
         the offered rate, but decode only owns the fraction of wall time
@@ -407,7 +449,6 @@ class FluidSimulator:
         batch — once arrivals stop there is no prefill left to interleave
         and the fleet decodes its tail flat out.
         """
-        bucket = int(lam_per_replica * 16.0)
         cached = self._tpot_cache.get(bucket)
         if cached is not None:
             return cached
@@ -497,8 +538,8 @@ class FluidSimulator:
         track_decode = self._track_decode
         n_active = max(1, len(active))
         autoscaler = self.autoscaler
+        observes = autoscaler is not None and autoscaler.observes_arrivals
         if autoscaler is not None:
-            observes = autoscaler.observes_arrivals
             interval = autoscaler.interval_s
             eval_at = autoscaler.last_eval_at
         poll_at = fleet.next_transition_at()
@@ -512,8 +553,8 @@ class FluidSimulator:
         dest = np.full(n, -1, dtype=np.intp)
 
         arrivals_end = float(time_col[-1])
-        tpot, tpot_drain = self._tpot_now = self._tpot(0.0)
-        tpot_bucket = 0  # the bucket _tpot keys the pair above on
+        self._tpot_now = self._tpot(0.0)
+        tpot_bucket = 0.0  # the rate bucket _tpot_now is keyed on
         tpot_cache = self._tpot_cache
         # Hooks. Telemetry samples the event path's series schema on a
         # widened grid so a million-request day stays a few-hundred-point
@@ -540,20 +581,35 @@ class FluidSimulator:
             # One block of arrivals as Python scalars, and its stamps
             # written back to the columns in one slice each.
             block = slice(start, min(start + _BLOCK, n))
+            time_blk = time_col[block]
+            poll_key = time_blk + _EPS  # the fleet poll's test, per arrival
+            rate_blk = rate_col[block]
+            decode_blk = output_col[block] - 1  # decode tokens
+            times = time_blk.tolist()
+            prefill_blk = prompt_col[block] / pf_rate
             index = range(start, block.stop) if order is None else order[block].tolist()
-            times = time_col[block].tolist()
-            prompts = prompt_col[block].tolist()
-            outputs = output_col[block].tolist()
-            rates = rate_col[block].tolist()
+            if autoscaler is None:
+                # A fixed fleet refreshes its operating point at every 64th
+                # request index.
+                rows = np.arange(start, block.stop) if order is None else order[block]
+                refresh = (rows & 0x3F) == 0
             ids = id_col[block].tolist() if id_col is not None else None
+            if san is not None:
+                prompts = prompt_col[block].tolist()
+                outputs = output_col[block].tolist()
+            if track_decode:
+                decode_work = (decode_blk * decode_tail).tolist()
             size = len(times)
             sched_t = [0.0] * size
             first_t = [0.0] * size
             finish_t = [0.0] * size
             dest_t = [-1] * size
-            # ``j`` is the arrival's row in the block, ``i`` its request index.
-            for j, i in enumerate(index):
-                now = times[j]
+            noted = 0  # the block's arrivals the autoscaler has observed
+            s = 0
+            while s < size:
+                # A segment's first arrival does the fleet work due at it,
+                # in the per-arrival order: poll, note_arrival, decide.
+                now = times[s]
                 rebuilt = False
                 # poll() commits nothing before the fleet's next transition.
                 if poll_at <= now + _EPS:
@@ -561,17 +617,20 @@ class FluidSimulator:
                         self._rebuild_arrays(now)
                         rebuilt = True
                     poll_at = fleet.next_transition_at()
-                if autoscaler is not None:
+                # decide()'s own cadence test: it answers None otherwise.
+                if autoscaler is not None and (
+                    eval_at is None or not (now - eval_at < interval)
+                ):
                     if observes:
-                        autoscaler.note_arrival(now)
-                    # decide()'s own cadence test: it answers None otherwise.
-                    if eval_at is None or not (now - eval_at < interval):
-                        target = autoscaler.decide(now, fleet)
-                        eval_at = autoscaler.last_eval_at
-                        if target is not None:
-                            self._resize(target, now, reason=autoscaler.last_reason)
-                            poll_at = fleet.next_transition_at()
-                            rebuilt = True
+                        for t in times[noted : s + 1]:
+                            autoscaler.note_arrival(t)
+                        noted = s + 1
+                    target = autoscaler.decide(now, fleet)
+                    eval_at = autoscaler.last_eval_at
+                    if target is not None:
+                        self._resize(target, now, reason=autoscaler.last_reason)
+                        poll_at = fleet.next_transition_at()
+                        rebuilt = True
                 if rebuilt:
                     active = self.active
                     if not active:
@@ -580,99 +639,123 @@ class FluidSimulator:
                     ready_arr = self._ready
                     decode_secs = self._decode_secs
                     n_active = max(1, len(active))
-                # The operating point follows every arrival under an
-                # autoscaler, and is refreshed periodically on a fixed
-                # fleet. It moves only when the rate leaves the bucket
-                # _tpot keys its cache on, and _tpot solves only a bucket
-                # it has not seen.
-                if autoscaler is not None or (i & 0x3F) == 0:
-                    lam = rates[j] / n_active
-                    bucket = int(lam * 16.0)
-                    if bucket != tpot_bucket:
-                        tpot_bucket = bucket
-                        pair = tpot_cache.get(bucket)
-                        if pair is None:
-                            pair = self._tpot(lam)
-                        tpot, tpot_drain = self._tpot_now = pair
-                if tel is not None:
-                    for t in tel.boundaries("cluster", now, sample_step):
-                        self._sample(tel, t)
-                k = heap[0][1] if heap_pick else self._select(i, now)
-                replica = active[k]
-                if trc is not None:
-                    trc.note_dispatch(now, ids[j], replica.replica_id)
-                if san is not None:
-                    san.note_cluster_clock(now)
-                    san.note_dispatch(
-                        Request(ids[j], prompts[j], outputs[j], now),
-                        replica.replica_id,
-                        now,
+                # The segment ends before the next arrival at which a poll
+                # or an evaluation comes due. Both tests are monotone in the
+                # arrival time, so each edge is one search of the block.
+                end = size
+                if poll_at <= times[-1] + _EPS:
+                    end = max(s + 1, int(poll_key.searchsorted(poll_at)))
+                if autoscaler is not None and not (times[-1] - eval_at < interval):
+                    due = (time_blk[s + 1 :] - eval_at).searchsorted(interval)
+                    end = min(end, s + 1 + int(due))
+                # The decode operating point of each arrival: the bucket of
+                # its own rate under an autoscaler, of the last refresh's on
+                # a fixed fleet.
+                buckets = np.floor(rate_blk[s:end] / n_active * 16.0)
+                if autoscaler is None:
+                    last = np.where(refresh[s:end], np.arange(end - s), -1)
+                    last = np.maximum.accumulate(last)
+                    buckets = np.where(last >= 0, buckets[last], tpot_bucket)
+                tpots = self._tpots(buckets)
+                half_tpot = (0.5 * tpots).tolist()
+                decode_s = (decode_blk[s:end] * tpots).tolist()
+                prefill = prefill_blk[s:end].tolist()
+                tail = None  # the buckets as Python floats, once one is read
+                # ``j`` is the arrival's row in the block.
+                for j, now, prefill_s, half, decode in zip(
+                    range(s, end), times[s:end], prefill, half_tpot, decode_s,
+                    strict=True,
+                ):
+                    if tel is not None:
+                        for t in tel.boundaries("cluster", now, sample_step):
+                            self._sample(tel, t)
+                    k = heap[0][1] if heap_pick else self._select(index[j], now)
+                    replica = active[k]
+                    if trc is not None:
+                        trc.note_dispatch(now, ids[j], replica.replica_id)
+                    if san is not None:
+                        san.note_cluster_clock(now)
+                        san.note_dispatch(
+                            Request(ids[j], prompts[j], outputs[j], now),
+                            replica.replica_id,
+                            now,
+                        )
+                    ready = replica.ready
+                    if ready < now:
+                        # Idle only once the decode tail has drained too — a
+                        # replica still emitting tokens is busy, not idle (the
+                        # threshold autoscaler's down-scale signal reads this).
+                        done = replica.decode_done
+                        horizon = done if done > ready else ready
+                        if horizon < now:
+                            replica.idle_seconds += now - horizon
+                        ready = now
+                    queued_before = (ready - now) * pf_rate
+                    # Half an iteration of boundary quantization: a real engine
+                    # admits the arrival only when the in-flight pass finishes.
+                    sched = ready + half
+                    # Pass quantization: a prompt admitted into a busy prefill
+                    # wave gets its first token at the end of the *whole* pass,
+                    # which also carries prompts queued behind it up to the
+                    # token budget — half a pass of carry-over at depth,
+                    # nothing on an empty queue.
+                    carried = (
+                        queued_before
+                        if queued_before <= budget_tokens
+                        else budget_tokens
                     )
-                ready = replica.ready
-                if ready < now:
-                    # Idle only once the decode tail has drained too — a
-                    # replica still emitting tokens is busy, not idle (the
-                    # threshold autoscaler's down-scale signal reads this).
-                    done = replica.decode_done
-                    horizon = done if done > ready else ready
-                    if horizon < now:
-                        replica.idle_seconds += now - horizon
-                    ready = now
-                queued_before = (ready - now) * pf_rate
-                # Half an iteration of boundary quantization: a real engine
-                # admits the arrival only when the in-flight pass finishes.
-                sched = ready + 0.5 * tpot
-                prefill_s = prompts[j] / pf_rate
-                # Pass quantization: a prompt admitted into a busy prefill
-                # wave gets its first token at the end of the *whole* pass,
-                # which also carries prompts queued behind it up to the
-                # token budget — half a pass of carry-over at depth,
-                # nothing on an empty queue.
-                carried = (
-                    queued_before if queued_before <= budget_tokens else budget_tokens
-                )
-                carry = 0.5 * carried / pf_rate
-                first = sched + prefill_s + carry
-                decode_tokens = outputs[j] - 1
-                finish = first + decode_tokens * tpot
-                if finish > arrivals_end and tpot_drain < tpot:
-                    # Decode that outlives the arrival stream runs with no
-                    # prefill to interleave: the tail tokens come out at
-                    # the bare iteration time, the way a draining fleet
-                    # sprints.
-                    head_s = arrivals_end - first
-                    head_tokens = head_s / tpot if head_s > 0.0 else 0.0
-                    finish = (
-                        first
-                        + head_tokens * tpot
-                        + (decode_tokens - head_tokens) * tpot_drain
-                    )
-                ready += prefill_s
-                replica.ready = ready
-                if heap_pick:
-                    heapreplace(heap, (ready, k))
-                elif mirror_ready:
-                    ready_arr[k] = ready
-                if finish > replica.decode_done:
-                    replica.decode_done = finish
-                dest_t[j] = replica.replica_id
-                queued = (ready - now) * pf_rate
-                if queued > replica.peak_queued_prefill_tokens:
-                    replica.peak_queued_prefill_tokens = queued
-                if track_decode:
-                    decode_secs[k] += decode_tokens * decode_tail
-                sched_t[j] = sched
-                first_t[j] = first
-                finish_t[j] = finish
-                if san is not None:
-                    san.note_fluid_request(
-                        ids[j],
-                        replica.replica_id,
-                        arrival=now,
-                        sched=sched,
-                        first=first,
-                        finish=finish,
-                    )
+                    carry = 0.5 * carried / pf_rate
+                    first = sched + prefill_s + carry
+                    finish = first + decode
+                    if finish > arrivals_end:
+                        if tail is None:
+                            tail = buckets.tolist()
+                        tpot, tpot_drain = tpot_cache[int(tail[j - s])]
+                        if tpot_drain < tpot:
+                            # Decode that outlives the arrival stream runs with
+                            # no prefill to interleave: the tail tokens come out
+                            # at the bare iteration time, the way a draining
+                            # fleet sprints.
+                            decode_tokens = int(decode_blk[j])
+                            head_s = arrivals_end - first
+                            head_tokens = head_s / tpot if head_s > 0.0 else 0.0
+                            finish = (
+                                first
+                                + head_tokens * tpot
+                                + (decode_tokens - head_tokens) * tpot_drain
+                            )
+                    ready += prefill_s
+                    replica.ready = ready
+                    if heap_pick:
+                        heapreplace(heap, (ready, k))
+                    elif mirror_ready:
+                        ready_arr[k] = ready
+                    if finish > replica.decode_done:
+                        replica.decode_done = finish
+                    dest_t[j] = replica.replica_id
+                    queued = (ready - now) * pf_rate
+                    if queued > replica.peak_queued_prefill_tokens:
+                        replica.peak_queued_prefill_tokens = queued
+                    if track_decode:
+                        decode_secs[k] += decode_work[j]
+                    sched_t[j] = sched
+                    first_t[j] = first
+                    finish_t[j] = finish
+                    if san is not None:
+                        san.note_fluid_request(
+                            ids[j],
+                            replica.replica_id,
+                            arrival=now,
+                            sched=sched,
+                            first=first,
+                            finish=finish,
+                        )
+                tpot_bucket = buckets[-1]
+                self._tpot_now = tpot_cache[int(tpot_bucket)]
+                s = end
+            if observes:
+                for t in times[noted:]:
+                    autoscaler.note_arrival(t)
             sched_col[block] = sched_t
             first_col[block] = first_t
             finish_col[block] = finish_t

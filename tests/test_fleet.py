@@ -23,10 +23,11 @@ Contracts pinned by this PR:
 """
 
 import math
+import random
 
 import pytest
 
-from repro.check import Sanitizer
+from repro.check import Sanitizer, SanitizerError
 from repro.cluster import ClusterSimulator, ReplicaLifecycle
 from repro.cluster.autoscaler import (
     PredictiveAutoscaler,
@@ -34,6 +35,7 @@ from repro.cluster.autoscaler import (
     make_autoscaler,
 )
 from repro.cluster.fleet import ReplicaFleet, provision_times
+from repro.cluster.fluid import _FluidReplica
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.engines.base import EngineOptions, RunHooks
@@ -177,6 +179,75 @@ class TestLifecycle:
         assert fleet.scale_down(now=1.0, n=5) == 1
         assert fleet.active_count == 1
         assert fleet.scale_down(now=2.0, n=1) == 0
+
+
+class TestKeptLifecycleCounts:
+    """The fleet's count views read per-state counts kept where handles
+    are created and transition; a recount of the handles is their oracle,
+    here and in simsan's S6."""
+
+    @staticmethod
+    def fleet(tiny_model, san):
+        engine = VllmLikeEngine(
+            tiny_model, make_cluster("A10", 16), parse_config("T2")
+        )
+        engine.hooks = RunHooks(sanitize=san)
+        return make_fleet(
+            engine, initial_dp=2, min_dp=1, max_dp=8, autoscaler_name="threshold",
+            start=lambda rid, t: (_FluidReplica(rid, t, 1.0),) * 2,
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counts_match_recount_over_random_walks(self, tiny_model, seed):
+        san = Sanitizer()
+        fleet = self.fleet(tiny_model, san)
+        rng = random.Random(seed)
+        step = fleet.weight_load_s + fleet.kv_warmup_s
+        now = 0.0
+        seen = set()
+        for _ in range(300):
+            now += rng.uniform(0.0, step)
+            op = rng.choice(("up", "poll", "down", "reap", "busy", "resize"))
+            if op == "up":
+                fleet.scale_up(now, rng.randint(1, 3))
+            elif op == "poll":
+                fleet.poll(now)
+            elif op == "down":
+                fleet.scale_down(now, rng.randint(1, 3))
+            elif op == "reap":
+                fleet.reap_drained(now)
+            elif op == "busy":
+                # Work that outlives a drain order keeps a replica draining.
+                for h in fleet.active_handles():
+                    h.sim.decode_done = now + rng.uniform(0.0, 3.0 * step)
+            else:
+                fleet.resize_to(rng.randint(1, fleet.max_dp), now)
+            counts = {
+                state: sum(h.state is state for h in fleet.handles)
+                for state in ReplicaLifecycle
+            }
+            assert fleet.active_count == counts[ReplicaLifecycle.ACTIVE]
+            provisioning = (
+                counts[ReplicaLifecycle.PROVISIONING]
+                + counts[ReplicaLifecycle.WARMING]
+            )
+            assert fleet.provisioning_count == provisioning
+            assert fleet.draining_count == counts[ReplicaLifecycle.DRAINING]
+            assert fleet.target_count == fleet.active_count + fleet.provisioning_count
+            seen.update(state for state, k in counts.items() if k)
+        assert seen == set(ReplicaLifecycle)
+        assert san.checks["S6"] > 0
+
+    def test_state_written_around_transition_fails_s6(self, tiny_model):
+        fleet = self.fleet(tiny_model, Sanitizer())
+        fleet.handles[1].state = ReplicaLifecycle.DRAINING  # not via _transition
+        fleet.scale_up(1.0, 1)
+        due = fleet.next_transition_at()
+        with pytest.raises(SanitizerError, match="kept lifecycle counts") as exc:
+            fleet.poll(due)
+        assert exc.value.rule == "S6"
+        assert exc.value.replica == 2
+        assert exc.value.time == due
 
 
 class TestDrainSemantics:

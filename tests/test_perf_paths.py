@@ -48,19 +48,24 @@ Contracts:
    included) and where the head's KV cannot grow; Seesaw's decode phase
    with a prefetch landing, swap-preemption fallback, eager transitions,
    deferred prefill and a retirement at the loop's top.
-10. **Fluid dispatch == per-arrival loop** — each fluid arrival does only
-    the work its router and autoscaler read (a ready heap for ``jsq``
-    and ``slo``, ``decide`` only when due, ``_tpot`` only off the last
-    bucket, counters folded after the loop), and the run equals, bit
-    for bit, both the ``argmin`` pick (``fluid._HEAP_POLICIES``
-    emptied) and the former per-arrival loop (:func:`per_arrival_run`):
-    result repr, latency columns and ``phase_time`` in hex, telemetry
-    JSONL, trace rows and sanitizer counts, for every router and
-    autoscaler over diurnal, Poisson, unsorted and simultaneous
-    arrivals, hooks off and on, and again with a 7-arrival block so the
-    loop's block edges fall among scale decisions and fleet polls. A
-    dispatch missing from the folded counters fails the sanitizer's
-    conservation check.
+10. **Fluid dispatch == per-arrival loop** — the fluid loop cuts each
+    block into segments at fleet polls and autoscaler evaluations, does
+    the fleet work only at a segment's first arrival, reads each
+    arrival's operating point from per-segment columns, picks ``jsq``
+    and ``slo`` from a ready heap and folds the counters after the loop;
+    the run equals, bit for bit, both the ``argmin`` pick
+    (``fluid._HEAP_POLICIES`` emptied) and the former per-arrival loop
+    (:func:`per_arrival_run`): result repr, latency columns and
+    ``phase_time`` in hex, telemetry JSONL, trace rows and sanitizer
+    counts, for every router and autoscaler over diurnal, Poisson,
+    unsorted and simultaneous arrivals, hooks off and on, and again with
+    a 7-arrival block so the loop's block edges fall among scale
+    decisions and fleet polls. The segment edges have their own cases: a
+    poll and an evaluation due at one arrival, segments that span a whole
+    block, a burn-rate autoscaler that notes every arrival once, and a
+    fixed fleet over unsorted and simultaneous arrivals. A dispatch
+    missing from the folded counters fails the sanitizer's conservation
+    check.
 11. **Event-tier autoscaler cadence** — the shared-clock loop calls
     ``decide`` only when an evaluation is due and ``note_arrival`` only
     for policies that observe arrivals, bit-identical to calling both on
@@ -87,7 +92,7 @@ from repro.check import Sanitizer, SanitizerError
 from repro.cluster import ClusterSimulator
 from repro.cluster import fleet as fleet_mod
 from repro.cluster import fluid
-from repro.cluster.autoscaler import Autoscaler
+from repro.cluster.autoscaler import Autoscaler, BurnRateThresholdAutoscaler
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
 from repro.cluster.replica import ReplicaSim
 from repro.core import engine as core_engine
@@ -1710,6 +1715,167 @@ class TestFluidDispatchOracle:
         # The oracle called decide at the edge arrival.
         assert edge_t in [now for now, _ in calls]
 
+    def assert_matches_oracle(self, monkeypatch, fast, *cell):
+        """``fast`` (what :meth:`observed` saw of ``cell``) against the
+        same cell through :func:`per_arrival_run`, bit for bit."""
+        with monkeypatch.context() as mp:
+            use_per_arrival_run(mp)
+            _, oracle = self.observed(*cell, "oracle")
+        assert fast.keys() == oracle.keys()
+        for key in oracle:
+            assert fast[key] == oracle[key], (cell[0], cell[1], cell[3], key)
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    @pytest.mark.parametrize("router", ["jsq", "least-work"])
+    @pytest.mark.parametrize(
+        "weights_at, active_at, joined_at",
+        [
+            (7.5 + 1e-12, 10.0 + 1e-12, 10.0),
+            (6.0 + 1e-12, 7.5 + 1e-12, 7.5),
+            (5.0, 5.0, 5.0),
+        ],
+        ids=["at-evaluation", "between-evaluations", "no-provisioning"],
+    )
+    def test_polls_due_with_no_slack(
+        self, weights_at, active_at, joined_at, router, block, monkeypatch
+    ):
+        # Arrivals on a 0.5 s grid, three at each instant, and evaluations
+        # on the 5 s cadence; the first scale-up is ordered at the 5 s
+        # evaluation. It loads its weights by ``weights_at`` and warms by
+        # ``active_at`` (the sums are exact), so each transition comes due
+        # with no slack in the poll's ``<= now + 1e-12``: a poll and an
+        # evaluation due at the 10 s arrival, a poll alone between
+        # evaluations, or, with no provisioning, a poll due at the very
+        # arrival whose evaluation ordered it (it runs at the next one).
+        monkeypatch.setattr(fluid, "_BLOCK", block)
+        monkeypatch.setattr(
+            fleet_mod,
+            "provision_times",
+            lambda engine: (weights_at - 5.0, active_at - weights_at),
+        )
+        times = np.repeat(np.arange(0.0, 60.0, 0.5), 3)
+        workload = WorkloadSpec(
+            "grid",
+            prompt_len=[4096] * len(times),
+            output_len=[64] * len(times),
+            arrival_time=times,
+        )
+        evaluated, joined = [], []
+        real_decide = Autoscaler.decide
+        real_poll = fleet_mod.ReplicaFleet.poll
+
+        def decide_spy(scaler, now, fleet):
+            evaluated.append(now)
+            return real_decide(scaler, now, fleet)
+
+        def poll_spy(fleet, now):
+            activated = real_poll(fleet, now)
+            if activated:
+                joined.append(now)
+            return activated
+
+        monkeypatch.setattr(Autoscaler, "decide", decide_spy)
+        monkeypatch.setattr(fleet_mod.ReplicaFleet, "poll", poll_spy)
+        for hooks_on in (False, True):
+            evaluated.clear()
+            joined.clear()
+            cell = (router, "threshold", workload, hooks_on)
+            result, fast = self.observed(*cell, "fast")
+            assert result.router.fleet.events[1].time == active_at
+            assert joined[0] == joined_at
+            assert (joined_at in evaluated) == (joined_at != 7.5)
+            self.assert_matches_oracle(monkeypatch, fast, *cell)
+
+    @pytest.mark.parametrize("shape", ["poisson", "unsorted"])
+    def test_segments_span_whole_blocks(self, shape, monkeypatch):
+        # Under a 7-arrival block, fleet work falls on a block's first
+        # arrival with nothing due before the next block: one segment runs
+        # from the block's first arrival to its last, and the edge search
+        # in the block before it ran to exactly that block's end.
+        block = 7
+        monkeypatch.setattr(fluid, "_BLOCK", block)
+        workload = fluid_arrivals(shape)
+        times = np.sort(workload.arrival_time, kind="stable")
+        worked = []
+        real_poll = fleet_mod.ReplicaFleet.poll
+        real_decide = Autoscaler.decide
+
+        def poll_spy(fleet, now):
+            worked.append(now)
+            return real_poll(fleet, now)
+
+        def decide_spy(scaler, now, fleet):
+            worked.append(now)
+            return real_decide(scaler, now, fleet)
+
+        monkeypatch.setattr(fleet_mod.ReplicaFleet, "poll", poll_spy)
+        monkeypatch.setattr(Autoscaler, "decide", decide_spy)
+        whole = set()
+        for autoscaler, hooks_on in itertools.product(
+            ("threshold", "predictive"), (False, True)
+        ):
+            worked.clear()
+            cell = ("jsq", autoscaler, workload, hooks_on)
+            _, fast = self.observed(*cell, "fast")
+            # Dispatch positions of the fast run's fleet work (the first of
+            # simultaneous arrivals; the end-of-run poll falls past them).
+            starts = sorted(set(times.searchsorted(worked).tolist()) - {len(times)})
+            nexts = starts[1:] + [len(times)]
+            whole.update(
+                p
+                for p, q in zip(starts, nexts, strict=True)
+                if p % block == 0 and q >= p + block
+            )
+            self.assert_matches_oracle(monkeypatch, fast, *cell)
+        assert whole - {0}
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_burn_rate_notes_every_arrival(self, block, monkeypatch):
+        # note_arrival runs at the segments' first arrivals, over every
+        # arrival since the last evaluation, and at each block's end over
+        # the rest: once per arrival, in dispatch order.
+        monkeypatch.setattr(fluid, "_BLOCK", block)
+        workload = fluid_arrivals("diurnal")
+        noted = []
+        real_note = BurnRateThresholdAutoscaler.note_arrival
+
+        def spy(scaler, now):
+            noted.append(now)
+            return real_note(scaler, now)
+
+        monkeypatch.setattr(BurnRateThresholdAutoscaler, "note_arrival", spy)
+        for hooks_on in (False, True):
+            noted.clear()
+            cell = ("jsq", "threshold:burn_rate", workload, hooks_on)
+            result, fast = self.observed(*cell, "fast")
+            assert noted == np.sort(workload.arrival_time, kind="stable").tolist()
+            assert result.router.fleet.scale_ups > 0
+            self.assert_matches_oracle(monkeypatch, fast, *cell)
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    @pytest.mark.parametrize("shape", ["unsorted", "burst"])
+    @pytest.mark.parametrize("router", ["jsq", "static"])
+    def test_fixed_fleet_unsorted_and_simultaneous(
+        self, router, shape, block, monkeypatch
+    ):
+        # A fixed fleet runs one segment per block, each arrival's operating
+        # point forward-filled from the last refresh (every 64th request
+        # index), carried across blocks that hold none.
+        monkeypatch.setattr(fluid, "_BLOCK", block)
+        workload = fluid_arrivals(shape)
+        for hooks_on in (False, True):
+            cell = (router, "none", workload, hooks_on)
+            _, fast = self.observed(*cell, "fast")
+            self.assert_matches_oracle(monkeypatch, fast, *cell)
+        if block == 7:
+            order = np.argsort(workload.arrival_time, kind="stable")
+            rows = [
+                (order[k : k + block] & 0x3F) == 0
+                for k in range(0, len(order), block)
+            ]
+            assert any(not r.any() for r in rows)
+            assert any(r.any() and not r[0] for r in rows)
+
     def test_missed_dispatch_fails_conservation(self, monkeypatch):
         # A row whose destination stays -1 is in no replica's counters,
         # so the sanitizer's drain-time S3 sum sees the missing request.
@@ -1727,6 +1893,31 @@ class TestFluidDispatchOracle:
                 ParallelConfig(dp=4, tp=2, pp=1),
                 EngineOptions(router="jsq", coupled=True, fidelity="fluid"),
             ).run(fluid_arrivals("poisson"), RunHooks(sanitize=Sanitizer()))
+
+
+class TestFluidLoadSignal:
+    """``_FluidReplica``'s drain horizon, written out in one frame, equals
+    the former ``max(0.0, clock - now) * rate`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "ready, done, now",
+        [
+            (5.0, 5.0, 3.0),  # equal prefill and decode horizons
+            (5.0, 7.5, 3.0),
+            (7.5, 5.0, 3.0),
+            (5.0, 7.5, 9.0),  # negative horizon
+            (7.5, 5.0, 7.5),  # zero horizon
+            (0.0, -0.0, 0.0),  # signed zeros: max keeps its first argument
+            (-0.0, 0.0, 0.0),
+            (0.1 + 0.2, 0.3, 0.1),
+        ],
+    )
+    def test_matches_three_frame_form(self, ready, done, now):
+        replica = fluid._FluidReplica(0, 0.0, 1234.5)
+        replica.ready, replica.decode_done = ready, done
+        former = max(0.0, replica.clock - now) * replica.rate
+        assert replica.outstanding_tokens(now).hex() == former.hex()
+        assert replica.queued_prefill_tokens(now).hex() == former.hex()
 
 
 class TestFluidMemory:
